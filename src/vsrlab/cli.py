@@ -1,41 +1,54 @@
 """Command line front door.
 
-Subcommands cover every pipeline stage plus the full results grid. Usage
-errors exit with status 2 (argparse's default); pipeline failures print a
-diagnostic naming the failing stage and exit with status 1.
+Subcommands cover every pipeline stage plus the full results grid. A stage
+subcommand parses its arguments and nothing else: flags whose ``dest`` is a
+config key build an ``ExperimentConfig``, validated as ``run-grid`` validates
+its config file, and the work goes through the grid's own ``experiment``
+stage functions and cached ``Runner``. Outputs are stamped with a key built
+from their input content, so a rerun skips outputs that are already current
+and rebuilds stale ones. Usage errors exit with status 2 (argparse's
+default); pipeline failures print a diagnostic naming the failing stage and
+exit with status 1.
 """
 
 import argparse
-import hashlib
-import json
 import logging
 import sys
 from pathlib import Path
 
-from . import __version__, autoencoder, corpus, decoder, eigenlips, \
-    experiment, features, frontend, geometric, hmm, lingware, scoring
+from . import __version__, corpus, experiment, features, hmm, lingware, \
+    scoring
 from .errors import VsrError
 
-log = logging.getLogger(__name__)
+DEFAULTS = experiment.CONFIG_DEFAULTS
 
 
-def _args_hash(args, skip=("func", "out", "out_dir", "corpus_dir", "in_dirs",
-                           "feat_dir", "roi_dir", "model", "lm", "lexicon",
-                           "ref", "hyp", "pca", "ae", "config", "json_out")):
-    payload = {k: str(v) for k, v in sorted(vars(args).items())
-               if k not in skip}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+def _config(args):
+    """Config from the flags named after config keys, and a stage runner."""
+    cfg = experiment.ExperimentConfig.from_mapping(
+        {k: str(v) for k, v in vars(args).items() if k in DEFAULTS})
+    return cfg, experiment.Runner(cfg.semantic_hash())
 
 
 def _feature_files(directory):
+    """Utterance id (file stem) -> path of every ``.vfa`` file in a directory."""
     paths = sorted(Path(directory).glob("*.vfa"))
     if not paths:
         raise VsrError(f"no .vfa feature files in {directory}")
-    return paths
+    return {p.stem: p for p in paths}
 
 
-def _load_dir(directory):
-    return [features.load_features(p) for p in _feature_files(directory)]
+def _records_and_features(cfg, args):
+    """Manifest records, optionally cut to a listed subset, and the feature
+    file of each."""
+    records = corpus.load_manifest(cfg.corpus_dir / "manifest.tsv")
+    if args.utterances:
+        wanted = set(Path(args.utterances).read_text(encoding="utf-8").split())
+        records = [r for r in records if r.utterance_id in wanted]
+        if not records:
+            raise VsrError("utterance list matches nothing in the manifest")
+    return records, [Path(args.feat_dir) / f"{r.utterance_id}.vfa"
+                     for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -54,212 +67,154 @@ def cmd_synth_corpus(args):
     return 0
 
 
-def _per_utterance_stage(args, stage_name, records, build_one, inputs_of,
-                         params):
-    """Run a cached per-utterance stage for a standalone subcommand."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runner = experiment.Runner(_args_hash(args))
-    for record in records:
-        out = out_dir / f"{record.utterance_id}.vfa"
-        runner.stage(stage_name, inputs_of(record), params, [out],
-                     lambda record=record, out=out: build_one(record, out))
-    print(f"{stage_name}: {len(records)} utterances in {out_dir}")
+def cmd_extract_roi(args):
+    cfg, runner = _config(args)
+    records = corpus.load_manifest(cfg.corpus_dir / "manifest.tsv")
+    experiment.stage_roi(runner, cfg, records, args.out_dir)
+    print(f"roi: {len(records)} utterances in {args.out_dir}")
     return 0
 
 
-def cmd_extract_roi(args):
-    records = corpus.load_manifest(Path(args.corpus_dir) / "manifest.tsv")
-
-    def build(record, out):
-        landmarks = corpus.read_landmarks(record.landmark_path)
-        images = corpus.read_frames(record.frames_path)
-        rois = frontend.roi_sequence(landmarks, images, margin=args.margin)
-        features.save_features(out, features.FeatureSequence(
-            frames=rois.reshape(rois.shape[0], -1),
-            utterance_id=record.utterance_id, speaker_id=record.speaker_id,
-            stream_tag="roi"))
-
-    return _per_utterance_stage(
-        args, "roi", records, build,
-        lambda r: [r.landmark_path, r.frames_path], {"margin": args.margin})
-
-
 def cmd_feat_geo(args):
-    records = corpus.load_manifest(Path(args.corpus_dir) / "manifest.tsv")
-
-    def build(record, out):
-        landmarks = corpus.read_landmarks(record.landmark_path)
-        features.save_features(out, features.FeatureSequence(
-            frames=geometric.geometric_sequence(landmarks),
-            utterance_id=record.utterance_id, speaker_id=record.speaker_id,
-            stream_tag="geo"))
-
-    return _per_utterance_stage(args, "geo", records, build,
-                                lambda r: [r.landmark_path], {})
+    cfg, runner = _config(args)
+    records = corpus.load_manifest(cfg.corpus_dir / "manifest.tsv")
+    experiment.stage_geo(runner, records, args.out_dir)
+    print(f"geo: {len(records)} utterances in {args.out_dir}")
+    return 0
 
 
 def cmd_train_pca(args):
-    rois = [seq.frames for seq in _load_dir(args.roi_dir)]
-    sample = experiment.subsample_rows(rois, args.max_frames)
-    model = eigenlips.fit_pca(sample, args.components)
-    eigenlips.save_pca(args.out, model)
-    experiment.write_stamp(args.out, "pca", _args_hash(args), _args_hash(args))
-    print(f"pca: {args.components} components from {sample.shape[0]} frames "
-          f"-> {args.out}")
+    cfg, runner = _config(args)
+    rois = list(_feature_files(args.roi_dir).values())
+    experiment.stage_pca(runner, cfg, rois, args.out)
+    print(f"pca: {cfg.pca_components} components from {len(rois)} "
+          f"utterances -> {args.out}")
     return 0
 
 
 def cmd_feat_eig(args):
-    model = eigenlips.load_pca(args.pca)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    for path in _feature_files(args.roi_dir):
-        roi = features.load_features(path)
-        out = out_dir / path.name
-        features.save_features(out, features.FeatureSequence(
-            frames=eigenlips.project(model, roi.frames),
-            utterance_id=roi.utterance_id, speaker_id=roi.speaker_id,
-            stream_tag="eig"))
-        experiment.write_stamp(out, "eig", _args_hash(args), _args_hash(args))
-        n += 1
-    print(f"eig: {n} utterances in {out_dir}")
+    _, runner = _config(args)
+    paths = experiment.stage_eig(runner, _feature_files(args.roi_dir),
+                                 args.pca, args.out_dir)
+    print(f"eig: {len(paths)} utterances in {args.out_dir}")
     return 0
 
 
 def cmd_train_ae(args):
-    rois = [seq.frames for seq in _load_dir(args.roi_dir)]
-    sample = experiment.subsample_rows(rois, args.max_frames)
-    h, w = autoencoder.DEFAULT_INPUT_HW
-    channels = tuple(int(c) for c in args.channels.split(","))
-    net = autoencoder.ConvAutoencoder(channels=channels,
-                                      bottleneck=args.bottleneck,
-                                      seed=args.seed)
-    net.train(sample.reshape(-1, h, w), epochs=args.epochs, lr=args.lr,
-              batch_size=args.batch, seed=args.seed)
-    autoencoder.save_autoencoder(args.out, net)
-    experiment.write_stamp(args.out, "ae", _args_hash(args), _args_hash(args))
-    print(f"ae: trained {args.epochs} epochs on {sample.shape[0]} frames "
+    cfg, runner = _config(args)
+    rois = list(_feature_files(args.roi_dir).values())
+    experiment.stage_ae(runner, cfg, rois, args.out)
+    print(f"ae: {cfg.ae_epochs} epochs on {len(rois)} utterances "
           f"-> {args.out}")
     return 0
 
 
 def cmd_feat_dnn(args):
-    net = autoencoder.load_autoencoder(args.ae)
-    h, w = net.input_hw
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    for path in _feature_files(args.roi_dir):
-        roi = features.load_features(path)
-        out = out_dir / path.name
-        features.save_features(out, features.FeatureSequence(
-            frames=net.encode(roi.frames.reshape(-1, h, w)),
-            utterance_id=roi.utterance_id, speaker_id=roi.speaker_id,
-            stream_tag="dnn"))
-        experiment.write_stamp(out, "dnn", _args_hash(args), _args_hash(args))
-        n += 1
-    print(f"dnn: {n} utterances in {out_dir}")
+    _, runner = _config(args)
+    paths = experiment.stage_dnn(runner, _feature_files(args.roi_dir),
+                                 args.ae, args.out_dir)
+    print(f"dnn: {len(paths)} utterances in {args.out_dir}")
     return 0
 
 
 def cmd_post(args):
-    streams = [_load_dir(d) for d in args.in_dirs]
-    ids = [s.utterance_id for s in streams[0]]
-    for other in streams[1:]:
-        if [s.utterance_id for s in other] != ids:
-            raise VsrError("input directories hold different utterance sets")
-    processed = []
-    for seqs in streams:
-        seqs = features.zscore_normalize(seqs, args.norm)
-        if args.context > 0:
-            seqs = [features.add_deltas(s, args.context) for s in seqs]
-        processed.append(seqs)
+    cfg, runner = _config(args)
+    streams = [_feature_files(d) for d in args.in_dirs]
+    ids = list(streams[0])
+    if any(list(other) != ids for other in streams[1:]):
+        raise VsrError("input directories hold different utterance sets")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, utt in enumerate(ids):
-        combined = features.combine_streams([p[i] for p in processed])
-        out = out_dir / f"{utt}.vfa"
-        features.save_features(out, combined)
-        experiment.write_stamp(out, "post", _args_hash(args), _args_hash(args))
-    print(f"post: {len(ids)} utterances ({args.norm}, context {args.context}) "
+    outs = [out_dir / f"{utt}.vfa" for utt in ids]
+    norm, context = cfg.norms[0], cfg.contexts[0]
+
+    def build():
+        # each input directory is one base stream, keyed by its position
+        base = {str(i): [features.load_features(p) for p in paths.values()]
+                for i, paths in enumerate(streams)}
+        seqs = experiment.assemble_features(base, "+".join(base), context, norm)
+        for out, seq in zip(outs, seqs):
+            features.save_features(out, seq)
+
+    runner.stage("post", [p for paths in streams for p in paths.values()],
+                 {"norm": norm, "context": context}, outs, build)
+    print(f"post: {len(ids)} utterances ({norm}, context {context}) "
           f"in {out_dir}")
     return 0
 
 
-def _records_and_features(args):
-    records = corpus.load_manifest(Path(args.corpus_dir) / "manifest.tsv")
-    if args.utterances:
-        wanted = set(Path(args.utterances).read_text(encoding="utf-8").split())
-        records = [r for r in records if r.utterance_id in wanted]
-        if not records:
-            raise VsrError("utterance list matches nothing in the manifest")
-    seqs = []
-    for record in records:
-        path = Path(args.feat_dir) / f"{record.utterance_id}.vfa"
-        seqs.append(features.load_features(path))
-    return records, seqs
-
-
 def cmd_train_hmm(args):
-    records, seqs = _records_and_features(args)
-    lexicon = lingware.load_lexicon(Path(args.corpus_dir) / "lexicon.txt")
-    data = [(seq.frames, hmm.phone_chain(lexicon, record.transcript))
-            for seq, record in zip(seqs, records)]
-    phones = sorted(lexicon.phone_set())
-    model = hmm.flat_start([frames for frames, _ in data], phones,
-                           topology_kind=args.topology)
-    schedule = experiment.parse_schedule(args.schedule)
-    history = hmm.train_em(model, data, schedule=schedule)
-    hmm.save_model(args.out, model)
-    experiment.write_stamp(args.out, "hmm", _args_hash(args), _args_hash(args))
-    for target_m, ll in history:
-        print(f"M={target_m} loglik={ll:.4f}")
+    cfg, runner = _config(args)
+    records, feat_paths = _records_and_features(cfg, args)
+    lexicon_path = cfg.corpus_dir / "lexicon.txt"
+
+    def build():
+        seqs = [features.load_features(p) for p in feat_paths]
+        model, history = experiment.train_cell_model(
+            cfg, seqs, records, lingware.load_lexicon(lexicon_path))
+        hmm.save_model(args.out, model)
+        for target_m, ll in history:
+            print(f"M={target_m} loglik={ll:.4f}")
+
+    runner.stage("train",
+                 feat_paths + [cfg.corpus_dir / "manifest.tsv", lexicon_path],
+                 {"topology": cfg.topology,
+                  "schedule": [list(s) for s in cfg.schedule]},
+                 [args.out], build)
     print(f"hmm: {len(records)} utterances -> {args.out}")
     return 0
 
 
 def cmd_align(args):
-    records, seqs = _records_and_features(args)
-    lexicon = lingware.load_lexicon(Path(args.corpus_dir) / "lexicon.txt")
-    model = hmm.load_model(args.model)
-    lines = []
-    for record, seq in zip(records, seqs):
-        chain = hmm.phone_chain(lexicon, record.transcript,
-                                use_sil=model.use_sil)
-        alignment = hmm.forced_align(model, seq.frames, chain)
-        for phone, start, end in hmm.phone_spans(alignment):
-            lines.append(f"{record.utterance_id}\t{phone}\t{start}\t{end}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    experiment.write_stamp(args.out, "align", _args_hash(args), _args_hash(args))
+    cfg, runner = _config(args)
+    records, feat_paths = _records_and_features(cfg, args)
+    lexicon_path = cfg.corpus_dir / "lexicon.txt"
+
+    def build():
+        lexicon = lingware.load_lexicon(lexicon_path)
+        model = hmm.load_model(args.model)
+        lines = []
+        for record, path in zip(records, feat_paths):
+            chain = hmm.phone_chain(lexicon, record.transcript,
+                                    use_sil=model.use_sil)
+            alignment = hmm.forced_align(
+                model, features.load_features(path).frames, chain)
+            lines += [f"{record.utterance_id}\t{phone}\t{start}\t{end}"
+                      for phone, start, end in hmm.phone_spans(alignment)]
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    runner.stage("align", [args.model] + feat_paths
+                 + [cfg.corpus_dir / "manifest.tsv", lexicon_path], {},
+                 [args.out], build)
     print(f"align: {len(records)} utterances -> {args.out}")
     return 0
 
 
 def cmd_decode(args):
-    model = hmm.load_model(args.model)
-    lm = lingware.load_lm(args.lm)
-    lexicon = lingware.load_lexicon(args.lexicon)
-    beam = None if args.beam.lower() in ("none", "inf") else float(args.beam)
-    config = decoder.DecodeConfig(lm_scale=args.lm_scale,
-                                  word_insertion_penalty=args.wip, beam=beam)
-    graph = decoder.DecodeGraph(model, lm, lexicon)
-    hyps = {}
-    for seq in _load_dir(args.feat_dir):
-        result = decoder.decode_frames(graph, seq.frames, config)
-        hyps[seq.utterance_id] = result.words
-    scoring.save_transcripts(args.out, hyps)
-    experiment.write_stamp(args.out, "decode", _args_hash(args), _args_hash(args))
-    print(f"decode: {len(hyps)} utterances -> {args.out}")
+    cfg, runner = _config(args)
+    feat_paths = list(_feature_files(args.feat_dir).values())
+
+    def build():
+        hyps = experiment.decode_cell(
+            cfg, hmm.load_model(args.model), lingware.load_lm(args.lm),
+            lingware.load_lexicon(args.lexicon),
+            [features.load_features(p) for p in feat_paths])
+        scoring.save_transcripts(args.out, hyps)
+
+    runner.stage("decode", [args.model, args.lm, args.lexicon] + feat_paths,
+                 {"lm_scale": cfg.lm_scale,
+                  "word_insertion_penalty": cfg.word_insertion_penalty,
+                  "beam": cfg.beam}, [args.out], build)
+    print(f"decode: {len(feat_paths)} utterances -> {args.out}")
     return 0
 
 
 def cmd_score(args):
+    cfg, _ = _config(args)
     refs = scoring.load_transcripts(args.ref)
     hyps = scoring.load_transcripts(args.hyp)
-    report = scoring.evaluate(refs, hyps, n_resamples=args.bootstrap,
-                              seed=args.seed, confidence=args.confidence)
+    report = scoring.evaluate(refs, hyps, n_resamples=cfg.bootstrap,
+                              seed=cfg.seed, confidence=cfg.confidence)
     if args.json_out:
         Path(args.json_out).write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.format_line())
@@ -303,7 +258,8 @@ def build_parser():
     p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("extract-roi", help="aligned mouth ROIs per utterance")
-    p.add_argument("--margin", type=float, default=frontend.DEFAULT_MARGIN)
+    p.add_argument("--margin", dest="roi_margin", type=float,
+                   default=DEFAULTS["roi_margin"])
     p.add_argument("corpus_dir")
     p.add_argument("out_dir")
     p.set_defaults(func=cmd_extract_roi)
@@ -314,8 +270,10 @@ def build_parser():
     p.set_defaults(func=cmd_feat_geo)
 
     p = sub.add_parser("train-pca", help="fit the eigenlip basis")
-    p.add_argument("--components", type=int, default=32)
-    p.add_argument("--max-frames", type=int, default=320)
+    p.add_argument("--components", dest="pca_components", type=int,
+                   default=DEFAULTS["pca_components"])
+    p.add_argument("--max-frames", dest="pca_max_frames", type=int,
+                   default=DEFAULTS["pca_max_frames"])
     p.add_argument("roi_dir")
     p.add_argument("out")
     p.set_defaults(func=cmd_train_pca)
@@ -327,13 +285,18 @@ def build_parser():
     p.set_defaults(func=cmd_feat_eig)
 
     p = sub.add_parser("train-ae", help="train the convolutional autoencoder")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--bottleneck", type=int, default=32)
-    p.add_argument("--channels", default="8,16,32")
-    p.add_argument("--max-frames", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", dest="ae_epochs", type=int,
+                   default=DEFAULTS["ae_epochs"])
+    p.add_argument("--lr", dest="ae_lr", type=float, default=DEFAULTS["ae_lr"])
+    p.add_argument("--batch", dest="ae_batch", type=int,
+                   default=DEFAULTS["ae_batch"])
+    p.add_argument("--bottleneck", dest="ae_bottleneck", type=int,
+                   default=DEFAULTS["ae_bottleneck"])
+    p.add_argument("--channels", dest="ae_channels",
+                   default=DEFAULTS["ae_channels"])
+    p.add_argument("--max-frames", dest="ae_max_frames", type=int,
+                   default=DEFAULTS["ae_max_frames"])
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("roi_dir")
     p.add_argument("out")
     p.set_defaults(func=cmd_train_ae)
@@ -345,9 +308,9 @@ def build_parser():
     p.set_defaults(func=cmd_feat_dnn)
 
     p = sub.add_parser("post", help="normalize, add deltas, combine streams")
-    p.add_argument("--norm", choices=("speaker", "utterance"),
+    p.add_argument("--norm", dest="norms", choices=("speaker", "utterance"),
                    default="speaker")
-    p.add_argument("--context", type=int, default=0,
+    p.add_argument("--context", dest="contexts", type=int, default=0,
                    help="delta context; 0 keeps statics only")
     p.add_argument("out_dir")
     p.add_argument("in_dirs", nargs="+")
@@ -355,8 +318,8 @@ def build_parser():
 
     p = sub.add_parser("train-hmm", help="embedded GMM-HMM training")
     p.add_argument("--topology", choices=("classic3", "skip2"),
-                   default="skip2")
-    p.add_argument("--schedule", default="1:4,2:4,4:4,8:4")
+                   default=DEFAULTS["topology"])
+    p.add_argument("--schedule", default=DEFAULTS["schedule"])
     p.add_argument("--utterances", default="",
                    help="file listing utterance ids to train on")
     p.add_argument("corpus_dir")
@@ -373,10 +336,11 @@ def build_parser():
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("decode", help="bigram Viterbi decoding")
-    p.add_argument("--lm-scale", type=float, default=10.0)
-    p.add_argument("--wip", type=float, default=0.0,
+    p.add_argument("--lm-scale", type=float, default=DEFAULTS["lm_scale"])
+    p.add_argument("--wip", dest="word_insertion_penalty", type=float,
+                   default=DEFAULTS["word_insertion_penalty"],
                    help="word insertion penalty")
-    p.add_argument("--beam", default="200.0",
+    p.add_argument("--beam", default=DEFAULTS["beam"],
                    help="log-domain beam width, or 'none' for exact search")
     p.add_argument("model")
     p.add_argument("lm")
@@ -387,8 +351,9 @@ def build_parser():
 
     p = sub.add_parser("score", help="word error rate with bootstrap interval")
     p.add_argument("--bootstrap", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--confidence", type=float,
+                   default=DEFAULTS["confidence"])
     p.add_argument("--json-out", default="")
     p.add_argument("ref")
     p.add_argument("hyp")

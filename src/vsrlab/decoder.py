@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBeamError, OovError
-from .hmm import LOG_ZERO, compose_chain, state_log_likelihoods
+from .hmm import LOG_ZERO, SILENCE_PHONE, _shift_down, compose_chain, \
+    state_log_likelihoods
 from .lingware import SENTENCE_END, SENTENCE_START
 
 log = logging.getLogger(__name__)
-
-SILENCE_PHONE = "sil"
 
 
 @dataclass
@@ -114,12 +113,6 @@ class DecodeGraph:
             if i < v:
                 self.end_logp[i] = lm.logp(SENTENCE_END, ctx)
         self.start_context = v
-
-
-def _shift_down(vec, k):
-    out = np.full_like(vec, LOG_ZERO)
-    out[k:] = vec[:-k]
-    return out
 
 
 _EMPTY = ((), ())                  # (words, start_frames) of the null history

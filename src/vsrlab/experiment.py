@@ -9,6 +9,7 @@ exist with matching keys is skipped, so re-running after deleting only the
 decode outputs re-decodes without retraining.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -313,55 +314,51 @@ def load_corpus(cfg):
     return records, lexicon, train, test
 
 
-def _load_roi(record):
-    landmarks = corpus.read_landmarks(record.landmark_path)
-    images = corpus.read_frames(record.frames_path)
-    return landmarks, images
-
-
 # ---------------------------------------------------------------------------
 # feature stages (per utterance, cached independently)
 
-def stage_roi(runner, cfg, records):
-    out_dir = cfg.out_dir / "roi"
+def _per_utterance(runner, name, items, inputs_of, params, out_dir, build_one):
+    """Cache one ``<utterance id>.vfa`` per entry of ``items`` in ``out_dir``.
+
+    ``items`` maps an utterance id to what ``inputs_of`` turns into the
+    stage's input paths and ``build_one(item, out)`` into its output.
+    Returns the output path of every utterance, in the order of ``items``.
+    """
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for record in records:
-        out = out_dir / f"{record.utterance_id}.vfa"
-        paths[record.utterance_id] = out
-
-        def build(record=record, out=out):
-            landmarks, images = _load_roi(record)
-            rois = frontend.roi_sequence(landmarks, images, margin=cfg.roi_margin)
-            seq = features.FeatureSequence(
-                frames=rois.reshape(rois.shape[0], -1),
-                utterance_id=record.utterance_id,
-                speaker_id=record.speaker_id, stream_tag="roi")
-            features.save_features(out, seq)
-
-        runner.stage("roi", [record.landmark_path, record.frames_path],
-                     {"margin": cfg.roi_margin}, [out], build)
+    for utt, item in items.items():
+        out = paths[utt] = out_dir / f"{utt}.vfa"
+        runner.stage(name, inputs_of(item), params, [out],
+                     lambda item=item, out=out: build_one(item, out))
     return paths
 
 
-def stage_geo(runner, cfg, records):
-    out_dir = cfg.out_dir / "geo"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for record in records:
-        out = out_dir / f"{record.utterance_id}.vfa"
-        paths[record.utterance_id] = out
+def stage_roi(runner, cfg, records, out_dir):
+    def build(record, out):
+        landmarks = corpus.read_landmarks(record.landmark_path)
+        images = corpus.read_frames(record.frames_path)
+        rois = frontend.roi_sequence(landmarks, images, margin=cfg.roi_margin)
+        features.save_features(out, features.FeatureSequence(
+            frames=rois.reshape(rois.shape[0], -1),
+            utterance_id=record.utterance_id,
+            speaker_id=record.speaker_id, stream_tag="roi"))
 
-        def build(record=record, out=out):
-            landmarks = corpus.read_landmarks(record.landmark_path)
-            feats = geometric.geometric_sequence(landmarks)
-            seq = features.FeatureSequence(
-                frames=feats, utterance_id=record.utterance_id,
-                speaker_id=record.speaker_id, stream_tag="geo")
-            features.save_features(out, seq)
+    return _per_utterance(runner, "roi", {r.utterance_id: r for r in records},
+                          lambda r: [r.landmark_path, r.frames_path],
+                          {"margin": cfg.roi_margin}, out_dir, build)
 
-        runner.stage("geo", [record.landmark_path], {}, [out], build)
-    return paths
+
+def stage_geo(runner, records, out_dir):
+    def build(record, out):
+        landmarks = corpus.read_landmarks(record.landmark_path)
+        features.save_features(out, features.FeatureSequence(
+            frames=geometric.geometric_sequence(landmarks),
+            utterance_id=record.utterance_id,
+            speaker_id=record.speaker_id, stream_tag="geo"))
+
+    return _per_utterance(runner, "geo", {r.utterance_id: r for r in records},
+                          lambda r: [r.landmark_path], {}, out_dir, build)
 
 
 def subsample_rows(arrays, cap):
@@ -373,54 +370,49 @@ def subsample_rows(arrays, cap):
     return stacked[idx]
 
 
-def stage_pca(runner, cfg, roi_paths, train_records):
-    out = cfg.out_dir / "pca.eig"
-    inputs = [roi_paths[r.utterance_id] for r in train_records]
+def _roi_sample(roi_paths, cap):
+    return subsample_rows([features.load_features(p).frames for p in roi_paths],
+                          cap)
 
+
+def stage_pca(runner, cfg, roi_paths, out):
+    """Eigenlip basis fitted on a row sample of the ROI files ``roi_paths``."""
     def build():
-        rois = [features.load_features(p).frames for p in inputs]
-        sample = subsample_rows(rois, cfg.pca_max_frames)
-        model = eigenlips.fit_pca(sample, cfg.pca_components)
-        eigenlips.save_pca(out, model)
+        sample = _roi_sample(roi_paths, cfg.pca_max_frames)
+        eigenlips.save_pca(out, eigenlips.fit_pca(sample, cfg.pca_components))
 
-    runner.stage("pca", inputs,
+    runner.stage("pca", roi_paths,
                  {"components": cfg.pca_components,
                   "max_frames": cfg.pca_max_frames}, [out], build)
-    return out
 
 
-def stage_eig(runner, cfg, roi_paths, records, pca_path):
-    out_dir = cfg.out_dir / "eig"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    model = None
-    for record in records:
-        out = out_dir / f"{record.utterance_id}.vfa"
-        paths[record.utterance_id] = out
+def _encode_rois(runner, name, roi_paths, model_path, load, encode, out_dir):
+    """Per-utterance features computed from each ROI file by a trained model.
 
-        def build(record=record, out=out):
-            nonlocal model
-            if model is None:
-                model = eigenlips.load_pca(pca_path)
-            roi = features.load_features(roi_paths[record.utterance_id])
-            seq = features.FeatureSequence(
-                frames=eigenlips.project(model, roi.frames),
-                utterance_id=record.utterance_id,
-                speaker_id=record.speaker_id, stream_tag="eig")
-            features.save_features(out, seq)
+    ``roi_paths`` maps utterance ids to ROI files; the utterance and speaker
+    ids of each output come from its ROI file.
+    """
+    model = functools.cache(lambda: load(model_path))
 
-        runner.stage("eig", [roi_paths[record.utterance_id], pca_path], {},
-                     [out], build)
-    return paths
+    def build(roi_path, out):
+        roi = features.load_features(roi_path)
+        features.save_features(out, features.FeatureSequence(
+            frames=encode(model(), roi.frames), utterance_id=roi.utterance_id,
+            speaker_id=roi.speaker_id, stream_tag=name))
+
+    return _per_utterance(runner, name, roi_paths, lambda p: [p, model_path],
+                          {}, out_dir, build)
 
 
-def stage_ae(runner, cfg, roi_paths, train_records):
-    out = cfg.out_dir / "autoenc.cae"
-    inputs = [roi_paths[r.utterance_id] for r in train_records]
+def stage_eig(runner, roi_paths, pca_path, out_dir):
+    return _encode_rois(runner, "eig", roi_paths, pca_path, eigenlips.load_pca,
+                        eigenlips.project, out_dir)
 
+
+def stage_ae(runner, cfg, roi_paths, out):
+    """Convolutional autoencoder trained on a row sample of ``roi_paths``."""
     def build():
-        rois = [features.load_features(p).frames for p in inputs]
-        sample = subsample_rows(rois, cfg.ae_max_frames)
+        sample = _roi_sample(roi_paths, cfg.ae_max_frames)
         h, w = autoencoder.DEFAULT_INPUT_HW
         net = autoencoder.ConvAutoencoder(channels=cfg.ae_channels,
                                           bottleneck=cfg.ae_bottleneck,
@@ -429,39 +421,20 @@ def stage_ae(runner, cfg, roi_paths, train_records):
                   lr=cfg.ae_lr, batch_size=cfg.ae_batch, seed=cfg.seed)
         autoencoder.save_autoencoder(out, net)
 
-    runner.stage("ae", inputs,
+    runner.stage("ae", roi_paths,
                  {"channels": list(cfg.ae_channels),
                   "bottleneck": cfg.ae_bottleneck, "epochs": cfg.ae_epochs,
                   "lr": cfg.ae_lr, "batch": cfg.ae_batch,
                   "max_frames": cfg.ae_max_frames, "seed": cfg.seed},
                  [out], build)
-    return out
 
 
-def stage_dnn(runner, cfg, roi_paths, records, ae_path):
-    out_dir = cfg.out_dir / "dnn"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    net = None
-    for record in records:
-        out = out_dir / f"{record.utterance_id}.vfa"
-        paths[record.utterance_id] = out
+def stage_dnn(runner, roi_paths, ae_path, out_dir):
+    def encode(net, frames):
+        return net.encode(frames.reshape(-1, *net.input_hw))
 
-        def build(record=record, out=out):
-            nonlocal net
-            if net is None:
-                net = autoencoder.load_autoencoder(ae_path)
-            roi = features.load_features(roi_paths[record.utterance_id])
-            h, w = net.input_hw
-            codes = net.encode(roi.frames.reshape(-1, h, w))
-            seq = features.FeatureSequence(
-                frames=codes, utterance_id=record.utterance_id,
-                speaker_id=record.speaker_id, stream_tag="dnn")
-            features.save_features(out, seq)
-
-        runner.stage("dnn", [roi_paths[record.utterance_id], ae_path], {},
-                     [out], build)
-    return paths
+    return _encode_rois(runner, "dnn", roi_paths, ae_path,
+                        autoencoder.load_autoencoder, encode, out_dir)
 
 
 def stage_lm(runner, cfg, test_records, lexicon):
@@ -665,18 +638,21 @@ def run_grid(cfg, jobs=1):
     runner = Runner(cfg.semantic_hash())
     needed = cfg.base_streams_needed()
 
+    root = cfg.out_dir
     base_paths = {}
-    roi_paths = None
     if "eig" in needed or "dnn" in needed:
-        roi_paths = stage_roi(runner, cfg, records)
+        roi_paths = stage_roi(runner, cfg, records, root / "roi")
+        train_rois = [roi_paths[r.utterance_id] for r in train_records]
     if "geo" in needed:
-        base_paths["geo"] = stage_geo(runner, cfg, records)
+        base_paths["geo"] = stage_geo(runner, records, root / "geo")
     if "eig" in needed:
-        pca_path = stage_pca(runner, cfg, roi_paths, train_records)
-        base_paths["eig"] = stage_eig(runner, cfg, roi_paths, records, pca_path)
+        stage_pca(runner, cfg, train_rois, root / "pca.eig")
+        base_paths["eig"] = stage_eig(runner, roi_paths, root / "pca.eig",
+                                      root / "eig")
     if "dnn" in needed:
-        ae_path = stage_ae(runner, cfg, roi_paths, train_records)
-        base_paths["dnn"] = stage_dnn(runner, cfg, roi_paths, records, ae_path)
+        stage_ae(runner, cfg, train_rois, root / "autoenc.cae")
+        base_paths["dnn"] = stage_dnn(runner, roi_paths, root / "autoenc.cae",
+                                      root / "dnn")
     lm_path = stage_lm(runner, cfg, test_records, lexicon)
     scoring.save_transcripts(cfg.out_dir / "ref.tsv",
                              {r.utterance_id: r.transcript

@@ -16,7 +16,6 @@ domain, vectorized over states.
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ log = logging.getLogger(__name__)
 
 OPTICAL_MAGIC = b"OPT1"
 SILENCE_PHONE = "sil"
-TOPOLOGY_KINDS = ("classic3", "skip2", "custom")
 _OCC_EPS = 1e-8
 LOG_ZERO = -np.inf
 
@@ -201,14 +199,17 @@ def state_log_likelihoods(model, frames):
 
     Column order is phone-major, state-minor: ``model.state_offset(p) + s``.
     """
-    comp, sizes = component_log_likelihoods(model, frames)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return _state_logsumexp(*component_log_likelihoods(model, frames))
+
+
+def _state_logsumexp(comp, sizes):
+    """Log-sum-exp of each state's block of ``sizes`` component columns."""
+    starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(sizes.shape[0]), sizes)
     m = np.maximum.reduceat(comp, starts, axis=1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.add.reduceat(np.exp(comp - safe_m[:, seg]), starts, axis=1)) + safe_m
-    return out
+        return np.log(np.add.reduceat(np.exp(comp - safe_m[:, seg]), starts, axis=1)) + safe_m
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +366,8 @@ class _Accumulators:
 
 def _accumulate_utterance(model, graph, frames, comp, sizes, acc):
     """One utterance's E-step contribution; returns its log likelihood."""
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
-    m = np.maximum.reduceat(comp, starts, axis=1)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        unique = np.log(np.add.reduceat(np.exp(comp - safe_m[:, seg]), starts, axis=1)) + safe_m
-    emis = unique[:, graph.unique_cols]
+    starts = np.cumsum(sizes) - sizes
+    emis = _state_logsumexp(comp, sizes)[:, graph.unique_cols]
 
     alpha, loglik = forward_log(graph, emis)
     if not np.isfinite(loglik):

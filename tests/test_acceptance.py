@@ -322,30 +322,31 @@ def _hash_tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _tiny_grid_tree(root, jobs=1):
+    """Digest of every file of a tiny corpus and its grid, built in root."""
+    corpus_dir = root / "corpus"
+    lexicon = corpus.default_lexicon(n_words=6, seed=1)
+    spec = corpus.SynthSpec(lexicon=lexicon, n_speakers=3,
+                            n_utterances=12, words_per_utterance=(1, 2),
+                            seed=11, noise_level=0.2,
+                            frames_per_phoneme=(4.0, 1.0))
+    corpus.synthesize_corpus(spec, corpus_dir)
+    cfg = experiment.ExperimentConfig.from_mapping({
+        "corpus_dir": str(corpus_dir),
+        "out_dir": str(root / "out"),
+        "test_speakers": "spk02", "streams": "geo,eig+dnn",
+        "contexts": "0,2", "norms": "utterance", "schedule": "1:2",
+        "pca_components": "8", "pca_max_frames": "96",
+        "ae_channels": "4,8,8", "ae_bottleneck": "8", "ae_epochs": "2",
+        "ae_max_frames": "256", "beam": "none", "bootstrap": "200"})
+    experiment.run_grid(cfg, jobs=jobs)
+    return _hash_tree(root)
+
+
 def test_criterion_6_determinism(acceptance_report, tmp_path_factory):
     root = tmp_path_factory.mktemp("determinism")
-
-    def run(side):
-        corpus_dir = root / side / "corpus"
-        lexicon = corpus.default_lexicon(n_words=6, seed=1)
-        spec = corpus.SynthSpec(lexicon=lexicon, n_speakers=3,
-                                n_utterances=12, words_per_utterance=(1, 2),
-                                seed=11, noise_level=0.2,
-                                frames_per_phoneme=(4.0, 1.0))
-        corpus.synthesize_corpus(spec, corpus_dir)
-        cfg = experiment.ExperimentConfig.from_mapping({
-            "corpus_dir": str(corpus_dir),
-            "out_dir": str(root / side / "out"),
-            "test_speakers": "spk02", "streams": "geo,eig+dnn",
-            "contexts": "0,2", "norms": "utterance", "schedule": "1:2",
-            "pca_components": "8", "pca_max_frames": "96",
-            "ae_channels": "4,8,8", "ae_bottleneck": "8", "ae_epochs": "2",
-            "ae_max_frames": "256", "beam": "none", "bootstrap": "200"})
-        experiment.run_grid(cfg)
-        return _hash_tree(root / side)
-
-    first = run("a")
-    second = run("b")
+    first = _tiny_grid_tree(root / "a")
+    second = _tiny_grid_tree(root / "b")
     differing = sorted(set(k for k in first if second.get(k) != first[k])
                        | (set(second) - set(first)))
     ok = not differing and len(first) > 0
@@ -353,3 +354,10 @@ def test_criterion_6_determinism(acceptance_report, tmp_path_factory):
               f"across independent runs" if ok else
               f"{len(differing)} artifact(s) differ, e.g. {differing[:3]}")
     _gate(acceptance_report, ok, "criterion 6 (determinism)", detail)
+
+
+def test_grid_jobs_do_not_change_artifacts(tmp_path):
+    serial = _tiny_grid_tree(tmp_path / "serial")
+    pooled = _tiny_grid_tree(tmp_path / "pooled", jobs=2)
+    assert len(serial) > 0
+    assert pooled == serial

@@ -49,64 +49,81 @@ def work(tiny_corpus, tmp_path_factory):
     return {"corpus": corpus_dir, "records": records, "root": root}
 
 
+def _stage_argv(work):
+    """Every stage subcommand of the chain, with the arguments it runs with."""
+    c = str(work["corpus"])
+    r = work["root"]
+    argv = {
+        "extract-roi": [c, r / "roi"],
+        "feat-geo": [c, r / "geo"],
+        "train-pca": ["--components", "8", "--max-frames", "120", r / "roi",
+                      r / "pca.eig"],
+        "feat-eig": [r / "pca.eig", r / "roi", r / "eig"],
+        "train-ae": ["--epochs", "1", "--max-frames", "96", "--channels",
+                     "4,8,8", "--bottleneck", "8", r / "roi",
+                     r / "autoenc.cae"],
+        "feat-dnn": [r / "autoenc.cae", r / "roi", r / "dnn"],
+        "post": ["--norm", "utterance", "--context", "1", r / "post",
+                 r / "geo", r / "eig"],
+        "train-hmm": ["--schedule", "1:2", c, r / "geo", r / "model.opt"],
+        "align": [r / "model.opt", c, r / "geo", r / "align.tsv"],
+        "decode": ["--beam", "none", r / "model.opt", r / "lm.alm",
+                   f"{c}/lexicon.txt", r / "geo", r / "hyp.tsv"],
+    }
+    return {cmd: [cmd] + [str(a) for a in args] for cmd, args in argv.items()}
+
+
 class TestPipeline:
     """One end-to-end pass over every stage subcommand on a tiny corpus."""
 
     def test_stage_chain(self, work, capsys):
-        corpus_dir = str(work["corpus"])
         root = work["root"]
         records = work["records"]
         n = len(records)
+        argv = _stage_argv(work)
 
         roi = root / "roi"
-        assert _run(["extract-roi", corpus_dir, str(roi)]) == 0
+        assert _run(argv["extract-roi"]) == 0
         assert len(list(roi.glob("*.vfa"))) == n
 
         geo = root / "geo"
-        assert _run(["feat-geo", corpus_dir, str(geo)]) == 0
+        assert _run(argv["feat-geo"]) == 0
         first = features.load_features(
             geo / f"{records[0].utterance_id}.vfa")
         assert first.frames.shape[1] == 18
         assert first.stream_tag == "geo"
 
         pca = root / "pca.eig"
-        assert _run(["train-pca", "--components", "8", "--max-frames", "120",
-                     str(roi), str(pca)]) == 0
+        assert _run(argv["train-pca"]) == 0
         stamp = experiment.read_stamp(pca)
         assert stamp and stamp["stage"] == "pca"
 
         eig = root / "eig"
-        assert _run(["feat-eig", str(pca), str(roi), str(eig)]) == 0
+        assert _run(argv["feat-eig"]) == 0
         assert features.load_features(
             eig / f"{records[0].utterance_id}.vfa").frames.shape[1] == 8
 
-        ae = root / "autoenc.cae"
-        assert _run(["train-ae", "--epochs", "1", "--max-frames", "96",
-                     "--channels", "4,8,8", "--bottleneck", "8",
-                     str(roi), str(ae)]) == 0
+        assert _run(argv["train-ae"]) == 0
 
         dnn = root / "dnn"
-        assert _run(["feat-dnn", str(ae), str(roi), str(dnn)]) == 0
+        assert _run(argv["feat-dnn"]) == 0
         assert features.load_features(
             dnn / f"{records[0].utterance_id}.vfa").frames.shape[1] == 8
 
         post = root / "post"
-        assert _run(["post", "--norm", "utterance", "--context", "1",
-                     str(post), str(geo), str(eig)]) == 0
+        assert _run(argv["post"]) == 0
         combined = features.load_features(
             post / f"{records[0].utterance_id}.vfa")
         assert combined.frames.shape[1] == (18 + 8) * 3
         assert combined.normalization_tag == "utterance"
 
         model_path = root / "model.opt"
-        assert _run(["train-hmm", "--schedule", "1:2", corpus_dir,
-                     str(geo), str(model_path)]) == 0
+        assert _run(argv["train-hmm"]) == 0
         model = hmm.load_model(model_path)
         assert model.dim == 18
 
         align_path = root / "align.tsv"
-        assert _run(["align", str(model_path), corpus_dir, str(geo),
-                     str(align_path)]) == 0
+        assert _run(argv["align"]) == 0
         rows = [line.split("\t") for line in
                 align_path.read_text(encoding="utf-8").strip().split("\n")]
         by_utt = {}
@@ -118,15 +135,12 @@ class TestPipeline:
         for (_, _, prev_end), (_, start, _) in zip(spans, spans[1:]):
             assert start == prev_end
 
-        lm_path = root / "lm.alm"
         lexicon = lingware.load_lexicon(work["corpus"] / "lexicon.txt")
         lm = lingware.fit_bigram([r.transcript for r in records],
                                  vocabulary=lexicon.words)
-        lingware.save_lm(lm_path, lm)
+        lingware.save_lm(root / "lm.alm", lm)
         hyp = root / "hyp.tsv"
-        assert _run(["decode", "--beam", "none", str(model_path),
-                     str(lm_path), f"{corpus_dir}/lexicon.txt", str(geo),
-                     str(hyp)]) == 0
+        assert _run(argv["decode"]) == 0
         hyps = scoring.load_transcripts(hyp)
         assert set(hyps) == {r.utterance_id for r in records}
 
@@ -142,12 +156,45 @@ class TestPipeline:
         assert report["n_utterances"] == n
 
     def test_rerun_uses_cache(self, work, capsys):
-        corpus_dir = str(work["corpus"])
+        def mtimes():
+            return {p: p.stat().st_mtime_ns
+                    for p in work["root"].rglob("*") if p.is_file()}
+
+        before = mtimes()
+        for command, argv in _stage_argv(work).items():
+            assert _run(argv) == 0
+            assert mtimes() == before, f"{command} rewrote current outputs"
+
+    def test_retrained_basis_rebuilds_eig(self, work, tmp_path):
         roi = work["root"] / "roi"
-        before = {p.name: p.stat().st_mtime_ns for p in roi.glob("*.vfa")}
-        assert _run(["extract-roi", corpus_dir, str(roi)]) == 0
-        after = {p.name: p.stat().st_mtime_ns for p in roi.glob("*.vfa")}
-        assert before == after
+        pca = tmp_path / "pca.eig"
+        first = tmp_path / "eig" / f"{work['records'][0].utterance_id}.vfa"
+        keys = []
+        for components in ("8", "6"):
+            assert _run(["train-pca", "--components", components,
+                         "--max-frames", "120", str(roi), str(pca)]) == 0
+            assert _run(["feat-eig", str(pca), str(roi),
+                         str(tmp_path / "eig")]) == 0
+            keys.append(experiment.read_stamp(first)["key"])
+        assert keys[0] != keys[1]
+        assert features.load_features(first).frames.shape[1] == 6
+
+    def test_feature_outputs_match_the_grid(self, work, tmp_path):
+        cfg = experiment.ExperimentConfig.from_mapping({
+            "corpus_dir": str(work["corpus"]), "out_dir": str(tmp_path),
+            "test_speakers": "spk01", "streams": "geo,eig", "contexts": "0",
+            "norms": "utterance", "schedule": "1:2", "pca_components": "8",
+            "pca_max_frames": "120", "beam": "none", "bootstrap": "200"})
+        experiment.run_grid(cfg)
+        for stage in ("roi", "geo"):
+            cli_files = sorted((work["root"] / stage).glob("*.vfa"))
+            assert [p.name for p in cli_files] == sorted(
+                p.name for p in (tmp_path / stage).glob("*.vfa"))
+            for path in cli_files:
+                grid_path = tmp_path / stage / path.name
+                assert path.read_bytes() == grid_path.read_bytes()
+                assert (experiment.read_stamp(path)["key"]
+                        == experiment.read_stamp(grid_path)["key"])
 
 
 class TestRunGrid:
