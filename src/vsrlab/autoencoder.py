@@ -258,10 +258,6 @@ class ConvAutoencoder:
         _, code = self.forward(frames)
         return code
 
-    def reconstruct(self, frames):
-        recon, _ = self.forward(frames)
-        return recon
-
     # ---- training -----------------------------------------------------------
 
     def train(self, frames, epochs=30, lr=1e-3, batch_size=32, momentum=0.9, seed=0):

@@ -5,6 +5,8 @@ integers (u8/u32) and packed numpy arrays. All multi-byte values are
 little-endian regardless of host byte order.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -13,7 +15,9 @@ from .errors import FormatError
 
 
 def read_exact(fh, n, path):
-    buf = fh.read(n)
+    # read no more than the file holds: a corrupt header can claim more bytes
+    # than memory does, and fh.read(n) would allocate all of them up front
+    buf = fh.read(min(n, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(buf) != n:
         raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {len(buf)})")
     return buf
@@ -68,6 +72,5 @@ def write_array(fh, arr, dtype):
 
 def read_array(fh, dtype, shape, path):
     dt = np.dtype(dtype)
-    count = int(np.prod(shape)) if shape else 1
-    buf = read_exact(fh, dt.itemsize * count, path)
+    buf = read_exact(fh, dt.itemsize * math.prod(shape), path)
     return np.frombuffer(buf, dtype=dt).reshape(shape).copy()

@@ -1,4 +1,4 @@
-"""Corpus data model, on-disk formats, speaker split, and synthetic corpus generation.
+"""Corpus data model, on-disk formats, and synthetic corpus generation.
 
 On-disk layout of a corpus directory:
 
@@ -27,12 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import (
-    DegenerateSplitError,
-    FormatError,
-    IntegrityError,
-    ManifestError,
-)
+from .errors import FormatError, IntegrityError, ManifestError
+from .hmm import SILENCE_PHONE
+from .lingware import Lexicon, save_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -40,14 +37,13 @@ LANDMARK_MAGIC = b"LMK1"
 FRAMES_MAGIC = b"FRM1"
 N_LANDMARKS = 68
 
-# Castilian-style 23-symbol inventory used by the synthetic corpus and the
-# grapheme-to-phoneme helper ("ny" stands for the palatal nasal, "z" for the
-# interdental fricative, "y" for the palatal approximant).
+# Castilian-style 23-symbol inventory used by the synthetic corpus ("ny"
+# stands for the palatal nasal, "z" for the interdental fricative, "y" for
+# the palatal approximant).
 DEFAULT_PHONEME_INVENTORY = [
     "a", "b", "ch", "d", "e", "f", "g", "i", "k", "l", "m", "n",
     "ny", "o", "p", "r", "rr", "s", "t", "u", "x", "y", "z",
 ]
-SILENCE_PHONE = "sil"
 
 
 @dataclass
@@ -62,19 +58,11 @@ class UtteranceRecord:
 
 
 @dataclass
-class CorpusSplit:
-    train: list[UtteranceRecord]
-    test: list[UtteranceRecord]
-    min_seconds_threshold: float
-
-
-@dataclass
 class SynthSpec:
     """Parameters of the synthetic corpus generator.
 
     ``n_utterances`` are distributed as evenly as possible over speakers unless
-    ``utterances_per_speaker`` gives explicit counts (useful to force one
-    speaker under a duration threshold).
+    ``utterances_per_speaker`` gives explicit counts.
     """
 
     lexicon: dict
@@ -175,13 +163,14 @@ def read_frames_header(path):
 # ---------------------------------------------------------------------------
 # manifest
 
-def load_manifest(path, check_files=True):
+def load_manifest(path):
     """Parse a manifest into UtteranceRecords, preserving row order.
 
-    With ``check_files`` the landmark and frame containers are opened and their
-    frame counts compared; a mismatch raises IntegrityError naming the
-    utterance. Manifest durations are authoritative; a disagreement with
-    frame_count / frame_rate beyond one frame period is only warned about.
+    Each row's landmark and frame containers are opened and their frame
+    counts compared; a missing file or a mismatch raises IntegrityError
+    naming the utterance. Manifest durations are authoritative; a
+    disagreement with frame_count / frame_rate beyond one frame period is
+    only warned about.
     """
     path = Path(path)
     base = path.parent
@@ -216,8 +205,7 @@ def load_manifest(path, check_files=True):
             frames_path=base / frm_rel,
             duration=duration,
         )
-        if check_files:
-            _validate_record_files(record)
+        _validate_record_files(record)
         records.append(record)
     return records
 
@@ -255,30 +243,6 @@ def write_manifest(path, records):
             " ".join(r.transcript),
         ]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# speaker split
-
-def split_by_speaker_duration(records, min_seconds):
-    """Partition records by total speaker duration.
-
-    Speakers whose summed duration falls below ``min_seconds`` go to the test
-    side, everyone else to train. Speaker sets of the two sides are disjoint by
-    construction; every record lands on exactly one side.
-    """
-    if min_seconds <= 0:
-        raise ValueError("min_seconds must be positive")
-    totals = {}
-    for r in records:
-        totals[r.speaker_id] = totals.get(r.speaker_id, 0.0) + r.duration
-    train = [r for r in records if totals[r.speaker_id] >= min_seconds]
-    test = [r for r in records if totals[r.speaker_id] < min_seconds]
-    if not train:
-        raise DegenerateSplitError(
-            f"no speaker reaches {min_seconds:g}s of data; the train side would be empty"
-        )
-    return CorpusSplit(train=train, test=test, min_seconds_threshold=min_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +519,6 @@ def synthesize_corpus(spec, out_dir):
             ))
 
     write_manifest(out_dir / "manifest.tsv", records)
-    with open(out_dir / "lexicon.txt", "w", encoding="utf-8") as fh:
-        for word in sorted(spec.lexicon):
-            fh.write(word + " " + " ".join(spec.lexicon[word]) + "\n")
+    save_lexicon(out_dir / "lexicon.txt",
+                 Lexicon({w: [list(p)] for w, p in spec.lexicon.items()}))
     return records

@@ -213,12 +213,6 @@ def project(model, frames):
     return (data - model.mean) @ model.components.T
 
 
-def reconstruct(model, coeffs):
-    """Back-projection from coefficients to flattened pixel space."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return model.mean + coeffs @ model.components
-
-
 def save_pca(path, model):
     if model.mean.shape[0] != ROI_DIM:
         raise ValueError(f"container stores {ROI_DIM}-dimensional models, got {model.mean.shape[0]}")

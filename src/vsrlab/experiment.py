@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +65,15 @@ _PATH_KEYS = ("corpus_dir", "out_dir")
 
 def read_config_file(path):
     """Flat ``key=value`` file with ``#`` comments and ``include <path>``."""
-    return _read_config(Path(path), set())
+    return _read_config(Path(path), frozenset())
 
 
-def _read_config(path, seen):
+def _read_config(path, chain):
+    """``chain`` holds the files that include this one, so a file may be
+    included more than once but never from inside itself."""
     path = path.resolve()
-    if path in seen:
+    if path in chain:
         raise FormatError(f"{path}: include cycle")
-    seen.add(path)
     out = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -84,7 +85,7 @@ def _read_config(path, seen):
             continue
         if line.startswith("include "):
             target = line[len("include "):].strip()
-            out.update(_read_config(path.parent / target, seen))
+            out.update(_read_config(path.parent / target, chain | {path}))
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -116,30 +117,33 @@ def parse_schedule(value):
 
 @dataclass
 class ExperimentConfig:
+    """Typed view of a config mapping; build it with ``from_mapping``, which
+    fills every field from the mapping merged over ``CONFIG_DEFAULTS``."""
+
     raw: dict
-    seed: int = 0
-    corpus_dir: Path = Path()
-    out_dir: Path = Path()
-    test_speakers: list = field(default_factory=list)
-    streams: list = field(default_factory=list)
-    contexts: list = field(default_factory=list)
-    norms: list = field(default_factory=list)
-    roi_margin: float = 0.15
-    pca_components: int = 32
-    pca_max_frames: int = 320
-    ae_channels: tuple = (8, 16, 32)
-    ae_bottleneck: int = 32
-    ae_epochs: int = 30
-    ae_lr: float = 1e-3
-    ae_batch: int = 32
-    ae_max_frames: int = 4000
-    topology: str = "skip2"
-    schedule: list = field(default_factory=list)
-    lm_scale: float = 10.0
-    word_insertion_penalty: float = 0.0
-    beam: float | None = 200.0
-    bootstrap: int = 1000
-    confidence: float = 0.95
+    seed: int
+    corpus_dir: Path
+    out_dir: Path
+    test_speakers: list
+    streams: list
+    contexts: list
+    norms: list
+    roi_margin: float
+    pca_components: int
+    pca_max_frames: int
+    ae_channels: tuple
+    ae_bottleneck: int
+    ae_epochs: int
+    ae_lr: float
+    ae_batch: int
+    ae_max_frames: int
+    topology: str
+    schedule: list
+    lm_scale: float
+    word_insertion_penalty: float
+    beam: float | None
+    bootstrap: int
+    confidence: float
 
     @classmethod
     def from_mapping(cls, mapping):

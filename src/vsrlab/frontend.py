@@ -109,8 +109,3 @@ def roi_sequence(landmarks, frames, out_size=(ROI_WIDTH, ROI_HEIGHT), margin=DEF
     for t in range(n):
         out[t] = extract_aligned_roi(landmarks[t], frames[t], out_size, margin)
     return out
-
-
-def to_uint8(roi):
-    """Quantize float ROIs in [0, 1] to uint8 for container storage."""
-    return np.clip(np.round(np.asarray(roi) * 255.0), 0, 255).astype(np.uint8)

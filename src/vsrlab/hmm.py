@@ -341,15 +341,6 @@ def backward_log(graph, emis):
     return beta
 
 
-def chain_log_likelihood(model, frames, chain):
-    """Forward-pass log likelihood of frames under a phone chain."""
-    graph = compose_chain(model, chain)
-    unique = state_log_likelihoods(model, frames)
-    emis = unique[:, graph.unique_cols]
-    _, loglik = forward_log(graph, emis)
-    return loglik
-
-
 # ---------------------------------------------------------------------------
 # EM training
 
@@ -586,7 +577,7 @@ def phone_spans(alignment):
 # ---------------------------------------------------------------------------
 # container
 
-_KIND_CODES = {"classic3": 0, "skip2": 1, "custom": 2}
+_KIND_CODES = {"classic3": 0, "skip2": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 

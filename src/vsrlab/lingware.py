@@ -1,5 +1,4 @@
-"""Lexicon handling, Witten-Bell interpolated bigram language model, and a
-rule-based Castilian grapheme-to-phoneme converter.
+"""Lexicon handling and a Witten-Bell interpolated bigram language model.
 
 The language model closes its event space over ``words + </s>`` predicted
 from ``words + <s>``: every training sentence contributes one start bigram,
@@ -14,7 +13,6 @@ every probability is strictly positive and each context sums to one.
 """
 
 import math
-import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,81 +302,3 @@ def load_lm(path):
     unigram = {w: uni[i] for i, w in enumerate(pred_names)}
     lam = {name: lams[i] for i, name in enumerate(ctx_names) if lams[i] != 0.0}
     return BigramLm(vocab=list(words), unigram=unigram, bigram=bigram, lam=lam)
-
-
-# ---------------------------------------------------------------------------
-# grapheme-to-phoneme
-
-_VOWELS = set("aeiou")
-_FRONT = set("ei")
-
-
-def spanish_g2p(word):
-    """Castilian letter-to-sound rules producing inventory phonemes.
-
-    Handles the standard digraphs (ch, ll, rr, qu, gu+e/i), soft c/g, silent
-    h, and trilled r word-initially or after n, l, s. Accents are stripped.
-    """
-    text = unicodedata.normalize("NFD", word.lower())
-    # strip accents but keep the tilde of n and the diaeresis of u, which
-    # marks a pronounced u that must escape the silent-u rule after g
-    text = "".join(ch for ch in text
-                   if unicodedata.category(ch) != "Mn" or ch in ("\u0303", "\u0308"))
-    text = unicodedata.normalize("NFC", text)
-    phones = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "c" and nxt == "h":
-            phones.append("ch")
-            i += 2
-            continue
-        if ch == "l" and nxt == "l":
-            phones.append("y")
-            i += 2
-            continue
-        if ch == "r" and nxt == "r":
-            phones.append("rr")
-            i += 2
-            continue
-        if ch == "q":
-            phones.append("k")
-            i += 2 if nxt == "u" else 1
-            continue
-        if ch == "g" and nxt == "u" and i + 2 < n and text[i + 2] in _FRONT:
-            phones.append("g")
-            i += 2
-            continue
-        if ch == "c":
-            phones.append("z" if nxt in _FRONT else "k")
-        elif ch == "g":
-            phones.append("x" if nxt in _FRONT else "g")
-        elif ch == "h":
-            pass
-        elif ch == "j":
-            phones.append("x")
-        elif ch == "\u00f1":
-            phones.append("ny")
-        elif ch == "\u00fc":
-            phones.append("u")
-        elif ch == "v":
-            phones.append("b")
-        elif ch == "w":
-            phones.append("u")
-        elif ch == "x":
-            phones.extend(["k", "s"])
-        elif ch == "y":
-            phones.append("i" if i == n - 1 else "y")
-        elif ch == "r":
-            prev = phones[-1] if phones else None
-            phones.append("rr" if prev in (None, "n", "l", "s") else "r")
-        elif ch in "abdefiklmnopstuz":
-            phones.append(ch)
-        else:
-            raise LexiconError(f"cannot transcribe letter {ch!r} in word {word!r}")
-        i += 1
-    if not phones:
-        raise LexiconError(f"word {word!r} produces no phonemes")
-    return phones

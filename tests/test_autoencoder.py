@@ -64,7 +64,7 @@ def test_learns_constant_image():
     frames = np.full((16, 16, 16), 0.37)
     log = net.train(frames, epochs=50, lr=0.5, batch_size=8, seed=3)
     assert log.epoch_losses[-1] < log.epoch_losses[0]
-    mae = float(np.abs(net.reconstruct(frames) - frames).mean())
+    mae = float(np.abs(net.forward(frames)[0] - frames).mean())
     assert mae < 0.02, mae
 
 

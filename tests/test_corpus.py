@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsrlab import corpus
-from vsrlab.errors import DegenerateSplitError, FormatError, IntegrityError, ManifestError
+from vsrlab.errors import FormatError, IntegrityError, ManifestError
 
 
 def _tiny_lexicon():
@@ -82,7 +82,7 @@ def test_manifest_field_count_error(tmp_path):
     man = tmp_path / "manifest.tsv"
     man.write_text("u1\tspkA\t30\t1.0\tonly_five_fields\n")
     with pytest.raises(ManifestError):
-        corpus.load_manifest(man, check_files=False)
+        corpus.load_manifest(man)
 
 
 def test_manifest_duplicate_id(tmp_path):
@@ -123,33 +123,6 @@ def test_manifest_scales_to_thousands(tmp_path):
     assert records[0].utterance_id == "u00000"
     assert records[-1].utterance_id == "u02791"
     assert len({r.speaker_id for r in records}) == 57
-
-
-def _record(utt, spk, dur):
-    return corpus.UtteranceRecord(
-        utterance_id=utt, speaker_id=spk, transcript=["w"], frame_rate=30.0,
-        landmark_path="x.lmk", frames_path="x.frm", duration=dur,
-    )
-
-
-def test_split_by_speaker_duration():
-    records = [
-        _record("a1", "A", 4.0), _record("a2", "A", 6.0),        # A: 10s -> test
-        _record("b1", "B", 60.0),                                # B: 60s -> train
-        _record("c1", "C", 30.0), _record("c2", "C", 31.0),      # C: 61s -> train
-    ]
-    split = corpus.split_by_speaker_duration(records, min_seconds=60.0)
-    assert {r.speaker_id for r in split.test} == {"A"}
-    assert {r.speaker_id for r in split.train} == {"B", "C"}
-    assert len(split.train) + len(split.test) == len(records)
-    # exactly at the threshold counts as train
-    assert all(r.speaker_id != "B" for r in split.test)
-
-
-def test_split_all_below_threshold():
-    records = [_record("a1", "A", 1.0), _record("b1", "B", 2.0)]
-    with pytest.raises(DegenerateSplitError):
-        corpus.split_by_speaker_duration(records, min_seconds=30.0)
 
 
 def test_default_lexicon_deterministic():

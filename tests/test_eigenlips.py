@@ -88,7 +88,7 @@ def test_low_rank_data_reconstructs_exactly():
     coeffs = rng.normal(size=(30, 5))
     frames = 0.5 + coeffs @ basis
     model = eigenlips.fit_pca(frames, 5)
-    recon = eigenlips.reconstruct(model, eigenlips.project(model, frames))
+    recon = model.mean + eigenlips.project(model, frames) @ model.components
     assert np.allclose(recon, frames, atol=1e-8)
 
 

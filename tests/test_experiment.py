@@ -37,6 +37,23 @@ streams=geo
         with pytest.raises(FormatError, match="cycle"):
             experiment.read_config_file(tmp_path / "a.cfg")
 
+    def test_repeated_include_is_not_a_cycle(self, tmp_path):
+        # a diamond: top includes a and b, and both include common
+        _write_config(tmp_path / "common.cfg", "seed=1\nlm_scale=5\n")
+        _write_config(tmp_path / "a.cfg", "include common.cfg\nseed=2\n")
+        _write_config(tmp_path / "b.cfg", "include common.cfg\nbeam=50\n")
+        top = _write_config(tmp_path / "top.cfg",
+                            "include a.cfg\ninclude b.cfg\nlm_scale=7\n")
+        # common's seed=1, included again through b, overrides a's seed=2
+        assert experiment.read_config_file(top) == {
+            "seed": "1", "lm_scale": "7", "beam": "50"}
+        twice = _write_config(tmp_path / "twice.cfg",
+                              "include common.cfg\nseed=3\ninclude common.cfg\n")
+        assert experiment.read_config_file(twice) == {"seed": "1", "lm_scale": "5"}
+        own = _write_config(tmp_path / "own.cfg", "include own.cfg\n")
+        with pytest.raises(FormatError, match="cycle"):
+            experiment.read_config_file(own)
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = _write_config(tmp_path / "a.cfg", "just words\n")
         with pytest.raises(FormatError, match="key=value"):

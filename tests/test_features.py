@@ -5,6 +5,7 @@ import pytest
 
 from vsrlab import features
 from vsrlab.errors import (
+    FormatError,
     IncompatibleStreamsError,
     PipelineOrderError,
     SequenceTooShortError,
@@ -143,3 +144,13 @@ def test_container_round_trip(tmp_path):
     assert loaded.normalization_tag == "speaker"
     assert loaded.delta_context == 2
     np.testing.assert_allclose(loaded.frames, seq.frames, atol=1e-7)
+
+
+def test_oversized_header_is_a_format_error(tmp_path):
+    # the header claims 2**24 frames of 1024 dims (64 GiB) over a 64-byte body
+    path = tmp_path / "big.vfa"
+    header = b"VFA1" + struct.pack("<II", 2 ** 24, 1024)
+    header += b"".join(bytes([len(s)]) + s for s in (b"u", b"s", b"geo", b"none"))
+    path.write_bytes(header + bytes([0]) + bytes(64))
+    with pytest.raises(FormatError, match="big.vfa: truncated"):
+        features.load_features(path)

@@ -155,9 +155,6 @@ def test_roi_sequence_and_quantization():
     rois = frontend.roi_sequence(lms, frames)
     assert rois.shape == (2, 16, 32)
     assert rois.min() >= 0.0 and rois.max() <= 1.0
-    q = frontend.to_uint8(rois)
-    assert q.dtype == np.uint8
-    assert np.all(np.abs(q.astype(float) / 255.0 - rois) <= 0.5 / 255.0 + 1e-9)
     with pytest.raises(ValueError):
         frontend.roi_sequence(lms[:1], frames)
 

@@ -110,43 +110,3 @@ def test_lexicon_errors(tmp_path):
     path.write_text("")
     with pytest.raises(LexiconError):
         lingware.load_lexicon(path)
-
-
-def test_g2p_rules():
-    cases = {
-        "casa": ["k", "a", "s", "a"],
-        "cena": ["z", "e", "n", "a"],
-        "queso": ["k", "e", "s", "o"],
-        "guerra": ["g", "e", "rr", "a"],
-        "gente": ["x", "e", "n", "t", "e"],
-        "llave": ["y", "a", "b", "e"],
-        "hora": ["o", "r", "a"],
-        "perro": ["p", "e", "rr", "o"],
-        "pero": ["p", "e", "r", "o"],
-        "taxi": ["t", "a", "k", "s", "i"],
-        "rey": ["rr", "e", "i"],
-        "voy": ["b", "o", "i"],
-        "enrique": ["e", "n", "rr", "i", "k", "e"],
-        "chico": ["ch", "i", "k", "o"],
-    }
-    for word, phones in cases.items():
-        assert lingware.spanish_g2p(word) == phones, word
-
-
-def test_g2p_accents_and_enye():
-    assert lingware.spanish_g2p("jamón") == ["x", "a", "m", "o", "n"]
-    assert lingware.spanish_g2p("año") == ["a", "ny", "o"]
-    assert lingware.spanish_g2p("píngüino") == ["p", "i", "n", "g", "u", "i", "n", "o"]
-
-
-def test_g2p_inventory_closed():
-    inventory = set("a b ch d e f g i k l m n ny o p r rr s t u x y z".split())
-    for word in ("casa", "guerra", "año", "taxi", "chorizo", "llave", "hueso"):
-        assert set(lingware.spanish_g2p(word)) <= inventory
-
-
-def test_g2p_rejects_unknown_letters():
-    with pytest.raises(LexiconError):
-        lingware.spanish_g2p("h")  # silent h leaves nothing
-    with pytest.raises(LexiconError):
-        lingware.spanish_g2p("k2o")

@@ -1,0 +1,50 @@
+"""Every public module-level function and class of ``vsrlab`` has a caller
+inside the package, so no code exists only for tests.
+
+A definition counts as used when its name appears as a ``Name``, as an
+``Attribute`` or in a ``from ... import`` anywhere in ``src/vsrlab`` outside
+its own body. Matching is by bare name, so the check is a lower bound: a
+``decoder.decode`` function would count as used through ``bytes.decode``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import vsrlab
+
+# Definitions kept without a caller in the package, each with its reason.
+ALLOWED = {
+    # round-trip oracle for lingware.write_arpa in tests/test_lingware.py
+    ("lingware", "read_arpa"),
+}
+
+
+def _referenced_names(tree):
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(vsrlab.__file__).parent.glob("*.py"))}
+    referenced = Counter()
+    for tree in trees.values():
+        referenced.update(_referenced_names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or (module, node.name) in ALLOWED:
+                continue
+            if referenced[node.name] == _referenced_names(node)[node.name]:
+                unused.append(f"{module}.{node.name}")
+    assert not unused, f"public definitions with no caller in src/vsrlab: {unused}"
