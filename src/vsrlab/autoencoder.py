@@ -201,15 +201,16 @@ class ConvAutoencoder:
             raise ValueError(f"expected {self.input_hw} images, got {x.shape[2:]}")
         return x
 
+    def _encoder(self, x):
+        for conv, relu in zip(self.enc_convs, self._enc_relus):
+            x = relu.forward(conv.forward(x))
+        self._pre_flat_shape = x.shape
+        return self.enc_dense.forward(x.reshape(x.shape[0], -1))
+
     def forward(self, frames):
         """Returns (reconstruction (N, H, W), codes (N, bottleneck))."""
-        x = self._as_batch(frames)
-        h = x
-        for conv, relu in zip(self.enc_convs, self._enc_relus):
-            h = relu.forward(conv.forward(h))
-        n = h.shape[0]
-        self._pre_flat_shape = h.shape
-        code = self.enc_dense.forward(h.reshape(n, -1))
+        code = self._encoder(self._as_batch(frames))
+        n = code.shape[0]
         d = self._dec_dense_relu.forward(self.dec_dense.forward(code))
         d = d.reshape(n, self.channels[-1], *self._code_hw)
         for i, (up, conv) in enumerate(zip(self._ups, self.dec_convs)):
@@ -254,9 +255,8 @@ class ConvAutoencoder:
         return out
 
     def encode(self, frames):
-        """Bottleneck codes (N, D) without keeping layer caches useful."""
-        _, code = self.forward(frames)
-        return code
+        """Bottleneck codes (N, bottleneck) from the encoder half alone."""
+        return self._encoder(self._as_batch(frames))
 
     # ---- training -----------------------------------------------------------
 
@@ -322,10 +322,25 @@ def load_autoencoder(path):
     with open(path, "rb") as fh:
         binio.check_magic(fh, MODEL_MAGIC, path)
         stages = binio.read_u32(fh, path)
-        if stages < 1 or stages > 8:
+        h, w = DEFAULT_INPUT_HW
+        if stages < 1 or h % 2 ** stages or w % 2 ** stages:
             raise FormatError(f"{path}: implausible stage count {stages}")
         channels = tuple(binio.read_u32(fh, path) for _ in range(stages))
         bottleneck = binio.read_u32(fh, path)
+        if min(channels) < 1 or bottleneck < 1:
+            raise FormatError(f"{path}: zero width in channels {channels} "
+                              f"or bottleneck {bottleneck}")
+        # check the weights the header implies before allocating any of them
+        enc = (1,) + channels
+        dec = channels[::-1] + (1,)
+        flat = channels[-1] * (h >> stages) * (w >> stages)
+        n_params = (sum(9 * a * b + b for a, b in zip(enc, enc[1:]))
+                    + sum(9 * a * b + b for a, b in zip(dec, dec[1:]))
+                    + 2 * flat * bottleneck + bottleneck + flat)
+        left = binio.bytes_left(fh)
+        if 4 * n_params > left:
+            raise FormatError(f"{path}: header implies {4 * n_params} bytes of "
+                              f"weights, file holds {left}")
         model = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
                                 input_hw=DEFAULT_INPUT_HW, seed=0)
         for layer, attr in model.parameter_arrays():

@@ -14,10 +14,15 @@ import numpy as np
 from .errors import FormatError
 
 
+def bytes_left(fh):
+    """Bytes between the position of ``fh`` and the end of its file."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def read_exact(fh, n, path):
     # read no more than the file holds: a corrupt header can claim more bytes
     # than memory does, and fh.read(n) would allocate all of them up front
-    buf = fh.read(min(n, os.fstat(fh.fileno()).st_size - fh.tell()))
+    buf = fh.read(min(n, bytes_left(fh)))
     if len(buf) != n:
         raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {len(buf)})")
     return buf

@@ -12,7 +12,10 @@ enters at its first state and exits forward by at most two chain positions,
 the composed transition structure is banded: arrays A0/A1/A2 hold log
 probabilities of staying, advancing one, and advancing two chain states.
 The forward, backward, and Viterbi passes all run on this band, in the log
-domain, vectorized over states.
+domain, vectorized over states. Forward and backward also run batched over
+every utterance of an EM iteration: each utterance is padded with log-zero
+to the longest chain and the longest utterance, which leaves its own values
+exactly as a pass over it alone would give them.
 """
 
 import logging
@@ -185,13 +188,12 @@ def _stack_components(model):
             np.concatenate(logw), np.array(sizes))
 
 
-def component_log_likelihoods(model, frames):
-    """Per-component weighted log densities (T, total components) plus the
-    per-state block sizes."""
-    c1, c2, c0, logw, sizes = _stack_components(model)
+def component_log_likelihoods(stacked, frames):
+    """Per-component weighted log densities (T, total components) under the
+    blocks ``stacked`` from ``_stack_components``."""
+    c1, c2, c0, logw, _ = stacked
     x = np.asarray(frames, dtype=float)
-    comp = (x ** 2) @ c1.T + x @ c2.T + c0 + logw
-    return comp, sizes
+    return (x ** 2) @ c1.T + x @ c2.T + c0 + logw
 
 
 def state_log_likelihoods(model, frames):
@@ -199,7 +201,8 @@ def state_log_likelihoods(model, frames):
 
     Column order is phone-major, state-minor: ``model.state_offset(p) + s``.
     """
-    return _state_logsumexp(*component_log_likelihoods(model, frames))
+    stacked = _stack_components(model)
+    return _state_logsumexp(component_log_likelihoods(stacked, frames), stacked[4])
 
 
 def _state_logsumexp(comp, sizes):
@@ -304,109 +307,109 @@ def _shift_down(v, k):
     return out
 
 
-def _shift_up(v, k):
-    """v[j+k] with log-zero fill: out[j] = v[j+k]."""
-    if k == 0:
-        return v
-    out = np.full_like(v, LOG_ZERO)
-    out[:-k] = v[k:]
-    return out
+def _pad_batch(graphs, emis):
+    """Band arrays (4, B, S + 2) holding a0, a1, a2 and the exit arcs behind
+    two log-zero columns, and emissions (T, B, S), padded with log-zero to
+    the longest chain S and the longest utterance T; plus the frame counts."""
+    n_frames = np.array([e.shape[0] for e in emis])
+    s_max = max(graph.n_states for graph in graphs)
+    band = np.full((4, len(graphs), s_max + 2), LOG_ZERO)
+    padded = np.full((n_frames.max(), len(graphs), s_max), LOG_ZERO)
+    for b, (graph, e) in enumerate(zip(graphs, emis)):
+        states = slice(2, 2 + graph.n_states)
+        band[0, b, states] = graph.a0
+        band[1, b, states] = graph.a1
+        band[2, b, states] = graph.a2
+        band[3, b, states] = graph.exit_logp
+        padded[:e.shape[0], b, :graph.n_states] = e
+    return band, padded, n_frames
 
 
-def forward_log(graph, emis):
-    """Alpha matrix (T, S) and the total log likelihood."""
-    n_frames, s_count = emis.shape
-    alpha = np.full((n_frames, s_count), LOG_ZERO)
-    alpha[0, 0] = emis[0, 0]
-    for t in range(1, n_frames):
+def forward_log(graphs, emis):
+    """Forward pass over a batch of utterances at once.
+
+    ``graphs`` and ``emis`` hold each utterance's chain graph and its
+    (T_b, S_b) chain-state emissions. Returns alpha (T, B, S), log-zero
+    beyond each utterance's own frames and states, and the (B,) total log
+    likelihoods. Padding only adds log-zero terms, so every value is the
+    one a batch of that utterance alone gives.
+    """
+    band, e, n_frames = _pad_batch(graphs, emis)
+    # the predecessors j, j-1 and j-2 of state j are slices of a padded row
+    a0, a1, a2 = band[0, :, 2:], band[1, :, 1:-1], band[2, :, :-2]
+    alpha = np.full((e.shape[0],) + band.shape[1:], LOG_ZERO)
+    alpha[0, :, 2] = e[0, :, 0]
+    stay = np.empty(e.shape[1:])
+    adv = np.empty(e.shape[1:])
+    for t in range(1, e.shape[0]):
         prev = alpha[t - 1]
-        stay = prev + graph.a0
-        adv1 = _shift_down(prev + graph.a1, 1)
-        adv2 = _shift_down(prev + graph.a2, 2)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, adv1), adv2) + emis[t]
-    loglik = float(_logsumexp(alpha[-1] + graph.exit_logp))
+        np.add(prev[:, 2:], a0, out=stay)
+        np.add(prev[:, 1:-1], a1, out=adv)
+        np.logaddexp(stay, adv, out=stay)
+        np.add(prev[:, :-2], a2, out=adv)
+        np.logaddexp(stay, adv, out=stay)
+        np.add(stay, e[t], out=alpha[t, :, 2:])
+    alpha = alpha[:, :, 2:]
+    loglik = np.array([_logsumexp(alpha[n - 1, b, :graph.n_states] + graph.exit_logp)
+                       for b, (graph, n) in enumerate(zip(graphs, n_frames))])
     return alpha, loglik
 
 
-def backward_log(graph, emis):
-    n_frames, s_count = emis.shape
-    beta = np.full((n_frames, s_count), LOG_ZERO)
-    beta[-1] = graph.exit_logp
-    for t in range(n_frames - 2, -1, -1):
-        nxt = beta[t + 1] + emis[t + 1]
-        stay = graph.a0 + nxt
-        adv1 = graph.a1 + _shift_up(nxt, 1)
-        adv2 = graph.a2 + _shift_up(nxt, 2)
-        beta[t] = np.logaddexp(np.logaddexp(stay, adv1), adv2)
+def backward_log(graphs, emis):
+    """Backward pass over a batch of utterances at once: beta (T, B, S),
+    laid out as ``forward_log``'s alpha. Each utterance's exit arcs seed its
+    beta at its own last frame."""
+    band, e, n_frames = _pad_batch(graphs, emis)
+    a0, a1, a2, exit_logp = band[:, :, 2:]
+    beta = np.full(e.shape, LOG_ZERO)
+    # two trailing log-zero columns make the successors j+1 and j+2 slices
+    nxt = np.full((e.shape[1], e.shape[2] + 2), LOG_ZERO)
+    stay = np.empty(e.shape[1:])
+    adv = np.empty(e.shape[1:])
+    for t in range(e.shape[0] - 1, -1, -1):
+        if t + 1 < e.shape[0]:
+            np.add(beta[t + 1], e[t + 1], out=nxt[:, :-2])
+            np.add(a0, nxt[:, :-2], out=stay)
+            np.add(a1, nxt[:, 1:-1], out=adv)
+            np.logaddexp(stay, adv, out=stay)
+            np.add(a2, nxt[:, 2:], out=adv)
+            np.logaddexp(stay, adv, out=beta[t])
+        last = n_frames == t + 1
+        beta[t, last] = exit_logp[last]
     return beta
 
 
 # ---------------------------------------------------------------------------
 # EM training
 
-class _Accumulators:
-    def __init__(self, model):
-        self.occ = [[np.zeros(st.weights.shape[0]) for st in phone_states]
-                    for phone_states in model.states]
-        self.mean = [[np.zeros_like(st.means) for st in phone_states]
-                     for phone_states in model.states]
-        self.sqr = [[np.zeros_like(st.variances) for st in phone_states]
-                    for phone_states in model.states]
-        self.trans = [np.zeros_like(t.trans) for t in model.topologies]
-
-
-def _accumulate_utterance(model, graph, frames, comp, sizes, acc):
-    """One utterance's E-step contribution; returns its log likelihood."""
-    starts = np.cumsum(sizes) - sizes
-    emis = _state_logsumexp(comp, sizes)[:, graph.unique_cols]
-
-    alpha, loglik = forward_log(graph, emis)
-    if not np.isfinite(loglik):
-        raise AlignmentInfeasibleError(
-            f"utterance of {frames.shape[0]} frames cannot realize a "
-            f"{graph.n_states}-state chain")
-    beta = backward_log(graph, emis)
-
+def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
+    """One utterance's E-step posteriors from its own (unpadded) alpha and
+    beta: the responsibility of every mixture component per frame (T, total
+    components), tied over repeated phones, and the expected count of each
+    arc of the chain as (phone, state, transition column, count) arrays."""
     with np.errstate(over="ignore"):
-        gamma = np.exp(alpha + beta - loglik)  # (T, S) state posteriors
+        gamma = np.exp(alpha + beta - loglik)  # (T, S) chain-state posteriors
+    tied = np.zeros(unique.shape)
+    np.add.at(tied, (slice(None), graph.unique_cols), gamma)
+    with np.errstate(invalid="ignore"):
+        resp = tied[:, seg] * np.exp(comp - unique[:, seg])
+    resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
 
-    # occupancy and moment statistics, tied over repeated phones
-    x = frames
-    xx = frames ** 2
-    for j in range(graph.n_states):
-        pid = int(graph.phone_ids[j])
-        s = int(graph.local_state[j])
-        u = int(graph.unique_cols[j])
-        block = slice(starts[u], starts[u] + sizes[u])
-        # responsibility of each component within this chain state
-        with np.errstate(invalid="ignore"):
-            resp = gamma[:, j, None] * np.exp(comp[:, block] - emis[:, j, None])
-        resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
-        acc.occ[pid][s] += resp.sum(axis=0)
-        acc.mean[pid][s] += resp.T @ x
-        acc.sqr[pid][s] += resp.T @ xx
-
-    # transition statistics per offset band
-    n_frames = frames.shape[0]
-    for off, a_vec, col_vec in ((0, graph.a0, graph.col0),
-                                (1, graph.a1, graph.col1),
-                                (2, graph.a2, graph.col2)):
-        live = np.where(np.isfinite(a_vec))[0]
-        if live.size == 0 or n_frames < 2:
-            continue
-        tgt = live + off
-        nxt = beta[1:, tgt] + emis[1:, tgt]
-        with np.errstate(over="ignore"):
-            xi = np.exp(alpha[:-1, live] + a_vec[live] + nxt - loglik)
-        totals = xi.sum(axis=0)
-        for k, j in enumerate(live):
-            acc.trans[graph.phone_ids[j]][graph.local_state[j], col_vec[j]] += totals[k]
-    live = np.where(np.isfinite(graph.exit_logp))[0]
+    # arcs staying, advancing one and advancing two chain states, then exits
+    s_count = graph.n_states
+    counts = np.zeros((4, s_count))
+    nxt = beta[1:] + emis[1:]
     with np.errstate(over="ignore"):
-        fin = np.exp(alpha[-1, live] + graph.exit_logp[live] - loglik)
-    for k, j in enumerate(live):
-        acc.trans[graph.phone_ids[j]][graph.local_state[j], graph.exit_col[j]] += fin[k]
-    return loglik
+        for off, a_vec in enumerate((graph.a0, graph.a1, graph.a2)):
+            xi = np.exp(alpha[:-1, :s_count - off] + a_vec[:s_count - off]
+                        + nxt[:, off:] - loglik)
+            counts[off, :s_count - off] = xi.sum(axis=0)
+        counts[3] = np.exp(alpha[-1] + graph.exit_logp - loglik)
+    cols = np.stack([graph.col0, graph.col1, graph.col2, graph.exit_col])
+    live = cols >= 0
+    source = np.nonzero(live)[1]
+    return resp, (graph.phone_ids[source], graph.local_state[source], cols[live],
+                  counts[live])
 
 
 def em_iteration(model, data):
@@ -417,49 +420,80 @@ def em_iteration(model, data):
     across iterations) are skipped with a warning, so the returned total
     stays comparable between iterations.
     """
-    acc = _Accumulators(model)
-    total = 0.0
-    skipped = 0
-    graphs_frames = []
-    for frames, chain in data:
-        graphs_frames.append((compose_chain(model, chain), np.asarray(frames, dtype=float)))
-    for graph, frames in graphs_frames:
-        comp, sizes = component_log_likelihoods(model, frames)
-        try:
-            total += _accumulate_utterance(model, graph, frames, comp, sizes, acc)
-        except AlignmentInfeasibleError:
-            skipped += 1
+    if not data:
+        raise InsufficientDataError("no training utterances")
+    stacked = _stack_components(model)
+    sizes = stacked[4]
+    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+    graphs = [compose_chain(model, chain) for _, chain in data]
+    frames = [np.asarray(x, dtype=float) for x, _ in data]
+    comps = [component_log_likelihoods(stacked, x) for x in frames]
+    uniques = [_state_logsumexp(comp, sizes) for comp in comps]
+    emis = [unique[:, graph.unique_cols] for unique, graph in zip(uniques, graphs)]
+    alpha, loglik = forward_log(graphs, emis)
+    beta = backward_log(graphs, emis)
+
+    feasible = np.flatnonzero(np.isfinite(loglik))
+    skipped = len(data) - feasible.size
     if skipped:
         log.warning("skipped %d of %d utterance(s) too short for the topology",
                     skipped, len(data))
-    if skipped == len(data):
+    if not feasible.size:
         raise InsufficientDataError("every utterance is too short for the topology")
-    _apply_mstep(model, acc)
+
+    occ = np.zeros(seg.shape[0])
+    mean = np.zeros((seg.shape[0], model.dim))
+    sqr = np.zeros_like(mean)
+    arcs = []
+    total = 0.0
+    for b in feasible:
+        graph, x = graphs[b], frames[b]
+        own = (slice(0, x.shape[0]), b, slice(0, graph.n_states))
+        resp, utterance_arcs = _utterance_statistics(
+            graph, comps[b], uniques[b], emis[b], alpha[own], beta[own],
+            loglik[b], seg)
+        occ += resp.sum(axis=0)
+        mean += resp.T @ x
+        sqr += resp.T @ x ** 2
+        arcs.append(utterance_arcs)
+        total += float(loglik[b])
+    phone, state, col, count = (np.concatenate(a) for a in zip(*arcs))
+    n_max = max(topo.n_states for topo in model.topologies)
+    trans = np.zeros((len(model.topologies), n_max, n_max + 1))
+    np.add.at(trans, (phone, state, col), count)
+    _apply_mstep(model, sizes, occ, mean, sqr, trans)
     return total
 
 
-def _apply_mstep(model, acc):
+def _apply_mstep(model, sizes, occ, mean, sqr, trans):
+    """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
+    row per mixture component in ``_stack_components`` order (state blocks
+    of ``sizes`` rows); ``trans[p]`` holds phone p's arc counts, padded to
+    the largest topology."""
+    ends = np.cumsum(sizes)
+    blocks = iter(zip(ends - sizes, ends))
     for pid, phone_states in enumerate(model.states):
         for s, st in enumerate(phone_states):
-            occ = acc.occ[pid][s]
-            total = occ.sum()
+            block = slice(*next(blocks))
+            occ_b = occ[block]
+            total = occ_b.sum()
             if total <= _OCC_EPS:
                 log.warning("phone %r state %d has no occupancy; keeping parameters",
                             model.phones[pid], s)
                 continue
-            keep = occ > _OCC_EPS
+            keep = occ_b > _OCC_EPS
             if not keep.all():
                 log.warning("phone %r state %d: dropping %d starved component(s)",
                             model.phones[pid], s, int((~keep).sum()))
-            occ_k = occ[keep]
-            means = acc.mean[pid][s][keep] / occ_k[:, None]
-            varia = acc.sqr[pid][s][keep] / occ_k[:, None] - means ** 2
+            occ_k = occ_b[keep]
+            means = mean[block][keep] / occ_k[:, None]
+            varia = sqr[block][keep] / occ_k[:, None] - means ** 2
             varia = np.maximum(varia, model.var_floor)
             st.weights = occ_k / occ_k.sum()
             st.means = means
             st.variances = varia
     for pid, topo in enumerate(model.topologies):
-        counts = acc.trans[pid]
+        counts = trans[pid, :topo.n_states, :topo.n_states + 1]
         struct = topo.trans > 0.0
         new = np.where(struct, counts, 0.0)
         sums = new.sum(axis=1, keepdims=True)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vsrlab import autoencoder
+from vsrlab import binio
 from vsrlab.autoencoder import ConvAutoencoder
-from vsrlab.errors import TrainingDivergedError
+from vsrlab.errors import FormatError, TrainingDivergedError
 
 
 def max_gradient_rel_err(net, batch, eps=1e-6):
@@ -49,6 +50,8 @@ def test_forward_shapes_and_range():
     single = net.encode(frames[0])
     assert single.shape == (1, 32)
     np.testing.assert_allclose(single[0], net.encode(frames)[0], atol=1e-12)
+    # encode runs only the encoder half, which computes the same codes
+    assert np.array_equal(net.encode(frames), code)
 
 
 def test_constructor_validation():
@@ -116,6 +119,28 @@ def test_container_round_trip(tmp_path):
     assert loaded.channels == (2, 3, 4)
     assert loaded.bottleneck == 6
     np.testing.assert_allclose(loaded.encode(frames), net.encode(frames), atol=1e-5)
+    path.write_bytes(raw[:-1])
+    with pytest.raises(FormatError, match="model.cae"):
+        autoencoder.load_autoencoder(path)
     with pytest.raises(ValueError):
         autoencoder.save_autoencoder(tmp_path / "x.cae",
                                      ConvAutoencoder(channels=(2,), input_hw=(8, 8)))
+
+
+@pytest.mark.parametrize("stages, channels, bottleneck", [
+    (1, (2 ** 30,), 8),     # would allocate ~72 GiB of weights
+    (2, (4, 0), 8),         # zero-width stage
+    (2, (4, 8), 0),         # zero-width bottleneck
+    (5, (2,) * 5, 8),       # 16x32 input cannot be halved five times
+])
+def test_corrupt_header_is_a_format_error(tmp_path, stages, channels, bottleneck):
+    path = tmp_path / "bad.cae"
+    with open(path, "wb") as fh:
+        fh.write(autoencoder.MODEL_MAGIC)
+        binio.write_u32(fh, stages)
+        for ch in channels:
+            binio.write_u32(fh, ch)
+        binio.write_u32(fh, bottleneck)
+        fh.write(b"\x00" * 64)
+    with pytest.raises(FormatError, match="bad.cae"):
+        autoencoder.load_autoencoder(path)

@@ -16,7 +16,7 @@ def _chain_log_likelihood(model, frames, chain):
     """Forward-pass log likelihood of frames under a phone chain."""
     graph = hmm.compose_chain(model, chain)
     emis = hmm.state_log_likelihoods(model, frames)[:, graph.unique_cols]
-    return hmm.forward_log(graph, emis)[1]
+    return hmm.forward_log([graph], [emis])[1][0]
 
 
 def _make_model(kind, phone_params, dim, use_sil=False):
@@ -101,6 +101,69 @@ def _enum_best_path(trans, exit_p, emis):
         p += math.log(exit_p[path[-1]])
         best = max(best, p)
     return best
+
+
+def _enum_em_update(model, params, chain, frames_list):
+    """One Baum-Welch update by exhaustive path enumeration.
+
+    Returns the corpus log likelihood and the re-estimated parameters:
+    {(phone, state): (weights, means, variances)} and {phone: transitions}.
+    Chain states that share a phone state pool their statistics.
+    """
+    trans, exit_p = _dense_compose(model, chain)
+    owner = []   # (phone name, local state, chain position) per chain state
+    for pos, name in enumerate(chain):
+        n = model.topologies[model.phone_index[name]].n_states
+        owner.extend((name, s, pos) for s in range(n))
+    s_count = len(owner)
+    stats = {}
+    counts = {name: np.zeros_like(model.topologies[model.phone_index[name]].trans)
+              for name in chain}
+    total_ll = 0.0
+    for x in frames_list:
+        n_frames = x.shape[0]
+        comp = np.array([[[math.log(w[m]) + norm.logpdf(x[t], mu[m], np.sqrt(var[m])).sum()
+                           for m in range(len(w))]
+                          for w, mu, var in (params[name][s] for name, s, _ in owner)]
+                         for t in range(n_frames)])  # (T, S, M)
+        emis = sp_logsumexp(comp, axis=2)
+        lik = np.exp(emis)
+        paths = []
+        for path in itertools.product(range(s_count), repeat=n_frames):
+            if path[0] != 0:
+                continue
+            p = lik[0, 0] * exit_p[path[-1]]
+            for t in range(1, n_frames):
+                p *= trans[path[t - 1], path[t]] * lik[t, path[t]]
+            if p > 0.0:
+                paths.append((path, p))
+        z = sum(p for _, p in paths)
+        total_ll += math.log(z)
+        gamma = np.zeros((n_frames, s_count))
+        for path, p in paths:
+            for t, j in enumerate(path):
+                gamma[t, j] += p / z
+            for t in range(1, n_frames + 1):
+                name, s, pos = owner[path[t - 1]]
+                n = model.topologies[model.phone_index[name]].n_states
+                if t == n_frames:
+                    col = n                          # leaves the utterance
+                elif owner[path[t]][2] == pos:
+                    col = owner[path[t]][1]          # stays within the phone
+                else:
+                    col = n                          # enters the next phone
+                counts[name][s, col] += p / z
+        for j, (name, s, _) in enumerate(owner):
+            resp = gamma[:, j, None] * np.exp(comp[:, j] - emis[:, j, None])
+            occ, mean, sqr = stats.get((name, s), (0.0, 0.0, 0.0))
+            stats[(name, s)] = (occ + resp.sum(axis=0), mean + resp.T @ x,
+                                sqr + resp.T @ x ** 2)
+    states = {}
+    for key, (occ, mean, sqr) in stats.items():
+        means = mean / occ[:, None]
+        states[key] = (occ / occ.sum(), means, sqr / occ[:, None] - means ** 2)
+    transitions = {name: c / c.sum(axis=1, keepdims=True) for name, c in counts.items()}
+    return total_ll, states, transitions
 
 
 def _dummy_params(n_states, dim):
@@ -207,7 +270,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a", "b"])
         for n_frames in (1, 2, 4, 6):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 4))
-            _, got = hmm.forward_log(graph, emis)
+            got = hmm.forward_log([graph], [emis])[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -218,7 +281,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a"])
         for n_frames in (3, 5):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 3))
-            _, got = hmm.forward_log(graph, emis)
+            got = hmm.forward_log([graph], [emis])[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -260,6 +323,38 @@ class TestForward:
         emis0 = hmm.state_log_likelihoods(skip, np.zeros((1, 1)))[0, 0]
         got = _chain_log_likelihood(skip, np.zeros((1, 1)), ["a"])
         assert got == pytest.approx(emis0 + math.log(1.0 / 3.0), abs=1e-12)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("kind", ["skip2", "classic3"])
+    def test_batch_equals_batch_of_one(self, kind):
+        rng = np.random.default_rng(14)
+        n = hmm.build_topology(kind).n_states
+        model = _make_model(kind, {p: _dummy_params(n, 1) for p in "abc"}, dim=1)
+        # chains of 1-3 phones and frame counts that differ; the last
+        # utterance is too short for its chain under either topology
+        utterances = [(["a", "b", "c"], 11), (["b"], 4), (["c", "a"], 8),
+                      (["a", "b", "c"], 2)]
+        graphs = [hmm.compose_chain(model, chain) for chain, _ in utterances]
+        emis = [rng.uniform(-3.0, 0.0, size=(t, g.n_states))
+                for g, (_, t) in zip(graphs, utterances)]
+        alpha, loglik = hmm.forward_log(graphs, emis)
+        beta = hmm.backward_log(graphs, emis)
+        assert loglik[-1] == -np.inf
+        assert np.isfinite(loglik[:-1]).all()
+        for b, (graph, e) in enumerate(zip(graphs, emis)):
+            t_count, s_count = e.shape
+            one_alpha, one_loglik = hmm.forward_log([graph], [e])
+            one_beta = hmm.backward_log([graph], [e])
+            assert one_alpha.shape == one_beta.shape == (t_count, 1, s_count)
+            assert np.array_equal(alpha[:t_count, b, :s_count], one_alpha[:, 0])
+            assert np.array_equal(beta[:t_count, b, :s_count], one_beta[:, 0])
+            assert np.array_equal(loglik[b], one_loglik[0])
+            # padding stays log-zero
+            assert np.all(alpha[t_count:, b] == -np.inf)
+            assert np.all(alpha[:, b, s_count:] == -np.inf)
+            assert np.all(beta[t_count:, b] == -np.inf)
+            assert np.all(beta[:, b, s_count:] == -np.inf)
 
 
 class TestAlignment:
@@ -328,6 +423,31 @@ class TestEm:
         # 39 self loops and one exit, deterministically
         np.testing.assert_allclose(model.topologies[0].trans, [[39 / 40, 1 / 40]],
                                    atol=1e-12)
+
+    def test_tied_states_match_enumeration(self):
+        # phone a occurs twice in the chain, so its two chain copies share
+        # one set of two-component statistics
+        rng = np.random.default_rng(39)
+        dim = 2
+        params = {name: [(rng.dirichlet(np.ones(2) * 4.0), rng.normal(size=(2, dim)),
+                          rng.uniform(0.5, 1.5, size=(2, dim))) for _ in range(2)]
+                  for name in ("a", "b")}
+        chain = ["a", "b", "a"]
+        frames_list = [rng.normal(size=(n, dim)) for n in (6, 4, 3)]
+        want_ll, want_states, want_trans = _enum_em_update(
+            _make_model("skip2", params, dim), params, chain, frames_list)
+
+        model = _make_model("skip2", params, dim)
+        got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
+        assert got_ll == pytest.approx(want_ll, abs=1e-10)
+        for (name, s), (w, mu, var) in want_states.items():
+            st = model.states[model.phone_index[name]][s]
+            np.testing.assert_allclose(st.weights, w, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(st.means, mu, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(st.variances, var, rtol=0, atol=1e-10)
+        for name, trans in want_trans.items():
+            np.testing.assert_allclose(model.topologies[model.phone_index[name]].trans,
+                                       trans, rtol=0, atol=1e-10)
 
     def test_em_monotonic(self):
         rng = np.random.default_rng(32)
