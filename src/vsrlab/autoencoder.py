@@ -12,6 +12,7 @@ central finite differences in the test suite, so the backward passes here are
 the reference implementation, not a wrapper over a framework.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,16 @@ def _col2im(dcols, x_shape, stride):
 class Conv2d:
     """3x3 convolution, padding 1, configurable stride."""
 
+    @staticmethod
+    def shapes(in_ch, out_ch):
+        """Weight and bias shapes."""
+        return (out_ch, in_ch, 3, 3), (out_ch,)
+
     def __init__(self, in_ch, out_ch, stride, rng):
-        fan_in = in_ch * 9
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (out_ch, in_ch, 3, 3))
-        self.b = np.zeros(out_ch)
+        w_shape, b_shape = self.shapes(in_ch, out_ch)
+        fan_in = math.prod(w_shape[1:])
+        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), w_shape)
+        self.b = np.zeros(b_shape)
         self.stride = stride
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
@@ -85,9 +92,15 @@ class Conv2d:
 
 
 class Dense:
+    @staticmethod
+    def shapes(in_dim, out_dim):
+        """Weight and bias shapes."""
+        return (out_dim, in_dim), (out_dim,)
+
     def __init__(self, in_dim, out_dim, rng):
-        self.w = rng.normal(0.0, np.sqrt(2.0 / in_dim), (out_dim, in_dim))
-        self.b = np.zeros(out_dim)
+        w_shape, b_shape = self.shapes(in_dim, out_dim)
+        self.w = rng.normal(0.0, np.sqrt(2.0 / in_dim), w_shape)
+        self.b = np.zeros(b_shape)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._x = None
@@ -147,6 +160,29 @@ class TrainingLog:
     epoch_losses: list
 
 
+def _stages_fit(stages, input_hw):
+    """Whether ``stages`` stride-2 convolutions halve both sides of
+    ``input_hw`` exactly. The range is checked before any power is taken, so
+    a corrupt stage count read from a file costs nothing."""
+    h, w = input_hw
+    return (1 <= stages < min(h, w).bit_length()
+            and not (h % (1 << stages) or w % (1 << stages)))
+
+
+def _layer_plan(channels, bottleneck, input_hw):
+    """(layer class, input width, output width, keyword arguments) of every
+    parameter layer in ``parameter_layers`` order: encoder convs, encoder
+    dense, decoder dense, decoder convs."""
+    h, w = input_hw
+    stages = len(channels)
+    flat = channels[-1] * (h >> stages) * (w >> stages)
+    enc = (1,) + tuple(channels)
+    dec = tuple(channels[::-1]) + (1,)
+    return ([(Conv2d, a, b, {"stride": 2}) for a, b in zip(enc, enc[1:])]
+            + [(Dense, flat, bottleneck, {}), (Dense, bottleneck, flat, {})]
+            + [(Conv2d, a, b, {"stride": 1}) for a, b in zip(dec, dec[1:])])
+
+
 class ConvAutoencoder:
     """Symmetric conv autoencoder with a linear bottleneck.
 
@@ -161,28 +197,19 @@ class ConvAutoencoder:
         stages = len(channels)
         if stages < 1:
             raise ValueError("need at least one conv stage")
-        if h % (2 ** stages) or w % (2 ** stages):
+        if not _stages_fit(stages, input_hw):
             raise ValueError(f"input {h}x{w} not divisible by 2^{stages}")
         self.channels = tuple(int(c) for c in channels)
         self.bottleneck = int(bottleneck)
         self.input_hw = (int(h), int(w))
         rng = np.random.default_rng(seed)
 
-        self.enc_convs = []
-        prev = 1
-        for ch in self.channels:
-            self.enc_convs.append(Conv2d(prev, ch, stride=2, rng=rng))
-            prev = ch
-        self._code_hw = (h // 2 ** stages, w // 2 ** stages)
-        flat = self.channels[-1] * self._code_hw[0] * self._code_hw[1]
-        self.enc_dense = Dense(flat, self.bottleneck, rng)
-        self.dec_dense = Dense(self.bottleneck, flat, rng)
-        self.dec_convs = []
-        widths = list(reversed(self.channels))[1:] + [1]
-        prev = self.channels[-1]
-        for ch in widths:
-            self.dec_convs.append(Conv2d(prev, ch, stride=1, rng=rng))
-            prev = ch
+        layers = [cls(n_in, n_out, rng=rng, **kwargs) for cls, n_in, n_out, kwargs
+                  in _layer_plan(self.channels, self.bottleneck, self.input_hw)]
+        self.enc_convs = layers[:stages]
+        self.enc_dense, self.dec_dense = layers[stages:stages + 2]
+        self.dec_convs = layers[stages + 2:]
+        self._code_hw = (h >> stages, w >> stages)
         self._enc_relus = [Relu() for _ in self.enc_convs]
         self._dec_relus = [Relu() for _ in self.dec_convs]  # last one unused
         self._dec_dense_relu = Relu()
@@ -322,8 +349,7 @@ def load_autoencoder(path):
     with open(path, "rb") as fh:
         binio.check_magic(fh, MODEL_MAGIC, path)
         stages = binio.read_u32(fh, path)
-        h, w = DEFAULT_INPUT_HW
-        if stages < 1 or h % 2 ** stages or w % 2 ** stages:
+        if not _stages_fit(stages, DEFAULT_INPUT_HW):
             raise FormatError(f"{path}: implausible stage count {stages}")
         channels = tuple(binio.read_u32(fh, path) for _ in range(stages))
         bottleneck = binio.read_u32(fh, path)
@@ -331,12 +357,9 @@ def load_autoencoder(path):
             raise FormatError(f"{path}: zero width in channels {channels} "
                               f"or bottleneck {bottleneck}")
         # check the weights the header implies before allocating any of them
-        enc = (1,) + channels
-        dec = channels[::-1] + (1,)
-        flat = channels[-1] * (h >> stages) * (w >> stages)
-        n_params = (sum(9 * a * b + b for a, b in zip(enc, enc[1:]))
-                    + sum(9 * a * b + b for a, b in zip(dec, dec[1:]))
-                    + 2 * flat * bottleneck + bottleneck + flat)
+        n_params = sum(math.prod(shape) for cls, n_in, n_out, _
+                       in _layer_plan(channels, bottleneck, DEFAULT_INPUT_HW)
+                       for shape in cls.shapes(n_in, n_out))
         left = binio.bytes_left(fh)
         if 4 * n_params > left:
             raise FormatError(f"{path}: header implies {4 * n_params} bytes of "

@@ -13,9 +13,10 @@ the composed transition structure is banded: arrays A0/A1/A2 hold log
 probabilities of staying, advancing one, and advancing two chain states.
 The forward, backward, and Viterbi passes all run on this band, in the log
 domain, vectorized over states. Forward and backward also run batched over
-every utterance of an EM iteration: each utterance is padded with log-zero
-to the longest chain and the longest utterance, which leaves its own values
-exactly as a pass over it alone would give them.
+the utterances of an EM iteration, taken in order of length in batches of
+bounded size: each utterance is padded with log-zero to the longest chain
+and the longest utterance of its batch, which leaves its own values exactly
+as a pass over it alone would give them.
 """
 
 import logging
@@ -36,6 +37,8 @@ log = logging.getLogger(__name__)
 OPTICAL_MAGIC = b"OPT1"
 SILENCE_PHONE = "sil"
 _OCC_EPS = 1e-8
+# float64 values per array that one batched E-step pass may hold (8 MiB)
+_BATCH_VALUES = 1 << 20
 LOG_ZERO = -np.inf
 
 
@@ -307,14 +310,23 @@ def _shift_down(v, k):
     return out
 
 
-def _pad_batch(graphs, emis):
-    """Band arrays (4, B, S + 2) holding a0, a1, a2 and the exit arcs behind
-    two log-zero columns, and emissions (T, B, S), padded with log-zero to
-    the longest chain S and the longest utterance T; plus the frame counts."""
+@dataclass
+class BandBatch:
+    """Utterances laid out for the batched forward and backward passes."""
+    band: np.ndarray      # (4, B, S + 2): a0, a1, a2, exit arcs behind two log-zero columns
+    emis: np.ndarray      # (T, B, S) chain-state emissions
+    n_frames: np.ndarray  # (B,) frames of each utterance
+    n_states: np.ndarray  # (B,) chain states of each utterance
+
+
+def pad_batch(graphs, emis):
+    """Lay out utterances, each given by its chain graph and its (T_b, S_b)
+    chain-state emissions, padded with log-zero to the longest chain S and
+    the longest utterance T."""
     n_frames = np.array([e.shape[0] for e in emis])
-    s_max = max(graph.n_states for graph in graphs)
-    band = np.full((4, len(graphs), s_max + 2), LOG_ZERO)
-    padded = np.full((n_frames.max(), len(graphs), s_max), LOG_ZERO)
+    n_states = np.array([graph.n_states for graph in graphs])
+    band = np.full((4, len(graphs), n_states.max() + 2), LOG_ZERO)
+    padded = np.full((n_frames.max(), len(graphs), n_states.max()), LOG_ZERO)
     for b, (graph, e) in enumerate(zip(graphs, emis)):
         states = slice(2, 2 + graph.n_states)
         band[0, b, states] = graph.a0
@@ -322,19 +334,17 @@ def _pad_batch(graphs, emis):
         band[2, b, states] = graph.a2
         band[3, b, states] = graph.exit_logp
         padded[:e.shape[0], b, :graph.n_states] = e
-    return band, padded, n_frames
+    return BandBatch(band=band, emis=padded, n_frames=n_frames, n_states=n_states)
 
 
-def forward_log(graphs, emis):
-    """Forward pass over a batch of utterances at once.
+def forward_log(batch):
+    """Forward pass over a ``BandBatch`` of utterances at once.
 
-    ``graphs`` and ``emis`` hold each utterance's chain graph and its
-    (T_b, S_b) chain-state emissions. Returns alpha (T, B, S), log-zero
-    beyond each utterance's own frames and states, and the (B,) total log
-    likelihoods. Padding only adds log-zero terms, so every value is the
-    one a batch of that utterance alone gives.
+    Returns alpha (T, B, S), log-zero beyond each utterance's own frames and
+    states, and the (B,) total log likelihoods. Padding only adds log-zero
+    terms, so every value is the one a batch of that utterance alone gives.
     """
-    band, e, n_frames = _pad_batch(graphs, emis)
+    band, e = batch.band, batch.emis
     # the predecessors j, j-1 and j-2 of state j are slices of a padded row
     a0, a1, a2 = band[0, :, 2:], band[1, :, 1:-1], band[2, :, :-2]
     alpha = np.full((e.shape[0],) + band.shape[1:], LOG_ZERO)
@@ -350,17 +360,17 @@ def forward_log(graphs, emis):
         np.logaddexp(stay, adv, out=stay)
         np.add(stay, e[t], out=alpha[t, :, 2:])
     alpha = alpha[:, :, 2:]
-    loglik = np.array([_logsumexp(alpha[n - 1, b, :graph.n_states] + graph.exit_logp)
-                       for b, (graph, n) in enumerate(zip(graphs, n_frames))])
+    loglik = np.array([_logsumexp(alpha[n - 1, b, :s] + band[3, b, 2:2 + s])
+                       for b, (n, s) in enumerate(zip(batch.n_frames, batch.n_states))])
     return alpha, loglik
 
 
-def backward_log(graphs, emis):
-    """Backward pass over a batch of utterances at once: beta (T, B, S),
-    laid out as ``forward_log``'s alpha. Each utterance's exit arcs seed its
-    beta at its own last frame."""
-    band, e, n_frames = _pad_batch(graphs, emis)
-    a0, a1, a2, exit_logp = band[:, :, 2:]
+def backward_log(batch):
+    """Backward pass over a ``BandBatch`` of utterances at once: beta
+    (T, B, S), laid out as ``forward_log``'s alpha. Each utterance's exit
+    arcs seed its beta at its own last frame."""
+    e, n_frames = batch.emis, batch.n_frames
+    a0, a1, a2, exit_logp = batch.band[:, :, 2:]
     beta = np.full(e.shape, LOG_ZERO)
     # two trailing log-zero columns make the successors j+1 and j+2 slices
     nxt = np.full((e.shape[1], e.shape[2] + 2), LOG_ZERO)
@@ -412,6 +422,24 @@ def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
                   counts[live])
 
 
+def _batches(frames, graphs, n_components):
+    """Utterance indices in order of length, cut into batches whose padded
+    frames times (chain states + mixture components) stay within
+    ``_BATCH_VALUES``, so that none of a batch's alpha, beta, emission and
+    component-density arrays holds more float64 values. An utterance over
+    the budget on its own makes a batch of one."""
+    batch, t_max, s_max = [], 0, 0
+    for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
+        t = max(t_max, frames[b].shape[0])
+        s = max(s_max, graphs[b].n_states)
+        if batch and (len(batch) + 1) * t * (s + 2 + n_components) > _BATCH_VALUES:
+            yield batch
+            batch, t, s = [], frames[b].shape[0], graphs[b].n_states
+        batch.append(b)
+        t_max, s_max = t, s
+    yield batch
+
+
 def em_iteration(model, data):
     """One full E+M pass; returns the corpus log likelihood under the
     parameters in force when the pass started.
@@ -427,36 +455,37 @@ def em_iteration(model, data):
     seg = np.repeat(np.arange(sizes.shape[0]), sizes)
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
-    comps = [component_log_likelihoods(stacked, x) for x in frames]
-    uniques = [_state_logsumexp(comp, sizes) for comp in comps]
-    emis = [unique[:, graph.unique_cols] for unique, graph in zip(uniques, graphs)]
-    alpha, loglik = forward_log(graphs, emis)
-    beta = backward_log(graphs, emis)
-
-    feasible = np.flatnonzero(np.isfinite(loglik))
-    skipped = len(data) - feasible.size
-    if skipped:
-        log.warning("skipped %d of %d utterance(s) too short for the topology",
-                    skipped, len(data))
-    if not feasible.size:
-        raise InsufficientDataError("every utterance is too short for the topology")
 
     occ = np.zeros(seg.shape[0])
     mean = np.zeros((seg.shape[0], model.dim))
     sqr = np.zeros_like(mean)
     arcs = []
     total = 0.0
-    for b in feasible:
-        graph, x = graphs[b], frames[b]
-        own = (slice(0, x.shape[0]), b, slice(0, graph.n_states))
-        resp, utterance_arcs = _utterance_statistics(
-            graph, comps[b], uniques[b], emis[b], alpha[own], beta[own],
-            loglik[b], seg)
-        occ += resp.sum(axis=0)
-        mean += resp.T @ x
-        sqr += resp.T @ x ** 2
-        arcs.append(utterance_arcs)
-        total += float(loglik[b])
+    for batch in _batches(frames, graphs, seg.shape[0]):
+        comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
+        uniques = [_state_logsumexp(comp, sizes) for comp in comps]
+        emis = [unique[:, graphs[b].unique_cols] for unique, b in zip(uniques, batch)]
+        padded = pad_batch([graphs[b] for b in batch], emis)
+        alpha, loglik = forward_log(padded)
+        beta = backward_log(padded)
+        for i in np.flatnonzero(np.isfinite(loglik)):
+            graph, x = graphs[batch[i]], frames[batch[i]]
+            own = (slice(0, x.shape[0]), i, slice(0, graph.n_states))
+            resp, utterance_arcs = _utterance_statistics(
+                graph, comps[i], uniques[i], emis[i], alpha[own], beta[own],
+                loglik[i], seg)
+            occ += resp.sum(axis=0)
+            mean += resp.T @ x
+            sqr += resp.T @ x ** 2
+            arcs.append(utterance_arcs)
+            total += float(loglik[i])
+
+    skipped = len(data) - len(arcs)
+    if skipped:
+        log.warning("skipped %d of %d utterance(s) too short for the topology",
+                    skipped, len(data))
+    if not arcs:
+        raise InsufficientDataError("every utterance is too short for the topology")
     phone, state, col, count = (np.concatenate(a) for a in zip(*arcs))
     n_max = max(topo.n_states for topo in model.topologies)
     trans = np.zeros((len(model.topologies), n_max, n_max + 1))

@@ -132,6 +132,7 @@ def test_container_round_trip(tmp_path):
     (2, (4, 0), 8),         # zero-width stage
     (2, (4, 8), 0),         # zero-width bottleneck
     (5, (2,) * 5, 8),       # 16x32 input cannot be halved five times
+    (2 ** 32 - 1, (), 8),   # 2 ** stages alone would take 512 MiB
 ])
 def test_corrupt_header_is_a_format_error(tmp_path, stages, channels, bottleneck):
     path = tmp_path / "bad.cae"

@@ -16,7 +16,7 @@ def _chain_log_likelihood(model, frames, chain):
     """Forward-pass log likelihood of frames under a phone chain."""
     graph = hmm.compose_chain(model, chain)
     emis = hmm.state_log_likelihoods(model, frames)[:, graph.unique_cols]
-    return hmm.forward_log([graph], [emis])[1][0]
+    return hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
 
 
 def _make_model(kind, phone_params, dim, use_sil=False):
@@ -270,7 +270,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a", "b"])
         for n_frames in (1, 2, 4, 6):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 4))
-            got = hmm.forward_log([graph], [emis])[1][0]
+            got = hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -281,7 +281,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a"])
         for n_frames in (3, 5):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 3))
-            got = hmm.forward_log([graph], [emis])[1][0]
+            got = hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -338,14 +338,16 @@ class TestBatch:
         graphs = [hmm.compose_chain(model, chain) for chain, _ in utterances]
         emis = [rng.uniform(-3.0, 0.0, size=(t, g.n_states))
                 for g, (_, t) in zip(graphs, utterances)]
-        alpha, loglik = hmm.forward_log(graphs, emis)
-        beta = hmm.backward_log(graphs, emis)
+        batch = hmm.pad_batch(graphs, emis)
+        alpha, loglik = hmm.forward_log(batch)
+        beta = hmm.backward_log(batch)
         assert loglik[-1] == -np.inf
         assert np.isfinite(loglik[:-1]).all()
         for b, (graph, e) in enumerate(zip(graphs, emis)):
             t_count, s_count = e.shape
-            one_alpha, one_loglik = hmm.forward_log([graph], [e])
-            one_beta = hmm.backward_log([graph], [e])
+            one = hmm.pad_batch([graph], [e])
+            one_alpha, one_loglik = hmm.forward_log(one)
+            one_beta = hmm.backward_log(one)
             assert one_alpha.shape == one_beta.shape == (t_count, 1, s_count)
             assert np.array_equal(alpha[:t_count, b, :s_count], one_alpha[:, 0])
             assert np.array_equal(beta[:t_count, b, :s_count], one_beta[:, 0])
@@ -571,6 +573,42 @@ class TestEm:
             assert np.array_equal(both.states[0][s].means, solo.states[0][s].means)
             assert np.array_equal(both.states[0][s].variances,
                                   solo.states[0][s].variances)
+
+    def test_batch_budget_only_reorders_sums(self, monkeypatch, caplog):
+        # a budget too small for two utterances runs every utterance as its
+        # own batch; the statistics are the same sums in another order
+        rng = np.random.default_rng(40)
+        data = [(rng.normal(size=(n, 2)), chain) for n, chain in
+                [(9, ["a", "b"]), (3, ["b"]), (14, ["a", "b", "a"]), (1, ["a", "b"]),
+                 (6, ["b", "a"])]]
+
+        def train():
+            model = hmm.flat_start([f for f, _ in data], ["a", "b"],
+                                   topology_kind="skip2", use_sil=False)
+            with caplog.at_level(logging.WARNING, logger="vsrlab.hmm"):
+                history = hmm.train_em(model, data, schedule=[(1, 2), (2, 2)])
+            return model, [ll for _, ll in history]
+
+        graphs = [hmm.compose_chain(hmm.flat_start([data[0][0]], ["a", "b"], use_sil=False),
+                                    chain) for _, chain in data]
+        frames = [f for f, _ in data]
+        assert len(list(hmm._batches(frames, graphs, 8))) == 1
+        one_model, one_lls = train()
+        monkeypatch.setattr(hmm, "_BATCH_VALUES", 1)
+        assert len(list(hmm._batches(frames, graphs, 8))) == len(data)
+        split_model, split_lls = train()
+
+        np.testing.assert_allclose(split_lls, one_lls, rtol=1e-12)
+        for one_states, split_states in zip(one_model.states, split_model.states):
+            for a, b in zip(one_states, split_states):
+                np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(b.means, a.means, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(b.variances, a.variances, rtol=0, atol=1e-12)
+        for a, b in zip(one_model.topologies, split_model.topologies):
+            np.testing.assert_allclose(b.trans, a.trans, rtol=0, atol=1e-12)
+        # the one-frame utterance is skipped once per iteration, batch or not
+        skips = [r.message for r in caplog.records if "too short" in r.message]
+        assert skips == ["skipped 1 of 5 utterance(s) too short for the topology"] * 8
 
     def test_all_utterances_infeasible(self):
         params = {"a": [([1.0], [[0.0]], [[1.0]]) for _ in range(3)]}
