@@ -9,18 +9,34 @@ termination when silence is off), which keeps recombination exact. With no
 beam the search is exact; with a beam, tokens worse than the frame best by
 more than the beam width are dropped.
 
+``decode_batch`` decodes many utterances at once. They are laid out with
+``hmm.pad_batch`` in order of length, in batches of bounded size as in the
+E-step, and every frame is a fixed set of array operations over
+(utterances, states). A token's history is an integer link into a store of
+(word, parent link, start frame) records, written only when a token enters
+a word (Young, Russell & Thornton 1989, token passing with word links).
+A token's language model context never changes while it stays in a chain:
+it is the chain's word, or ``<s>`` in the leading silence. So the graph
+keeps a padded table of the exit states of each context, and the best exit
+per context is one max over it.
+
 Exact score ties are resolved toward the lexicographically smaller word
-sequence, so decoding is fully deterministic.
+sequence, then toward the earlier candidate: staying before advancing one
+before advancing two states, the token already in a word's first state
+before one entering it, the lower exit state. Decoding is therefore fully
+deterministic and independent of batching. Ties are rare; they take a
+Python path that rebuilds the competing word sequences from the links.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBeamError, OovError
-from .hmm import LOG_ZERO, SILENCE_PHONE, _shift_down, compose_chain, \
-    state_log_likelihoods
+from .hmm import LOG_ZERO, SILENCE_PHONE, _batches, _stack_components, \
+    _state_logsumexp, component_log_likelihoods, compose_chain, pad_batch
 from .lingware import SENTENCE_END, SENTENCE_START
 
 log = logging.getLogger(__name__)
@@ -30,12 +46,14 @@ log = logging.getLogger(__name__)
 class DecodeConfig:
     lm_scale: float = 10.0
     word_insertion_penalty: float = 0.0
-    beam: float | None = 200.0     # None decodes exactly
+    beam: float | None = 200.0     # None (or inf) decodes exactly
 
     def __post_init__(self):
-        if self.lm_scale <= 0.0:
-            raise ValueError("lm_scale must be positive")
-        if self.beam is not None and self.beam <= 0.0:
+        if not 0.0 < self.lm_scale < math.inf:
+            raise ValueError("lm_scale must be positive and finite")
+        if not math.isfinite(self.word_insertion_penalty):
+            raise ValueError("word_insertion_penalty must be finite")
+        if self.beam is not None and not self.beam > 0.0:
             raise ValueError("beam must be positive when set")
 
 
@@ -52,58 +70,73 @@ class DecodeGraph:
     def __init__(self, model, lm, lexicon):
         self.model = model
         self.lm = lm
-        self.vocab = list(lexicon.words)
+        self.vocab = list(lexicon.words)   # sorted, so id tuples order like words
         if not self.vocab:
             raise OovError("the lexicon is empty")
         for word in self.vocab:
             if word not in lm.unigram:
                 raise OovError(f"word {word!r} has no language model entry")
-        self.word_id = {w: i for i, w in enumerate(self.vocab)}
+        v = len(self.vocab)
+        self.start_context = v
+        self.stacked = _stack_components(model)
 
-        a0, a1, a2, exitp, ucols = [], [], [], [], []
+        a0, a1, a2, exit_logp, ucols, contexts = [], [], [], [], [], []
         base = 0
 
-        def add_chain(phones):
+        def add_chain(phones, context):
             nonlocal base
             graph = compose_chain(model, phones)
             a0.append(graph.a0)
             a1.append(graph.a1)
             a2.append(graph.a2)
-            exitp.append(graph.exit_logp)
+            exit_logp.append(graph.exit_logp)
             ucols.append(graph.unique_cols)
+            contexts.append(np.full(graph.n_states, context))
             base += graph.n_states
             return base - graph.n_states
 
         if model.use_sil:
-            self.lead_entry = add_chain([SILENCE_PHONE])
+            self.lead_entry = add_chain([SILENCE_PHONE], v)
         else:
             self.lead_entry = None
-        self.word_entries = []
-        self.variant_words = []    # word index per pronunciation variant
+        word_entries = []
+        variant_words = []         # word index per pronunciation variant
         for w, word in enumerate(self.vocab):
             for pron in lexicon.pronunciations(word):
-                self.word_entries.append(add_chain(pron))
-                self.variant_words.append(w)
+                word_entries.append(add_chain(pron, w))
+                variant_words.append(w)
+        self.word_entries = np.array(word_entries)
+        self.variant_words = np.array(variant_words)
         if model.use_sil:
-            self.tail_entry = add_chain([SILENCE_PHONE])
-            self.tail_base = self.tail_entry
+            # the trailing silence may only terminate, never feed a word
+            self.tail_entry = add_chain([SILENCE_PHONE], -1)
+            tail_base = self.tail_entry
         else:
             self.tail_entry = None
-            self.tail_base = base
+            tail_base = base
         self.a0 = np.concatenate(a0)
         self.a1 = np.concatenate(a1)
         self.a2 = np.concatenate(a2)
-        self.exitp = np.concatenate(exitp)
+        self.exit_logp = np.concatenate(exit_logp)
         self.ucols = np.concatenate(ucols)
         self.n_states = base
-        all_exits = np.where(np.isfinite(self.exitp))[0]
-        # trailing silence may only terminate, never feed another word
-        self.feed_exit_states = all_exits[all_exits < self.tail_base]
-        self.final_exit_states = (all_exits[all_exits >= self.tail_base]
-                                  if model.use_sil else self.feed_exit_states)
+        self.state_context = np.concatenate(contexts)
+        all_exits = np.flatnonzero(np.isfinite(self.exit_logp))
+        feed = all_exits[all_exits < tail_base]
+        self.final_exit_states = (all_exits[all_exits >= tail_base]
+                                  if model.use_sil else feed)
+
+        # feed_exits[c] lists, in state order, the exit states whose tokens
+        # leave with context c (last row: <s>); -1 pads to the longest row
+        per_context = [feed[self.state_context[feed] == c] for c in range(v + 1)]
+        width = max(len(states) for states in per_context)
+        self.feed_exits = np.full((v + 1, width), -1)
+        for c, states in enumerate(per_context):
+            self.feed_exits[c, :len(states)] = states
+        self.feed_exit_logp = np.where(self.feed_exits >= 0,
+                                       self.exit_logp[self.feed_exits], LOG_ZERO)
 
         # lm_matrix[v, w] = ln p(vocab[w] | context v); last row is <s>
-        v = len(self.vocab)
         self.lm_matrix = np.empty((v + 1, v))
         self.end_logp = np.full(v + 1, LOG_ZERO)
         for i in range(v + 1):
@@ -112,174 +145,209 @@ class DecodeGraph:
                 self.lm_matrix[i, j] = lm.logp(word, ctx)
             if i < v:
                 self.end_logp[i] = lm.logp(SENTENCE_END, ctx)
-        self.start_context = v
 
 
-_EMPTY = ((), ())                  # (words, start_frames) of the null history
+class _History:
+    """Word links: record i is (word[i], parent[i], start[i]), the word a
+    token entered at frame start[i] after the history parent[i]; link -1 is
+    the empty history."""
+
+    def __init__(self, capacity):
+        self.word = np.empty(capacity, dtype=np.int64)
+        self.parent = np.empty(capacity, dtype=np.int64)
+        self.start = np.empty(capacity, dtype=np.int64)
+        self.size = 0
+
+    def add(self, words, parents, start):
+        """Append records; returns their links."""
+        lo, hi = self.size, self.size + len(words)
+        self.word[lo:hi] = words
+        self.parent[lo:hi] = parents
+        self.start[lo:hi] = start
+        self.size = hi
+        return np.arange(lo, hi)
+
+    def words(self, link):
+        """Word ids of a history, oldest first."""
+        out = []
+        while link >= 0:
+            out.append(int(self.word[link]))
+            link = self.parent[link]
+        return tuple(reversed(out))
+
+    def best(self, links):
+        """The first of ``links`` with the smallest word sequence."""
+        return min(links, key=self.words)
 
 
-def _better(score_a, hist_a, score_b, hist_b):
-    """True when token a should replace token b."""
-    if score_a > score_b:
-        return True
-    if score_a == score_b and hist_b is not None and hist_a is not None:
-        return hist_a[0] < hist_b[0]
-    return False
-
-
-def _collect_exits(graph, score, hist):
-    """Best exiting token per language model context: {ctx: (score, hist)}."""
-    exits = {}
-    for j in graph.feed_exit_states:
-        s = score[j] + graph.exitp[j]
-        if not np.isfinite(s):
-            continue
-        h = hist[j]
-        ctx = graph.word_id[h[0][-1]] if h[0] else graph.start_context
-        old = exits.get(ctx)
-        if old is None or _better(s, h, old[0], old[1]):
-            exits[ctx] = (s, h)
-    return exits
-
-
-def _apply_entries(graph, exits, t, lam, wip, new_score, new_hist):
-    if not exits:
-        return
-    ctxs = list(exits)
-    scores = np.array([exits[c][0] for c in ctxs])
-    mat = scores[:, None] + lam * graph.lm_matrix[ctxs] + wip   # (k, V)
-    col_best = mat.max(axis=0)
-    col_arg = np.argmax(mat, axis=0)
-    if len(ctxs) > 1:
-        ties = (mat == col_best).sum(axis=0) > 1
-        for w in np.where(ties)[0]:
-            rows = np.where(mat[:, w] == col_best[w])[0]
-            col_arg[w] = min(rows, key=lambda r: exits[ctxs[r]][1][0])
-    for k, entry in enumerate(graph.word_entries):
-        w = graph.variant_words[k]
-        cand_score = col_best[w]
-        if cand_score < new_score[entry]:
-            continue
-        h = exits[ctxs[col_arg[w]]][1]
-        cand_hist = (h[0] + (graph.vocab[w],), h[1] + (t,))
-        if _better(cand_score, cand_hist, new_score[entry], new_hist[entry]):
-            new_score[entry] = cand_score
-            new_hist[entry] = cand_hist
-    if graph.tail_entry is not None:
-        # the sentence-end probability is charged on entering the trailing
-        # silence so that recombination there stays exact
-        best_s = LOG_ZERO
-        best_h = None
-        for ctx in ctxs:
-            if ctx == graph.start_context:
-                continue
-            s, h = exits[ctx]
-            s = s + lam * graph.end_logp[ctx]
-            if _better(s, h, best_s, best_h):
-                best_s = s
-                best_h = h
-        if best_h is not None and _better(best_s, best_h,
-                                          new_score[graph.tail_entry],
-                                          new_hist[graph.tail_entry]):
-            new_score[graph.tail_entry] = best_s
-            new_hist[graph.tail_entry] = best_h
+def decode_batch(graph, frame_list, config=None):
+    """Decode every utterance of ``frame_list`` under one graph; returns a
+    ``DecodeResult`` per utterance, in order. An ``EmptyBeamError`` names the
+    failing utterance by its position (also in its ``utterance``)."""
+    if config is None:
+        config = DecodeConfig()
+    frames = [np.asarray(x, dtype=float) for x in frame_list]
+    if not frames:
+        return []
+    sizes = graph.stacked[4]
+    results = [None] * len(frames)
+    for batch in _batches(frames, [graph] * len(frames), int(sizes.sum())):
+        emissions = [_state_logsumexp(component_log_likelihoods(graph.stacked,
+                                                                frames[b]), sizes)
+                     for b in batch]
+        for b, result in zip(batch, _search(graph, emissions, config, batch)):
+            results[b] = result
+    return results
 
 
 def decode_frames(graph, frames, config=None, emissions=None):
-    """Decode one utterance; ``emissions`` may override the per-state log
-    densities (same layout as ``state_log_likelihoods``)."""
-    if config is None:
-        config = DecodeConfig()
+    """Decode one utterance, as a batch of one; ``emissions`` may override
+    the per-state log densities (same layout as ``state_log_likelihoods``)."""
     if emissions is None:
-        emissions = state_log_likelihoods(graph.model, frames)
-    emis = emissions[:, graph.ucols]
-    n_frames = emis.shape[0]
-    lam = config.lm_scale
-    wip = config.word_insertion_penalty
+        return decode_batch(graph, [frames], config)[0]
+    return _search(graph, [emissions], config or DecodeConfig(), [0])[0]
 
-    score = np.full(graph.n_states, LOG_ZERO)
-    hist = np.empty(graph.n_states, dtype=object)
 
+def _search(graph, emissions, config, ids):
+    """Token passing over utterances given by their (T, unique states) log
+    densities; ``ids`` names them in errors. Returns their results."""
+    for i, e in zip(ids, emissions):
+        if e.shape[0] == 0:
+            raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
+    batch = pad_batch([graph] * len(emissions), [e[:, graph.ucols] for e in emissions])
+    emis, n_frames = batch.emis, batch.n_frames
+    n_utts = emis.shape[1]
+    a0, a1, a2 = batch.band[0, :, 2:], batch.band[1, :, 1:-1], batch.band[2, :, :-2]
+    lam, wip = config.lm_scale, config.word_insertion_penalty
+    lam_lm = lam * graph.lm_matrix
+    lam_end = lam * graph.end_logp
+    words, entries = graph.variant_words, graph.word_entries
+    history = _History(len(words) * (1 + n_utts * emis.shape[0]))
+    results = [None] * n_utts
+
+    # scores and links behind two log-zero columns, so that the predecessors
+    # j-1 and j-2 of state j are slices (as in hmm.forward_log); the exit
+    # table's -1 pads land on one of them
+    score = np.full((n_utts, graph.n_states + 2), LOG_ZERO)
+    link = np.full(score.shape, -1, dtype=np.int64)
+    feed_cols = graph.feed_exits + 2
     if graph.model.use_sil:
-        score[graph.lead_entry] = emis[0, graph.lead_entry]
-        hist[graph.lead_entry] = _EMPTY
+        score[:, 2 + graph.lead_entry] = emis[0, :, graph.lead_entry]
     else:
-        for k, entry in enumerate(graph.word_entries):
-            w = graph.variant_words[k]
-            s = lam * graph.lm_matrix[graph.start_context, w] + wip + emis[0, entry]
-            cand = ((graph.vocab[w],), (0,))
-            if _better(s, cand, score[entry], hist[entry]):
-                score[entry] = s
-                hist[entry] = cand
+        score[:, 2 + entries] = ((lam_lm[graph.start_context, words] + wip)
+                                 + emis[0][:, entries])
+        link[:, 2 + entries] = history.add(words, -1, 0)
 
-    for t in range(1, n_frames):
-        exits = _collect_exits(graph, score, hist)
-        c0 = score + graph.a0
-        c1 = _shift_down(score + graph.a1, 1)
-        c2 = _shift_down(score + graph.a2, 2)
-        new_score = np.maximum(np.maximum(c0, c1), c2)
-        choice = np.where(new_score == c0, 0, np.where(new_score == c1, 1, 2))
-        src = np.arange(graph.n_states) - choice
-        new_hist = hist[np.clip(src, 0, None)]
-
-        # banded-source ties: prefer the smaller word sequence
-        tie_mask = ((c0 == new_score).astype(int) + (c1 == new_score).astype(int)
-                    + (c2 == new_score).astype(int)) > 1
-        for j in np.where(tie_mask & np.isfinite(new_score))[0]:
-            best_h = None
-            for cand, off in ((c0[j], 0), (c1[j], 1), (c2[j], 2)):
-                if cand == new_score[j]:
-                    h = hist[j - off]
-                    if best_h is None or (h is not None and h[0] < best_h[0]):
-                        best_h = h
-            new_hist[j] = best_h
-
-        _apply_entries(graph, exits, t, lam, wip, new_score, new_hist)
-
-        finite = np.isfinite(new_score)
-        if not finite.any():
-            raise EmptyBeamError(
-                f"no active hypothesis at frame {t}; increase the beam "
-                f"(current {config.beam})")
-        new_score[finite] += emis[t, finite]
-        new_hist[~finite] = None
-        if config.beam is not None:
-            dead = new_score < new_score.max() - config.beam
-            new_score[dead] = LOG_ZERO
-            new_hist[dead] = None
-        score = new_score
-        hist = new_hist
-
-    return _terminate(graph, score, hist, lam, n_frames, config)
+    for t in range(emis.shape[0]):
+        if t > 0:
+            new, new_link = _step(graph, history, score, link, feed_cols,
+                                  (a0, a1, a2), lam_lm, lam_end, wip, t)
+            dead = (n_frames > t) & ~(new > LOG_ZERO).any(axis=1)
+            if dead.any():
+                i = ids[int(np.argmax(dead))]
+                raise EmptyBeamError(
+                    f"utterance {i}: no active hypothesis at frame {t}; "
+                    f"increase the beam (current {config.beam})", i)
+            new += emis[t]
+            if config.beam is not None:
+                new[new < new.max(axis=1, keepdims=True) - config.beam] = LOG_ZERO
+            score[:, 2:] = new
+            link[:, 2:] = new_link
+        for b in np.flatnonzero(n_frames == t + 1):
+            results[b] = _terminate(graph, history, score[b, 2:], link[b, 2:],
+                                    lam_end, t + 1, config, ids[b])
+    return results
 
 
-def _terminate(graph, score, hist, lam, n_frames, config):
-    best_score = LOG_ZERO
-    best_hist = None
-    for j in graph.final_exit_states:
-        s = score[j] + graph.exitp[j]
-        if not np.isfinite(s):
-            continue
-        h = hist[j]
-        if not h[0]:
-            continue
-        if not graph.model.use_sil:
-            s = s + lam * graph.end_logp[graph.word_id[h[0][-1]]]
-        if _better(s, h, best_score, best_hist):
-            best_score = s
-            best_hist = h
-    if best_hist is None:
+def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t):
+    """One frame of token passing before emissions: the banded arcs, then
+    word entries from the best exit of each context. Returns the new scores
+    and links of the states."""
+    a0, a1, a2 = band
+    n_utts = score.shape[0]
+
+    # the best exit of each context, state order breaking exact word ties
+    rows = np.arange(n_utts)[:, None]
+    exits = score[:, feed_cols] + graph.feed_exit_logp          # (B, V+1, K)
+    exit_best = exits.max(axis=2)
+    exit_link = link[rows, feed_cols[np.arange(feed_cols.shape[0]), exits.argmax(axis=2)]]
+    tied = ((exits == exit_best[:, :, None]).sum(axis=2) > 1) & (exit_best > LOG_ZERO)
+    for b, c in zip(*np.nonzero(tied)):
+        ks = np.flatnonzero(exits[b, c] == exit_best[b, c])
+        exit_link[b, c] = history.best(link[b, feed_cols[c, ks]])
+
+    # banded arcs: stay, advance one, advance two
+    cands = (score[:, 2:] + a0, score[:, 1:-1] + a1, score[:, :-2] + a2)
+    new = np.maximum(np.maximum(cands[0], cands[1]), cands[2])
+    eq0, eq1, eq2 = (c == new for c in cands)
+    new_link = np.where(eq0, link[:, 2:], np.where(eq1, link[:, 1:-1], link[:, :-2]))
+    tied = ((eq0 & (eq1 | eq2)) | (eq1 & eq2)) & (new > LOG_ZERO)
+    for b, j in zip(*np.nonzero(tied)):
+        new_link[b, j] = history.best([link[b, j + 2 - off] for off, c in enumerate(cands)
+                                       if c[b, j] == new[b, j]])
+
+    # word entries: best context per word, then against the token held
+    enter_scores = (exit_best[:, :, None] + lam_lm) + wip        # (B, V+1, V)
+    word_best = enter_scores.max(axis=1)
+    word_ctx = enter_scores.argmax(axis=1)
+    tied = (((enter_scores == word_best[:, None, :]).sum(axis=1) > 1)
+            & (word_best > LOG_ZERO))
+    for b, w in zip(*np.nonzero(tied)):
+        word_ctx[b, w] = min(np.flatnonzero(enter_scores[b, :, w] == word_best[b, w]),
+                             key=lambda c: history.words(exit_link[b, c]))
+    words, entries = graph.variant_words, graph.word_entries
+    cand = word_best[:, words]                                   # (B, variants)
+    parents = exit_link[rows, word_ctx[:, words]]
+    held = new[:, entries]
+    enter = cand > held
+    for b, k in zip(*np.nonzero((cand == held) & (cand > LOG_ZERO))):
+        enter[b, k] = (history.words(parents[b, k]) + (int(words[k]),)
+                       < history.words(new_link[b, entries[k]]))
+    bs, ks = np.nonzero(enter)
+    new[bs, entries[ks]] = cand[bs, ks]
+    new_link[bs, entries[ks]] = history.add(words[ks], parents[bs, ks], t)
+
+    if graph.tail_entry is not None:
+        # the sentence-end probability is charged on entering the trailing
+        # silence so that recombination there stays exact; <s> cannot end
+        ends = exit_best[:, :-1] + lam_end[:-1]
+        end_best = ends.max(axis=1)
+        end_link = exit_link[rows[:, 0], ends.argmax(axis=1)]
+        tied = ((ends == end_best[:, None]).sum(axis=1) > 1) & (end_best > LOG_ZERO)
+        for b in np.flatnonzero(tied):
+            end_link[b] = history.best(exit_link[b, :-1][ends[b] == end_best[b]])
+        tail = graph.tail_entry
+        enter = end_best > new[:, tail]
+        for b in np.flatnonzero((end_best == new[:, tail]) & (end_best > LOG_ZERO)):
+            enter[b] = history.words(end_link[b]) < history.words(new_link[b, tail])
+        new[enter, tail] = end_best[enter]
+        new_link[enter, tail] = end_link[enter]
+    return new, new_link
+
+
+def _terminate(graph, history, score, link, lam_end, n_frames, config, i):
+    final = graph.final_exit_states
+    s = score[final] + graph.exit_logp[final]
+    if not graph.model.use_sil:
+        s = s + lam_end[graph.state_context[final]]
+    s[link[final] < 0] = LOG_ZERO          # a hypothesis holds at least one word
+    best = s.max()
+    if not best > LOG_ZERO:
         raise EmptyBeamError(
-            f"no complete hypothesis after {n_frames} frames; increase the "
-            f"beam (current {config.beam})")
-    words = list(best_hist[0])
-    starts = list(best_hist[1])
-    spans = []
-    for i, word in enumerate(words):
-        start = 0 if i == 0 else starts[i]
-        end = starts[i + 1] if i + 1 < len(words) else n_frames
-        spans.append((word, start, end))
-    return DecodeResult(words=words, score=float(best_score), word_spans=spans)
+            f"utterance {i}: no complete hypothesis after {n_frames} frames; "
+            f"increase the beam (current {config.beam})", i)
+    top = history.best(link[final[s == best]])
+    words, starts = [], []
+    while top >= 0:
+        words.append(graph.vocab[history.word[top]])
+        starts.append(int(history.start[top]))
+        top = history.parent[top]
+    words.reverse()
+    starts.reverse()
+    starts[0] = 0                          # the leading silence folds into the first word
+    spans = [(word, start, end)
+             for word, start, end in zip(words, starts, starts[1:] + [n_frames])]
+    return DecodeResult(words=words, score=float(best), word_spans=spans)
 
 
 def decode(model, lm, lexicon, frames, config=None, emissions=None):

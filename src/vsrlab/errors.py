@@ -64,6 +64,10 @@ class AlignmentInfeasibleError(VsrError):
 class EmptyBeamError(VsrError):
     """All decoding hypotheses were pruned; try a larger beam."""
 
+    def __init__(self, message, utterance=None):
+        super().__init__(message)
+        self.utterance = utterance      # position in the decoded batch
+
 
 class UndefinedWerError(VsrError):
     """WER is undefined for an empty reference."""

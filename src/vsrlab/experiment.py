@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, autoencoder, corpus, decoder, eigenlips, features, \
     frontend, geometric, hmm, lingware, scoring
-from .errors import DegenerateSplitError, FormatError
+from .errors import DegenerateSplitError, EmptyBeamError, FormatError
 
 log = logging.getLogger(__name__)
 
@@ -205,10 +205,7 @@ class ExperimentConfig:
             raise ValueError("pca_components out of range")
         if self.pca_max_frames <= self.pca_components:
             raise ValueError("pca_max_frames must exceed pca_components")
-        if self.lm_scale <= 0.0:
-            raise ValueError("lm_scale must be positive")
-        if self.beam is not None and self.beam <= 0.0:
-            raise ValueError("beam must be positive or none")
+        self.decode_config()   # rejects a bad lm_scale, penalty or beam
         if self.bootstrap < 100:
             raise ValueError("bootstrap must be at least 100")
         if not 0.0 < self.confidence < 1.0:
@@ -507,12 +504,14 @@ def train_cell_model(cfg, train_seqs, train_records, lexicon):
 
 def decode_cell(cfg, model, lm, lexicon, test_seqs):
     graph = decoder.DecodeGraph(model, lm, lexicon)
-    dc = cfg.decode_config()
-    hyps = {}
-    for seq in test_seqs:
-        result = decoder.decode_frames(graph, seq.frames, dc)
-        hyps[seq.utterance_id] = result.words
-    return hyps
+    try:
+        results = decoder.decode_batch(graph, [seq.frames for seq in test_seqs],
+                                       cfg.decode_config())
+    except EmptyBeamError as err:
+        raise EmptyBeamError(f"{test_seqs[err.utterance].utterance_id}: {err}",
+                             err.utterance) from err
+    return {seq.utterance_id: result.words
+            for seq, result in zip(test_seqs, results)}
 
 
 def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,

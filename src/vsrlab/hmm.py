@@ -301,15 +301,6 @@ def compose_chain(model, chain):
                       exit_logp=exit_logp, exit_col=exit_col)
 
 
-def _shift_down(v, k):
-    """v[j-k] with log-zero fill: out[j] = v[j-k]."""
-    if k == 0:
-        return v
-    out = np.full_like(v, LOG_ZERO)
-    out[k:] = v[:-k]
-    return out
-
-
 @dataclass
 class BandBatch:
     """Utterances laid out for the batched forward and backward passes."""
@@ -589,25 +580,23 @@ def forced_align(model, frames, chain):
     graph = compose_chain(model, chain)
     frames = np.asarray(frames, dtype=float)
     unique = state_log_likelihoods(model, frames)
-    emis = unique[:, graph.unique_cols]
+    batch = pad_batch([graph], [unique[:, graph.unique_cols]])
+    band, emis = batch.band[:, 0], batch.emis[:, 0]
     n_frames, s_count = emis.shape
 
-    delta = np.full((n_frames, s_count), LOG_ZERO)
+    # delta rows sit behind two log-zero columns, so the predecessors j-2,
+    # j-1 and j of every state are the three windows of the previous row;
+    # in that order, argmax resolves ties toward the lowest predecessor
+    delta = np.full((n_frames, s_count + 2), LOG_ZERO)
     back = np.zeros((n_frames, s_count), dtype=int)
-    delta[0, 0] = emis[0, 0]
+    arcs = np.stack([band[2, :-2], band[1, 1:-1], band[0, 2:]])
+    delta[0, 2] = emis[0, 0]
     for t in range(1, n_frames):
-        prev = delta[t - 1]
-        # candidate order: predecessor j-2, j-1, j, so argmax resolves ties
-        # toward the lowest predecessor index
-        cand = np.stack([
-            _shift_down(prev + graph.a2, 2),
-            _shift_down(prev + graph.a1, 1),
-            prev + graph.a0,
-        ])
+        cand = np.lib.stride_tricks.sliding_window_view(delta[t - 1], s_count) + arcs
         choice = np.argmax(cand, axis=0)
-        delta[t] = cand[choice, np.arange(s_count)] + emis[t]
+        delta[t, 2:] = cand[choice, np.arange(s_count)] + emis[t]
         back[t] = np.arange(s_count) - (2 - choice)
-    final = delta[-1] + graph.exit_logp
+    final = delta[-1, 2:] + graph.exit_logp
     best_end = int(np.argmax(final))
     score = float(final[best_end])
     if not np.isfinite(score):

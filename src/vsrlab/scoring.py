@@ -8,6 +8,7 @@ dividing, i.e. the interval is on the corpus-level ratio, not on a mean of
 per-utterance rates.
 """
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -116,14 +117,23 @@ def resample_wers(counts, n_resamples, seed):
     m entries are identical for any request with the same seed and n >= m.
     """
     rows = np.array(list(counts.values()), dtype=float)  # (n, 4): S I D N
-    n = rows.shape[0]
     errors = rows[:, :3].sum(axis=1)
     refs = rows[:, 3]
-    wers = np.empty(n_resamples)
+    idx = _resample_indices(rows.shape[0], n_resamples, seed)
+    return 100.0 * errors[idx].sum(axis=1) / refs[idx].sum(axis=1)
+
+
+@functools.lru_cache(maxsize=1)
+def _resample_indices(n, n_resamples, seed):
+    """Utterance indices of every resample, (n_resamples, n); row ``k`` comes
+    from a generator seeded at ``seed + k``. Every cell of a grid resamples
+    the same n with the same count and seed, so the last matrix is kept; it
+    is read-only because each caller gets the same array."""
+    idx = np.empty((n_resamples, n), dtype=np.int64)
     for k in range(n_resamples):
-        idx = np.random.default_rng(seed + k).integers(0, n, n)
-        wers[k] = 100.0 * errors[idx].sum() / refs[idx].sum()
-    return wers
+        idx[k] = np.random.default_rng(seed + k).integers(0, n, n)
+    idx.flags.writeable = False
+    return idx
 
 
 def bootstrap_ci(counts, n_resamples=10000, seed=0, confidence=0.95):

@@ -6,9 +6,11 @@ import pytest
 from scipy.special import logsumexp as sp_logsumexp
 from scipy.stats import norm
 
-from vsrlab import hmm
-from vsrlab.decoder import DecodeConfig, DecodeGraph, decode, decode_frames
+from vsrlab import decoder, hmm
+from vsrlab.decoder import DecodeConfig, DecodeGraph, decode, decode_batch, \
+    decode_frames
 from vsrlab.errors import EmptyBeamError, OovError
+from vsrlab.hmm import LOG_ZERO
 from vsrlab.lingware import Lexicon, fit_bigram
 
 
@@ -47,6 +49,18 @@ def _lexicon():
 
 def _lm():
     return fit_bigram([["ba"], ["do", "ga"], ["ba", "do"], ["ga"], ["do"]])
+
+
+class _FlatLm:
+    """Every word and the sentence end at log probability 0 in every
+    context, except the ``forbidden`` (context, word) pairs at log zero."""
+
+    def __init__(self, words, forbidden):
+        self.unigram = dict.fromkeys(words, 0.0)
+        self.forbidden = forbidden
+
+    def logp(self, word, context):
+        return LOG_ZERO if (context, word) in self.forbidden else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +177,175 @@ def _random_instance(rng, use_sil, n_mix=1):
     return model, lm, lex, frames, cfg
 
 
+# ---------------------------------------------------------------------------
+# reference token passer: the per-utterance decoder that ``decode_batch``
+# replaced, with (words, start frames) tuple histories in object arrays and
+# Python word-boundary steps. The batched kernel must give exactly its words,
+# scores and spans.
+
+_EMPTY = ((), ())
+
+
+def _better(score_a, hist_a, score_b, hist_b):
+    """True when token a should replace token b."""
+    if score_a > score_b:
+        return True
+    if score_a == score_b and hist_b is not None and hist_a is not None:
+        return hist_a[0] < hist_b[0]
+    return False
+
+
+def _shift_down(v, k):
+    out = np.full_like(v, LOG_ZERO)
+    out[k:] = v[:-k]
+    return out
+
+
+def _exit_states(graph):
+    all_exits = np.flatnonzero(np.isfinite(graph.exit_logp))
+    tail_base = graph.tail_entry if graph.model.use_sil else graph.n_states
+    feed = all_exits[all_exits < tail_base]
+    return feed, (all_exits[all_exits >= tail_base] if graph.model.use_sil else feed)
+
+
+def _collect_exits(graph, score, hist):
+    exits = {}
+    word_id = {w: i for i, w in enumerate(graph.vocab)}
+    for j in _exit_states(graph)[0]:
+        s = score[j] + graph.exit_logp[j]
+        if not np.isfinite(s):
+            continue
+        h = hist[j]
+        ctx = word_id[h[0][-1]] if h[0] else graph.start_context
+        old = exits.get(ctx)
+        if old is None or _better(s, h, old[0], old[1]):
+            exits[ctx] = (s, h)
+    return exits
+
+
+def _apply_entries(graph, exits, t, lam, wip, new_score, new_hist):
+    if not exits:
+        return
+    ctxs = list(exits)
+    scores = np.array([exits[c][0] for c in ctxs])
+    mat = scores[:, None] + lam * graph.lm_matrix[ctxs] + wip
+    col_best = mat.max(axis=0)
+    col_arg = np.argmax(mat, axis=0)
+    if len(ctxs) > 1:
+        ties = (mat == col_best).sum(axis=0) > 1
+        for w in np.where(ties)[0]:
+            rows = np.where(mat[:, w] == col_best[w])[0]
+            col_arg[w] = min(rows, key=lambda r: exits[ctxs[r]][1][0])
+    for k, entry in enumerate(graph.word_entries):
+        w = graph.variant_words[k]
+        cand_score = col_best[w]
+        if cand_score < new_score[entry]:
+            continue
+        h = exits[ctxs[col_arg[w]]][1]
+        cand_hist = (h[0] + (graph.vocab[w],), h[1] + (t,))
+        if _better(cand_score, cand_hist, new_score[entry], new_hist[entry]):
+            new_score[entry] = cand_score
+            new_hist[entry] = cand_hist
+    if graph.tail_entry is not None:
+        best_s = LOG_ZERO
+        best_h = None
+        for ctx in ctxs:
+            if ctx == graph.start_context:
+                continue
+            s, h = exits[ctx]
+            s = s + lam * graph.end_logp[ctx]
+            if _better(s, h, best_s, best_h):
+                best_s = s
+                best_h = h
+        if best_h is not None and _better(best_s, best_h,
+                                          new_score[graph.tail_entry],
+                                          new_hist[graph.tail_entry]):
+            new_score[graph.tail_entry] = best_s
+            new_hist[graph.tail_entry] = best_h
+
+
+def _terminate(graph, score, hist, lam, n_frames, config):
+    best_score = LOG_ZERO
+    best_hist = None
+    word_id = {w: i for i, w in enumerate(graph.vocab)}
+    for j in _exit_states(graph)[1]:
+        s = score[j] + graph.exit_logp[j]
+        if not np.isfinite(s):
+            continue
+        h = hist[j]
+        if not h[0]:
+            continue
+        if not graph.model.use_sil:
+            s = s + lam * graph.end_logp[word_id[h[0][-1]]]
+        if _better(s, h, best_score, best_hist):
+            best_score = s
+            best_hist = h
+    if best_hist is None:
+        raise EmptyBeamError(f"no complete hypothesis after {n_frames} frames")
+    words = list(best_hist[0])
+    starts = list(best_hist[1])
+    spans = []
+    for i, word in enumerate(words):
+        start = 0 if i == 0 else starts[i]
+        end = starts[i + 1] if i + 1 < len(words) else n_frames
+        spans.append((word, start, end))
+    return decoder.DecodeResult(words=words, score=float(best_score), word_spans=spans)
+
+
+def _reference_decode(graph, frames, config, emissions=None):
+    if emissions is None:
+        emissions = hmm.state_log_likelihoods(graph.model, frames)
+    emis = emissions[:, graph.ucols]
+    n_frames = emis.shape[0]
+    lam = config.lm_scale
+    wip = config.word_insertion_penalty
+    score = np.full(graph.n_states, LOG_ZERO)
+    hist = np.empty(graph.n_states, dtype=object)
+    if graph.model.use_sil:
+        score[graph.lead_entry] = emis[0, graph.lead_entry]
+        hist[graph.lead_entry] = _EMPTY
+    else:
+        for k, entry in enumerate(graph.word_entries):
+            w = graph.variant_words[k]
+            s = lam * graph.lm_matrix[graph.start_context, w] + wip + emis[0, entry]
+            cand = ((graph.vocab[w],), (0,))
+            if _better(s, cand, score[entry], hist[entry]):
+                score[entry] = s
+                hist[entry] = cand
+    for t in range(1, n_frames):
+        exits = _collect_exits(graph, score, hist)
+        c0 = score + graph.a0
+        c1 = _shift_down(score + graph.a1, 1)
+        c2 = _shift_down(score + graph.a2, 2)
+        new_score = np.maximum(np.maximum(c0, c1), c2)
+        choice = np.where(new_score == c0, 0, np.where(new_score == c1, 1, 2))
+        src = np.arange(graph.n_states) - choice
+        new_hist = hist[np.clip(src, 0, None)]
+        tie_mask = ((c0 == new_score).astype(int) + (c1 == new_score).astype(int)
+                    + (c2 == new_score).astype(int)) > 1
+        for j in np.where(tie_mask & np.isfinite(new_score))[0]:
+            best_h = None
+            for cand, off in ((c0[j], 0), (c1[j], 1), (c2[j], 2)):
+                if cand == new_score[j]:
+                    h = hist[j - off]
+                    if best_h is None or (h is not None and h[0] < best_h[0]):
+                        best_h = h
+            new_hist[j] = best_h
+        _apply_entries(graph, exits, t, lam, wip, new_score, new_hist)
+        finite = np.isfinite(new_score)
+        if not finite.any():
+            raise EmptyBeamError(f"no active hypothesis at frame {t}")
+        new_score[finite] += emis[t, finite]
+        new_hist[~finite] = None
+        if config.beam is not None:
+            dead = new_score < new_score.max() - config.beam
+            new_score[dead] = LOG_ZERO
+            new_hist[dead] = None
+        score = new_score
+        hist = new_hist
+    return _terminate(graph, score, hist, lam, n_frames, config)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +358,21 @@ class TestConfig:
         assert DecodeConfig().beam == 200.0
         assert DecodeConfig().lm_scale == 10.0
         assert DecodeConfig().word_insertion_penalty == 0.0
+
+    def test_non_finite_values_rejected(self):
+        for kwargs in [{"lm_scale": math.nan}, {"lm_scale": math.inf},
+                       {"beam": math.nan}, {"word_insertion_penalty": math.inf},
+                       {"word_insertion_penalty": -math.inf},
+                       {"word_insertion_penalty": math.nan}]:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                DecodeConfig(**kwargs)
+
+    def test_infinite_beam_is_exact(self):
+        rng = np.random.default_rng(78)
+        model, lm, lex, frames, _ = _random_instance(rng, use_sil=True)
+        a = decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=None))
+        b = decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=math.inf))
+        assert (a.words, a.score, a.word_spans) == (b.words, b.score, b.word_spans)
 
     def test_oov_word_rejected(self):
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0})
@@ -245,6 +443,33 @@ class TestTieBreak:
         result = decode(model, lm, lex, frames,
                         DecodeConfig(lm_scale=1.0, beam=None))
         assert result.words == ["dos"]
+
+
+    def test_tied_exits_prefer_the_smaller_history(self):
+        # all scores tie (see _tied_instance). At frame 8 the long variant
+        # of "xx" can only hold (bb, xx) and the short one holds (aa, xx);
+        # the exit of context xx must take the short variant's token, the
+        # last one that can still enter "yy" and end at frame 11
+        model = _model({"p": 0.0, "t": 0.0, "k": 0.0}, kind="classic3")
+        for phone_states in model.states:
+            for st in phone_states:
+                st.means[:] = 0.0
+        lex = Lexicon()
+        for word, pron in [("aa", ["p", "p"]), ("bb", ["p"]), ("xx", ["t", "t"]),
+                           ("xx", ["t"]), ("yy", ["k"])]:
+            lex.add(word, pron)
+        allowed = {("<s>", "aa"), ("<s>", "bb"), ("aa", "xx"), ("bb", "xx"),
+                   ("xx", "yy"), ("yy", "</s>")}
+        forbidden = {(c, w) for c in ["<s>"] + lex.words
+                     for w in lex.words + ["</s>"]} - allowed
+        graph = DecodeGraph(model, _FlatLm(lex.words, forbidden), lex)
+        cfg = DecodeConfig(lm_scale=1.0, beam=None)
+        frames = np.zeros((12, 1))
+        want = _reference_decode(graph, frames, cfg)
+        got = decode_frames(graph, frames, cfg)
+        assert (got.words, got.score, got.word_spans) \
+            == (want.words, want.score, want.word_spans)
+        assert got.words == ["aa", "xx", "yy"]
 
 
 class TestBeam:
@@ -341,3 +566,160 @@ class TestResult:
         assert a.words == b.words == c.words
         assert a.score == b.score == c.score
         assert a.word_spans == b.word_spans == c.word_spans
+
+
+def _variant_instance(rng, use_sil):
+    """Random graph with two-variant words, homophones under a symmetric
+    bigram, and a batch of utterances of mixed length. Half the batches use
+    frames from a few fixed values, so that distinct paths often reach
+    exactly equal scores."""
+    means = {"p": 0.0, "t": 2.0, "k": -2.0}
+    if use_sil:
+        means["sil"] = 5.0
+    kind = str(rng.choice(["skip2", "classic3"]))
+    model = _model(means, kind=kind, use_sil=use_sil, n_mix=int(rng.integers(1, 3)))
+    lex = Lexicon()
+    lex.add("ba", ["p"])
+    lex.add("ba", ["p", "t"])
+    lex.add("da", ["t"])
+    lex.add("ta", ["t"])
+    lex.add("ka", ["k", "p"])
+    lex.add("ka", ["k"])
+    sentences = [["da"], ["ta"], ["ba", "da"], ["ba", "ta"], ["da", "ka"],
+                 ["ta", "ka"], ["ka"], ["ka", "ba"]]
+    lm = fit_bigram(sentences[:int(rng.integers(2, len(sentences) + 1))]
+                    + [["da"], ["ta"]], vocabulary=lex.words)
+    lo = (3 if kind == "classic3" else 1) * (3 if use_sil else 1)
+    lengths = rng.integers(lo, lo + 12, size=int(rng.integers(1, 6)))
+    if rng.random() < 0.5:
+        values = rng.choice([0.0, 2.0, -2.0, 5.0], size=4)
+        frames = [rng.choice(values, size=(n, 1)) for n in lengths]
+    else:
+        frames = [rng.normal(0.0, 2.5, size=(n, 1)) for n in lengths]
+    cfg = DecodeConfig(lm_scale=float(rng.choice([1.0, 2.0, 5.0])),
+                       word_insertion_penalty=float(rng.choice([0.0, -0.7, 1.3])),
+                       beam=rng.choice([None, 1e6, 2.0]))
+    return DecodeGraph(model, lm, lex), frames, cfg
+
+
+def _tied_instance(rng, use_sil):
+    """Every state has the same density, every arc of classic3 has
+    probability 1/2, and every frame is the same, so under a flat language
+    model every token of a frame has exactly the same score: the word
+    sequence and position rules alone pick every hypothesis. Words that sort
+    first are the longest, and random bigrams are forbidden, so the earliest
+    (positional) candidate is often not the one with the smallest word
+    sequence."""
+    means = {"p": 0.0, "t": 0.0, "k": 0.0}
+    if use_sil:
+        means["sil"] = 0.0
+    model = _model(means, kind="classic3", use_sil=use_sil)
+    for phone_states in model.states:
+        for st in phone_states:
+            st.means[:] = 0.0
+    lex = Lexicon()
+    for word, pron in [("ba", ["p", "t", "k"]), ("ba", ["p", "p"]),
+                       ("da", ["t", "k"]), ("ta", ["t", "k"]), ("ka", ["k"]),
+                       ("za", ["k"]), ("za", ["t"])]:
+        lex.add(word, pron)
+    lo = 9 if use_sil else 3
+    frames = [np.zeros((n, 1)) for n in rng.integers(lo, lo + 10,
+                                                       size=int(rng.integers(1, 6)))]
+    cfg = DecodeConfig(lm_scale=float(rng.choice([1.0, 3.0])),
+                       beam=rng.choice([None, 2.0]))
+    contexts = ["<s>"] + lex.words
+    forbidden = {(c, w) for c in contexts for w in lex.words + ["</s>"]
+                 if rng.random() < 0.3}
+    return DecodeGraph(model, _FlatLm(lex.words, forbidden), lex), frames, cfg
+
+
+class TestBatch:
+    @pytest.mark.parametrize("use_sil", [False, True])
+    @pytest.mark.parametrize("make", [_variant_instance, _tied_instance],
+                             ids=["variants", "all_tied"])
+    def test_equals_reference_alone_and_in_batches(self, make, use_sil, monkeypatch):
+        rng = np.random.default_rng(81 + use_sil)
+        tie_rebuilds = []
+        words = decoder._History.words
+        monkeypatch.setattr(decoder._History, "words",
+                            lambda self, link: tie_rebuilds.append(1) or words(self, link))
+        compared = failed = 0
+        for trial in range(80):
+            graph, frames, cfg = make(rng, use_sil)
+            expected = []
+            for x in frames:
+                try:
+                    expected.append(_reference_decode(graph, x, cfg))
+                except EmptyBeamError:
+                    expected.append(None)
+            bad = {i for i, r in enumerate(expected) if r is None}
+            if bad:
+                with pytest.raises(EmptyBeamError) as err:
+                    decode_batch(graph, frames, cfg)
+                assert err.value.utterance in bad
+                assert f"utterance {err.value.utterance}:" in str(err.value)
+                failed += 1
+            else:
+                got = decode_batch(graph, frames, cfg)
+                for want, a in zip(expected, got):
+                    assert (a.words, a.score, a.word_spans) \
+                        == (want.words, want.score, want.word_spans)
+                compared += len(frames)
+            for want, x in zip(expected, frames):
+                if want is None:
+                    with pytest.raises(EmptyBeamError):
+                        decode_frames(graph, x, cfg)
+                    continue
+                alone = decode_frames(graph, x, cfg)
+                assert (alone.words, alone.score, alone.word_spans) \
+                    == (want.words, want.score, want.word_spans)
+        # the suite reaches the exact-tie paths and the batches
+        assert tie_rebuilds and compared > 40
+
+    def test_emission_override_equals_reference(self):
+        rng = np.random.default_rng(83)
+        for trial in range(10):
+            graph, frames, cfg = _variant_instance(rng, use_sil=bool(trial % 2))
+            emis = np.round(hmm.state_log_likelihoods(graph.model, frames[0]))
+            try:
+                want = _reference_decode(graph, frames[0], cfg, emissions=emis)
+            except EmptyBeamError:
+                with pytest.raises(EmptyBeamError):
+                    decode_frames(graph, frames[0], cfg, emissions=emis)
+                continue
+            got = decode_frames(graph, frames[0], cfg, emissions=emis)
+            assert (got.words, got.score, got.word_spans) \
+                == (want.words, want.score, want.word_spans)
+
+    def test_empty_beam_names_the_utterance(self):
+        model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
+                       use_sil=True)
+        graph = DecodeGraph(model, _lm(), _lexicon())
+        good = np.concatenate([np.full((3, 1), 10.0), np.full((4, 1), 0.25),
+                               np.full((3, 1), 10.0)])
+        # two frames cannot cover lead silence, one word, tail silence
+        frames = [good, good, np.zeros((2, 1)), good]
+        with pytest.raises(EmptyBeamError, match="utterance 2:") as err:
+            decode_batch(graph, frames, DecodeConfig(beam=None))
+        assert err.value.utterance == 2
+
+    def test_decode_cell_adds_the_utterance_id(self):
+        from types import SimpleNamespace
+
+        from vsrlab import experiment
+        model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
+                       use_sil=True)
+        cfg = SimpleNamespace(decode_config=lambda: DecodeConfig(beam=None))
+        seqs = [SimpleNamespace(utterance_id=f"spk01_u{i}", frames=np.full((n, 1), 10.0))
+                for i, n in enumerate((9, 2, 9))]
+        with pytest.raises(EmptyBeamError, match=r"^spk01_u1: utterance 1:"):
+            experiment.decode_cell(cfg, model, _lm(), _lexicon(), seqs)
+
+    def test_zero_frames_is_an_empty_beam(self):
+        model = _model({"p": 0.0, "t": 4.0, "k": -4.0})
+        graph = DecodeGraph(model, _lm(), _lexicon())
+        with pytest.raises(EmptyBeamError, match="utterance 0: no frames"):
+            decode_frames(graph, np.zeros((0, 1)))
+        with pytest.raises(EmptyBeamError, match="utterance 1: no frames") as err:
+            decode_batch(graph, [np.zeros((4, 1)), np.zeros((0, 1))])
+        assert err.value.utterance == 1

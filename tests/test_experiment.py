@@ -93,6 +93,14 @@ class TestConfig:
             with pytest.raises(ValueError, match=pattern):
                 experiment.ExperimentConfig.from_mapping(overrides)
 
+    def test_non_finite_decode_values_rejected(self):
+        for key, value in [("lm_scale", "nan"), ("lm_scale", "inf"),
+                           ("beam", "nan"), ("word_insertion_penalty", "inf"),
+                           ("word_insertion_penalty", "-inf"),
+                           ("word_insertion_penalty", "nan")]:
+            with pytest.raises(ValueError, match=key):
+                experiment.ExperimentConfig.from_mapping({key: value})
+
     def test_beam_none_spellings(self):
         for spelling in ("none", "None", "inf", ""):
             cfg = experiment.ExperimentConfig.from_mapping({"beam": spelling})

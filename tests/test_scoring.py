@@ -73,6 +73,36 @@ def test_bootstrap_deterministic_and_prefix_stable():
     assert not np.array_equal(scoring.resample_wers(counts, 80, seed=8), short)
 
 
+def _resample_wers_per_draw(counts, n_resamples, seed):
+    """The bootstrap as one loop over resamples, a generator each."""
+    rows = np.array(list(counts.values()), dtype=float)
+    n = rows.shape[0]
+    errors = rows[:, :3].sum(axis=1)
+    refs = rows[:, 3]
+    wers = np.empty(n_resamples)
+    for k in range(n_resamples):
+        idx = np.random.default_rng(seed + k).integers(0, n, n)
+        wers[k] = 100.0 * errors[idx].sum() / refs[idx].sum()
+    return wers
+
+
+def test_resample_wers_match_per_draw_loop():
+    rng = np.random.default_rng(5)
+    for n, seed in [(1, 0), (2, 3), (7, 11), (40, 7), (240, 1)]:
+        counts = {f"u{i}": tuple(int(c) for c in rng.integers(0, 4, 3))
+                  + (int(rng.integers(1, 9)),) for i in range(n)}
+        for n_resamples in (100, 357):
+            got = scoring.resample_wers(counts, n_resamples, seed)
+            assert np.array_equal(got, _resample_wers_per_draw(counts, n_resamples, seed))
+        # prefix property across a cached and a fresh index matrix
+        assert np.array_equal(scoring.resample_wers(counts, 357, seed)[:100],
+                              scoring.resample_wers(counts, 100, seed))
+    # the cached indices cannot be changed through a caller's hands
+    idx = scoring._resample_indices(5, 100, 0)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+
+
 def test_bootstrap_single_utterance_collapses():
     counts = {"u1": (1, 0, 0, 4)}
     lo, hi = scoring.bootstrap_ci(counts, n_resamples=200, seed=0)
