@@ -266,7 +266,7 @@ def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t)
     a0, a1, a2 = band
     n_utts = score.shape[0]
 
-    # the best exit of each context, state order breaking exact word ties
+    # best exit per context; ties go to the smaller words, then the lower state
     rows = np.arange(n_utts)[:, None]
     exits = score[:, feed_cols] + graph.feed_exit_logp          # (B, V+1, K)
     exit_best = exits.max(axis=2)

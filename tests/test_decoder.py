@@ -1,12 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as sp_logsumexp
 from scipy.stats import norm
 
-from vsrlab import decoder, hmm
+from vsrlab import decoder, experiment, hmm
 from vsrlab.decoder import DecodeConfig, DecodeGraph, decode, decode_batch, \
     decode_frames
 from vsrlab.errors import EmptyBeamError, OovError
@@ -704,9 +705,6 @@ class TestBatch:
         assert err.value.utterance == 2
 
     def test_decode_cell_adds_the_utterance_id(self):
-        from types import SimpleNamespace
-
-        from vsrlab import experiment
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
                        use_sil=True)
         cfg = SimpleNamespace(decode_config=lambda: DecodeConfig(beam=None))
