@@ -19,10 +19,14 @@ def bytes_left(fh):
     return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
+# reads up to this size cannot over-allocate, so they skip the file-size check
+_UNCHECKED_READ = 1 << 16
+
+
 def read_exact(fh, n, path):
     # read no more than the file holds: a corrupt header can claim more bytes
     # than memory does, and fh.read(n) would allocate all of them up front
-    buf = fh.read(min(n, bytes_left(fh)))
+    buf = fh.read(n if n <= _UNCHECKED_READ else min(n, bytes_left(fh)))
     if len(buf) != n:
         raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {len(buf)})")
     return buf

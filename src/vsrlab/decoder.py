@@ -80,7 +80,7 @@ class DecodeGraph:
         self.start_context = v
         self.stacked = _stack_components(model)
 
-        a0, a1, a2, exit_logp, ucols, contexts = [], [], [], [], [], []
+        a0, a1, a2, exit_logp, unique_cols, contexts = [], [], [], [], [], []
         base = 0
 
         def add_chain(phones, context):
@@ -90,7 +90,7 @@ class DecodeGraph:
             a1.append(graph.a1)
             a2.append(graph.a2)
             exit_logp.append(graph.exit_logp)
-            ucols.append(graph.unique_cols)
+            unique_cols.append(graph.unique_cols)
             contexts.append(np.full(graph.n_states, context))
             base += graph.n_states
             return base - graph.n_states
@@ -118,7 +118,7 @@ class DecodeGraph:
         self.a1 = np.concatenate(a1)
         self.a2 = np.concatenate(a2)
         self.exit_logp = np.concatenate(exit_logp)
-        self.ucols = np.concatenate(ucols)
+        self.unique_cols = np.concatenate(unique_cols)
         self.n_states = base
         self.state_context = np.concatenate(contexts)
         all_exits = np.flatnonzero(np.isfinite(self.exit_logp))
@@ -200,12 +200,9 @@ def decode_batch(graph, frame_list, config=None):
     return results
 
 
-def decode_frames(graph, frames, config=None, emissions=None):
-    """Decode one utterance, as a batch of one; ``emissions`` may override
-    the per-state log densities (same layout as ``state_log_likelihoods``)."""
-    if emissions is None:
-        return decode_batch(graph, [frames], config)[0]
-    return _search(graph, [emissions], config or DecodeConfig(), [0])[0]
+def decode_frames(graph, frames, config=None):
+    """Decode one utterance, as a batch of one."""
+    return decode_batch(graph, [frames], config)[0]
 
 
 def _search(graph, emissions, config, ids):
@@ -214,7 +211,7 @@ def _search(graph, emissions, config, ids):
     for i, e in zip(ids, emissions):
         if e.shape[0] == 0:
             raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
-    batch = pad_batch([graph] * len(emissions), [e[:, graph.ucols] for e in emissions])
+    batch = pad_batch([graph] * len(emissions), emissions)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
     a0, a1, a2 = batch.band[0, :, 2:], batch.band[1, :, 1:-1], batch.band[2, :, :-2]
@@ -350,7 +347,6 @@ def _terminate(graph, history, score, link, lam_end, n_frames, config, i):
     return DecodeResult(words=words, score=float(best), word_spans=spans)
 
 
-def decode(model, lm, lexicon, frames, config=None, emissions=None):
+def decode(model, lm, lexicon, frames, config=None):
     """One-shot decode; build a ``DecodeGraph`` once when decoding many."""
-    graph = DecodeGraph(model, lm, lexicon)
-    return decode_frames(graph, frames, config, emissions)
+    return decode_frames(DecodeGraph(model, lm, lexicon), frames, config)

@@ -11,12 +11,16 @@ Utterance graphs are chains of phone models. Because every topology here
 enters at its first state and exits forward by at most two chain positions,
 the composed transition structure is banded: arrays A0/A1/A2 hold log
 probabilities of staying, advancing one, and advancing two chain states.
-The forward, backward, and Viterbi passes all run on this band, in the log
-domain, vectorized over states. Forward and backward also run batched over
-the utterances of an EM iteration, taken in order of length in batches of
-bounded size: each utterance is padded with log-zero to the longest chain
-and the longest utterance of its batch, which leaves its own values exactly
-as a pass over it alone would give them.
+One rule places every arc: the arc that advances k chain states from local
+state s of a phone with n states is column s + k of that state's transition
+row, and that column is the exit column n exactly when the arc leaves the
+phone, into the next phone's first state or, from the last phone, out of the
+utterance. The forward, backward, and Viterbi passes all run on this band,
+in the log domain, vectorized over states. Forward and backward also run
+batched over the utterances of an EM iteration, taken in order of length in
+batches of bounded size: each utterance is padded with log-zero to the
+longest chain and the longest utterance of its batch, which leaves its own
+values exactly as a pass over it alone would give them.
 """
 
 import logging
@@ -52,10 +56,17 @@ class HmmTopology:
     def __post_init__(self):
         self.trans = np.asarray(self.trans, dtype=float)
         self.initial = np.asarray(self.initial, dtype=float)
+        if self.n_states < 1:
+            raise ValueError("a topology needs at least one state")
         if self.trans.shape != (self.n_states, self.n_states + 1):
             raise ValueError("transition matrix shape mismatch")
-        if not np.allclose(self.trans.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("transition rows must sum to one")
+        if np.any(self.trans < 0.0) or not np.allclose(self.trans.sum(axis=1), 1.0,
+                                                       atol=1e-9):
+            raise ValueError("transition rows must be non-negative and sum to one")
+        # the arc from state s to column c advances c - s chain states
+        source, col = np.nonzero(self.trans > 0.0)
+        if np.any((col < source) | (col > source + 2)):
+            raise ValueError("only forward arcs within a band of 2 are supported")
         if self.initial[0] != 1.0 or np.any(self.initial[1:] != 0.0):
             raise ValueError("topologies must enter at their first state")
 
@@ -103,13 +114,9 @@ class OpticalModel:
 
     def __post_init__(self):
         self.phone_index = {p: i for i, p in enumerate(self.phones)}
-        offsets = []
-        total = 0
-        for topo in self.topologies:
-            offsets.append(total)
-            total += topo.n_states
-        self._state_offsets = offsets
-        self.n_unique_states = total
+        self.phone_n_states = np.array([topo.n_states for topo in self.topologies],
+                                       dtype=int)
+        self._state_offsets = np.cumsum(self.phone_n_states) - self.phone_n_states
 
     def state_offset(self, phone_idx):
         return self._state_offsets[phone_idx]
@@ -199,15 +206,6 @@ def component_log_likelihoods(stacked, frames):
     return (x ** 2) @ c1.T + x @ c2.T + c0 + logw
 
 
-def state_log_likelihoods(model, frames):
-    """GMM log densities for every unique state: (T, n_unique_states).
-
-    Column order is phone-major, state-minor: ``model.state_offset(p) + s``.
-    """
-    stacked = _stack_components(model)
-    return _state_logsumexp(component_log_likelihoods(stacked, frames), stacked[4])
-
-
 def _state_logsumexp(comp, sizes):
     """Log-sum-exp of each state's block of ``sizes`` component columns."""
     starts = np.cumsum(sizes) - sizes
@@ -227,15 +225,11 @@ class ChainGraph:
     phone_ids: np.ndarray   # (S,) model phone index per chain state
     chain_pos: np.ndarray   # (S,) position in the chain per chain state
     local_state: np.ndarray  # (S,) state index within the phone
-    unique_cols: np.ndarray  # (S,) column into state_log_likelihoods output
+    unique_cols: np.ndarray  # (S,) column into the unique-state densities
     a0: np.ndarray          # (S,) log prob of staying
     a1: np.ndarray          # (S,) log prob of advancing one
     a2: np.ndarray          # (S,) log prob of advancing two
-    col0: np.ndarray        # (S,) local transition column fed by each arc
-    col1: np.ndarray
-    col2: np.ndarray
     exit_logp: np.ndarray   # (S,) log prob of ending the utterance here
-    exit_col: np.ndarray
 
     @property
     def n_states(self):
@@ -243,62 +237,31 @@ class ChainGraph:
 
 
 def compose_chain(model, chain):
-    """Banded utterance graph for a phone-name chain."""
+    """Banded utterance graph for a phone-name chain, gathered from each
+    chain state's transition row by the arc-column rule."""
     for name in chain:
         if name not in model.phone_index:
             raise OovError(f"phone {name!r} is not in the model")
-    pids = [model.phone_index[name] for name in chain]
-    bases = []
-    total = 0
-    for pid in pids:
-        bases.append(total)
-        total += model.topologies[pid].n_states
-    s_count = total
-    a = [np.full(s_count, LOG_ZERO) for _ in range(3)]
-    cols = [np.full(s_count, -1, dtype=int) for _ in range(3)]
-    exit_logp = np.full(s_count, LOG_ZERO)
-    exit_col = np.full(s_count, -1, dtype=int)
-    phone_ids = np.empty(s_count, dtype=int)
-    chain_pos = np.empty(s_count, dtype=int)
-    local_state = np.empty(s_count, dtype=int)
-    unique_cols = np.empty(s_count, dtype=int)
-
+    pids = np.array([model.phone_index[name] for name in chain], dtype=int)
+    sizes = model.phone_n_states[pids]
+    phone_ids = np.repeat(pids, sizes)
+    chain_pos = np.repeat(np.arange(len(pids)), sizes)
+    local_state = np.arange(phone_ids.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    n = sizes[chain_pos]
+    # every phone's (n, n + 1) transition rows, flat, one phone after another
+    width = model.phone_n_states * (model.phone_n_states + 1)
+    row = (np.cumsum(width) - width)[phone_ids] + local_state * (n + 1)
     with np.errstate(divide="ignore"):
-        for pos, pid in enumerate(pids):
-            topo = model.topologies[pid]
-            base = bases[pos]
-            n = topo.n_states
-            for s in range(n):
-                j = base + s
-                phone_ids[j] = pid
-                chain_pos[j] = pos
-                local_state[j] = s
-                unique_cols[j] = model.state_offset(pid) + s
-                for c in range(n):
-                    p = topo.trans[s, c]
-                    if p <= 0.0:
-                        continue
-                    off = c - s
-                    if off < 0 or off > 2:
-                        raise ValueError("only forward arcs within a band of 2 are supported")
-                    a[off][j] = np.log(p)
-                    cols[off][j] = c
-                p_final = topo.trans[s, n]
-                if p_final > 0.0:
-                    if pos + 1 < len(pids):
-                        off = bases[pos + 1] - j
-                        if off < 1 or off > 2:
-                            raise ValueError("exit arc jumps outside the supported band")
-                        a[off][j] = np.log(p_final)
-                        cols[off][j] = n  # the exit column of this phone
-                    else:
-                        exit_logp[j] = np.log(p_final)
-                        exit_col[j] = n
+        logt = np.log(np.concatenate([topo.trans.ravel() for topo in model.topologies]))
+    col = local_state + np.arange(3)[:, None]      # fed by staying, advancing one, two
+    last = chain_pos == len(pids) - 1
+    # an exit feeds the next phone's entry, or from the last phone ends the utterance
+    a = np.where((col < n) | ((col == n) & ~last), logt[row + np.minimum(col, n)], LOG_ZERO)
     return ChainGraph(phones=list(chain), phone_ids=phone_ids, chain_pos=chain_pos,
                       local_state=local_state,
-                      unique_cols=unique_cols, a0=a[0], a1=a[1], a2=a[2],
-                      col0=cols[0], col1=cols[1], col2=cols[2],
-                      exit_logp=exit_logp, exit_col=exit_col)
+                      unique_cols=model.state_offset(phone_ids) + local_state,
+                      a0=a[0], a1=a[1], a2=a[2],
+                      exit_logp=np.where(last, logt[row + n], LOG_ZERO))
 
 
 @dataclass
@@ -310,21 +273,21 @@ class BandBatch:
     n_states: np.ndarray  # (B,) chain states of each utterance
 
 
-def pad_batch(graphs, emis):
-    """Lay out utterances, each given by its chain graph and its (T_b, S_b)
-    chain-state emissions, padded with log-zero to the longest chain S and
-    the longest utterance T."""
-    n_frames = np.array([e.shape[0] for e in emis])
+def pad_batch(graphs, uniques):
+    """Lay out utterances, each given by its chain graph and its (T_b, unique
+    states) log densities, as chain-state emissions padded with log-zero to
+    the longest chain S and the longest utterance T."""
+    n_frames = np.array([u.shape[0] for u in uniques])
     n_states = np.array([graph.n_states for graph in graphs])
     band = np.full((4, len(graphs), n_states.max() + 2), LOG_ZERO)
     padded = np.full((n_frames.max(), len(graphs), n_states.max()), LOG_ZERO)
-    for b, (graph, e) in enumerate(zip(graphs, emis)):
+    for b, (graph, u) in enumerate(zip(graphs, uniques)):
         states = slice(2, 2 + graph.n_states)
         band[0, b, states] = graph.a0
         band[1, b, states] = graph.a1
         band[2, b, states] = graph.a2
         band[3, b, states] = graph.exit_logp
-        padded[:e.shape[0], b, :graph.n_states] = e
+        padded[:u.shape[0], b, :graph.n_states] = u[:, graph.unique_cols]
     return BandBatch(band=band, emis=padded, n_frames=n_frames, n_states=n_states)
 
 
@@ -387,7 +350,8 @@ def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
     """One utterance's E-step posteriors from its own (unpadded) alpha and
     beta: the responsibility of every mixture component per frame (T, total
     components), tied over repeated phones, and the expected count of each
-    arc of the chain as (phone, state, transition column, count) arrays."""
+    arc of the chain as (4, S) counts per source state: staying, advancing
+    one and advancing two chain states, then exits."""
     with np.errstate(over="ignore"):
         gamma = np.exp(alpha + beta - loglik)  # (T, S) chain-state posteriors
     tied = np.zeros(unique.shape)
@@ -396,7 +360,6 @@ def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
         resp = tied[:, seg] * np.exp(comp - unique[:, seg])
     resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
 
-    # arcs staying, advancing one and advancing two chain states, then exits
     s_count = graph.n_states
     counts = np.zeros((4, s_count))
     nxt = beta[1:] + emis[1:]
@@ -406,11 +369,7 @@ def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
                         + nxt[:, off:] - loglik)
             counts[off, :s_count - off] = xi.sum(axis=0)
         counts[3] = np.exp(alpha[-1] + graph.exit_logp - loglik)
-    cols = np.stack([graph.col0, graph.col1, graph.col2, graph.exit_col])
-    live = cols >= 0
-    source = np.nonzero(live)[1]
-    return resp, (graph.phone_ids[source], graph.local_state[source], cols[live],
-                  counts[live])
+    return resp, counts
 
 
 def _batches(frames, graphs, n_components):
@@ -447,6 +406,10 @@ def em_iteration(model, data):
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
 
+    n_max = model.phone_n_states.max()
+    # by the arc-column rule, the arcs of local state s feed columns s + k,
+    # capped at the exit column n (exits leave at any step past it)
+    steps = np.array([[0], [1], [2], [n_max]])
     occ = np.zeros(seg.shape[0])
     mean = np.zeros((seg.shape[0], model.dim))
     sqr = np.zeros_like(mean)
@@ -455,20 +418,21 @@ def em_iteration(model, data):
     for batch in _batches(frames, graphs, seg.shape[0]):
         comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
         uniques = [_state_logsumexp(comp, sizes) for comp in comps]
-        emis = [unique[:, graphs[b].unique_cols] for unique, b in zip(uniques, batch)]
-        padded = pad_batch([graphs[b] for b in batch], emis)
+        padded = pad_batch([graphs[b] for b in batch], uniques)
         alpha, loglik = forward_log(padded)
         beta = backward_log(padded)
         for i in np.flatnonzero(np.isfinite(loglik)):
             graph, x = graphs[batch[i]], frames[batch[i]]
             own = (slice(0, x.shape[0]), i, slice(0, graph.n_states))
-            resp, utterance_arcs = _utterance_statistics(
-                graph, comps[i], uniques[i], emis[i], alpha[own], beta[own],
+            resp, counts = _utterance_statistics(
+                graph, comps[i], uniques[i], padded.emis[own], alpha[own], beta[own],
                 loglik[i], seg)
             occ += resp.sum(axis=0)
             mean += resp.T @ x
             sqr += resp.T @ x ** 2
-            arcs.append(utterance_arcs)
+            cols = np.minimum(graph.local_state + steps, model.phone_n_states[graph.phone_ids])
+            arcs.append((np.tile(graph.phone_ids, 4), np.tile(graph.local_state, 4),
+                         cols.ravel(), counts.ravel()))
             total += float(loglik[i])
 
     skipped = len(data) - len(arcs)
@@ -478,7 +442,6 @@ def em_iteration(model, data):
     if not arcs:
         raise InsufficientDataError("every utterance is too short for the topology")
     phone, state, col, count = (np.concatenate(a) for a in zip(*arcs))
-    n_max = max(topo.n_states for topo in model.topologies)
     trans = np.zeros((len(model.topologies), n_max, n_max + 1))
     np.add.at(trans, (phone, state, col), count)
     _apply_mstep(model, sizes, occ, mean, sqr, trans)
@@ -579,10 +542,14 @@ def forced_align(model, frames, chain):
     """
     graph = compose_chain(model, chain)
     frames = np.asarray(frames, dtype=float)
-    unique = state_log_likelihoods(model, frames)
-    batch = pad_batch([graph], [unique[:, graph.unique_cols]])
+    n_frames, s_count = frames.shape[0], graph.n_states
+    infeasible = f"no legal path: {n_frames} frames cannot cover a {s_count}-state chain"
+    if n_frames == 0:
+        raise AlignmentInfeasibleError(infeasible)
+    stacked = _stack_components(model)
+    unique = _state_logsumexp(component_log_likelihoods(stacked, frames), stacked[4])
+    batch = pad_batch([graph], [unique])
     band, emis = batch.band[:, 0], batch.emis[:, 0]
-    n_frames, s_count = emis.shape
 
     # delta rows sit behind two log-zero columns, so the predecessors j-2,
     # j-1 and j of every state are the three windows of the previous row;
@@ -600,9 +567,7 @@ def forced_align(model, frames, chain):
     best_end = int(np.argmax(final))
     score = float(final[best_end])
     if not np.isfinite(score):
-        raise AlignmentInfeasibleError(
-            f"no legal path: {n_frames} frames cannot cover a "
-            f"{s_count}-state chain")
+        raise AlignmentInfeasibleError(infeasible)
     states = np.empty(n_frames, dtype=int)
     states[-1] = best_end
     for t in range(n_frames - 1, 0, -1):
@@ -671,7 +636,10 @@ def load_model(path):
             n_states = binio.read_u32(fh, path)
             trans = binio.read_array(fh, "<f8", (n_states, n_states + 1), path)
             initial = binio.read_array(fh, "<f8", (n_states,), path)
-            topologies.append(HmmTopology(_KIND_NAMES[code], n_states, trans, initial))
+            try:
+                topologies.append(HmmTopology(_KIND_NAMES[code], n_states, trans, initial))
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from exc
             phone_states = []
             for _ in range(n_states):
                 m = binio.read_u32(fh, path)

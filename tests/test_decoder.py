@@ -293,10 +293,21 @@ def _terminate(graph, score, hist, lam, n_frames, config):
     return decoder.DecodeResult(words=words, score=float(best_score), word_spans=spans)
 
 
+def _state_log_likelihoods(model, frames):
+    """GMM log densities of every unique state (T, unique states)."""
+    stacked = hmm._stack_components(model)
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), stacked[4])
+
+
+def _decode_emissions(graph, emissions, config):
+    """Decode one utterance given by its (T, unique states) log densities."""
+    return decoder._search(graph, [emissions], config, [0])[0]
+
+
 def _reference_decode(graph, frames, config, emissions=None):
     if emissions is None:
-        emissions = hmm.state_log_likelihoods(graph.model, frames)
-    emis = emissions[:, graph.ucols]
+        emissions = _state_log_likelihoods(graph.model, frames)
+    emis = emissions[:, graph.unique_cols]
     n_frames = emis.shape[0]
     lam = config.lm_scale
     wip = config.word_insertion_penalty
@@ -424,7 +435,7 @@ class TestExactness:
         candidates = {}
         for word in lex.words:
             pid = model.phone_index[lex.canonical(word)[0]]
-            emis = hmm.state_log_likelihoods(model, frames)[0, model.state_offset(pid)]
+            emis = _state_log_likelihoods(model, frames)[0, model.state_offset(pid)]
             # single frame: enter state 0, exit directly (skip arc, p=1/3)
             candidates[word] = emis + math.log(1.0 / 3.0) \
                 + 3.0 * (lm.logp(word, "<s>") + lm.logp("</s>", word)) - 0.2
@@ -549,11 +560,11 @@ class TestResult:
     def test_emission_shift_keeps_argmax(self):
         rng = np.random.default_rng(75)
         model, lm, lex, frames, cfg = _random_instance(rng, use_sil=False)
-        emis = hmm.state_log_likelihoods(model, frames)
+        emis = _state_log_likelihoods(model, frames)
         shift = rng.normal(size=(emis.shape[0], 1))
         graph = DecodeGraph(model, lm, lex)
-        a = decode_frames(graph, frames, cfg, emissions=emis)
-        b = decode_frames(graph, frames, cfg, emissions=emis + shift)
+        a = _decode_emissions(graph, emis, cfg)
+        b = _decode_emissions(graph, emis + shift, cfg)
         assert a.words == b.words
         assert b.score == pytest.approx(a.score + shift.sum(), abs=1e-9)
 
@@ -681,14 +692,14 @@ class TestBatch:
         rng = np.random.default_rng(83)
         for trial in range(10):
             graph, frames, cfg = _variant_instance(rng, use_sil=bool(trial % 2))
-            emis = np.round(hmm.state_log_likelihoods(graph.model, frames[0]))
+            emis = np.round(_state_log_likelihoods(graph.model, frames[0]))
             try:
                 want = _reference_decode(graph, frames[0], cfg, emissions=emis)
             except EmptyBeamError:
                 with pytest.raises(EmptyBeamError):
-                    decode_frames(graph, frames[0], cfg, emissions=emis)
+                    _decode_emissions(graph, emis, cfg)
                 continue
-            got = decode_frames(graph, frames[0], cfg, emissions=emis)
+            got = _decode_emissions(graph, emis, cfg)
             assert (got.words, got.score, got.word_spans) \
                 == (want.words, want.score, want.word_spans)
 

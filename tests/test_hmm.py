@@ -12,11 +12,18 @@ from vsrlab import hmm
 from vsrlab.lingware import Lexicon
 
 
+def _state_log_likelihoods(model, frames):
+    """GMM log densities of every unique state (T, unique states), from the
+    routines that EM, the decoder and forced alignment share."""
+    stacked = hmm._stack_components(model)
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), stacked[4])
+
+
 def _chain_log_likelihood(model, frames, chain):
     """Forward-pass log likelihood of frames under a phone chain."""
     graph = hmm.compose_chain(model, chain)
-    emis = hmm.state_log_likelihoods(model, frames)[:, graph.unique_cols]
-    return hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
+    unique = _state_log_likelihoods(model, frames)
+    return hmm.forward_log(hmm.pad_batch([graph], [unique]))[1][0]
 
 
 def _make_model(kind, phone_params, dim, use_sil=False):
@@ -198,6 +205,19 @@ class TestTopology:
         with pytest.raises(ValueError):
             hmm.build_topology("ergodic")
 
+    @pytest.mark.parametrize("trans", [
+        [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],             # backward arc 1 -> 0
+        [[0.5, 0.0, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0],
+         [0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5]],  # arc 0 -> 3
+        [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
+         [0.0, 0.0, 0.5, 0.5]],                           # exit three states ahead
+    ])
+    def test_arcs_outside_the_band_rejected(self, trans):
+        n = len(trans)
+        initial = np.eye(n)[0]
+        with pytest.raises(ValueError, match="band of 2"):
+            hmm.HmmTopology("custom", n, np.array(trans), initial)
+
 
 class TestCompose:
     def test_skip2_chain_band(self):
@@ -213,9 +233,35 @@ class TestCompose:
         # state 0 skips straight into phone b's entry two positions ahead
         np.testing.assert_allclose(graph.a2, [l3, -np.inf, -np.inf, -np.inf])
         np.testing.assert_allclose(graph.exit_logp, [-np.inf, -np.inf, l3, l2])
-        assert list(graph.col1) == [1, 2, 1, -1]
-        assert list(graph.col2) == [2, -1, -1, -1]
         assert list(graph.chain_pos) == [0, 0, 1, 1]
+
+    def test_band_matches_dense_composition(self):
+        # phones of both topologies in one model and one chain, with repeats
+        rng = np.random.default_rng(16)
+        topologies = [hmm.build_topology("skip2"), hmm.build_topology("classic3")]
+        states = [[hmm.GmmState(*_dummy_params(1, 1)[0]) for _ in range(topo.n_states)]
+                  for topo in topologies]
+        model = hmm.OpticalModel(phones=["a", "c"], dim=1, topologies=topologies,
+                                 states=states, var_floor=np.full(1, 1e-10), use_sil=False)
+        for topo in model.topologies:
+            p = rng.uniform(0.1, 1.0, size=topo.trans.shape) * (topo.trans > 0.0)
+            topo.trans = p / p.sum(axis=1, keepdims=True)
+        for chain in (["a"], ["c"], ["a", "c"], ["c", "a", "a", "c"], ["c", "c", "a"]):
+            graph = hmm.compose_chain(model, chain)
+            trans, exit_p = _dense_compose(model, chain)
+            s_count = trans.shape[0]
+            with np.errstate(divide="ignore"):
+                for k, a in enumerate((graph.a0, graph.a1, graph.a2)):
+                    want = np.full(s_count, -np.inf)
+                    want[:s_count - k] = np.log(np.diagonal(trans, k))
+                    np.testing.assert_allclose(a, want, rtol=1e-15)
+                np.testing.assert_allclose(graph.exit_logp, np.log(exit_p), rtol=1e-15)
+            # arcs beyond the band are absent
+            assert np.all(np.triu(trans, 3) == 0.0) and np.all(np.tril(trans, -1) == 0.0)
+            offsets = [0, 2]
+            want_cols = [offsets[model.phone_index[name]] + s for name in chain
+                         for s in range(model.topologies[model.phone_index[name]].n_states)]
+            assert list(graph.unique_cols) == want_cols
 
     def test_unknown_phone(self):
         model = _make_model("skip2", {"a": _dummy_params(2, 1)}, dim=1)
@@ -238,7 +284,7 @@ class TestEmissions:
             params[name] = specs
         model = _make_model("skip2", params, dim=dim)
         frames = rng.normal(size=(6, dim))
-        got = hmm.state_log_likelihoods(model, frames)
+        got = _state_log_likelihoods(model, frames)
         assert got.shape == (6, 4)
         for pid, name in enumerate(model.phones):
             for s, (w, mu, var) in enumerate(params[name]):
@@ -254,7 +300,7 @@ class TestEmissions:
             (np.ones(1), [[1.0]], [[4.0]]),
             (np.ones(1), [[0.0]], [[1.0]]),
         ]}, dim=1)
-        got = hmm.state_log_likelihoods(model, np.array([[3.0]]))
+        got = _state_log_likelihoods(model, np.array([[3.0]]))
         want0 = -0.5 * (math.log(2 * math.pi * 4.0) + (3.0 - 1.0) ** 2 / 4.0)
         want1 = -0.5 * (math.log(2 * math.pi) + 9.0)
         assert got[0, 0] == pytest.approx(want0, abs=1e-12)
@@ -320,7 +366,7 @@ class TestForward:
         assert _chain_log_likelihood(model, np.zeros((2, 1)), ["a"]) == -np.inf
         skip = _make_model("skip2", {"a": _dummy_params(2, 1)}, dim=1)
         # one frame suffices: enter state 0, take the direct exit arc
-        emis0 = hmm.state_log_likelihoods(skip, np.zeros((1, 1)))[0, 0]
+        emis0 = _state_log_likelihoods(skip, np.zeros((1, 1)))[0, 0]
         got = _chain_log_likelihood(skip, np.zeros((1, 1)), ["a"])
         assert got == pytest.approx(emis0 + math.log(1.0 / 3.0), abs=1e-12)
 
@@ -336,16 +382,16 @@ class TestBatch:
         utterances = [(["a", "b", "c"], 11), (["b"], 4), (["c", "a"], 8),
                       (["a", "b", "c"], 2)]
         graphs = [hmm.compose_chain(model, chain) for chain, _ in utterances]
-        emis = [rng.uniform(-3.0, 0.0, size=(t, g.n_states))
-                for g, (_, t) in zip(graphs, utterances)]
-        batch = hmm.pad_batch(graphs, emis)
+        uniques = [rng.uniform(-3.0, 0.0, size=(t, 3 * n)) for _, t in utterances]
+        batch = hmm.pad_batch(graphs, uniques)
         alpha, loglik = hmm.forward_log(batch)
         beta = hmm.backward_log(batch)
         assert loglik[-1] == -np.inf
         assert np.isfinite(loglik[:-1]).all()
-        for b, (graph, e) in enumerate(zip(graphs, emis)):
-            t_count, s_count = e.shape
-            one = hmm.pad_batch([graph], [e])
+        for b, (graph, u) in enumerate(zip(graphs, uniques)):
+            t_count, s_count = u.shape[0], graph.n_states
+            assert np.array_equal(batch.emis[:t_count, b, :s_count], u[:, graph.unique_cols])
+            one = hmm.pad_batch([graph], [u])
             one_alpha, one_loglik = hmm.forward_log(one)
             one_beta = hmm.backward_log(one)
             assert one_alpha.shape == one_beta.shape == (t_count, 1, s_count)
@@ -367,7 +413,7 @@ class TestAlignment:
         trans, exit_p = _dense_compose(model, ["a", "b"])
         for trial in range(5):
             frames = rng.normal(size=(5, 1))
-            emis = hmm.state_log_likelihoods(model, frames)
+            emis = _state_log_likelihoods(model, frames)
             graph = hmm.compose_chain(model, ["a", "b"])
             chain_emis = emis[:, graph.unique_cols]
             align = hmm.forced_align(model, frames, ["a", "b"])
@@ -402,8 +448,9 @@ class TestAlignment:
 
     def test_infeasible_raises(self):
         model = _make_model("classic3", {"a": _dummy_params(3, 1)}, dim=1)
-        with pytest.raises(AlignmentInfeasibleError):
-            hmm.forced_align(model, np.zeros((2, 1)), ["a"])
+        for n_frames in (2, 0):
+            with pytest.raises(AlignmentInfeasibleError):
+                hmm.forced_align(model, np.zeros((n_frames, 1)), ["a"])
 
 
 class TestEm:
@@ -427,29 +474,32 @@ class TestEm:
                                    atol=1e-12)
 
     def test_tied_states_match_enumeration(self):
-        # phone a occurs twice in the chain, so its two chain copies share
-        # one set of two-component statistics
-        rng = np.random.default_rng(39)
-        dim = 2
-        params = {name: [(rng.dirichlet(np.ones(2) * 4.0), rng.normal(size=(2, dim)),
-                          rng.uniform(0.5, 1.5, size=(2, dim))) for _ in range(2)]
-                  for name in ("a", "b")}
-        chain = ["a", "b", "a"]
-        frames_list = [rng.normal(size=(n, dim)) for n in (6, 4, 3)]
-        want_ll, want_states, want_trans = _enum_em_update(
-            _make_model("skip2", params, dim), params, chain, frames_list)
+        # with skip2, phone a occurs twice in the chain, so its two chain
+        # copies share one set of two-component statistics; classic3 puts
+        # counts on every transition column of the arc-column rule
+        for kind, chain, lengths in [("skip2", ["a", "b", "a"], (6, 4, 3)),
+                                     ("classic3", ["a", "b"], (7, 6, 8))]:
+            rng = np.random.default_rng(39)
+            dim = 2
+            n = hmm.build_topology(kind).n_states
+            params = {name: [(rng.dirichlet(np.ones(2) * 4.0), rng.normal(size=(2, dim)),
+                              rng.uniform(0.5, 1.5, size=(2, dim))) for _ in range(n)]
+                      for name in ("a", "b")}
+            frames_list = [rng.normal(size=(t, dim)) for t in lengths]
+            want_ll, want_states, want_trans = _enum_em_update(
+                _make_model(kind, params, dim), params, chain, frames_list)
 
-        model = _make_model("skip2", params, dim)
-        got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
-        assert got_ll == pytest.approx(want_ll, abs=1e-10)
-        for (name, s), (w, mu, var) in want_states.items():
-            st = model.states[model.phone_index[name]][s]
-            np.testing.assert_allclose(st.weights, w, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(st.means, mu, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(st.variances, var, rtol=0, atol=1e-10)
-        for name, trans in want_trans.items():
-            np.testing.assert_allclose(model.topologies[model.phone_index[name]].trans,
-                                       trans, rtol=0, atol=1e-10)
+            model = _make_model(kind, params, dim)
+            got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
+            assert got_ll == pytest.approx(want_ll, abs=1e-10)
+            for (name, s), (w, mu, var) in want_states.items():
+                st = model.states[model.phone_index[name]][s]
+                np.testing.assert_allclose(st.weights, w, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(st.means, mu, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(st.variances, var, rtol=0, atol=1e-10)
+            for name, trans in want_trans.items():
+                np.testing.assert_allclose(model.topologies[model.phone_index[name]].trans,
+                                           trans, rtol=0, atol=1e-10)
 
     def test_em_monotonic(self):
         rng = np.random.default_rng(32)
@@ -683,6 +733,24 @@ class TestContainer:
         path = tmp_path / "bad.opt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            hmm.load_model(path)
+
+    @pytest.mark.parametrize("case", ["no_states", "rows_off_one", "backward_arc"])
+    def test_bad_topology_is_a_format_error(self, tmp_path, case):
+        model = _make_model("classic3", {"a": _dummy_params(3, 1)}, dim=1)
+        topo = model.topologies[0]
+        if case == "no_states":
+            topo.n_states, topo.trans, topo.initial = 0, np.zeros((0, 1)), np.zeros(0)
+            model.states[0] = []
+        elif case == "rows_off_one":
+            topo.trans = topo.trans * 0.9
+        else:
+            topo.trans = np.array([[0.5, 0.5, 0.0, 0.0],
+                                   [0.25, 0.25, 0.5, 0.0],
+                                   [0.0, 0.0, 0.5, 0.5]])
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        with pytest.raises(FormatError, match=str(path)):
             hmm.load_model(path)
 
     def test_truncated(self, tmp_path):
