@@ -71,8 +71,11 @@ def write_str8(fh, text):
 
 
 def read_str8(fh, path):
-    n = read_u8(fh, path)
-    return read_exact(fh, n, path).decode("utf-8")
+    data = read_exact(fh, read_u8(fh, path), path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: string {data!r} is not UTF-8") from exc
 
 
 def write_array(fh, arr, dtype):

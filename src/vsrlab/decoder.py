@@ -79,17 +79,15 @@ class DecodeGraph:
         v = len(self.vocab)
         self.start_context = v
         self.stacked = _stack_components(model)
+        self.arc_table = model.arc_table()
 
-        a0, a1, a2, exit_logp, unique_cols, contexts = [], [], [], [], [], []
+        arcs, unique_cols, contexts = [], [], []
         base = 0
 
         def add_chain(phones, context):
             nonlocal base
             graph = compose_chain(model, phones)
-            a0.append(graph.a0)
-            a1.append(graph.a1)
-            a2.append(graph.a2)
-            exit_logp.append(graph.exit_logp)
+            arcs.append(graph.arcs)
             unique_cols.append(graph.unique_cols)
             contexts.append(np.full(graph.n_states, context))
             base += graph.n_states
@@ -114,10 +112,8 @@ class DecodeGraph:
         else:
             self.tail_entry = None
             tail_base = base
-        self.a0 = np.concatenate(a0)
-        self.a1 = np.concatenate(a1)
-        self.a2 = np.concatenate(a2)
-        self.exit_logp = np.concatenate(exit_logp)
+        self.arcs = np.concatenate(arcs, axis=1)
+        self.exit_logp = self.arc_table[self.arcs[3]]
         self.unique_cols = np.concatenate(unique_cols)
         self.n_states = base
         self.state_context = np.concatenate(contexts)
@@ -211,7 +207,7 @@ def _search(graph, emissions, config, ids):
     for i, e in zip(ids, emissions):
         if e.shape[0] == 0:
             raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
-    batch = pad_batch([graph] * len(emissions), emissions)
+    batch = pad_batch(graph.arc_table, [graph] * len(emissions), emissions)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
     a0, a1, a2 = batch.band[0, :, 2:], batch.band[1, :, 1:-1], batch.band[2, :, :-2]

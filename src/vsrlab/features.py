@@ -12,6 +12,7 @@ import numpy as np
 
 from . import binio
 from .errors import (
+    FormatError,
     IncompatibleStreamsError,
     PipelineOrderError,
     SequenceTooShortError,
@@ -169,7 +170,8 @@ def load_features(path):
         normalization_tag = binio.read_str8(fh, path)
         delta_context = binio.read_u8(fh, path)
         frames = binio.read_array(fh, "<f4", (n_frames, dim), path).astype(float)
-    return FeatureSequence(frames=frames, utterance_id=utterance_id,
-                           speaker_id=speaker_id, stream_tag=stream_tag,
-                           normalization_tag=normalization_tag,
-                           delta_context=delta_context)
+    try:
+        return FeatureSequence(frames, utterance_id, speaker_id, stream_tag,
+                               normalization_tag, delta_context)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

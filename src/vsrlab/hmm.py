@@ -9,18 +9,23 @@ an extra exit arc from the first state (arcs 1->1, 1->2, 1->exit, 2->2,
 
 Utterance graphs are chains of phone models. Because every topology here
 enters at its first state and exits forward by at most two chain positions,
-the composed transition structure is banded: arrays A0/A1/A2 hold log
-probabilities of staying, advancing one, and advancing two chain states.
-One rule places every arc: the arc that advances k chain states from local
-state s of a phone with n states is column s + k of that state's transition
-row, and that column is the exit column n exactly when the arc leaves the
-phone, into the next phone's first state or, from the last phone, out of the
-utterance. The forward, backward, and Viterbi passes all run on this band,
-in the log domain, vectorized over states. Forward and backward also run
-batched over the utterances of an EM iteration, taken in order of length in
-batches of bounded size: each utterance is padded with log-zero to the
-longest chain and the longest utterance of its batch, which leaves its own
-values exactly as a pass over it alone would give them.
+the composed transition structure is banded: each chain state has arcs for
+staying, advancing one and advancing two chain states, and for ending the
+utterance. One rule places every arc: the arc that advances k chain states
+from local state s of a phone with n states is column s + k of that state's
+transition row, and that column is the exit column n exactly when the arc
+leaves the phone, into the next phone's first state or, from the last phone,
+out of the utterance. A chain graph holds structure only: each arc is an
+index into the model's arc table, which is every phone's (n, n + 1) log
+transition rows, flat and in model order, then one log-zero entry that index
+-1 reads for a missing arc. The band's values are the table read at those
+indices, and EM counts arcs through the same indices. The forward, backward,
+and Viterbi passes all run on this band, in the log domain, vectorized over
+states. Forward and backward also run batched over the utterances of an EM
+iteration, taken in order of length in batches of bounded size: each
+utterance is padded with log-zero to the longest chain and the longest
+utterance of its batch, which leaves its own values exactly as a pass over
+it alone would give them.
 """
 
 import logging
@@ -117,9 +122,19 @@ class OpticalModel:
         self.phone_n_states = np.array([topo.n_states for topo in self.topologies],
                                        dtype=int)
         self._state_offsets = np.cumsum(self.phone_n_states) - self.phone_n_states
+        # where each phone's (n, n + 1) transition rows start in the arc table
+        width = self.phone_n_states * (self.phone_n_states + 1)
+        self.arc_offsets = np.cumsum(width) - width
 
     def state_offset(self, phone_idx):
         return self._state_offsets[phone_idx]
+
+    def arc_table(self):
+        """Log transition probabilities: every phone's (n, n + 1) rows, flat
+        and in model order, then one log-zero entry that arc index -1 reads."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.concatenate([topo.trans.ravel() for topo in self.topologies]
+                                         + [[0.0]]))
 
 
 def _logsumexp(a, axis=None):
@@ -222,23 +237,18 @@ def _state_logsumexp(comp, sizes):
 @dataclass
 class ChainGraph:
     phones: list            # phone names along the chain
-    phone_ids: np.ndarray   # (S,) model phone index per chain state
     chain_pos: np.ndarray   # (S,) position in the chain per chain state
-    local_state: np.ndarray  # (S,) state index within the phone
     unique_cols: np.ndarray  # (S,) column into the unique-state densities
-    a0: np.ndarray          # (S,) log prob of staying
-    a1: np.ndarray          # (S,) log prob of advancing one
-    a2: np.ndarray          # (S,) log prob of advancing two
-    exit_logp: np.ndarray   # (S,) log prob of ending the utterance here
+    arcs: np.ndarray        # (4, S) arc-table index: stay, advance 1, 2, end (-1: none)
 
     @property
     def n_states(self):
-        return self.phone_ids.shape[0]
+        return self.chain_pos.shape[0]
 
 
 def compose_chain(model, chain):
-    """Banded utterance graph for a phone-name chain, gathered from each
-    chain state's transition row by the arc-column rule."""
+    """Banded utterance graph for a phone-name chain: each chain state's
+    arcs index its transition row in the arc table by the arc-column rule."""
     for name in chain:
         if name not in model.phone_index:
             raise OovError(f"phone {name!r} is not in the model")
@@ -248,47 +258,39 @@ def compose_chain(model, chain):
     chain_pos = np.repeat(np.arange(len(pids)), sizes)
     local_state = np.arange(phone_ids.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     n = sizes[chain_pos]
-    # every phone's (n, n + 1) transition rows, flat, one phone after another
-    width = model.phone_n_states * (model.phone_n_states + 1)
-    row = (np.cumsum(width) - width)[phone_ids] + local_state * (n + 1)
-    with np.errstate(divide="ignore"):
-        logt = np.log(np.concatenate([topo.trans.ravel() for topo in model.topologies]))
-    col = local_state + np.arange(3)[:, None]      # fed by staying, advancing one, two
+    row = model.arc_offsets[phone_ids] + local_state * (n + 1)
+    # columns fed by staying, advancing one and advancing two, then by ending
+    col = np.vstack([local_state + np.arange(3)[:, None], n])
     last = chain_pos == len(pids) - 1
     # an exit feeds the next phone's entry, or from the last phone ends the utterance
-    a = np.where((col < n) | ((col == n) & ~last), logt[row + np.minimum(col, n)], LOG_ZERO)
-    return ChainGraph(phones=list(chain), phone_ids=phone_ids, chain_pos=chain_pos,
-                      local_state=local_state,
+    live = np.vstack([(col[:3] < n) | ((col[:3] == n) & ~last), last])
+    return ChainGraph(phones=list(chain), chain_pos=chain_pos,
                       unique_cols=model.state_offset(phone_ids) + local_state,
-                      a0=a[0], a1=a[1], a2=a[2],
-                      exit_logp=np.where(last, logt[row + n], LOG_ZERO))
+                      arcs=np.where(live, row + col, -1))
 
 
 @dataclass
 class BandBatch:
     """Utterances laid out for the batched forward and backward passes."""
-    band: np.ndarray      # (4, B, S + 2): a0, a1, a2, exit arcs behind two log-zero columns
+    band: np.ndarray      # (4, B, S + 2): the arcs' log probs behind two log-zero columns
     emis: np.ndarray      # (T, B, S) chain-state emissions
     n_frames: np.ndarray  # (B,) frames of each utterance
     n_states: np.ndarray  # (B,) chain states of each utterance
 
 
-def pad_batch(graphs, uniques):
+def pad_batch(table, graphs, uniques):
     """Lay out utterances, each given by its chain graph and its (T_b, unique
-    states) log densities, as chain-state emissions padded with log-zero to
-    the longest chain S and the longest utterance T."""
+    states) log densities, as a band read from the arc table ``table`` and
+    chain-state emissions, padded with log-zero to the longest chain S and
+    the longest utterance T."""
     n_frames = np.array([u.shape[0] for u in uniques])
     n_states = np.array([graph.n_states for graph in graphs])
-    band = np.full((4, len(graphs), n_states.max() + 2), LOG_ZERO)
+    arcs = np.full((4, len(graphs), n_states.max() + 2), -1)
     padded = np.full((n_frames.max(), len(graphs), n_states.max()), LOG_ZERO)
     for b, (graph, u) in enumerate(zip(graphs, uniques)):
-        states = slice(2, 2 + graph.n_states)
-        band[0, b, states] = graph.a0
-        band[1, b, states] = graph.a1
-        band[2, b, states] = graph.a2
-        band[3, b, states] = graph.exit_logp
+        arcs[:, b, 2:2 + graph.n_states] = graph.arcs
         padded[:u.shape[0], b, :graph.n_states] = u[:, graph.unique_cols]
-    return BandBatch(band=band, emis=padded, n_frames=n_frames, n_states=n_states)
+    return BandBatch(band=table[arcs], emis=padded, n_frames=n_frames, n_states=n_states)
 
 
 def forward_log(batch):
@@ -346,12 +348,11 @@ def backward_log(batch):
 # ---------------------------------------------------------------------------
 # EM training
 
-def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
-    """One utterance's E-step posteriors from its own (unpadded) alpha and
-    beta: the responsibility of every mixture component per frame (T, total
-    components), tied over repeated phones, and the expected count of each
-    arc of the chain as (4, S) counts per source state: staying, advancing
-    one and advancing two chain states, then exits."""
+def _utterance_statistics(graph, band, comp, unique, emis, alpha, beta, loglik, seg):
+    """One utterance's E-step posteriors from its own (unpadded) band, alpha
+    and beta: the responsibility of every mixture component per frame (T,
+    total components), tied over repeated phones, and the expected count of
+    each arc of ``graph.arcs``, (4, S)."""
     with np.errstate(over="ignore"):
         gamma = np.exp(alpha + beta - loglik)  # (T, S) chain-state posteriors
     tied = np.zeros(unique.shape)
@@ -364,11 +365,11 @@ def _utterance_statistics(graph, comp, unique, emis, alpha, beta, loglik, seg):
     counts = np.zeros((4, s_count))
     nxt = beta[1:] + emis[1:]
     with np.errstate(over="ignore"):
-        for off, a_vec in enumerate((graph.a0, graph.a1, graph.a2)):
-            xi = np.exp(alpha[:-1, :s_count - off] + a_vec[:s_count - off]
+        for off in range(3):
+            xi = np.exp(alpha[:-1, :s_count - off] + band[off, :s_count - off]
                         + nxt[:, off:] - loglik)
             counts[off, :s_count - off] = xi.sum(axis=0)
-        counts[3] = np.exp(alpha[-1] + graph.exit_logp - loglik)
+        counts[3] = np.exp(alpha[-1] + band[3] - loglik)
     return resp, counts
 
 
@@ -405,11 +406,8 @@ def em_iteration(model, data):
     seg = np.repeat(np.arange(sizes.shape[0]), sizes)
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
+    table = model.arc_table()
 
-    n_max = model.phone_n_states.max()
-    # by the arc-column rule, the arcs of local state s feed columns s + k,
-    # capped at the exit column n (exits leave at any step past it)
-    steps = np.array([[0], [1], [2], [n_max]])
     occ = np.zeros(seg.shape[0])
     mean = np.zeros((seg.shape[0], model.dim))
     sqr = np.zeros_like(mean)
@@ -418,21 +416,19 @@ def em_iteration(model, data):
     for batch in _batches(frames, graphs, seg.shape[0]):
         comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
         uniques = [_state_logsumexp(comp, sizes) for comp in comps]
-        padded = pad_batch([graphs[b] for b in batch], uniques)
+        padded = pad_batch(table, [graphs[b] for b in batch], uniques)
         alpha, loglik = forward_log(padded)
         beta = backward_log(padded)
         for i in np.flatnonzero(np.isfinite(loglik)):
             graph, x = graphs[batch[i]], frames[batch[i]]
             own = (slice(0, x.shape[0]), i, slice(0, graph.n_states))
             resp, counts = _utterance_statistics(
-                graph, comps[i], uniques[i], padded.emis[own], alpha[own], beta[own],
-                loglik[i], seg)
+                graph, padded.band[:, i, 2:2 + graph.n_states], comps[i], uniques[i],
+                padded.emis[own], alpha[own], beta[own], loglik[i], seg)
             occ += resp.sum(axis=0)
             mean += resp.T @ x
             sqr += resp.T @ x ** 2
-            cols = np.minimum(graph.local_state + steps, model.phone_n_states[graph.phone_ids])
-            arcs.append((np.tile(graph.phone_ids, 4), np.tile(graph.local_state, 4),
-                         cols.ravel(), counts.ravel()))
+            arcs.append((graph.arcs.ravel(), counts.ravel()))
             total += float(loglik[i])
 
     skipped = len(data) - len(arcs)
@@ -441,9 +437,9 @@ def em_iteration(model, data):
                     skipped, len(data))
     if not arcs:
         raise InsufficientDataError("every utterance is too short for the topology")
-    phone, state, col, count = (np.concatenate(a) for a in zip(*arcs))
-    trans = np.zeros((len(model.topologies), n_max, n_max + 1))
-    np.add.at(trans, (phone, state, col), count)
+    index, count = (np.concatenate(a) for a in zip(*arcs))
+    live = index >= 0
+    trans = np.bincount(index[live], weights=count[live], minlength=table.shape[0])
     _apply_mstep(model, sizes, occ, mean, sqr, trans)
     return total
 
@@ -451,8 +447,7 @@ def em_iteration(model, data):
 def _apply_mstep(model, sizes, occ, mean, sqr, trans):
     """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
     row per mixture component in ``_stack_components`` order (state blocks
-    of ``sizes`` rows); ``trans[p]`` holds phone p's arc counts, padded to
-    the largest topology."""
+    of ``sizes`` rows); ``trans`` holds the arc counts in arc-table order."""
     ends = np.cumsum(sizes)
     blocks = iter(zip(ends - sizes, ends))
     for pid, phone_states in enumerate(model.states):
@@ -475,8 +470,8 @@ def _apply_mstep(model, sizes, occ, mean, sqr, trans):
             st.weights = occ_k / occ_k.sum()
             st.means = means
             st.variances = varia
-    for pid, topo in enumerate(model.topologies):
-        counts = trans[pid, :topo.n_states, :topo.n_states + 1]
+    for start, topo in zip(model.arc_offsets, model.topologies):
+        counts = trans[start:start + topo.trans.size].reshape(topo.trans.shape)
         struct = topo.trans > 0.0
         new = np.where(struct, counts, 0.0)
         sums = new.sum(axis=1, keepdims=True)
@@ -548,7 +543,7 @@ def forced_align(model, frames, chain):
         raise AlignmentInfeasibleError(infeasible)
     stacked = _stack_components(model)
     unique = _state_logsumexp(component_log_likelihoods(stacked, frames), stacked[4])
-    batch = pad_batch([graph], [unique])
+    batch = pad_batch(model.arc_table(), [graph], [unique])
     band, emis = batch.band[:, 0], batch.emis[:, 0]
 
     # delta rows sit behind two log-zero columns, so the predecessors j-2,
@@ -563,7 +558,7 @@ def forced_align(model, frames, chain):
         choice = np.argmax(cand, axis=0)
         delta[t, 2:] = cand[choice, np.arange(s_count)] + emis[t]
         back[t] = np.arange(s_count) - (2 - choice)
-    final = delta[-1, 2:] + graph.exit_logp
+    final = delta[-1, 2:] + band[3, 2:]
     best_end = int(np.argmax(final))
     score = float(final[best_end])
     if not np.isfinite(score):
@@ -629,7 +624,7 @@ def load_model(path):
         var_floor = binio.read_array(fh, "<f8", (dim,), path)
         topologies = []
         states = []
-        for _ in range(n_phones):
+        for name in phones:
             code = binio.read_u8(fh, path)
             if code not in _KIND_NAMES:
                 raise FormatError(f"{path}: unknown topology code {code}")
@@ -641,8 +636,10 @@ def load_model(path):
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
             phone_states = []
-            for _ in range(n_states):
+            for s in range(n_states):
                 m = binio.read_u32(fh, path)
+                if m == 0:
+                    raise FormatError(f"{path}: phone {name!r} state {s} has no components")
                 weights = binio.read_array(fh, "<f8", (m,), path)
                 means = binio.read_array(fh, "<f8", (m, dim), path)
                 variances = binio.read_array(fh, "<f8", (m, dim), path)

@@ -308,6 +308,7 @@ def _reference_decode(graph, frames, config, emissions=None):
     if emissions is None:
         emissions = _state_log_likelihoods(graph.model, frames)
     emis = emissions[:, graph.unique_cols]
+    a0, a1, a2 = graph.arc_table[graph.arcs[:3]]
     n_frames = emis.shape[0]
     lam = config.lm_scale
     wip = config.word_insertion_penalty
@@ -326,9 +327,9 @@ def _reference_decode(graph, frames, config, emissions=None):
                 hist[entry] = cand
     for t in range(1, n_frames):
         exits = _collect_exits(graph, score, hist)
-        c0 = score + graph.a0
-        c1 = _shift_down(score + graph.a1, 1)
-        c2 = _shift_down(score + graph.a2, 2)
+        c0 = score + a0
+        c1 = _shift_down(score + a1, 1)
+        c2 = _shift_down(score + a2, 2)
         new_score = np.maximum(np.maximum(c0, c1), c2)
         choice = np.where(new_score == c0, 0, np.where(new_score == c1, 1, 2))
         src = np.arange(graph.n_states) - choice

@@ -154,3 +154,24 @@ def test_oversized_header_is_a_format_error(tmp_path):
     path.write_bytes(header + bytes([0]) + bytes(64))
     with pytest.raises(FormatError, match="big.vfa: truncated"):
         features.load_features(path)
+
+
+def test_non_utf8_utterance_id_is_a_format_error(tmp_path):
+    path = tmp_path / "u.vfa"
+    features.save_features(path, _seq(np.zeros((3, 2)), utt="zq"))
+    raw = bytearray(path.read_bytes())
+    assert raw[12:15] == b"\x02zq"
+    raw[13:15] = b"\xff\xfe"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"{path}: string .* is not UTF-8"):
+        features.load_features(path)
+
+
+def test_unknown_normalization_tag_is_a_format_error(tmp_path):
+    path = tmp_path / "u.vfa"
+    features.save_features(path, _seq(np.zeros((3, 2))))
+    raw = path.read_bytes()
+    assert raw.count(b"\x04none") == 1
+    path.write_bytes(raw.replace(b"\x04none", b"\x02zz"))
+    with pytest.raises(FormatError, match=f"{path}: unknown normalization tag 'zz'"):
+        features.load_features(path)

@@ -23,16 +23,18 @@ def _chain_log_likelihood(model, frames, chain):
     """Forward-pass log likelihood of frames under a phone chain."""
     graph = hmm.compose_chain(model, chain)
     unique = _state_log_likelihoods(model, frames)
-    return hmm.forward_log(hmm.pad_batch([graph], [unique]))[1][0]
+    return hmm.forward_log(hmm.pad_batch(model.arc_table(), [graph], [unique]))[1][0]
 
 
 def _make_model(kind, phone_params, dim, use_sil=False):
     """Model with explicit per-phone state parameters.
 
+    kind: one topology kind for every phone, or {name: kind}
     phone_params: {name: [(weights, means, variances), ...] per state}
     """
     phones = sorted(phone_params)
-    topologies = [hmm.build_topology(kind) for _ in phones]
+    kinds = kind if isinstance(kind, dict) else dict.fromkeys(phones, kind)
+    topologies = [hmm.build_topology(kinds[name]) for name in phones]
     states = []
     for name, topo in zip(phones, topologies):
         specs = phone_params[name]
@@ -224,15 +226,16 @@ class TestCompose:
         model = _make_model("skip2", {"a": _dummy_params(2, 1),
                                       "b": _dummy_params(2, 1)}, dim=1)
         graph = hmm.compose_chain(model, ["a", "b"])
+        a0, a1, a2, exit_logp = model.arc_table()[graph.arcs]
         l3 = math.log(1.0 / 3.0)
         l2 = math.log(0.5)
         assert graph.n_states == 4
-        np.testing.assert_allclose(graph.a0, [l3, l2, l3, l2])
+        np.testing.assert_allclose(a0, [l3, l2, l3, l2])
         # state 1 exits into phone b's entry one position ahead
-        np.testing.assert_allclose(graph.a1, [l3, l2, l3, -np.inf])
+        np.testing.assert_allclose(a1, [l3, l2, l3, -np.inf])
         # state 0 skips straight into phone b's entry two positions ahead
-        np.testing.assert_allclose(graph.a2, [l3, -np.inf, -np.inf, -np.inf])
-        np.testing.assert_allclose(graph.exit_logp, [-np.inf, -np.inf, l3, l2])
+        np.testing.assert_allclose(a2, [l3, -np.inf, -np.inf, -np.inf])
+        np.testing.assert_allclose(exit_logp, [-np.inf, -np.inf, l3, l2])
         assert list(graph.chain_pos) == [0, 0, 1, 1]
 
     def test_band_matches_dense_composition(self):
@@ -248,14 +251,15 @@ class TestCompose:
             topo.trans = p / p.sum(axis=1, keepdims=True)
         for chain in (["a"], ["c"], ["a", "c"], ["c", "a", "a", "c"], ["c", "c", "a"]):
             graph = hmm.compose_chain(model, chain)
+            band = model.arc_table()[graph.arcs]
             trans, exit_p = _dense_compose(model, chain)
             s_count = trans.shape[0]
             with np.errstate(divide="ignore"):
-                for k, a in enumerate((graph.a0, graph.a1, graph.a2)):
+                for k in range(3):
                     want = np.full(s_count, -np.inf)
                     want[:s_count - k] = np.log(np.diagonal(trans, k))
-                    np.testing.assert_allclose(a, want, rtol=1e-15)
-                np.testing.assert_allclose(graph.exit_logp, np.log(exit_p), rtol=1e-15)
+                    np.testing.assert_allclose(band[k], want, rtol=1e-15)
+                np.testing.assert_allclose(band[3], np.log(exit_p), rtol=1e-15)
             # arcs beyond the band are absent
             assert np.all(np.triu(trans, 3) == 0.0) and np.all(np.tril(trans, -1) == 0.0)
             offsets = [0, 2]
@@ -316,7 +320,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a", "b"])
         for n_frames in (1, 2, 4, 6):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 4))
-            got = hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
+            got = hmm.forward_log(hmm.pad_batch(model.arc_table(), [graph], [emis]))[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -327,7 +331,7 @@ class TestForward:
         trans, exit_p = _dense_compose(model, ["a"])
         for n_frames in (3, 5):
             emis = rng.uniform(-2.0, 0.0, size=(n_frames, 3))
-            got = hmm.forward_log(hmm.pad_batch([graph], [emis]))[1][0]
+            got = hmm.forward_log(hmm.pad_batch(model.arc_table(), [graph], [emis]))[1][0]
             want = _enum_total_loglik(trans, exit_p, emis)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -383,7 +387,8 @@ class TestBatch:
                       (["a", "b", "c"], 2)]
         graphs = [hmm.compose_chain(model, chain) for chain, _ in utterances]
         uniques = [rng.uniform(-3.0, 0.0, size=(t, 3 * n)) for _, t in utterances]
-        batch = hmm.pad_batch(graphs, uniques)
+        table = model.arc_table()
+        batch = hmm.pad_batch(table, graphs, uniques)
         alpha, loglik = hmm.forward_log(batch)
         beta = hmm.backward_log(batch)
         assert loglik[-1] == -np.inf
@@ -391,7 +396,11 @@ class TestBatch:
         for b, (graph, u) in enumerate(zip(graphs, uniques)):
             t_count, s_count = u.shape[0], graph.n_states
             assert np.array_equal(batch.emis[:t_count, b, :s_count], u[:, graph.unique_cols])
-            one = hmm.pad_batch([graph], [u])
+            # the band is the table read at the graph's arcs, log-zero around them
+            assert np.array_equal(batch.band[:, b, 2:2 + s_count], table[graph.arcs])
+            assert np.all(batch.band[:, b, :2] == -np.inf)
+            assert np.all(batch.band[:, b, 2 + s_count:] == -np.inf)
+            one = hmm.pad_batch(table, [graph], [u])
             one_alpha, one_loglik = hmm.forward_log(one)
             one_beta = hmm.backward_log(one)
             assert one_alpha.shape == one_beta.shape == (t_count, 1, s_count)
@@ -476,20 +485,23 @@ class TestEm:
     def test_tied_states_match_enumeration(self):
         # with skip2, phone a occurs twice in the chain, so its two chain
         # copies share one set of two-component statistics; classic3 puts
-        # counts on every transition column of the arc-column rule
-        for kind, chain, lengths in [("skip2", ["a", "b", "a"], (6, 4, 3)),
-                                     ("classic3", ["a", "b"], (7, 6, 8))]:
+        # counts on every transition column of the arc-column rule; mixing
+        # both checks each phone's offset into the flat arc table
+        for kinds, chain, lengths in [({"a": "skip2", "b": "skip2"}, ["a", "b", "a"], (6, 4, 3)),
+                                      ({"a": "classic3", "b": "classic3"}, ["a", "b"], (7, 6, 8)),
+                                      ({"a": "skip2", "c": "classic3"}, ["a", "c", "a"],
+                                       (6, 5, 6))]:
             rng = np.random.default_rng(39)
             dim = 2
-            n = hmm.build_topology(kind).n_states
             params = {name: [(rng.dirichlet(np.ones(2) * 4.0), rng.normal(size=(2, dim)),
-                              rng.uniform(0.5, 1.5, size=(2, dim))) for _ in range(n)]
-                      for name in ("a", "b")}
+                              rng.uniform(0.5, 1.5, size=(2, dim)))
+                             for _ in range(hmm.build_topology(kind).n_states)]
+                      for name, kind in kinds.items()}
             frames_list = [rng.normal(size=(t, dim)) for t in lengths]
             want_ll, want_states, want_trans = _enum_em_update(
-                _make_model(kind, params, dim), params, chain, frames_list)
+                _make_model(kinds, params, dim), params, chain, frames_list)
 
-            model = _make_model(kind, params, dim)
+            model = _make_model(kinds, params, dim)
             got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
             assert got_ll == pytest.approx(want_ll, abs=1e-10)
             for (name, s), (w, mu, var) in want_states.items():
@@ -751,6 +763,25 @@ class TestContainer:
         path = tmp_path / "model.opt"
         hmm.save_model(path, model)
         with pytest.raises(FormatError, match=str(path)):
+            hmm.load_model(path)
+
+    def test_state_without_components_is_a_format_error(self, tmp_path):
+        model = _make_model("skip2", {"a": _dummy_params(2, 1),
+                                      "b": _dummy_params(2, 1)}, dim=1)
+        model.states[0][1] = hmm.GmmState(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        with pytest.raises(FormatError, match=f"{path}: phone 'a' state 1 has no components"):
+            hmm.load_model(path)
+
+    def test_non_utf8_phone_name_is_a_format_error(self, tmp_path):
+        model = _make_model("skip2", {"qz": _dummy_params(2, 1)}, dim=1)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        blob = path.read_bytes()
+        assert blob.count(b"\x02qz") == 1
+        path.write_bytes(blob.replace(b"\x02qz", b"\x02\xff\xfe"))
+        with pytest.raises(FormatError, match=f"{path}: string .* is not UTF-8"):
             hmm.load_model(path)
 
     def test_truncated(self, tmp_path):

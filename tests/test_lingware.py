@@ -83,6 +83,18 @@ def test_binary_lm_round_trip(tmp_path):
         lingware.load_lm(bad)
 
 
+def test_non_utf8_word_is_a_format_error(tmp_path):
+    path = tmp_path / "model.alm"
+    lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))
+    raw = bytearray(path.read_bytes())
+    # the first vocabulary word follows the magic and the word count
+    assert raw[8:10] == b"\x01a"
+    raw[9] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"{path}: string .* is not UTF-8"):
+        lingware.load_lm(path)
+
+
 def test_lexicon_load_and_variants(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("casa k a s a\nperro p e rr o\ncasa k a z a\n")
