@@ -341,8 +341,3 @@ def _terminate(graph, history, score, link, lam_end, n_frames, config, i):
     spans = [(word, start, end)
              for word, start, end in zip(words, starts, starts[1:] + [n_frames])]
     return DecodeResult(words=words, score=float(best), word_spans=spans)
-
-
-def decode(model, lm, lexicon, frames, config=None):
-    """One-shot decode; build a ``DecodeGraph`` once when decoding many."""
-    return decode_frames(DecodeGraph(model, lm, lexicon), frames, config)

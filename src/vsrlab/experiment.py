@@ -184,6 +184,8 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.streams:
             raise ValueError("streams must not be empty")
         for stream in self.streams:
@@ -205,6 +207,16 @@ class ExperimentConfig:
             raise ValueError("pca_components out of range")
         if self.pca_max_frames <= self.pca_components:
             raise ValueError("pca_max_frames must exceed pca_components")
+        h, w = autoencoder.DEFAULT_INPUT_HW
+        if (not autoencoder._stages_fit(len(self.ae_channels), (h, w))
+                or min(self.ae_channels) < 1):
+            raise ValueError(f"ae_channels must list positive widths of stride-2 stages "
+                             f"that halve the {h}x{w} input exactly")
+        for key in ("ae_bottleneck", "ae_epochs", "ae_batch", "ae_max_frames"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        if not 0.0 < self.ae_lr < np.inf:
+            raise ValueError("ae_lr must be positive and finite")
         self.decode_config()   # rejects a bad lm_scale, penalty or beam
         if self.bootstrap < 100:
             raise ValueError("bootstrap must be at least 100")

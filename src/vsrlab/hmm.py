@@ -26,8 +26,14 @@ iteration, taken in order of length in batches of bounded size: each
 utterance is padded with log-zero to the longest chain and the longest
 utterance of its batch, which leaves its own values exactly as a pass over
 it alone would give them.
+
+Beside the arc table, the Gaussians form one mixture table: component weights
+(C,), means (C, D) and diagonal variances (C, D), one block of rows per state
+in model order, plus each state's component count. The E-step sums, the
+density blocks and the OPT1 file all keep this order.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -95,16 +101,22 @@ def build_topology(kind):
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
-@dataclass
-class GmmState:
-    weights: np.ndarray     # (M,)
-    means: np.ndarray       # (M, D)
-    variances: np.ndarray   # (M, D), diagonal
+def _block_starts(sizes):
+    """Where each of consecutive blocks of ``sizes`` rows starts."""
+    return np.cumsum(sizes) - sizes
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
+
+def _block_slices(sizes):
+    """The slice of each of consecutive blocks of ``sizes`` rows."""
+    return (slice(start, start + n) for start, n in zip(_block_starts(sizes), sizes))
+
+
+def _mixture_table(blocks):
+    """Component counts, weights, means and variances of a mixture table
+    from per-state (weights, means, variances) blocks in model order."""
+    weights, means, variances = zip(*blocks)
+    return (np.array([w.shape[0] for w in weights]), np.concatenate(weights),
+            np.vstack(means), np.vstack(variances))
 
 
 @dataclass
@@ -112,7 +124,10 @@ class OpticalModel:
     phones: list
     dim: int
     topologies: list        # HmmTopology per phone
-    states: list            # per phone: list of GmmState
+    n_mix: np.ndarray       # (unique states,) components per state, model order
+    weights: np.ndarray     # (C,) the mixture table, state blocks in model order
+    means: np.ndarray       # (C, D)
+    variances: np.ndarray   # (C, D), diagonal
     var_floor: np.ndarray   # (D,)
     use_sil: bool = True
     phone_index: dict = field(default_factory=dict)
@@ -121,10 +136,9 @@ class OpticalModel:
         self.phone_index = {p: i for i, p in enumerate(self.phones)}
         self.phone_n_states = np.array([topo.n_states for topo in self.topologies],
                                        dtype=int)
-        self._state_offsets = np.cumsum(self.phone_n_states) - self.phone_n_states
+        self._state_offsets = _block_starts(self.phone_n_states)
         # where each phone's (n, n + 1) transition rows start in the arc table
-        width = self.phone_n_states * (self.phone_n_states + 1)
-        self.arc_offsets = np.cumsum(width) - width
+        self.arc_offsets = _block_starts(self.phone_n_states * (self.phone_n_states + 1))
 
     def state_offset(self, phone_idx):
         return self._state_offsets[phone_idx]
@@ -183,34 +197,24 @@ def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True,
         phones = phones + [SILENCE_PHONE]
     phones = sorted(phones)
     topologies = [build_topology(topology_kind) for _ in phones]
-    states = [[GmmState(np.array([1.0]), g_mean[None, :].copy(), g_var[None, :].copy())
-               for _ in range(t.n_states)] for t in topologies]
+    n = sum(topo.n_states for topo in topologies)
     return OpticalModel(phones=phones, dim=dim, topologies=topologies,
-                        states=states, var_floor=floor, use_sil=use_sil)
+                        n_mix=np.ones(n, dtype=int), weights=np.ones(n),
+                        means=np.tile(g_mean, (n, 1)), variances=np.tile(g_var, (n, 1)),
+                        var_floor=floor, use_sil=use_sil)
 
 
 # ---------------------------------------------------------------------------
 # emission densities
 
 def _stack_components(model):
-    """All mixture components of all states in one matrix block set."""
-    c1 = []
-    c2 = []
-    c0 = []
-    logw = []
-    sizes = []
-    for phone_states in model.states:
-        for st in phone_states:
-            var = st.variances
-            c1.append(-0.5 / var)
-            c2.append(st.means / var)
-            c0.append(np.sum(-0.5 * st.means ** 2 / var - 0.5 * np.log(2.0 * np.pi * var),
-                             axis=1))
-            with np.errstate(divide="ignore"):
-                logw.append(np.log(st.weights))
-            sizes.append(st.weights.shape[0])
-    return (np.vstack(c1), np.vstack(c2), np.concatenate(c0),
-            np.concatenate(logw), np.array(sizes))
+    """The mixture table as density blocks: quadratic and linear coefficients
+    (C, D), constants and log weights (C,), and each state's component count."""
+    var = model.variances
+    c0 = np.sum(-0.5 * model.means ** 2 / var - 0.5 * np.log(2.0 * np.pi * var), axis=1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    return -0.5 / var, model.means / var, c0, logw, model.n_mix
 
 
 def component_log_likelihoods(stacked, frames):
@@ -223,7 +227,7 @@ def component_log_likelihoods(stacked, frames):
 
 def _state_logsumexp(comp, sizes):
     """Log-sum-exp of each state's block of ``sizes`` component columns."""
-    starts = np.cumsum(sizes) - sizes
+    starts = _block_starts(sizes)
     seg = np.repeat(np.arange(sizes.shape[0]), sizes)
     m = np.maximum.reduceat(comp, starts, axis=1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
@@ -256,7 +260,7 @@ def compose_chain(model, chain):
     sizes = model.phone_n_states[pids]
     phone_ids = np.repeat(pids, sizes)
     chain_pos = np.repeat(np.arange(len(pids)), sizes)
-    local_state = np.arange(phone_ids.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local_state = np.arange(phone_ids.shape[0]) - np.repeat(_block_starts(sizes), sizes)
     n = sizes[chain_pos]
     row = model.arc_offsets[phone_ids] + local_state * (n + 1)
     # columns fed by staying, advancing one and advancing two, then by ending
@@ -440,36 +444,36 @@ def em_iteration(model, data):
     index, count = (np.concatenate(a) for a in zip(*arcs))
     live = index >= 0
     trans = np.bincount(index[live], weights=count[live], minlength=table.shape[0])
-    _apply_mstep(model, sizes, occ, mean, sqr, trans)
+    _apply_mstep(model, occ, mean, sqr, trans)
     return total
 
 
-def _apply_mstep(model, sizes, occ, mean, sqr, trans):
+def _apply_mstep(model, occ, mean, sqr, trans):
     """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
-    row per mixture component in ``_stack_components`` order (state blocks
-    of ``sizes`` rows); ``trans`` holds the arc counts in arc-table order."""
-    ends = np.cumsum(sizes)
-    blocks = iter(zip(ends - sizes, ends))
-    for pid, phone_states in enumerate(model.states):
-        for s, st in enumerate(phone_states):
-            block = slice(*next(blocks))
-            occ_b = occ[block]
-            total = occ_b.sum()
-            if total <= _OCC_EPS:
+    row per mixture component in mixture-table order; ``trans`` holds the arc
+    counts in arc-table order. A state with no component above the occupancy
+    floor keeps its parameters; starved components of other states go."""
+    blocks = []
+    slices = _block_slices(model.n_mix)
+    for name, topo in zip(model.phones, model.topologies):
+        for s in range(topo.n_states):
+            block = next(slices)
+            keep = occ[block] > _OCC_EPS
+            if not keep.any():
                 log.warning("phone %r state %d has no occupancy; keeping parameters",
-                            model.phones[pid], s)
+                            name, s)
+                blocks.append((model.weights[block], model.means[block],
+                               model.variances[block]))
                 continue
-            keep = occ_b > _OCC_EPS
             if not keep.all():
                 log.warning("phone %r state %d: dropping %d starved component(s)",
-                            model.phones[pid], s, int((~keep).sum()))
-            occ_k = occ_b[keep]
+                            name, s, int((~keep).sum()))
+            occ_k = occ[block][keep]
             means = mean[block][keep] / occ_k[:, None]
-            varia = sqr[block][keep] / occ_k[:, None] - means ** 2
-            varia = np.maximum(varia, model.var_floor)
-            st.weights = occ_k / occ_k.sum()
-            st.means = means
-            st.variances = varia
+            varia = np.maximum(sqr[block][keep] / occ_k[:, None] - means ** 2,
+                               model.var_floor)
+            blocks.append((occ_k / occ_k.sum(), means, varia))
+    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
     for start, topo in zip(model.arc_offsets, model.topologies):
         counts = trans[start:start + topo.trans.size].reshape(topo.trans.shape)
         struct = topo.trans > 0.0
@@ -482,19 +486,18 @@ def _apply_mstep(model, sizes, occ, mean, sqr, trans):
 
 def grow_mixtures(model, target_m):
     """Split the heaviest component of every state until it has target_m."""
-    for phone_states in model.states:
-        for st in phone_states:
-            while st.weights.shape[0] < target_m:
-                i = int(np.argmax(st.weights))
-                sigma = np.sqrt(st.variances[i])
-                half = st.weights[i] / 2.0
-                up = st.means[i] + 0.1 * sigma
-                down = st.means[i] - 0.1 * sigma
-                st.weights = np.concatenate([st.weights[:i], [half, half],
-                                             st.weights[i + 1:]])
-                st.means = np.vstack([st.means[:i], up[None], down[None], st.means[i + 1:]])
-                st.variances = np.vstack([st.variances[:i], st.variances[i][None],
-                                          st.variances[i][None], st.variances[i + 1:]])
+    blocks = []
+    for block in _block_slices(model.n_mix):
+        w, mu, var = model.weights[block], model.means[block], model.variances[block]
+        while w.shape[0] < target_m:
+            i = int(np.argmax(w))
+            sigma = np.sqrt(var[i])
+            half = w[i] / 2.0
+            w = np.concatenate([w[:i], [half, half], w[i + 1:]])
+            mu = np.vstack([mu[:i], mu[i] + 0.1 * sigma, mu[i] - 0.1 * sigma, mu[i + 1:]])
+            var = np.vstack([var[:i], var[i], var[i], var[i + 1:]])
+        blocks.append((w, mu, var))
+    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
 
 
 def train_em(model, data, schedule=((1, 4), (2, 4), (4, 4), (8, 4))):
@@ -602,16 +605,16 @@ def save_model(path, model):
             binio.write_str8(fh, name)
         binio.write_u8(fh, 1 if model.use_sil else 0)
         binio.write_array(fh, model.var_floor, "<f8")
-        for topo, phone_states in zip(model.topologies, model.states):
+        slices = _block_slices(model.n_mix)
+        for topo in model.topologies:
             binio.write_u8(fh, _KIND_CODES[topo.kind])
             binio.write_u32(fh, topo.n_states)
             binio.write_array(fh, topo.trans, "<f8")
             binio.write_array(fh, topo.initial, "<f8")
-            for st in phone_states:
-                binio.write_u32(fh, st.weights.shape[0])
-                binio.write_array(fh, st.weights, "<f8")
-                binio.write_array(fh, st.means, "<f8")
-                binio.write_array(fh, st.variances, "<f8")
+            for block in itertools.islice(slices, topo.n_states):
+                binio.write_u32(fh, block.stop - block.start)
+                for table in (model.weights, model.means, model.variances):
+                    binio.write_array(fh, table[block], "<f8")
 
 
 def load_model(path):
@@ -619,11 +622,13 @@ def load_model(path):
         binio.check_magic(fh, OPTICAL_MAGIC, path)
         dim = binio.read_u32(fh, path)
         n_phones = binio.read_u32(fh, path)
+        if n_phones == 0:
+            raise FormatError(f"{path}: the model has no phones")
         phones = [binio.read_str8(fh, path) for _ in range(n_phones)]
         use_sil = binio.read_u8(fh, path) == 1
         var_floor = binio.read_array(fh, "<f8", (dim,), path)
         topologies = []
-        states = []
+        blocks = []
         for name in phones:
             code = binio.read_u8(fh, path)
             if code not in _KIND_NAMES:
@@ -635,15 +640,19 @@ def load_model(path):
                 topologies.append(HmmTopology(_KIND_NAMES[code], n_states, trans, initial))
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
-            phone_states = []
             for s in range(n_states):
                 m = binio.read_u32(fh, path)
                 if m == 0:
                     raise FormatError(f"{path}: phone {name!r} state {s} has no components")
-                weights = binio.read_array(fh, "<f8", (m,), path)
-                means = binio.read_array(fh, "<f8", (m, dim), path)
-                variances = binio.read_array(fh, "<f8", (m, dim), path)
-                phone_states.append(GmmState(weights, means, variances))
-            states.append(phone_states)
-    return OpticalModel(phones=phones, dim=dim, topologies=topologies,
-                        states=states, var_floor=var_floor, use_sil=use_sil)
+                blocks.append([binio.read_array(fh, "<f8", shape, path)
+                               for shape in ((m,), (m, dim), (m, dim))])
+    n_mix, weights, means, variances = _mixture_table(blocks)
+    if not all(np.isfinite(a).all() for a in (var_floor, weights, means, variances)):
+        raise FormatError(f"{path}: non-finite variance floor or mixture parameters")
+    if np.any(weights < 0.0):
+        raise FormatError(f"{path}: negative mixture weight")
+    if np.any(variances <= 0.0):
+        raise FormatError(f"{path}: non-positive variance")
+    return OpticalModel(phones=phones, dim=dim, topologies=topologies, n_mix=n_mix,
+                        weights=weights, means=means, variances=variances,
+                        var_floor=var_floor, use_sil=use_sil)

@@ -71,7 +71,7 @@ def test_criterion_1_oracle_equivalence(acceptance_report):
         model, lm, lex, frames, cfg = test_decoder._random_instance(
             rng, use_sil, n_mix)
         assert cfg.beam is None and frames.shape[0] <= 8
-        result = decoder.decode(model, lm, lex, frames, cfg)
+        result = decoder.decode_frames(decoder.DecodeGraph(model, lm, lex), frames, cfg)
         scored = test_decoder._oracle_decode(model, lm, lex, frames, cfg)
         best_score, best_words = scored[0]
         gap = abs(result.score - best_score)

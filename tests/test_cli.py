@@ -41,6 +41,11 @@ class TestParser:
         assert rc == 1
         assert "train-pca" in capsys.readouterr().err
 
+    def test_bad_autoencoder_value_exits_one(self, tmp_path, capsys):
+        rc = _run(["train-ae", "--bottleneck", "0", str(tmp_path), str(tmp_path / "out.cae")])
+        assert rc == 1
+        assert "vsrlab train-ae: ae_bottleneck must be at least 1" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def work(tiny_corpus, tmp_path_factory):

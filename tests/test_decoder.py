@@ -8,8 +8,7 @@ from scipy.special import logsumexp as sp_logsumexp
 from scipy.stats import norm
 
 from vsrlab import decoder, experiment, hmm
-from vsrlab.decoder import DecodeConfig, DecodeGraph, decode, decode_batch, \
-    decode_frames
+from vsrlab.decoder import DecodeConfig, DecodeGraph, decode_batch, decode_frames
 from vsrlab.errors import EmptyBeamError, OovError
 from vsrlab.hmm import LOG_ZERO
 from vsrlab.lingware import Lexicon, fit_bigram
@@ -21,23 +20,23 @@ def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
     if use_sil and "sil" not in names:
         raise ValueError("sil mean required")
     topologies = [hmm.build_topology(kind) for _ in names]
-    states = []
-    for name, topo in zip(names, topologies):
-        phone_states = []
-        for s in range(topo.n_states):
-            mu = phone_means[name] + 0.5 * s
-            if n_mix == 1:
-                means = np.array([[mu]])
-                weights = np.array([1.0])
-            else:
-                means = np.array([[mu - 0.4], [mu + 0.4]])
-                weights = np.array([0.6, 0.4])
-            phone_states.append(hmm.GmmState(weights, means,
-                                             np.full((n_mix, 1), var)))
-        states.append(phone_states)
+    mus = np.array([phone_means[name] + 0.5 * s
+                    for name, topo in zip(names, topologies) for s in range(topo.n_states)])
+    if n_mix == 1:
+        means = mus[:, None]
+        weights = np.ones(mus.shape[0])
+    else:
+        means = np.column_stack([mus - 0.4, mus + 0.4]).reshape(-1, 1)
+        weights = np.tile([0.6, 0.4], mus.shape[0])
     return hmm.OpticalModel(phones=names, dim=1, topologies=topologies,
-                            states=states, var_floor=np.full(1, 1e-10),
-                            use_sil=use_sil)
+                            n_mix=np.full(mus.shape[0], n_mix), weights=weights,
+                            means=means, variances=np.full(means.shape, var),
+                            var_floor=np.full(1, 1e-10), use_sil=use_sil)
+
+
+def _decode(model, lm, lex, frames, config=None):
+    """One utterance decoded under a graph built for it alone."""
+    return decode_frames(DecodeGraph(model, lm, lex), frames, config)
 
 
 def _lexicon():
@@ -69,10 +68,11 @@ class _FlatLm:
 # Viterbi written with plain loops and scipy densities
 
 def _state_logpdf(model, pid, s, x):
-    st = model.states[pid][s]
-    comps = [math.log(st.weights[m])
-             + norm.logpdf(x, st.means[m, 0], math.sqrt(st.variances[m, 0]))
-             for m in range(st.weights.shape[0])]
+    k = model.state_offset(pid) + s
+    start = int(model.n_mix[:k].sum())
+    comps = [math.log(model.weights[m])
+             + norm.logpdf(x, model.means[m, 0], math.sqrt(model.variances[m, 0]))
+             for m in range(start, start + model.n_mix[k])]
     return float(sp_logsumexp(comps))
 
 
@@ -383,8 +383,8 @@ class TestConfig:
     def test_infinite_beam_is_exact(self):
         rng = np.random.default_rng(78)
         model, lm, lex, frames, _ = _random_instance(rng, use_sil=True)
-        a = decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=None))
-        b = decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=math.inf))
+        a = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=None))
+        b = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=math.inf))
         assert (a.words, a.score, a.word_spans) == (b.words, b.score, b.word_spans)
 
     def test_oov_word_rejected(self):
@@ -400,7 +400,7 @@ class TestExactness:
         rng = np.random.default_rng(71)
         for trial in range(10):
             model, lm, lex, frames, cfg = _random_instance(rng, use_sil=False)
-            result = decode(model, lm, lex, frames, cfg)
+            result = _decode(model, lm, lex, frames, cfg)
             scored = _oracle_decode(model, lm, lex, frames, cfg)
             assert result.score == pytest.approx(scored[0][0], abs=1e-9)
             if len(scored) == 1 or scored[0][0] - scored[1][0] > 1e-6:
@@ -410,7 +410,7 @@ class TestExactness:
         rng = np.random.default_rng(72)
         for trial in range(6):
             model, lm, lex, frames, cfg = _random_instance(rng, use_sil=True)
-            result = decode(model, lm, lex, frames, cfg)
+            result = _decode(model, lm, lex, frames, cfg)
             scored = _oracle_decode(model, lm, lex, frames, cfg)
             assert result.score == pytest.approx(scored[0][0], abs=1e-9)
             if len(scored) == 1 or scored[0][0] - scored[1][0] > 1e-6:
@@ -421,7 +421,7 @@ class TestExactness:
         for trial in range(4):
             model, lm, lex, frames, cfg = _random_instance(rng, use_sil=False,
                                                            n_mix=2)
-            result = decode(model, lm, lex, frames, cfg)
+            result = _decode(model, lm, lex, frames, cfg)
             scored = _oracle_decode(model, lm, lex, frames, cfg)
             assert result.score == pytest.approx(scored[0][0], abs=1e-9)
 
@@ -432,7 +432,7 @@ class TestExactness:
         lex = _lexicon()
         cfg = DecodeConfig(lm_scale=3.0, word_insertion_penalty=-0.2, beam=None)
         frames = np.array([[3.7]])
-        result = decode(model, lm, lex, frames, cfg)
+        result = _decode(model, lm, lex, frames, cfg)
         candidates = {}
         for word in lex.words:
             pid = model.phone_index[lex.canonical(word)[0]]
@@ -453,7 +453,7 @@ class TestTieBreak:
         lex.add("tos", ["t"])
         lm = fit_bigram([["dos"], ["tos"]])
         frames = np.zeros((4, 1))
-        result = decode(model, lm, lex, frames,
+        result = _decode(model, lm, lex, frames,
                         DecodeConfig(lm_scale=1.0, beam=None))
         assert result.words == ["dos"]
 
@@ -464,9 +464,7 @@ class TestTieBreak:
         # the exit of context xx must take the short variant's token, the
         # last one that can still enter "yy" and end at frame 11
         model = _model({"p": 0.0, "t": 0.0, "k": 0.0}, kind="classic3")
-        for phone_states in model.states:
-            for st in phone_states:
-                st.means[:] = 0.0
+        model.means[:] = 0.0
         lex = Lexicon()
         for word, pron in [("aa", ["p", "p"]), ("bb", ["p"]), ("xx", ["t", "t"]),
                            ("xx", ["t"]), ("yy", ["k"])]:
@@ -494,10 +492,10 @@ class TestBeam:
         lex.add("ba", ["p"])
         lm = fit_bigram([["ba"]])
         frames = np.array([[0.0], [0.0], [0.0]])
-        exact = decode(model, lm, lex, frames, DecodeConfig(lm_scale=1.0, beam=None))
+        exact = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=1.0, beam=None))
         assert exact.words == ["ba"]
         with pytest.raises(EmptyBeamError):
-            decode(model, lm, lex, frames,
+            _decode(model, lm, lex, frames,
                    DecodeConfig(lm_scale=1.0, beam=1e-4))
 
     def test_wide_beam_matches_exact(self):
@@ -505,8 +503,8 @@ class TestBeam:
         model, lm, lex, frames, _ = _random_instance(rng, use_sil=True)
         cfg_exact = DecodeConfig(lm_scale=4.0, beam=None)
         cfg_beam = DecodeConfig(lm_scale=4.0, beam=1e6)
-        a = decode(model, lm, lex, frames, cfg_exact)
-        b = decode(model, lm, lex, frames, cfg_beam)
+        a = _decode(model, lm, lex, frames, cfg_exact)
+        b = _decode(model, lm, lex, frames, cfg_beam)
         assert a.words == b.words
         assert a.score == pytest.approx(b.score, abs=1e-12)
 
@@ -516,7 +514,7 @@ class TestBeam:
         scores = []
         for beam in (2.0, 10.0, 50.0, None):
             try:
-                scores.append(decode(model, lm, lex, frames,
+                scores.append(_decode(model, lm, lex, frames,
                                      DecodeConfig(lm_scale=4.0, beam=beam)).score)
             except EmptyBeamError:
                 scores.append(-np.inf)
@@ -529,7 +527,7 @@ class TestBeam:
         lex = _lexicon()
         # two frames cannot cover lead silence, one word, tail silence
         with pytest.raises(EmptyBeamError):
-            decode(model, _lm(), lex, np.zeros((2, 1)))
+            _decode(model, _lm(), lex, np.zeros((2, 1)))
 
 
 class TestResult:
@@ -544,7 +542,7 @@ class TestResult:
             np.full((5, 1), 4.25),   # "do"
             np.full((3, 1), 10.0),   # tail silence
         ])
-        result = decode(model, lm, lex, frames,
+        result = _decode(model, lm, lex, frames,
                         DecodeConfig(lm_scale=1.0, beam=None))
         assert result.words == ["ba", "do"]
         # spans partition all frames; boundary silence folds into the words
@@ -575,7 +573,7 @@ class TestResult:
         graph = DecodeGraph(model, lm, lex)
         a = decode_frames(graph, frames, cfg)
         b = decode_frames(graph, frames, cfg)
-        c = decode(model, lm, lex, frames, cfg)
+        c = _decode(model, lm, lex, frames, cfg)
         assert a.words == b.words == c.words
         assert a.score == b.score == c.score
         assert a.word_spans == b.word_spans == c.word_spans
@@ -627,9 +625,7 @@ def _tied_instance(rng, use_sil):
     if use_sil:
         means["sil"] = 0.0
     model = _model(means, kind="classic3", use_sil=use_sil)
-    for phone_states in model.states:
-        for st in phone_states:
-            st.means[:] = 0.0
+    model.means[:] = 0.0
     lex = Lexicon()
     for word, pron in [("ba", ["p", "t", "k"]), ("ba", ["p", "p"]),
                        ("da", ["t", "k"]), ("ta", ["t", "k"]), ("ka", ["k"]),

@@ -89,6 +89,17 @@ class TestConfig:
             ({"schedule": "4:4,2:4"}, "non-decreasing"),
             ({"lm_scale": "0"}, "lm_scale"),
             ({"beam": "-1"}, "beam"),
+            ({"ae_bottleneck": "0"}, "ae_bottleneck"),
+            ({"ae_batch": "0"}, "ae_batch"),
+            ({"ae_channels": "0,4"}, "ae_channels"),
+            ({"ae_channels": "4,4,4,4,4"}, "ae_channels"),
+            ({"ae_channels": ""}, "ae_channels"),
+            ({"ae_max_frames": "0"}, "ae_max_frames"),
+            ({"ae_epochs": "0"}, "ae_epochs"),
+            ({"ae_lr": "nan"}, "ae_lr"),
+            ({"ae_lr": "-1"}, "ae_lr"),
+            ({"ae_lr": "inf"}, "ae_lr"),
+            ({"seed": "-1"}, "seed"),
         ]:
             with pytest.raises(ValueError, match=pattern):
                 experiment.ExperimentConfig.from_mapping(overrides)

@@ -26,6 +26,16 @@ def _chain_log_likelihood(model, frames, chain):
     return hmm.forward_log(hmm.pad_batch(model.arc_table(), [graph], [unique]))[1][0]
 
 
+def _build(phones, topologies, blocks, var_floor, use_sil=False):
+    """Model from per-state (weights, means, variances) blocks in model order."""
+    blocks = [[np.array(a, dtype=float) for a in block] for block in blocks]
+    n_mix, weights, means, variances = hmm._mixture_table(blocks)
+    return hmm.OpticalModel(phones=phones, dim=means.shape[1], topologies=topologies,
+                            n_mix=n_mix, weights=weights, means=means,
+                            variances=variances, var_floor=np.asarray(var_floor, dtype=float),
+                            use_sil=use_sil)
+
+
 def _make_model(kind, phone_params, dim, use_sil=False):
     """Model with explicit per-phone state parameters.
 
@@ -35,17 +45,19 @@ def _make_model(kind, phone_params, dim, use_sil=False):
     phones = sorted(phone_params)
     kinds = kind if isinstance(kind, dict) else dict.fromkeys(phones, kind)
     topologies = [hmm.build_topology(kinds[name]) for name in phones]
-    states = []
     for name, topo in zip(phones, topologies):
-        specs = phone_params[name]
-        assert len(specs) == topo.n_states
-        states.append([hmm.GmmState(np.array(w, dtype=float),
-                                    np.array(m, dtype=float),
-                                    np.array(v, dtype=float))
-                       for w, m, v in specs])
-    return hmm.OpticalModel(phones=phones, dim=dim, topologies=topologies,
-                            states=states, var_floor=np.full(dim, 1e-10),
-                            use_sil=use_sil)
+        assert len(phone_params[name]) == topo.n_states
+    return _build(phones, topologies, [spec for name in phones for spec in phone_params[name]],
+                  np.full(dim, 1e-10), use_sil)
+
+
+def _state_params(model, pid, s):
+    """(weights, means, variances) of one state's block of the mixture table,
+    found by counting the components of the states before it."""
+    k = model.state_offset(pid) + s
+    start = int(model.n_mix[:k].sum())
+    block = slice(start, start + int(model.n_mix[k]))
+    return model.weights[block], model.means[block], model.variances[block]
 
 
 def _dense_compose(model, chain):
@@ -131,11 +143,11 @@ def _enum_em_update(model, params, chain, frames_list):
     total_ll = 0.0
     for x in frames_list:
         n_frames = x.shape[0]
-        comp = np.array([[[math.log(w[m]) + norm.logpdf(x[t], mu[m], np.sqrt(var[m])).sum()
-                           for m in range(len(w))]
-                          for w, mu, var in (params[name][s] for name, s, _ in owner)]
-                         for t in range(n_frames)])  # (T, S, M)
-        emis = sp_logsumexp(comp, axis=2)
+        # per chain state, (T, M) with that state's own component count M
+        comp = [np.array([[math.log(w[m]) + norm.logpdf(x[t], mu[m], np.sqrt(var[m])).sum()
+                           for m in range(len(w))] for t in range(n_frames)])
+                for w, mu, var in (params[name][s] for name, s, _ in owner)]
+        emis = np.column_stack([sp_logsumexp(c, axis=1) for c in comp])
         lik = np.exp(emis)
         paths = []
         for path in itertools.product(range(s_count), repeat=n_frames):
@@ -163,7 +175,7 @@ def _enum_em_update(model, params, chain, frames_list):
                     col = n                          # enters the next phone
                 counts[name][s, col] += p / z
         for j, (name, s, _) in enumerate(owner):
-            resp = gamma[:, j, None] * np.exp(comp[:, j] - emis[:, j, None])
+            resp = gamma[:, j, None] * np.exp(comp[j] - emis[:, j, None])
             occ, mean, sqr = stats.get((name, s), (0.0, 0.0, 0.0))
             stats[(name, s)] = (occ + resp.sum(axis=0), mean + resp.T @ x,
                                 sqr + resp.T @ x ** 2)
@@ -242,10 +254,7 @@ class TestCompose:
         # phones of both topologies in one model and one chain, with repeats
         rng = np.random.default_rng(16)
         topologies = [hmm.build_topology("skip2"), hmm.build_topology("classic3")]
-        states = [[hmm.GmmState(*_dummy_params(1, 1)[0]) for _ in range(topo.n_states)]
-                  for topo in topologies]
-        model = hmm.OpticalModel(phones=["a", "c"], dim=1, topologies=topologies,
-                                 states=states, var_floor=np.full(1, 1e-10), use_sil=False)
+        model = _build(["a", "c"], topologies, _dummy_params(5, 1), np.full(1, 1e-10))
         for topo in model.topologies:
             p = rng.uniform(0.1, 1.0, size=topo.trans.shape) * (topo.trans > 0.0)
             topo.trans = p / p.sum(axis=1, keepdims=True)
@@ -469,15 +478,11 @@ class TestEm:
         rng = np.random.default_rng(31)
         frames = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
         topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        state = hmm.GmmState(np.ones(1), frames.mean(axis=0)[None] * 0.0,
-                             np.ones((1, 2)))
-        model = hmm.OpticalModel(phones=["q"], dim=2, topologies=[topo],
-                                 states=[[state]], var_floor=np.full(2, 1e-10),
-                                 use_sil=False)
+        model = _build(["q"], [topo], [(np.ones(1), frames.mean(axis=0)[None] * 0.0,
+                                        np.ones((1, 2)))], np.full(2, 1e-10))
         hmm.em_iteration(model, [(frames, ["q"])])
-        st = model.states[0][0]
-        np.testing.assert_allclose(st.means[0], frames.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(st.variances[0], frames.var(axis=0), atol=1e-10)
+        np.testing.assert_allclose(model.means[0], frames.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(model.variances[0], frames.var(axis=0), atol=1e-10)
         # 39 self loops and one exit, deterministically
         np.testing.assert_allclose(model.topologies[0].trans, [[39 / 40, 1 / 40]],
                                    atol=1e-12)
@@ -486,16 +491,20 @@ class TestEm:
         # with skip2, phone a occurs twice in the chain, so its two chain
         # copies share one set of two-component statistics; classic3 puts
         # counts on every transition column of the arc-column rule; mixing
-        # both checks each phone's offset into the flat arc table
-        for kinds, chain, lengths in [({"a": "skip2", "b": "skip2"}, ["a", "b", "a"], (6, 4, 3)),
-                                      ({"a": "classic3", "b": "classic3"}, ["a", "b"], (7, 6, 8)),
-                                      ({"a": "skip2", "c": "classic3"}, ["a", "c", "a"],
-                                       (6, 5, 6))]:
+        # both checks each phone's offset into the flat arc table; unequal
+        # component counts check each state's block offset into the mixture
+        # table
+        for kinds, chain, lengths, n_mix in [
+                ({"a": "skip2", "b": "skip2"}, ["a", "b", "a"], (6, 4, 3), {}),
+                ({"a": "classic3", "b": "classic3"}, ["a", "b"], (7, 6, 8), {}),
+                ({"a": "skip2", "c": "classic3"}, ["a", "c", "a"], (6, 5, 6), {}),
+                ({"a": "skip2", "c": "classic3"}, ["a", "c", "a"], (6, 5, 6),
+                 {"a": [1, 3], "c": [2, 1, 2]})]:
             rng = np.random.default_rng(39)
             dim = 2
-            params = {name: [(rng.dirichlet(np.ones(2) * 4.0), rng.normal(size=(2, dim)),
-                              rng.uniform(0.5, 1.5, size=(2, dim)))
-                             for _ in range(hmm.build_topology(kind).n_states)]
+            params = {name: [(rng.dirichlet(np.ones(m) * 4.0), rng.normal(size=(m, dim)),
+                              rng.uniform(0.5, 1.5, size=(m, dim)))
+                             for m in n_mix.get(name, [2] * hmm.build_topology(kind).n_states)]
                       for name, kind in kinds.items()}
             frames_list = [rng.normal(size=(t, dim)) for t in lengths]
             want_ll, want_states, want_trans = _enum_em_update(
@@ -504,11 +513,9 @@ class TestEm:
             model = _make_model(kinds, params, dim)
             got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
             assert got_ll == pytest.approx(want_ll, abs=1e-10)
-            for (name, s), (w, mu, var) in want_states.items():
-                st = model.states[model.phone_index[name]][s]
-                np.testing.assert_allclose(st.weights, w, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(st.means, mu, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(st.variances, var, rtol=0, atol=1e-10)
+            for (name, s), want in want_states.items():
+                for got, w in zip(_state_params(model, model.phone_index[name], s), want):
+                    np.testing.assert_allclose(got, w, rtol=0, atol=1e-10)
             for name, trans in want_trans.items():
                 np.testing.assert_allclose(model.topologies[model.phone_index[name]].trans,
                                            trans, rtol=0, atol=1e-10)
@@ -529,8 +536,10 @@ class TestEm:
         for prev, cur in zip(lls, lls[1:]):
             assert cur >= prev - 1e-6
         # the separated clusters should be found
-        mean_a = np.mean([st.means.mean(axis=0) for st in model.states[0]], axis=0)
-        mean_b = np.mean([st.means.mean(axis=0) for st in model.states[1]], axis=0)
+        mean_a = np.mean([_state_params(model, 0, s)[1].mean(axis=0) for s in range(2)],
+                         axis=0)
+        mean_b = np.mean([_state_params(model, 1, s)[1].mean(axis=0) for s in range(2)],
+                         axis=0)
         assert mean_a.mean() < 1.0
         assert mean_b.mean() > 3.0
 
@@ -545,24 +554,21 @@ class TestEm:
         block2 = [ll for m, ll in history if m == 2]
         for prev, cur in zip(block2, block2[1:]):
             assert cur >= prev - 1e-6
-        assert all(st.weights.shape[0] == 2
-                   for phone_states in model.states for st in phone_states)
+        assert list(model.n_mix) == [2, 2]
+        assert model.weights.shape == (4,) and model.means.shape == (4, 2)
 
     def test_variance_floor_engages(self):
         rng = np.random.default_rng(37)
         frames = np.column_stack([rng.normal(0.0, 1.0, size=200),
                                   rng.normal(0.0, 0.5, size=200)])
         topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        state = hmm.GmmState(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
-        model = hmm.OpticalModel(phones=["q"], dim=2, topologies=[topo],
-                                 states=[[state]], var_floor=np.array([0.5, 0.5]),
-                                 use_sil=False)
+        model = _build(["q"], [topo], [(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))],
+                       [0.5, 0.5])
         hmm.em_iteration(model, [(frames, ["q"])])
-        st = model.states[0][0]
         # dim 1 has sample variance near 0.25, below the floor
-        assert st.variances[0, 1] == 0.5
-        assert st.variances[0, 0] > 0.5
-        assert st.variances[0, 0] == pytest.approx(frames[:, 0].var(), abs=1e-10)
+        assert model.variances[0, 1] == 0.5
+        assert model.variances[0, 0] > 0.5
+        assert model.variances[0, 0] == pytest.approx(frames[:, 0].var(), abs=1e-10)
 
     def test_flat_start_floor_formula(self):
         rng = np.random.default_rng(38)
@@ -575,30 +581,54 @@ class TestEm:
         rng = np.random.default_rng(34)
         frames = rng.normal(size=(30, 1))
         topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        state = hmm.GmmState(np.array([0.5, 0.5]),
-                             np.array([[0.0], [1e6]]),
-                             np.array([[1.0], [1.0]]))
-        model = hmm.OpticalModel(phones=["q"], dim=1, topologies=[topo],
-                                 states=[[state]], var_floor=np.full(1, 1e-10),
-                                 use_sil=False)
+        model = _build(["q"], [topo], [([0.5, 0.5], [[0.0], [1e6]], [[1.0], [1.0]])],
+                       np.full(1, 1e-10))
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm.em_iteration(model, [(frames, ["q"])])
-        st = model.states[0][0]
-        assert st.weights.shape[0] == 1
-        assert st.weights[0] == 1.0
+        assert list(model.n_mix) == [1]
+        assert list(model.weights) == [1.0]
+        assert model.means.shape == model.variances.shape == (1, 1)
         assert any("starved" in rec.message for rec in caplog.records)
+
+    def test_state_with_every_component_starved_keeps_parameters(self, caplog, tmp_path):
+        # the block holds more than the floor in total but no component
+        # above it, so no component survives the drop: the state is treated
+        # as unoccupied, and its neighbour's block stays where it was
+        model = _make_model("skip2", {"a": [([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [2.0]]),
+                                            ([1.0], [[3.0]], [[0.5]])]}, dim=1)
+        before = [a.copy() for a in (model.n_mix, model.weights, model.means,
+                                     model.variances)]
+        occ = np.array([0.6e-8, 0.6e-8, 4.0])
+        mean = occ[:, None] * np.array([[-1.0], [1.0], [2.0]])
+        sqr = occ[:, None] * np.array([[2.0], [3.0], [5.0]])
+        trans = np.ones(model.arc_table().shape[0] - 1)
+        with caplog.at_level("WARNING", logger="vsrlab.hmm"):
+            hmm._apply_mstep(model, occ, mean, sqr, trans)
+        assert "phone 'a' state 0 has no occupancy; keeping parameters" \
+            in [rec.message for rec in caplog.records]
+        assert list(model.n_mix) == [2, 1]
+        for got, want in zip((model.weights[:2], model.means[:2], model.variances[:2]),
+                             before[1:]):
+            assert np.array_equal(got, want[:2])
+        np.testing.assert_allclose(model.means[2], [2.0], rtol=1e-12)
+        np.testing.assert_allclose(model.variances[2], [1.0], rtol=1e-12)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        back = hmm.load_model(path)
+        assert list(back.n_mix) == [2, 1]
+        assert np.array_equal(back.weights, model.weights)
 
     def test_unseen_phone_kept(self, caplog):
         rng = np.random.default_rng(35)
         frames = rng.normal(size=(20, 2))
         model = hmm.flat_start([frames], ["a", "b"], topology_kind="skip2",
                                use_sil=False)
-        before = [st.means.copy() for st in model.states[model.phone_index["b"]]]
+        pid = model.phone_index["b"]
+        before = [_state_params(model, pid, s)[1].copy() for s in range(2)]
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm.train_em(model, [(frames, ["a"])], schedule=[(1, 2)])
-        after = model.states[model.phone_index["b"]]
-        for old, st in zip(before, after):
-            assert np.array_equal(old, st.means)
+        for s, old in enumerate(before):
+            assert np.array_equal(old, _state_params(model, pid, s)[1])
         assert any("no occupancy" in rec.message for rec in caplog.records)
 
     def test_training_deterministic(self):
@@ -609,7 +639,7 @@ class TestEm:
             model = hmm.flat_start([f for f, _ in data], ["a"],
                                    topology_kind="classic3", use_sil=False)
             history = hmm.train_em(model, data, schedule=[(1, 2), (2, 2)])
-            results.append((history, model.states[0][0].means.copy()))
+            results.append((history, model.means.copy()))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
 
@@ -631,10 +661,8 @@ class TestEm:
                                               (short_frames, chain)])
         assert any("too short" in r.message for r in caplog.records)
         assert ll_both == ll_solo
-        for s in range(3):
-            assert np.array_equal(both.states[0][s].means, solo.states[0][s].means)
-            assert np.array_equal(both.states[0][s].variances,
-                                  solo.states[0][s].variances)
+        assert np.array_equal(both.means, solo.means)
+        assert np.array_equal(both.variances, solo.variances)
 
     def test_batch_budget_only_reorders_sums(self, monkeypatch, caplog):
         # a budget too small for two utterances runs every utterance as its
@@ -661,11 +689,10 @@ class TestEm:
         split_model, split_lls = train()
 
         np.testing.assert_allclose(split_lls, one_lls, rtol=1e-12)
-        for one_states, split_states in zip(one_model.states, split_model.states):
-            for a, b in zip(one_states, split_states):
-                np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(b.means, a.means, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(b.variances, a.variances, rtol=0, atol=1e-12)
+        assert np.array_equal(split_model.n_mix, one_model.n_mix)
+        for table in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(split_model, table), getattr(one_model, table),
+                                       rtol=0, atol=1e-12)
         for a, b in zip(one_model.topologies, split_model.topologies):
             np.testing.assert_allclose(b.trans, a.trans, rtol=0, atol=1e-12)
         # the one-frame utterance is skipped once per iteration, batch or not
@@ -688,20 +715,29 @@ class TestEm:
 
 class TestGrow:
     def test_split_formula(self):
-        st = hmm.GmmState(np.ones(1), np.array([[2.0, -1.0]]), np.array([[4.0, 1.0]]))
-        model = hmm.OpticalModel(phones=["q"], dim=2,
-                                 topologies=[hmm.build_topology("skip2")],
-                                 states=[[st, hmm.GmmState(np.ones(1), np.zeros((1, 2)),
-                                                           np.ones((1, 2)))]],
-                                 var_floor=np.full(2, 1e-10), use_sil=False)
+        model = _make_model("skip2", {"q": [(np.ones(1), [[2.0, -1.0]], [[4.0, 1.0]]),
+                                            (np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))]},
+                            dim=2)
         hmm.grow_mixtures(model, 2)
-        grown = model.states[0][0]
-        np.testing.assert_allclose(grown.weights, [0.5, 0.5])
-        np.testing.assert_allclose(grown.means, [[2.2, -0.9], [1.8, -1.1]])
-        np.testing.assert_allclose(grown.variances, [[4.0, 1.0], [4.0, 1.0]])
+        grown = _state_params(model, 0, 0)
+        np.testing.assert_allclose(grown[0], [0.5, 0.5])
+        np.testing.assert_allclose(grown[1], [[2.2, -0.9], [1.8, -1.1]])
+        np.testing.assert_allclose(grown[2], [[4.0, 1.0], [4.0, 1.0]])
         hmm.grow_mixtures(model, 4)
-        assert model.states[0][0].weights.shape[0] == 4
-        np.testing.assert_allclose(model.states[0][0].weights, [0.25] * 4)
+        assert list(model.n_mix) == [4, 4]
+        np.testing.assert_allclose(_state_params(model, 0, 0)[0], [0.25] * 4)
+
+        # a 3-component state beside a 1-component one: each splits its own
+        # heaviest component, and neither block moves into the other
+        model = _make_model("skip2", {"q": [([0.2, 0.5, 0.3], [[0.0], [1.0], [2.0]],
+                                             [[1.0], [4.0], [9.0]]),
+                                            ([1.0], [[-5.0]], [[0.25]])]}, dim=1)
+        hmm.grow_mixtures(model, 4)
+        assert list(model.n_mix) == [4, 4]
+        np.testing.assert_allclose(model.weights, [0.2, 0.25, 0.25, 0.3] + [0.25] * 4)
+        np.testing.assert_allclose(model.means[:, 0], [0.0, 1.2, 0.8, 2.0,
+                                                       -4.9, -5.0, -5.0, -5.1])
+        np.testing.assert_allclose(model.variances[:, 0], [1.0, 4.0, 4.0, 9.0] + [0.25] * 4)
 
 
 class TestChainBuilding:
@@ -735,11 +771,8 @@ class TestContainer:
         for t_old, t_new in zip(model.topologies, back.topologies):
             assert t_new.kind == t_old.kind
             assert np.array_equal(t_new.trans, t_old.trans)
-        for old_states, new_states in zip(model.states, back.states):
-            for st_old, st_new in zip(old_states, new_states):
-                assert np.array_equal(st_new.weights, st_old.weights)
-                assert np.array_equal(st_new.means, st_old.means)
-                assert np.array_equal(st_new.variances, st_old.variances)
+        for table in ("n_mix", "weights", "means", "variances"):
+            assert np.array_equal(getattr(back, table), getattr(model, table))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.opt"
@@ -752,8 +785,8 @@ class TestContainer:
         model = _make_model("classic3", {"a": _dummy_params(3, 1)}, dim=1)
         topo = model.topologies[0]
         if case == "no_states":
+            # the mixture table's rows go unwritten with the states
             topo.n_states, topo.trans, topo.initial = 0, np.zeros((0, 1)), np.zeros(0)
-            model.states[0] = []
         elif case == "rows_off_one":
             topo.trans = topo.trans * 0.9
         else:
@@ -765,10 +798,34 @@ class TestContainer:
         with pytest.raises(FormatError, match=str(path)):
             hmm.load_model(path)
 
-    def test_state_without_components_is_a_format_error(self, tmp_path):
+    @pytest.mark.parametrize("case", ["no_phones", "nan_weight", "inf_mean", "nan_variance",
+                                      "inf_floor", "negative_weight", "zero_variance",
+                                      "negative_variance"])
+    def test_bad_values_are_a_format_error(self, tmp_path, case):
         model = _make_model("skip2", {"a": _dummy_params(2, 1),
                                       "b": _dummy_params(2, 1)}, dim=1)
-        model.states[0][1] = hmm.GmmState(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
+        if case == "no_phones":
+            model.phones, model.topologies = [], []
+            message = "the model has no phones"
+        else:
+            table, value, message = {
+                "nan_weight": ("weights", np.nan, "non-finite"),
+                "inf_mean": ("means", np.inf, "non-finite"),
+                "nan_variance": ("variances", np.nan, "non-finite"),
+                "inf_floor": ("var_floor", -np.inf, "non-finite"),
+                "negative_weight": ("weights", -0.5, "negative mixture weight"),
+                "zero_variance": ("variances", 0.0, "non-positive variance"),
+                "negative_variance": ("variances", -1.0, "non-positive variance")}[case]
+            getattr(model, table)[-1] = value
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        with pytest.raises(FormatError, match=f"{path}: {message}"):
+            hmm.load_model(path)
+
+    def test_state_without_components_is_a_format_error(self, tmp_path):
+        model = _make_model("skip2", {"a": [_dummy_params(1, 1)[0],
+                                            (np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))],
+                                      "b": _dummy_params(2, 1)}, dim=1)
         path = tmp_path / "model.opt"
         hmm.save_model(path, model)
         with pytest.raises(FormatError, match=f"{path}: phone 'a' state 1 has no components"):

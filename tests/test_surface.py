@@ -4,7 +4,7 @@ inside the package, so no code exists only for tests.
 A definition counts as used when its name appears as a ``Name``, as an
 ``Attribute`` or in a ``from ... import`` anywhere in ``src/vsrlab`` outside
 its own body. Matching is by bare name, so the check is a lower bound: a
-``decoder.decode`` function would count as used through ``bytes.decode``.
+function named ``decode`` would count as used through ``bytes.decode``.
 """
 
 import ast
@@ -17,6 +17,8 @@ import vsrlab
 ALLOWED = {
     # round-trip oracle for lingware.write_arpa in tests/test_lingware.py
     ("lingware", "read_arpa"),
+    # single-utterance decoding; the benchmark's tracer wraps it by name
+    ("decoder", "decode_frames"),
 }
 
 
