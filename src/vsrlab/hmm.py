@@ -649,8 +649,10 @@ def load_model(path):
     n_mix, weights, means, variances = _mixture_table(blocks)
     if not all(np.isfinite(a).all() for a in (var_floor, weights, means, variances)):
         raise FormatError(f"{path}: non-finite variance floor or mixture parameters")
-    if np.any(weights < 0.0):
-        raise FormatError(f"{path}: negative mixture weight")
+    sums = np.add.reduceat(weights, _block_starts(n_mix))
+    if np.any(weights < 0.0) or not np.allclose(sums, 1.0, rtol=0.0, atol=1e-9):
+        raise FormatError(f"{path}: mixture weights must be non-negative and sum to one "
+                          "in every state")
     if np.any(variances <= 0.0):
         raise FormatError(f"{path}: non-positive variance")
     return OpticalModel(phones=phones, dim=dim, topologies=topologies, n_mix=n_mix,

@@ -799,8 +799,8 @@ class TestContainer:
             hmm.load_model(path)
 
     @pytest.mark.parametrize("case", ["no_phones", "nan_weight", "inf_mean", "nan_variance",
-                                      "inf_floor", "negative_weight", "zero_variance",
-                                      "negative_variance"])
+                                      "inf_floor", "negative_weight", "weights_off_one",
+                                      "zero_variance", "negative_variance"])
     def test_bad_values_are_a_format_error(self, tmp_path, case):
         model = _make_model("skip2", {"a": _dummy_params(2, 1),
                                       "b": _dummy_params(2, 1)}, dim=1)
@@ -813,7 +813,8 @@ class TestContainer:
                 "inf_mean": ("means", np.inf, "non-finite"),
                 "nan_variance": ("variances", np.nan, "non-finite"),
                 "inf_floor": ("var_floor", -np.inf, "non-finite"),
-                "negative_weight": ("weights", -0.5, "negative mixture weight"),
+                "negative_weight": ("weights", -0.5, "mixture weights must be non-negative"),
+                "weights_off_one": ("weights", 0.5, "mixture weights .* sum to one"),
                 "zero_variance": ("variances", 0.0, "non-positive variance"),
                 "negative_variance": ("variances", -1.0, "non-positive variance")}[case]
             getattr(model, table)[-1] = value
