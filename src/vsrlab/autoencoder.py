@@ -369,4 +369,7 @@ def load_autoencoder(path):
         for layer, attr in model.parameter_arrays():
             shape = getattr(layer, attr).shape
             setattr(layer, attr, binio.read_array(fh, "<f4", shape, path).astype(float))
+    if not all(np.isfinite(getattr(layer, attr)).all()
+               for layer, attr in model.parameter_arrays()):
+        raise FormatError(f"{path}: non-finite weights")
     return model

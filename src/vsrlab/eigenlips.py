@@ -234,4 +234,8 @@ def load_pca(path):
         mean = binio.read_array(fh, "<f8", (ROI_DIM,), path)
         evals = binio.read_array(fh, "<f8", (k,), path)
         comps = binio.read_array(fh, "<f8", (k, ROI_DIM), path)
+    if not (np.isfinite(mean).all() and np.isfinite(comps).all()):
+        raise FormatError(f"{path}: non-finite mean or components")
+    if not np.all((evals >= 0.0) & (evals < np.inf)):
+        raise FormatError(f"{path}: eigenvalues must be non-negative and finite")
     return PcaModel(mean=mean, components=comps, eigenvalues=evals)

@@ -115,10 +115,32 @@ def parse_schedule(value):
     return out
 
 
+def _ints(value):
+    return [int(item) for item in _csv(value)]
+
+
+def _beam(value):
+    return None if value.lower() in ("", "none", "inf") else float(value)
+
+
+# how ``ExperimentConfig.from_mapping`` reads each config value
+_PARSERS = {
+    "seed": int, "corpus_dir": Path, "out_dir": Path, "test_speakers": _csv,
+    "streams": _csv, "contexts": _ints, "norms": _csv, "roi_margin": float,
+    "pca_components": int, "pca_max_frames": int,
+    "ae_channels": lambda value: tuple(_ints(value)), "ae_bottleneck": int,
+    "ae_epochs": int, "ae_lr": float, "ae_batch": int, "ae_max_frames": int,
+    "topology": str, "schedule": parse_schedule, "lm_scale": float,
+    "word_insertion_penalty": float, "beam": _beam, "bootstrap": int,
+    "confidence": float,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Typed view of a config mapping; build it with ``from_mapping``, which
-    fills every field from the mapping merged over ``CONFIG_DEFAULTS``."""
+    fills every field from the mapping merged over ``CONFIG_DEFAULTS``, and
+    names the key of any value that it cannot parse."""
 
     raw: dict
     seed: int
@@ -152,34 +174,13 @@ class ExperimentConfig:
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = value
-        beam_raw = merged["beam"].lower()
-        beam = None if beam_raw in ("", "none", "inf") else float(merged["beam"])
-        cfg = cls(
-            raw=merged,
-            seed=int(merged["seed"]),
-            corpus_dir=Path(merged["corpus_dir"]),
-            out_dir=Path(merged["out_dir"]),
-            test_speakers=_csv(merged["test_speakers"]),
-            streams=_csv(merged["streams"]),
-            contexts=[int(c) for c in _csv(merged["contexts"])],
-            norms=_csv(merged["norms"]),
-            roi_margin=float(merged["roi_margin"]),
-            pca_components=int(merged["pca_components"]),
-            pca_max_frames=int(merged["pca_max_frames"]),
-            ae_channels=tuple(int(c) for c in _csv(merged["ae_channels"])),
-            ae_bottleneck=int(merged["ae_bottleneck"]),
-            ae_epochs=int(merged["ae_epochs"]),
-            ae_lr=float(merged["ae_lr"]),
-            ae_batch=int(merged["ae_batch"]),
-            ae_max_frames=int(merged["ae_max_frames"]),
-            topology=merged["topology"],
-            schedule=parse_schedule(merged["schedule"]),
-            lm_scale=float(merged["lm_scale"]),
-            word_insertion_penalty=float(merged["word_insertion_penalty"]),
-            beam=beam,
-            bootstrap=int(merged["bootstrap"]),
-            confidence=float(merged["confidence"]),
-        )
+        fields = {}
+        for key, parse in _PARSERS.items():
+            try:
+                fields[key] = parse(merged[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        cfg = cls(raw=merged, **fields)
         cfg.validate()
         return cfg
 

@@ -16,21 +16,23 @@ from local state s of a phone with n states is column s + k of that state's
 transition row, and that column is the exit column n exactly when the arc
 leaves the phone, into the next phone's first state or, from the last phone,
 out of the utterance. A chain graph holds structure only: each arc is an
-index into the model's arc table, which is every phone's (n, n + 1) log
-transition rows, flat and in model order, then one log-zero entry that index
--1 reads for a missing arc. The band's values are the table read at those
-indices, and EM counts arcs through the same indices. The forward, backward,
-and Viterbi passes all run on this band, in the log domain, vectorized over
-states. Forward and backward also run batched over the utterances of an EM
-iteration, taken in order of length in batches of bounded size: each
-utterance is padded with log-zero to the longest chain and the longest
-utterance of its batch, which leaves its own values exactly as a pass over
-it alone would give them.
+index into the model's arc table, the log of the transition table followed
+by one log-zero entry that index -1 reads for a missing arc. The band's
+values are the table read at those indices, and EM counts arcs through the
+same indices. The forward, backward, and Viterbi passes all run on this
+band, in the log domain, vectorized over states. Forward and backward also
+run batched over the utterances of an EM iteration, taken in order of length
+in batches of bounded size: each utterance is padded with log-zero to the
+longest chain and the longest utterance of its batch, which leaves its own
+values exactly as a pass over it alone would give them.
 
-Beside the arc table, the Gaussians form one mixture table: component weights
+The model keeps its parameters in two flat tables. Every phone enters at its
+first state, so only the transition rows vary between phones: the transition
+table holds each phone's (n, n + 1) rows, flat and in model order, beside the
+phones' state counts. The mixture table holds the Gaussians: component weights
 (C,), means (C, D) and diagonal variances (C, D), one block of rows per state
-in model order, plus each state's component count. The E-step sums, the
-density blocks and the OPT1 file all keep this order.
+in model order, plus each state's component count. The E-step sums, the arc
+counts, the density blocks and the OPT1 file all keep these orders.
 """
 
 import itertools
@@ -57,48 +59,14 @@ _BATCH_VALUES = 1 << 20
 LOG_ZERO = -np.inf
 
 
-@dataclass
-class HmmTopology:
-    kind: str
-    n_states: int
-    trans: np.ndarray       # (n_states, n_states + 1); last column exits the phone
-    initial: np.ndarray     # (n_states,)
-
-    def __post_init__(self):
-        self.trans = np.asarray(self.trans, dtype=float)
-        self.initial = np.asarray(self.initial, dtype=float)
-        if self.n_states < 1:
-            raise ValueError("a topology needs at least one state")
-        if self.trans.shape != (self.n_states, self.n_states + 1):
-            raise ValueError("transition matrix shape mismatch")
-        if np.any(self.trans < 0.0) or not np.allclose(self.trans.sum(axis=1), 1.0,
-                                                       atol=1e-9):
-            raise ValueError("transition rows must be non-negative and sum to one")
-        # the arc from state s to column c advances c - s chain states
-        source, col = np.nonzero(self.trans > 0.0)
-        if np.any((col < source) | (col > source + 2)):
-            raise ValueError("only forward arcs within a band of 2 are supported")
-        if self.initial[0] != 1.0 or np.any(self.initial[1:] != 0.0):
-            raise ValueError("topologies must enter at their first state")
-
-
-def build_topology(kind):
-    """Named topology with uniform probabilities over the outgoing arcs."""
-    if kind == "classic3":
-        trans = np.array([
-            [0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.5, 0.5, 0.0],
-            [0.0, 0.0, 0.5, 0.5],
-        ])
-        return HmmTopology("classic3", 3, trans, np.array([1.0, 0.0, 0.0]))
-    if kind == "skip2":
-        third = 1.0 / 3.0
-        trans = np.array([
-            [third, third, third],
-            [0.0, 0.5, 0.5],
-        ])
-        return HmmTopology("skip2", 2, trans, np.array([1.0, 0.0]))
-    raise ValueError(f"unknown topology kind {kind!r}")
+# each built-in topology's transition rows, uniform over the outgoing arcs
+_TOPOLOGY_ROWS = {
+    "classic3": np.array([[0.5, 0.5, 0.0, 0.0],
+                          [0.0, 0.5, 0.5, 0.0],
+                          [0.0, 0.0, 0.5, 0.5]]),
+    "skip2": np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+                       [0.0, 0.5, 0.5]]),
+}
 
 
 def _block_starts(sizes):
@@ -123,32 +91,30 @@ def _mixture_table(blocks):
 class OpticalModel:
     phones: list
     dim: int
-    topologies: list        # HmmTopology per phone
+    phone_n_states: np.ndarray  # (P,) emitting states per phone
+    trans: np.ndarray       # (A,) the transition table: each phone's (n, n + 1) rows
     n_mix: np.ndarray       # (unique states,) components per state, model order
     weights: np.ndarray     # (C,) the mixture table, state blocks in model order
     means: np.ndarray       # (C, D)
     variances: np.ndarray   # (C, D), diagonal
     var_floor: np.ndarray   # (D,)
     use_sil: bool = True
-    phone_index: dict = field(default_factory=dict)
+    phone_index: dict = field(init=False)
 
     def __post_init__(self):
         self.phone_index = {p: i for i, p in enumerate(self.phones)}
-        self.phone_n_states = np.array([topo.n_states for topo in self.topologies],
-                                       dtype=int)
         self._state_offsets = _block_starts(self.phone_n_states)
-        # where each phone's (n, n + 1) transition rows start in the arc table
+        # where each phone's (n, n + 1) transition rows start in the table
         self.arc_offsets = _block_starts(self.phone_n_states * (self.phone_n_states + 1))
 
     def state_offset(self, phone_idx):
         return self._state_offsets[phone_idx]
 
     def arc_table(self):
-        """Log transition probabilities: every phone's (n, n + 1) rows, flat
-        and in model order, then one log-zero entry that arc index -1 reads."""
+        """Log transition probabilities: the transition table, then one
+        log-zero entry that arc index -1 reads."""
         with np.errstate(divide="ignore"):
-            return np.log(np.concatenate([topo.trans.ravel() for topo in self.topologies]
-                                         + [[0.0]]))
+            return np.log(np.append(self.trans, 0.0))
 
 
 def _logsumexp(a, axis=None):
@@ -196,9 +162,13 @@ def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True,
     if use_sil and SILENCE_PHONE not in phones:
         phones = phones + [SILENCE_PHONE]
     phones = sorted(phones)
-    topologies = [build_topology(topology_kind) for _ in phones]
-    n = sum(topo.n_states for topo in topologies)
-    return OpticalModel(phones=phones, dim=dim, topologies=topologies,
+    if topology_kind not in _TOPOLOGY_ROWS:
+        raise ValueError(f"unknown topology kind {topology_kind!r}")
+    rows = _TOPOLOGY_ROWS[topology_kind]
+    n = len(phones) * rows.shape[0]
+    return OpticalModel(phones=phones, dim=dim,
+                        phone_n_states=np.full(len(phones), rows.shape[0]),
+                        trans=np.tile(rows.ravel(), len(phones)),
                         n_mix=np.ones(n, dtype=int), weights=np.ones(n),
                         means=np.tile(g_mean, (n, 1)), variances=np.tile(g_var, (n, 1)),
                         var_floor=floor, use_sil=use_sil)
@@ -443,20 +413,21 @@ def em_iteration(model, data):
         raise InsufficientDataError("every utterance is too short for the topology")
     index, count = (np.concatenate(a) for a in zip(*arcs))
     live = index >= 0
-    trans = np.bincount(index[live], weights=count[live], minlength=table.shape[0])
-    _apply_mstep(model, occ, mean, sqr, trans)
+    arc_counts = np.bincount(index[live], weights=count[live], minlength=table.shape[0])
+    _apply_mstep(model, occ, mean, sqr, arc_counts)
     return total
 
 
-def _apply_mstep(model, occ, mean, sqr, trans):
+def _apply_mstep(model, occ, mean, sqr, arc_counts):
     """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
-    row per mixture component in mixture-table order; ``trans`` holds the arc
-    counts in arc-table order. A state with no component above the occupancy
-    floor keeps its parameters; starved components of other states go."""
+    row per mixture component in mixture-table order; ``arc_counts`` holds
+    the arc counts in transition-table order. A state with no component above
+    the occupancy floor keeps its parameters, and so does a transition row
+    with no count above it; starved components of other states go."""
     blocks = []
     slices = _block_slices(model.n_mix)
-    for name, topo in zip(model.phones, model.topologies):
-        for s in range(topo.n_states):
+    for name, n, start in zip(model.phones, model.phone_n_states, model.arc_offsets):
+        for s in range(n):
             block = next(slices)
             keep = occ[block] > _OCC_EPS
             if not keep.any():
@@ -473,15 +444,13 @@ def _apply_mstep(model, occ, mean, sqr, trans):
             varia = np.maximum(sqr[block][keep] / occ_k[:, None] - means ** 2,
                                model.var_floor)
             blocks.append((occ_k / occ_k.sum(), means, varia))
-    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
-    for start, topo in zip(model.arc_offsets, model.topologies):
-        counts = trans[start:start + topo.trans.size].reshape(topo.trans.shape)
-        struct = topo.trans > 0.0
-        new = np.where(struct, counts, 0.0)
+        rows = model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
+        new = np.where(rows > 0.0, arc_counts[start:start + rows.size].reshape(rows.shape),
+                       0.0)
         sums = new.sum(axis=1, keepdims=True)
-        rows = sums[:, 0] > _OCC_EPS
-        topo.trans = np.where(rows[:, None], np.divide(new, np.maximum(sums, 1e-300)),
-                              topo.trans)
+        live = sums[:, 0] > _OCC_EPS
+        rows[...] = np.where(live[:, None], np.divide(new, np.maximum(sums, 1e-300)), rows)
+    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
 
 
 def grow_mixtures(model, target_m):
@@ -592,8 +561,9 @@ def phone_spans(alignment):
 # ---------------------------------------------------------------------------
 # container
 
-_KIND_CODES = {"classic3": 0, "skip2": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# OPT1 stores a topology code per phone; a built-in topology's state count
+# names it: 0 is classic3, 1 is skip2
+_KIND_CODES = {3: 0, 2: 1}
 
 
 def save_model(path, model):
@@ -606,12 +576,12 @@ def save_model(path, model):
         binio.write_u8(fh, 1 if model.use_sil else 0)
         binio.write_array(fh, model.var_floor, "<f8")
         slices = _block_slices(model.n_mix)
-        for topo in model.topologies:
-            binio.write_u8(fh, _KIND_CODES[topo.kind])
-            binio.write_u32(fh, topo.n_states)
-            binio.write_array(fh, topo.trans, "<f8")
-            binio.write_array(fh, topo.initial, "<f8")
-            for block in itertools.islice(slices, topo.n_states):
+        for n, start in zip(model.phone_n_states, model.arc_offsets):
+            binio.write_u8(fh, _KIND_CODES[n])
+            binio.write_u32(fh, n)
+            binio.write_array(fh, model.trans[start:start + n * (n + 1)], "<f8")
+            binio.write_array(fh, np.eye(1, n), "<f8")   # every phone enters at state 0
+            for block in itertools.islice(slices, n):
                 binio.write_u32(fh, block.stop - block.start)
                 for table in (model.weights, model.means, model.variances):
                     binio.write_array(fh, table[block], "<f8")
@@ -627,25 +597,40 @@ def load_model(path):
         phones = [binio.read_str8(fh, path) for _ in range(n_phones)]
         use_sil = binio.read_u8(fh, path) == 1
         var_floor = binio.read_array(fh, "<f8", (dim,), path)
-        topologies = []
-        blocks = []
+        sizes, trans, initial, blocks = [], [], [], []
         for name in phones:
             code = binio.read_u8(fh, path)
-            if code not in _KIND_NAMES:
-                raise FormatError(f"{path}: unknown topology code {code}")
-            n_states = binio.read_u32(fh, path)
-            trans = binio.read_array(fh, "<f8", (n_states, n_states + 1), path)
-            initial = binio.read_array(fh, "<f8", (n_states,), path)
-            try:
-                topologies.append(HmmTopology(_KIND_NAMES[code], n_states, trans, initial))
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            for s in range(n_states):
+            n = binio.read_u32(fh, path)
+            if _KIND_CODES.get(n) != code:
+                raise FormatError(f"{path}: phone {name!r}: topology code {code} does not "
+                                  f"match its {n} states")
+            sizes.append(n)
+            trans.append(binio.read_array(fh, "<f8", (n * (n + 1),), path))
+            initial.append(binio.read_array(fh, "<f8", (n,), path))
+            for s in range(n):
                 m = binio.read_u32(fh, path)
                 if m == 0:
                     raise FormatError(f"{path}: phone {name!r} state {s} has no components")
                 blocks.append([binio.read_array(fh, "<f8", shape, path)
                                for shape in ((m,), (m, dim), (m, dim))])
+    sizes, trans, initial = np.array(sizes), np.concatenate(trans), np.concatenate(initial)
+    # each state's transition row, its local state s, and the advance k of
+    # each of its arcs: column s + k
+    state_phone = np.repeat(np.arange(n_phones), sizes)
+    local = np.arange(state_phone.shape[0]) - np.repeat(_block_starts(sizes), sizes)
+    widths = sizes[state_phone] + 1
+    rows = _block_starts(widths)
+    advance = np.arange(trans.shape[0]) - np.repeat(rows + local, widths)
+    for bad, message in [
+            ((np.minimum.reduceat(trans, rows) < 0.0)
+             | ~np.isclose(np.add.reduceat(trans, rows), 1.0, atol=1e-9),
+             "transition rows must be non-negative and sum to one"),
+            (np.logical_or.reduceat((trans > 0.0) & ((advance < 0) | (advance > 2)), rows),
+             "only forward arcs within a band of 2 are supported"),
+            (initial != (local == 0), "a phone must enter at its first state")]:
+        if bad.any():
+            raise FormatError(f"{path}: phone {phones[state_phone[np.argmax(bad)]]!r}: "
+                              f"{message}")
     n_mix, weights, means, variances = _mixture_table(blocks)
     if not all(np.isfinite(a).all() for a in (var_floor, weights, means, variances)):
         raise FormatError(f"{path}: non-finite variance floor or mixture parameters")
@@ -655,6 +640,6 @@ def load_model(path):
                           "in every state")
     if np.any(variances <= 0.0):
         raise FormatError(f"{path}: non-positive variance")
-    return OpticalModel(phones=phones, dim=dim, topologies=topologies, n_mix=n_mix,
-                        weights=weights, means=means, variances=variances,
+    return OpticalModel(phones=phones, dim=dim, phone_n_states=sizes, trans=trans,
+                        n_mix=n_mix, weights=weights, means=means, variances=variances,
                         var_floor=var_floor, use_sil=use_sil)

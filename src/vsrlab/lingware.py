@@ -299,6 +299,12 @@ def load_lm(path):
             if v >= len(ctx_names) or w >= len(pred_names):
                 raise FormatError(f"{path}: bigram record index out of range")
             bigram[(ctx_names[v], pred_names[w])] = p
+    # written this way round, each range check also fails on NaN
+    probs = np.concatenate([uni, list(bigram.values())])
+    if not np.all((probs > 0.0) & (probs <= 1.0)):
+        raise FormatError(f"{path}: unigram and bigram probabilities must lie in (0, 1]")
+    if not np.all((lams >= 0.0) & (lams < 1.0)):
+        raise FormatError(f"{path}: Witten-Bell weights must lie in [0, 1)")
     unigram = {w: uni[i] for i, w in enumerate(pred_names)}
     lam = {name: lams[i] for i, name in enumerate(ctx_names) if lams[i] != 0.0}
     return BigramLm(vocab=list(words), unigram=unigram, bigram=bigram, lam=lam)

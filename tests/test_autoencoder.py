@@ -145,3 +145,13 @@ def test_corrupt_header_is_a_format_error(tmp_path, stages, channels, bottleneck
         fh.write(b"\x00" * 64)
     with pytest.raises(FormatError, match="bad.cae"):
         autoencoder.load_autoencoder(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weights_are_a_format_error(tmp_path, value):
+    net = ConvAutoencoder(channels=(2,), bottleneck=3, seed=13)
+    net.enc_dense.w[0, 0] = value
+    path = tmp_path / "model.cae"
+    autoencoder.save_autoencoder(path, net)
+    with pytest.raises(FormatError, match=f"{path}: non-finite weights"):
+        autoencoder.load_autoencoder(path)

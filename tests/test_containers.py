@@ -1,0 +1,62 @@
+"""Every binary container rejects each strict prefix of a valid file with a
+``FormatError`` that names the file."""
+
+import numpy as np
+import pytest
+
+from vsrlab import autoencoder, corpus, eigenlips, features, hmm, lingware
+from vsrlab.errors import FormatError
+
+
+def _vfa1(path):
+    seq = features.FeatureSequence(np.arange(6.0).reshape(3, 2), "u1", "s1", "geo",
+                                   normalization_tag="speaker", delta_context=1)
+    features.save_features(path, seq)
+    return features.load_features
+
+
+def _opt1(path):
+    frames = np.random.default_rng(3).normal(size=(8, 2))
+    model = hmm.flat_start([frames], ["a"], topology_kind="classic3", use_sil=True)
+    hmm.grow_mixtures(model, 2)
+    hmm.save_model(path, model)
+    return hmm.load_model
+
+
+def _cae1(path):
+    autoencoder.save_autoencoder(path, autoencoder.ConvAutoencoder(channels=(1,), bottleneck=1))
+    return autoencoder.load_autoencoder
+
+
+def _eig1(path):
+    frames = np.random.default_rng(4).uniform(size=(3, eigenlips.ROI_DIM))
+    eigenlips.save_pca(path, eigenlips.fit_pca(frames, 1))
+    return eigenlips.load_pca
+
+
+def _alm1(path):
+    lingware.save_lm(path, lingware.fit_bigram([["a", "b"], ["b"]]))
+    return lingware.load_lm
+
+
+def _lmk1(path):
+    corpus.write_landmarks(path, np.ones((2, corpus.N_LANDMARKS, 2)))
+    return corpus.read_landmarks
+
+
+def _frm1(path):
+    corpus.write_frames(path, np.ones((2, 3, 4), dtype=np.uint8))
+    return corpus.read_frames
+
+
+@pytest.mark.parametrize("write", [_vfa1, _opt1, _cae1, _eig1, _alm1, _lmk1, _frm1],
+                         ids=["VFA1", "OPT1", "CAE1", "EIG1", "ALM1", "LMK1", "FRM1"])
+def test_every_strict_prefix_is_a_format_error(tmp_path, write):
+    path = tmp_path / "container.bin"
+    load = write(path)
+    blob = path.read_bytes()
+    load(path)
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(FormatError, match=str(path)):
+            load(path)

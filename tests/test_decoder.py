@@ -19,16 +19,18 @@ def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
     names = sorted(phone_means)
     if use_sil and "sil" not in names:
         raise ValueError("sil mean required")
-    topologies = [hmm.build_topology(kind) for _ in names]
-    mus = np.array([phone_means[name] + 0.5 * s
-                    for name, topo in zip(names, topologies) for s in range(topo.n_states)])
+    rows = hmm._TOPOLOGY_ROWS[kind]
+    mus = np.array([phone_means[name] + 0.5 * s for name in names
+                    for s in range(rows.shape[0])])
     if n_mix == 1:
         means = mus[:, None]
         weights = np.ones(mus.shape[0])
     else:
         means = np.column_stack([mus - 0.4, mus + 0.4]).reshape(-1, 1)
         weights = np.tile([0.6, 0.4], mus.shape[0])
-    return hmm.OpticalModel(phones=names, dim=1, topologies=topologies,
+    return hmm.OpticalModel(phones=names, dim=1,
+                            phone_n_states=np.full(len(names), rows.shape[0]),
+                            trans=np.tile(rows.ravel(), len(names)),
                             n_mix=np.full(mus.shape[0], n_mix), weights=weights,
                             means=means, variances=np.full(means.shape, var),
                             var_floor=np.full(1, 1e-10), use_sil=use_sil)
@@ -83,7 +85,7 @@ def _sentence_acoustic(model, lex, sentence, frames):
     if model.use_sil:
         phones = ["sil"] + phones + ["sil"]
     pids = [model.phone_index[p] for p in phones]
-    sizes = [model.topologies[pid].n_states for pid in pids]
+    sizes = [int(model.phone_n_states[pid]) for pid in pids]
     bases = [0]
     for n in sizes[:-1]:
         bases.append(bases[-1] + n)
@@ -91,12 +93,14 @@ def _sentence_acoustic(model, lex, sentence, frames):
     trans = np.zeros((s_count, s_count))
     exit_p = np.zeros(s_count)
     for pos, pid in enumerate(pids):
-        topo = model.topologies[pid]
-        n = topo.n_states
+        # the phone's rows, found by counting the entries of the phones before it
+        n = sizes[pos]
+        start = sum(int(m) * (int(m) + 1) for m in model.phone_n_states[:pid])
+        rows = model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
         for s in range(n):
             for c in range(n):
-                trans[bases[pos] + s, bases[pos] + c] = topo.trans[s, c]
-            p_final = topo.trans[s, n]
+                trans[bases[pos] + s, bases[pos] + c] = rows[s, c]
+            p_final = rows[s, n]
             if pos + 1 < len(pids):
                 trans[bases[pos] + s, bases[pos + 1]] += p_final
             else:

@@ -124,3 +124,18 @@ def test_container_round_trip(tmp_path):
         eigenlips.load_pca(bad)
     with pytest.raises(ValueError):
         eigenlips.save_pca(tmp_path / "d.eig", eigenlips.fit_pca(rng.uniform(size=(9, 8)), 2))
+
+
+@pytest.mark.parametrize("table, value", [
+    ("mean", np.nan), ("components", np.inf),
+    ("eigenvalues", np.nan), ("eigenvalues", np.inf), ("eigenvalues", -1e-3),
+])
+def test_bad_values_are_a_format_error(tmp_path, table, value):
+    model = eigenlips.fit_pca(np.random.default_rng(12).uniform(size=(10, 512)), 3)
+    getattr(model, table).flat[-1] = value
+    path = tmp_path / "m.eig"
+    eigenlips.save_pca(path, model)
+    message = ("eigenvalues must be non-negative and finite" if table == "eigenvalues"
+               else "non-finite mean or components")
+    with pytest.raises(FormatError, match=f"{path}: {message}"):
+        eigenlips.load_pca(path)

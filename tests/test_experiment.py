@@ -100,6 +100,13 @@ class TestConfig:
             ({"ae_lr": "-1"}, "ae_lr"),
             ({"ae_lr": "inf"}, "ae_lr"),
             ({"seed": "-1"}, "seed"),
+            # values that do not parse name their key too
+            ({"pca_components": "abc"}, "^pca_components: invalid literal"),
+            ({"schedule": "1:x"}, "^schedule: invalid literal"),
+            ({"contexts": "0,two"}, "^contexts: invalid literal"),
+            ({"ae_channels": "8,1.5"}, "^ae_channels: invalid literal"),
+            ({"beam": "wide"}, "^beam: could not convert"),
+            ({"confidence": "high"}, "^confidence: could not convert"),
         ]:
             with pytest.raises(ValueError, match=pattern):
                 experiment.ExperimentConfig.from_mapping(overrides)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -26,11 +27,14 @@ def _chain_log_likelihood(model, frames, chain):
     return hmm.forward_log(hmm.pad_batch(model.arc_table(), [graph], [unique]))[1][0]
 
 
-def _build(phones, topologies, blocks, var_floor, use_sil=False):
-    """Model from per-state (weights, means, variances) blocks in model order."""
+def _build(phones, rows, blocks, var_floor, use_sil=False):
+    """Model from per-phone (n, n + 1) transition rows and per-state
+    (weights, means, variances) blocks in model order."""
     blocks = [[np.array(a, dtype=float) for a in block] for block in blocks]
     n_mix, weights, means, variances = hmm._mixture_table(blocks)
-    return hmm.OpticalModel(phones=phones, dim=means.shape[1], topologies=topologies,
+    return hmm.OpticalModel(phones=phones, dim=means.shape[1],
+                            phone_n_states=np.array([len(r) for r in rows]),
+                            trans=np.concatenate([np.ravel(r) for r in rows]),
                             n_mix=n_mix, weights=weights, means=means,
                             variances=variances, var_floor=np.asarray(var_floor, dtype=float),
                             use_sil=use_sil)
@@ -44,11 +48,19 @@ def _make_model(kind, phone_params, dim, use_sil=False):
     """
     phones = sorted(phone_params)
     kinds = kind if isinstance(kind, dict) else dict.fromkeys(phones, kind)
-    topologies = [hmm.build_topology(kinds[name]) for name in phones]
-    for name, topo in zip(phones, topologies):
-        assert len(phone_params[name]) == topo.n_states
-    return _build(phones, topologies, [spec for name in phones for spec in phone_params[name]],
+    rows = [hmm._TOPOLOGY_ROWS[kinds[name]] for name in phones]
+    for name, r in zip(phones, rows):
+        assert len(phone_params[name]) == r.shape[0]
+    return _build(phones, rows, [spec for name in phones for spec in phone_params[name]],
                   np.full(dim, 1e-10), use_sil)
+
+
+def _phone_rows(model, pid):
+    """Phone ``pid``'s (n, n + 1) transition rows, a view into the transition
+    table found by counting the entries of the phones before it."""
+    start = int(sum(n * (n + 1) for n in model.phone_n_states[:pid]))
+    n = int(model.phone_n_states[pid])
+    return model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
 
 
 def _state_params(model, pid, s):
@@ -63,7 +75,7 @@ def _state_params(model, pid, s):
 def _dense_compose(model, chain):
     """Reference composition: full S x S matrix built with plain loops."""
     pids = [model.phone_index[p] for p in chain]
-    sizes = [model.topologies[p].n_states for p in pids]
+    sizes = [int(model.phone_n_states[p]) for p in pids]
     bases = [0]
     for n in sizes[:-1]:
         bases.append(bases[-1] + n)
@@ -71,12 +83,12 @@ def _dense_compose(model, chain):
     trans = np.zeros((s_count, s_count))
     exit_p = np.zeros(s_count)
     for pos, pid in enumerate(pids):
-        topo = model.topologies[pid]
-        n = topo.n_states
+        rows = _phone_rows(model, pid)
+        n = rows.shape[0]
         for s in range(n):
             for c in range(n):
-                trans[bases[pos] + s, bases[pos] + c] = topo.trans[s, c]
-            p_final = topo.trans[s, n]
+                trans[bases[pos] + s, bases[pos] + c] = rows[s, c]
+            p_final = rows[s, n]
             if pos + 1 < len(pids):
                 trans[bases[pos] + s, bases[pos + 1]] += p_final
             else:
@@ -134,11 +146,11 @@ def _enum_em_update(model, params, chain, frames_list):
     trans, exit_p = _dense_compose(model, chain)
     owner = []   # (phone name, local state, chain position) per chain state
     for pos, name in enumerate(chain):
-        n = model.topologies[model.phone_index[name]].n_states
+        n = int(model.phone_n_states[model.phone_index[name]])
         owner.extend((name, s, pos) for s in range(n))
     s_count = len(owner)
     stats = {}
-    counts = {name: np.zeros_like(model.topologies[model.phone_index[name]].trans)
+    counts = {name: np.zeros_like(_phone_rows(model, model.phone_index[name]))
               for name in chain}
     total_ll = 0.0
     for x in frames_list:
@@ -166,7 +178,7 @@ def _enum_em_update(model, params, chain, frames_list):
                 gamma[t, j] += p / z
             for t in range(1, n_frames + 1):
                 name, s, pos = owner[path[t - 1]]
-                n = model.topologies[model.phone_index[name]].n_states
+                n = int(model.phone_n_states[model.phone_index[name]])
                 if t == n_frames:
                     col = n                          # leaves the utterance
                 elif owner[path[t]][2] == pos:
@@ -192,45 +204,51 @@ def _dummy_params(n_states, dim):
 
 
 class TestTopology:
+    def _flat(self, kind):
+        frames = np.random.default_rng(17).normal(size=(5, 1))
+        return hmm.flat_start([frames], ["a", "b"], topology_kind=kind, use_sil=False)
+
     def test_classic3_structure(self):
-        topo = hmm.build_topology("classic3")
-        assert topo.n_states == 3
+        model = self._flat("classic3")
+        assert list(model.phone_n_states) == [3, 3]
         expected = np.array([
             [0.5, 0.5, 0.0, 0.0],
             [0.0, 0.5, 0.5, 0.0],
             [0.0, 0.0, 0.5, 0.5],
         ])
-        assert np.array_equal(topo.trans, expected)
-        assert np.array_equal(topo.initial, [1.0, 0.0, 0.0])
+        assert np.array_equal(model.trans, np.tile(expected.ravel(), 2))
 
     def test_skip2_structure(self):
-        topo = hmm.build_topology("skip2")
-        assert topo.n_states == 2
+        model = self._flat("skip2")
+        assert list(model.phone_n_states) == [2, 2]
         third = 1.0 / 3.0
         expected = np.array([
             [third, third, third],
             [0.0, 0.5, 0.5],
         ])
-        assert np.array_equal(topo.trans, expected)
-        # five arcs total, including the first-state exit
-        assert np.count_nonzero(topo.trans) == 5
+        assert np.array_equal(model.trans, np.tile(expected.ravel(), 2))
+        # five arcs per phone, including the first-state exit
+        assert np.count_nonzero(model.trans) == 10
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            hmm.build_topology("ergodic")
+        with pytest.raises(ValueError, match="unknown topology kind 'ergodic'"):
+            self._flat("ergodic")
 
     @pytest.mark.parametrize("trans", [
         [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],             # backward arc 1 -> 0
-        [[0.5, 0.0, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0],
-         [0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5]],  # arc 0 -> 3
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+         [0.25, 0.0, 0.5, 0.25]],                         # backward arc 2 -> 0
         [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
          [0.0, 0.0, 0.5, 0.5]],                           # exit three states ahead
     ])
-    def test_arcs_outside_the_band_rejected(self, trans):
+    def test_arcs_outside_the_band_rejected(self, tmp_path, trans):
         n = len(trans)
-        initial = np.eye(n)[0]
-        with pytest.raises(ValueError, match="band of 2"):
-            hmm.HmmTopology("custom", n, np.array(trans), initial)
+        model = _build(["a", "b"], [hmm._TOPOLOGY_ROWS["skip2"], trans],
+                       _dummy_params(2 + n, 1), np.full(1, 1e-10))
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        with pytest.raises(FormatError, match=f"{path}: phone 'b': .*band of 2"):
+            hmm.load_model(path)
 
 
 class TestCompose:
@@ -253,11 +271,12 @@ class TestCompose:
     def test_band_matches_dense_composition(self):
         # phones of both topologies in one model and one chain, with repeats
         rng = np.random.default_rng(16)
-        topologies = [hmm.build_topology("skip2"), hmm.build_topology("classic3")]
-        model = _build(["a", "c"], topologies, _dummy_params(5, 1), np.full(1, 1e-10))
-        for topo in model.topologies:
-            p = rng.uniform(0.1, 1.0, size=topo.trans.shape) * (topo.trans > 0.0)
-            topo.trans = p / p.sum(axis=1, keepdims=True)
+        model = _make_model({"a": "skip2", "c": "classic3"},
+                            {"a": _dummy_params(2, 1), "c": _dummy_params(3, 1)}, dim=1)
+        for pid in range(2):
+            rows = _phone_rows(model, pid)
+            p = rng.uniform(0.1, 1.0, size=rows.shape) * (rows > 0.0)
+            rows[...] = p / p.sum(axis=1, keepdims=True)
         for chain in (["a"], ["c"], ["a", "c"], ["c", "a", "a", "c"], ["c", "c", "a"]):
             graph = hmm.compose_chain(model, chain)
             band = model.arc_table()[graph.arcs]
@@ -273,7 +292,7 @@ class TestCompose:
             assert np.all(np.triu(trans, 3) == 0.0) and np.all(np.tril(trans, -1) == 0.0)
             offsets = [0, 2]
             want_cols = [offsets[model.phone_index[name]] + s for name in chain
-                         for s in range(model.topologies[model.phone_index[name]].n_states)]
+                         for s in range(model.phone_n_states[model.phone_index[name]])]
             assert list(graph.unique_cols) == want_cols
 
     def test_unknown_phone(self):
@@ -388,7 +407,7 @@ class TestBatch:
     @pytest.mark.parametrize("kind", ["skip2", "classic3"])
     def test_batch_equals_batch_of_one(self, kind):
         rng = np.random.default_rng(14)
-        n = hmm.build_topology(kind).n_states
+        n = hmm._TOPOLOGY_ROWS[kind].shape[0]
         model = _make_model(kind, {p: _dummy_params(n, 1) for p in "abc"}, dim=1)
         # chains of 1-3 phones and frame counts that differ; the last
         # utterance is too short for its chain under either topology
@@ -477,15 +496,13 @@ class TestEm:
         # iteration must land exactly on the sample statistics
         rng = np.random.default_rng(31)
         frames = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
-        topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        model = _build(["q"], [topo], [(np.ones(1), frames.mean(axis=0)[None] * 0.0,
-                                        np.ones((1, 2)))], np.full(2, 1e-10))
+        model = _build(["q"], [[[0.5, 0.5]]], [(np.ones(1), frames.mean(axis=0)[None] * 0.0,
+                                                np.ones((1, 2)))], np.full(2, 1e-10))
         hmm.em_iteration(model, [(frames, ["q"])])
         np.testing.assert_allclose(model.means[0], frames.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(model.variances[0], frames.var(axis=0), atol=1e-10)
         # 39 self loops and one exit, deterministically
-        np.testing.assert_allclose(model.topologies[0].trans, [[39 / 40, 1 / 40]],
-                                   atol=1e-12)
+        np.testing.assert_allclose(model.trans, [39 / 40, 1 / 40], atol=1e-12)
 
     def test_tied_states_match_enumeration(self):
         # with skip2, phone a occurs twice in the chain, so its two chain
@@ -504,7 +521,7 @@ class TestEm:
             dim = 2
             params = {name: [(rng.dirichlet(np.ones(m) * 4.0), rng.normal(size=(m, dim)),
                               rng.uniform(0.5, 1.5, size=(m, dim)))
-                             for m in n_mix.get(name, [2] * hmm.build_topology(kind).n_states)]
+                             for m in n_mix.get(name, [2] * len(hmm._TOPOLOGY_ROWS[kind]))]
                       for name, kind in kinds.items()}
             frames_list = [rng.normal(size=(t, dim)) for t in lengths]
             want_ll, want_states, want_trans = _enum_em_update(
@@ -517,7 +534,7 @@ class TestEm:
                 for got, w in zip(_state_params(model, model.phone_index[name], s), want):
                     np.testing.assert_allclose(got, w, rtol=0, atol=1e-10)
             for name, trans in want_trans.items():
-                np.testing.assert_allclose(model.topologies[model.phone_index[name]].trans,
+                np.testing.assert_allclose(_phone_rows(model, model.phone_index[name]),
                                            trans, rtol=0, atol=1e-10)
 
     def test_em_monotonic(self):
@@ -561,9 +578,8 @@ class TestEm:
         rng = np.random.default_rng(37)
         frames = np.column_stack([rng.normal(0.0, 1.0, size=200),
                                   rng.normal(0.0, 0.5, size=200)])
-        topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        model = _build(["q"], [topo], [(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))],
-                       [0.5, 0.5])
+        model = _build(["q"], [[[0.5, 0.5]]],
+                       [(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))], [0.5, 0.5])
         hmm.em_iteration(model, [(frames, ["q"])])
         # dim 1 has sample variance near 0.25, below the floor
         assert model.variances[0, 1] == 0.5
@@ -580,8 +596,7 @@ class TestEm:
     def test_starved_component_dropped(self, caplog):
         rng = np.random.default_rng(34)
         frames = rng.normal(size=(30, 1))
-        topo = hmm.HmmTopology("custom", 1, np.array([[0.5, 0.5]]), np.array([1.0]))
-        model = _build(["q"], [topo], [([0.5, 0.5], [[0.0], [1e6]], [[1.0], [1.0]])],
+        model = _build(["q"], [[[0.5, 0.5]]], [([0.5, 0.5], [[0.0], [1e6]], [[1.0], [1.0]])],
                        np.full(1, 1e-10))
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm.em_iteration(model, [(frames, ["q"])])
@@ -693,8 +708,7 @@ class TestEm:
         for table in ("weights", "means", "variances"):
             np.testing.assert_allclose(getattr(split_model, table), getattr(one_model, table),
                                        rtol=0, atol=1e-12)
-        for a, b in zip(one_model.topologies, split_model.topologies):
-            np.testing.assert_allclose(b.trans, a.trans, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split_model.trans, one_model.trans, rtol=0, atol=1e-12)
         # the one-frame utterance is skipped once per iteration, batch or not
         skips = [r.message for r in caplog.records if "too short" in r.message]
         assert skips == ["skipped 1 of 5 utterance(s) too short for the topology"] * 8
@@ -753,6 +767,12 @@ class TestChainBuilding:
             hmm.phone_chain(lex, [], use_sil=True)
 
 
+def _opt1_phones_start(model):
+    """Byte offset of the first phone's topology code in the model's OPT1
+    file: magic, dim, phone count, names, silence flag, variance floor."""
+    return 13 + sum(1 + len(name.encode()) for name in model.phones) + 8 * model.dim
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -768,11 +788,23 @@ class TestContainer:
         assert back.dim == 3
         assert back.use_sil is True
         assert np.array_equal(back.var_floor, model.var_floor)
-        for t_old, t_new in zip(model.topologies, back.topologies):
-            assert t_new.kind == t_old.kind
-            assert np.array_equal(t_new.trans, t_old.trans)
-        for table in ("n_mix", "weights", "means", "variances"):
+        for table in ("phone_n_states", "trans", "n_mix", "weights", "means", "variances"):
             assert np.array_equal(getattr(back, table), getattr(model, table))
+
+    def test_bytes_pinned(self, tmp_path):
+        # a skip2 and a classic3 phone with unequal component counts; the
+        # digest pins the OPT1 bytes, which the layout of the model in memory
+        # must not change
+        rng = np.random.default_rng(51)
+        blocks = [(rng.dirichlet(np.ones(m)), rng.normal(size=(m, 2)),
+                   rng.uniform(0.5, 2.0, size=(m, 2))) for m in [1, 3, 2, 1, 2]]
+        rows = [[[0.5, 0.25, 0.25], [0.0, 0.75, 0.25]],
+                [[0.625, 0.375, 0.0, 0.0], [0.0, 0.875, 0.125, 0.0], [0.0, 0.0, 0.5, 0.5]]]
+        model = _build(["a", "b"], rows, blocks, [1e-3, 2e-3], use_sil=True)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "4ffb924452d8ee64053efdd128451d26fae94aab7aa46db658606b7ffb7f887d"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.opt"
@@ -780,22 +812,35 @@ class TestContainer:
         with pytest.raises(FormatError):
             hmm.load_model(path)
 
-    @pytest.mark.parametrize("case", ["no_states", "rows_off_one", "backward_arc"])
+    @pytest.mark.parametrize("case", ["no_states", "rows_off_one", "backward_arc",
+                                      "late_entry", "kind_off_state_count"])
     def test_bad_topology_is_a_format_error(self, tmp_path, case):
         model = _make_model("classic3", {"a": _dummy_params(3, 1)}, dim=1)
-        topo = model.topologies[0]
-        if case == "no_states":
-            # the mixture table's rows go unwritten with the states
-            topo.n_states, topo.trans, topo.initial = 0, np.zeros((0, 1)), np.zeros(0)
-        elif case == "rows_off_one":
-            topo.trans = topo.trans * 0.9
-        else:
-            topo.trans = np.array([[0.5, 0.5, 0.0, 0.0],
-                                   [0.25, 0.25, 0.5, 0.0],
-                                   [0.0, 0.0, 0.5, 0.5]])
+        code = _opt1_phones_start(model)   # then u32 n, (n, n + 1) rows, (n,) entry
+        if case == "rows_off_one":
+            model.trans *= 0.9
+        elif case == "backward_arc":
+            model.trans[:] = np.ravel([[0.5, 0.5, 0.0, 0.0],
+                                       [0.25, 0.25, 0.5, 0.0],
+                                       [0.0, 0.0, 0.5, 0.5]])
         path = tmp_path / "model.opt"
         hmm.save_model(path, model)
-        with pytest.raises(FormatError, match=str(path)):
+        blob = bytearray(path.read_bytes())
+        assert blob[code:code + 5] == b"\x00\x03\x00\x00\x00"
+        if case == "no_states":
+            # the rows and the mixture table go unwritten with the states
+            blob = blob[:code + 1] + bytes(4)
+        elif case == "late_entry":
+            blob[code + 5 + 8 * 12:code + 5 + 8 * 15] = np.array([0.0, 1.0, 0.0]).tobytes()
+        elif case == "kind_off_state_count":
+            blob[code] = 1      # skip2's code on a three-state phone
+        path.write_bytes(bytes(blob))
+        message = {"no_states": "phone 'a': topology code 0 does not match its 0 states",
+                   "rows_off_one": "phone 'a': transition rows must be non-negative",
+                   "backward_arc": "phone 'a': only forward arcs within a band of 2",
+                   "late_entry": "phone 'a': a phone must enter at its first state",
+                   "kind_off_state_count": "phone 'a': topology code 1 does not match its 3"}
+        with pytest.raises(FormatError, match=f"{path}: {message[case]}"):
             hmm.load_model(path)
 
     @pytest.mark.parametrize("case", ["no_phones", "nan_weight", "inf_mean", "nan_variance",
@@ -805,7 +850,7 @@ class TestContainer:
         model = _make_model("skip2", {"a": _dummy_params(2, 1),
                                       "b": _dummy_params(2, 1)}, dim=1)
         if case == "no_phones":
-            model.phones, model.topologies = [], []
+            model.phones, model.phone_n_states = [], np.zeros(0, dtype=int)
             message = "the model has no phones"
         else:
             table, value, message = {

@@ -83,6 +83,31 @@ def test_binary_lm_round_trip(tmp_path):
         lingware.load_lm(bad)
 
 
+@pytest.mark.parametrize("table, key, value", [
+    ("unigram", "a", np.nan),
+    ("unigram", "a", 0.0),
+    ("unigram", SENTENCE_END, -0.25),
+    ("unigram", "b", 1.5),
+    ("bigram", ("a", "b"), np.inf),
+    ("bigram", (SENTENCE_START, "a"), 0.0),
+    ("bigram", ("b", SENTENCE_END), 1.25),
+    ("lam", "a", np.nan),
+    ("lam", SENTENCE_START, 1.0),
+    ("lam", "b", -0.5),
+])
+def test_bad_values_are_a_format_error(tmp_path, table, key, value):
+    lm = lingware.fit_bigram([["a", "b"], ["b"]])
+    assert key in getattr(lm, table)
+    getattr(lm, table)[key] = value
+    path = tmp_path / "model.alm"
+    lingware.save_lm(path, lm)
+    message = {"unigram": "unigram and bigram probabilities must lie in",
+               "bigram": "unigram and bigram probabilities must lie in",
+               "lam": "Witten-Bell weights must lie in"}[table]
+    with pytest.raises(FormatError, match=f"{path}: {message}"):
+        lingware.load_lm(path)
+
+
 def test_non_utf8_word_is_a_format_error(tmp_path):
     path = tmp_path / "model.alm"
     lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))
