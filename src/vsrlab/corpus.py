@@ -121,7 +121,11 @@ def read_landmarks(path):
         n_points = binio.read_u32(fh, path)
         if n_points != N_LANDMARKS:
             raise FormatError(f"{path}: expected {N_LANDMARKS} points per frame, got {n_points}")
-        return binio.read_array(fh, "<f4", (n_frames, n_points, 2), path)
+        points = binio.read_array(fh, "<f4", (n_frames, n_points, 2), path)
+    finite = np.isfinite(points).all(axis=(1, 2))
+    if not finite.all():
+        raise FormatError(f"{path}: non-finite coordinates in frame {int(finite.argmin())}")
+    return points
 
 
 def read_landmark_count(path):

@@ -1,4 +1,5 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the per-frame check that
+raises the geometry one for a batch of frames."""
 
 
 class VsrError(Exception):
@@ -23,6 +24,19 @@ class DegenerateSplitError(VsrError):
 
 class DegenerateGeometryError(VsrError):
     """Landmark geometry collapsed (coincident corners, zero-area box)."""
+
+
+def raise_first_degenerate(checks):
+    """Raise ``DegenerateGeometryError`` for the earliest frame failing a check.
+
+    ``checks`` lists ``(bad, message)`` pairs in the order a single frame is
+    checked, each ``bad`` a (T,) boolean array. The error names that frame
+    and the first of its failed checks.
+    """
+    failed = [(int(bad.argmax()), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    if failed:
+        frame, i = min(failed)
+        raise DegenerateGeometryError(f"frame {frame}: {checks[i][1]}")
 
 
 class InsufficientDataError(VsrError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, autoencoder, corpus, decoder, eigenlips, features, \
     frontend, geometric, hmm, lingware, scoring
-from .errors import DegenerateSplitError, EmptyBeamError, FormatError
+from .errors import DegenerateSplitError, EmptyBeamError, FormatError, VsrError
 
 log = logging.getLogger(__name__)
 
@@ -344,8 +344,18 @@ def _per_utterance(runner, name, items, inputs_of, params, out_dir, build_one):
     for utt, item in items.items():
         out = paths[utt] = out_dir / f"{utt}.vfa"
         runner.stage(name, inputs_of(item), params, [out],
-                     lambda item=item, out=out: build_one(item, out))
+                     functools.partial(_build_named, name, utt, build_one, item, out))
     return paths
+
+
+def _build_named(name, utt, build_one, item, out):
+    """``build_one(item, out)``, with a failure's message naming the stage
+    and the utterance; the error keeps its type and attributes."""
+    try:
+        build_one(item, out)
+    except VsrError as exc:
+        exc.args = (f"stage {name}, utterance {utt}: {exc}",)
+        raise
 
 
 def stage_roi(runner, cfg, records, out_dir):

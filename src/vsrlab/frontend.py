@@ -8,13 +8,17 @@ The aligned ROI is built by rotating the mouth landmarks to make the corner
 line horizontal, taking their bounding box grown by a margin fraction per
 side, and resampling that box from the source image on a fixed output grid
 with bilinear interpolation (edge pixels replicated outside the image).
+
+The work is batched over the frames of an utterance: the boxes are (T,)
+arrays and the sampling grid is one (T, H, W) array, so beyond the frames
+themselves the memory peak is about a dozen (T, 16, 32) float64 temporaries.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, raise_first_degenerate
 
 MOUTH_SLICE = slice(48, 68)
 LEFT_CORNER = 48
@@ -43,10 +47,59 @@ def mouth_alignment_angle(landmarks):
     return theta
 
 
-def bilinear_sample(image, xs, ys):
-    """Sample ``image`` at float coords with bilinear weights, edges clamped."""
-    img = np.asarray(image, dtype=float)
-    h, w = img.shape
+def roi_sequence(landmarks, frames, out_size=(ROI_WIDTH, ROI_HEIGHT), margin=DEFAULT_MARGIN):
+    """Aligned mouth ROIs for a whole utterance as floats in [0, 1].
+
+    ``landmarks`` is (T, 68, 2); ``frames`` (T, H, W) grayscale (uint8
+    frames are rescaled by 255). Returns shape (T, out_height, out_width).
+    """
+    pts = np.asarray(landmarks, dtype=float)
+    imgs = np.asarray(frames)
+    n = len(imgs)
+    if len(pts) != n:
+        raise ValueError(f"landmark count {len(pts)} != frame count {n}")
+    out_w, out_h = out_size
+    corners = pts[:, RIGHT_CORNER] - pts[:, LEFT_CORNER]
+    coincide = (corners == 0.0).all(axis=1)
+    # scalar math.atan2/cos/sin per frame: numpy's array versions can differ
+    # in the last bit, which would move the sampled pixels
+    theta = [0.0 if bad else mouth_alignment_angle(frame)
+             for frame, bad in zip(pts, coincide)]
+    c = np.array([math.cos(t) for t in theta])
+    s = np.array([math.sin(t) for t in theta])
+
+    mouth = pts[:, MOUTH_SLICE]
+    center = mouth.mean(axis=1)
+    rel = mouth - center[:, None]
+    # rotate by -theta so the corner line becomes horizontal
+    rx = c[:, None] * rel[..., 0] + s[:, None] * rel[..., 1]
+    ry = -s[:, None] * rel[..., 0] + c[:, None] * rel[..., 1]
+    x0, x1 = rx.min(axis=1), rx.max(axis=1)
+    y0, y1 = ry.min(axis=1), ry.max(axis=1)
+    bw, bh = x1 - x0, y1 - y0
+    raise_first_degenerate([
+        (coincide, "mouth corners coincide; alignment angle undefined"),
+        ((bw <= 0.0) | (bh <= 0.0), "mouth landmarks span a zero-area box")])
+    x0 -= margin * bw
+    x1 += margin * bw
+    y0 -= margin * bh
+    y1 += margin * bh
+    bw, bh = x1 - x0, y1 - y0
+
+    # output pixel centers in box coords, mapped back through the rotation.
+    # Per-frame values broadcast as (T, 1, 1); box x varies along columns
+    # only and box y along rows only, so only the sample coords are (T, H, W)
+    x0, y0, bw, bh, c, s, cx, cy = (a.reshape(n, 1, 1)
+                                    for a in (x0, y0, bw, bh, c, s, *center.T))
+    bx = x0 + (np.arange(out_w) + 0.5) * bw / out_w
+    by = y0 + (np.arange(out_h).reshape(out_h, 1) + 0.5) * bh / out_h
+    return _bilinear(imgs, cx + c * bx - s * by, cy + s * bx + c * by)
+
+
+def _bilinear(frames, xs, ys):
+    """Sample frame t of ``frames`` at ``(xs[t], ys[t])`` with bilinear
+    weights, edges clamped; uint8 pixels are divided by 255 after the gather."""
+    h, w = frames.shape[1:]
     x = np.clip(xs, 0.0, w - 1.0)
     y = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(x).astype(int)
@@ -55,57 +108,16 @@ def bilinear_sample(image, xs, ys):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = x - x0
     fy = y - y0
-    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+    # gather through flat indices: one take per corner
+    flat = frames.reshape(-1)
+    first = np.arange(len(frames)).reshape(-1, 1, 1) * (h * w)
+    row0, row1 = first + y0 * w, first + y1 * w
+
+    def at(index):
+        pixels = flat.take(index)
+        return pixels / 255.0 if frames.dtype == np.uint8 else pixels.astype(float)
+
+    gx = 1 - fx
+    top = at(row0 + x0) * gx + at(row0 + x1) * fx
+    bot = at(row1 + x0) * gx + at(row1 + x1) * fx
     return top * (1 - fy) + bot * fy
-
-
-def extract_aligned_roi(landmarks, image, out_size=(ROI_WIDTH, ROI_HEIGHT), margin=DEFAULT_MARGIN):
-    """Extract one aligned mouth ROI as a float array in [0, 1].
-
-    ``landmarks`` is (68, 2); ``image`` a 2-D grayscale frame (uint8 arrays
-    are rescaled by 255). Returns shape (out_height, out_width).
-    """
-    pts = np.asarray(landmarks, dtype=float)
-    img = np.asarray(image)
-    if img.dtype == np.uint8:
-        img = img.astype(float) / 255.0
-    out_w, out_h = out_size
-    theta = mouth_alignment_angle(pts)
-
-    mouth = pts[MOUTH_SLICE]
-    center = mouth.mean(axis=0)
-    c, s = math.cos(theta), math.sin(theta)
-    rel = mouth - center
-    # rotate by -theta so the corner line becomes horizontal
-    rx = c * rel[:, 0] + s * rel[:, 1]
-    ry = -s * rel[:, 0] + c * rel[:, 1]
-    x0, x1 = rx.min(), rx.max()
-    y0, y1 = ry.min(), ry.max()
-    bw, bh = x1 - x0, y1 - y0
-    if bw <= 0.0 or bh <= 0.0:
-        raise DegenerateGeometryError("mouth landmarks span a zero-area box")
-    x0 -= margin * bw
-    x1 += margin * bw
-    y0 -= margin * bh
-    y1 += margin * bh
-    bw, bh = x1 - x0, y1 - y0
-
-    # output pixel centers in box coords, mapped back through the rotation
-    jj, ii = np.meshgrid(np.arange(out_w), np.arange(out_h))
-    bx = x0 + (jj + 0.5) * bw / out_w
-    by = y0 + (ii + 0.5) * bh / out_h
-    sx = center[0] + c * bx - s * by
-    sy = center[1] + s * bx + c * by
-    return bilinear_sample(img, sx, sy)
-
-
-def roi_sequence(landmarks, frames, out_size=(ROI_WIDTH, ROI_HEIGHT), margin=DEFAULT_MARGIN):
-    """Aligned ROIs for a whole utterance: (T, out_height, out_width) floats."""
-    n = len(frames)
-    if len(landmarks) != n:
-        raise ValueError(f"landmark count {len(landmarks)} != frame count {n}")
-    out = np.empty((n, out_size[1], out_size[0]))
-    for t in range(n):
-        out[t] = extract_aligned_roi(landmarks[t], frames[t], out_size, margin)
-    return out

@@ -10,11 +10,14 @@ from the left to the right outer corner, v its perpendicular. On integer
 coordinate grids this makes the vector bit-exact under integer translations
 and power-of-two scalings, which the test suite checks with equality, not
 tolerances.
+
+The work is batched over frames: every feature is computed as one (T,)
+column for the whole sequence.
 """
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import raise_first_degenerate
 
 FEATURE_NAMES = (
     "outer_width",
@@ -38,101 +41,96 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)
 
-_OUTER = np.arange(48, 60)
-_INNER = np.arange(60, 68)
-_MOUTH = np.arange(48, 68)
-
-
-def _dist(a, b):
-    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
+# slices, not index arrays: numpy reduces a C-ordered (T, N) array along N
+# row by row, in the order it sums one frame, but a fancy-indexed (T, N, 2)
+# copy can come out frame-major in memory and is then summed across frames
+# in another order, which moves the perimeters in the last bit
+_OUTER = slice(48, 60)
+_INNER = slice(60, 68)
+_MOUTH = slice(48, 68)
 
 
 def _polygon_area(pts):
-    """Absolute shoelace area of a closed polygon given as (N, 2) vertices."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    """Absolute shoelace area of closed polygons given as (..., N, 2) vertices.
+
+    Each sum is a (1, N) @ (N, 1) matmul, which numpy evaluates with the
+    same dot routine as ``np.dot`` on one polygon, so a stack of polygons
+    sums in the order a single one does.
+    """
+    x = pts[..., None, :, 0]
+    y = pts[..., :, None, 1]
+    cross = x @ np.roll(y, -1, axis=-2) - np.roll(x, -1, axis=-1) @ y
+    return 0.5 * np.abs(cross[..., 0, 0])
 
 
-def _perimeter(pts):
-    closed = np.vstack([pts, pts[:1]])
-    return float(np.sum(np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))))
-
-
-def _angle_between(a, b):
-    na = np.hypot(a[0], a[1])
-    nb = np.hypot(b[0], b[1])
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateGeometryError("zero-length edge at a mouth corner")
-    cosv = (a[0] * b[0] + a[1] * b[1]) / (na * nb)
-    return float(np.arccos(min(1.0, max(-1.0, cosv))))
-
-
-def geometric_features(landmarks):
-    """The 18-dimensional feature vector for one (68, 2) landmark frame."""
-    pts = np.asarray(landmarks, dtype=float)
-    if pts.shape != (68, 2):
-        raise ValueError(f"expected (68, 2) landmarks, got {pts.shape}")
+def geometric_sequence(landmark_seq):
+    """Feature matrix (T, 18) for a (T, 68, 2) landmark sequence."""
+    pts = np.asarray(landmark_seq, dtype=float)
+    if pts.ndim != 3 or pts.shape[1:] != (68, 2):
+        raise ValueError(f"expected (T, 68, 2) landmarks, got {pts.shape}")
     # local origin at the left mouth corner; on exactly representable inputs
     # this cancels any common translation before further arithmetic
-    p = pts - pts[48]
+    p = pts - pts[:, 48:49]
 
-    unit = _dist(p[2], p[14])
-    if unit == 0.0:
-        raise DegenerateGeometryError("jaw landmarks coincide; unit length undefined")
-    unit_area = unit * unit
+    def length(d):
+        return np.hypot(d[..., 0], d[..., 1])
 
-    d = p[54] - p[48]
-    norm_d = np.hypot(d[0], d[1])
-    if norm_d == 0.0:
-        raise DegenerateGeometryError("mouth corners coincide")
-    u = d / norm_d
-    v = np.array([-u[1], u[0]])
+    def dist(i, j):
+        return length(p[:, i] - p[:, j])
 
-    outer = p[_OUTER]
-    inner = p[_INNER]
-    outer_w = _dist(p[48], p[54])
-    outer_h = _dist(p[51], p[57])
-    inner_w = _dist(p[60], p[64])
-    inner_h = _dist(p[62], p[66])
-    if outer_w == 0.0 or inner_w == 0.0:
-        raise DegenerateGeometryError("zero mouth width")
+    def perimeter(ring):
+        return length(np.roll(ring, -1, axis=1) - ring).sum(axis=1)
+
+    unit = dist(2, 14)
+    d = p[:, 54] - p[:, 48]
+    norm_d = length(d)
+    outer_w = dist(48, 54)
+    outer_h = dist(51, 57)
+    inner_w = dist(60, 64)
+    inner_h = dist(62, 66)
+    outer = p[:, _OUTER]
+    inner = p[:, _INNER]
     outer_area = _polygon_area(outer)
     inner_area = _polygon_area(inner)
-    if outer_area == 0.0:
-        raise DegenerateGeometryError("outer lip polygon has zero area")
+    # the two edges at each outer corner
+    edges = [(p[:, 49] - p[:, 48], p[:, 59] - p[:, 48]),
+             (p[:, 53] - p[:, 54], p[:, 55] - p[:, 54])]
+    edge_len = [(length(a), length(b)) for a, b in edges]
+    raise_first_degenerate([
+        (unit == 0.0, "jaw landmarks coincide; unit length undefined"),
+        (norm_d == 0.0, "mouth corners coincide"),
+        ((outer_w == 0.0) | (inner_w == 0.0), "zero mouth width"),
+        (outer_area == 0.0, "outer lip polygon has zero area"),
+        (np.any([(na == 0.0) | (nb == 0.0) for na, nb in edge_len], axis=0),
+         "zero-length edge at a mouth corner")])
+    unit_area = unit * unit
+    u = d / norm_d[:, None]
+    corner_angles = [
+        np.arccos(np.clip((a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) / (na * nb), -1.0, 1.0))
+        for (a, b), (na, nb) in zip(edges, edge_len)]
 
-    centroid = p[_MOUTH].mean(axis=0)
-    offset = centroid - p[33]
-    along = offset[0] * u[0] + offset[1] * u[1]
-    across = offset[0] * v[0] + offset[1] * v[1]
+    centroid = p[:, _MOUTH].mean(axis=1)
+    offset = centroid - p[:, 33]
+    along = offset[:, 0] * u[:, 0] + offset[:, 1] * u[:, 1]
+    # across the corner line, along v = (-u_y, u_x)
+    across = offset[:, 0] * -u[:, 1] + offset[:, 1] * u[:, 0]
 
-    return np.array([
+    return np.stack([
         outer_w / unit,
         outer_h / unit,
         inner_w / unit,
         inner_h / unit,
         outer_area / unit_area,
         inner_area / unit_area,
-        _perimeter(outer) / unit,
-        _perimeter(inner) / unit,
+        perimeter(outer) / unit,
+        perimeter(inner) / unit,
         outer_h / outer_w,
         inner_h / inner_w,
-        _dist(p[51], p[62]) / unit,
-        _dist(p[57], p[66]) / unit,
-        _angle_between(p[49] - p[48], p[59] - p[48]),
-        _angle_between(p[53] - p[54], p[55] - p[54]),
-        abs(across) / unit,
-        abs(along) / unit,
+        dist(51, 62) / unit,
+        dist(57, 66) / unit,
+        *corner_angles,
+        np.abs(across) / unit,
+        np.abs(along) / unit,
         inner_area / outer_area,
         inner_area / unit_area,
-    ])
-
-
-def geometric_sequence(landmark_seq):
-    """Feature matrix (T, 18) for a (T, 68, 2) landmark sequence."""
-    seq = np.asarray(landmark_seq, dtype=float)
-    out = np.empty((seq.shape[0], N_FEATURES))
-    for t in range(seq.shape[0]):
-        out[t] = geometric_features(seq[t])
-    return out
+    ], axis=1)

@@ -152,7 +152,7 @@ def test_criterion_3_invariances(acceptance_report, tiny_corpus):
     frame = corpus.read_landmarks(records[0].landmark_path)[3].astype(float)
 
     # rotation invariance of the geometric features
-    ref_rot = geometric.geometric_features(frame)
+    ref_rot = geometric.geometric_sequence(frame[None])[0]
     rot_dev = 0.0
     center = frame.mean(axis=0)
     for deg in (47.0, 133.0, -101.0):
@@ -161,18 +161,18 @@ def test_criterion_3_invariances(acceptance_report, tiny_corpus):
                         [math.sin(th), math.cos(th)]])
         moved = (frame - center) @ rot.T + center
         rot_dev = max(rot_dev, float(np.abs(
-            geometric.geometric_features(moved) - ref_rot).max()))
+            geometric.geometric_sequence(moved[None])[0] - ref_rot).max()))
 
     # scaling/translation: exactly representable transforms must be bitwise
     grid = np.round(frame * 4.0)
-    ref_grid = geometric.geometric_features(grid)
+    ref_grid = geometric.geometric_sequence(grid[None])[0]
     exact = True
     for shift in ((7.0, -3.0), (120.0, 45.0)):
         exact &= bool(np.array_equal(
-            geometric.geometric_features(grid + np.array(shift)), ref_grid))
+            geometric.geometric_sequence((grid + np.array(shift))[None])[0], ref_grid))
     for scale in (2.0, 8.0, 0.5):
         exact &= bool(np.array_equal(
-            geometric.geometric_features(grid * scale), ref_grid))
+            geometric.geometric_sequence((grid * scale)[None])[0], ref_grid))
 
     # z-score statistics per group
     rng = np.random.default_rng(7)

@@ -51,6 +51,16 @@ def test_truncated_container_rejected(tmp_path):
         corpus.read_landmarks(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_landmarks_rejected(tmp_path, value):
+    pts = np.ones((5, 68, 2), dtype=np.float32)
+    pts[3, 50, 1] = value
+    path = tmp_path / "a.lmk"
+    corpus.write_landmarks(path, pts)
+    with pytest.raises(FormatError, match=r"a\.lmk: non-finite coordinates in frame 3"):
+        corpus.read_landmarks(path)
+
+
 def _write_pair(tmp_path, n_frames, name="u"):
     lmk = tmp_path / f"{name}.lmk"
     frm = tmp_path / f"{name}.frm"

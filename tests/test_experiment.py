@@ -4,8 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from vsrlab import experiment, features
-from vsrlab.errors import FormatError
+from vsrlab import corpus, experiment, features
+from vsrlab.errors import DegenerateGeometryError, FormatError
 
 
 def _write_config(path, text):
@@ -226,6 +226,32 @@ class TestRunner:
         with pytest.raises(FormatError, match="did not produce"):
             experiment.Runner("h").stage("s", [src], {},
                                          [tmp_path / "never.txt"], lambda: None)
+
+
+class TestStageErrors:
+    @pytest.mark.parametrize("stage", ["roi", "geo"])
+    def test_degenerate_frame_names_stage_and_utterance(self, tmp_path, stage):
+        spec = corpus.SynthSpec(lexicon=corpus.default_lexicon(n_words=4, seed=0),
+                                n_speakers=2, n_utterances=2, seed=3,
+                                image_size=(64, 64))
+        records = corpus.synthesize_corpus(spec, tmp_path / "corpus")
+        bad = records[1]
+        points = corpus.read_landmarks(bad.landmark_path)
+        points[2, 54] = points[2, 48]      # finite, but the corners coincide
+        corpus.write_landmarks(bad.landmark_path, points)
+        runner = experiment.Runner("h")
+        out_dir = tmp_path / stage
+        with pytest.raises(DegenerateGeometryError) as err:
+            if stage == "roi":
+                cfg = experiment.ExperimentConfig.from_mapping({})
+                experiment.stage_roi(runner, cfg, records, out_dir)
+            else:
+                experiment.stage_geo(runner, records, out_dir)
+        assert str(err.value).startswith(
+            f"stage {stage}, utterance {bad.utterance_id}: frame 2: mouth corners coincide")
+        # the good utterance before it was built; the bad one left nothing
+        assert (out_dir / f"{records[0].utterance_id}.vfa").exists()
+        assert not (out_dir / f"{bad.utterance_id}.vfa").exists()
 
 
 class TestAssemble:

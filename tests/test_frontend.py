@@ -8,6 +8,11 @@ from vsrlab import corpus, frontend
 from vsrlab.errors import DegenerateGeometryError
 
 
+def _roi_of_frame(pts, image, **kwargs):
+    """One frame's ROI, taken through ``roi_sequence``."""
+    return frontend.roi_sequence(pts[None], image[None], **kwargs)[0]
+
+
 def _blank_landmarks():
     return np.zeros((68, 2))
 
@@ -43,7 +48,7 @@ def test_flat_mouth_raises():
     pts[48:68, 0] = np.linspace(10, 30, 20)
     pts[48:68, 1] = 15.0  # zero height box
     with pytest.raises(DegenerateGeometryError):
-        frontend.extract_aligned_roi(pts, np.zeros((40, 40)))
+        _roi_of_frame(pts, np.zeros((40, 40)))
 
 
 def _mouth_landmarks(xs, ys):
@@ -85,7 +90,7 @@ def test_zero_rotation_matches_direct_crop_oracle():
     ys = np.concatenate([[40.0, 38, 37, 36, 37, 38, 40], np.linspace(41, 44, 13)])
     pts = _mouth_landmarks(xs, ys)
     assert frontend.mouth_alignment_angle(pts) == 0.0
-    roi = frontend.extract_aligned_roi(pts, image, out_size=(32, 16), margin=0.15)
+    roi = _roi_of_frame(pts, image, out_size=(32, 16), margin=0.15)
     oracle = _oracle_direct_crop(image, pts, 32, 16, 0.15)
     assert roi.shape == (16, 32)
     assert np.allclose(roi, oracle, atol=1e-12)
@@ -99,7 +104,7 @@ def test_linear_ramp_sampling_closed_form():
     ys = np.concatenate([[40.0, 37, 36, 36.5, 37, 38, 40], np.linspace(41, 44, 13)])
     pts = _mouth_landmarks(xs, ys)
     assert frontend.mouth_alignment_angle(pts) == 0.0
-    roi = frontend.extract_aligned_roi(pts, image, out_size=(32, 16), margin=0.15)
+    roi = _roi_of_frame(pts, image, out_size=(32, 16), margin=0.15)
     # box x-range is [18.5, 31.5]; first column center 18.5 + 13/64 = 18.703125
     assert np.allclose(roi[:, 0], 18.703125 / 63, atol=1e-12)
     assert np.allclose(roi[:, 31], (18.5 + 31.5 * 13 / 32) / 63, atol=1e-12)
@@ -111,9 +116,9 @@ def test_integer_translation_invariance():
     xs = np.linspace(24, 36, 20)
     ys = 20 + 4 * np.sin(np.linspace(0, 2 * math.pi, 20))
     pts = _mouth_landmarks(xs, ys)
-    roi = frontend.extract_aligned_roi(pts, image)
+    roi = _roi_of_frame(pts, image)
     shifted = np.roll(np.roll(image, 5, axis=0), -3, axis=1)
-    roi2 = frontend.extract_aligned_roi(pts + np.array([-3.0, 5.0]), shifted)
+    roi2 = _roi_of_frame(pts + np.array([-3.0, 5.0]), shifted)
     assert np.allclose(roi, roi2, atol=1e-12)
 
 
@@ -131,7 +136,7 @@ def _rendered_face():
 
 def test_rotation_equivariance_against_scipy():
     image, pts = _rendered_face()
-    base = frontend.extract_aligned_roi(pts, image)
+    base = _roi_of_frame(pts, image)
     h, w = image.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     for angle_deg in (-25.0, 12.0, 30.0):
@@ -143,7 +148,7 @@ def test_rotation_equivariance_against_scipy():
         rel = pts - (cx, cy)
         rot_pts = np.stack([cx + c * rel[:, 0] - s * rel[:, 1],
                             cy + s * rel[:, 0] + c * rel[:, 1]], axis=1)
-        roi = frontend.extract_aligned_roi(rot_pts, rot_img)
+        roi = _roi_of_frame(rot_pts, rot_img)
         diff = np.mean(np.abs(roi - base))
         assert diff < 0.05, f"angle {angle_deg}: mean abs diff {diff:.4f}"
 
@@ -165,6 +170,133 @@ def test_landmarks_outside_image_are_clamped():
     xs = np.linspace(-5, 10, 20)
     ys = np.linspace(-2, 6, 20)
     pts = _mouth_landmarks(xs, ys)
-    roi = frontend.extract_aligned_roi(pts, image)
+    roi = _roi_of_frame(pts, image)
     assert np.isfinite(roi).all()
     assert roi.min() >= 0.0 and roi.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# per-frame oracle: the single-frame implementation that roi_sequence
+# replaced, kept verbatim so the batched kernel can be checked bit for bit
+
+def _oracle_bilinear_sample(image, xs, ys):
+    """Sample ``image`` at float coords with bilinear weights, edges clamped."""
+    img = np.asarray(image, dtype=float)
+    h, w = img.shape
+    x = np.clip(xs, 0.0, w - 1.0)
+    y = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(x).astype(int)
+    y0 = np.floor(y).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = x - x0
+    fy = y - y0
+    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def _oracle_extract_aligned_roi(landmarks, image,
+                                out_size=(frontend.ROI_WIDTH, frontend.ROI_HEIGHT),
+                                margin=frontend.DEFAULT_MARGIN):
+    """Extract one aligned mouth ROI as a float array in [0, 1].
+
+    ``landmarks`` is (68, 2); ``image`` a 2-D grayscale frame (uint8 arrays
+    are rescaled by 255). Returns shape (out_height, out_width).
+    """
+    pts = np.asarray(landmarks, dtype=float)
+    img = np.asarray(image)
+    if img.dtype == np.uint8:
+        img = img.astype(float) / 255.0
+    out_w, out_h = out_size
+    theta = frontend.mouth_alignment_angle(pts)
+
+    mouth = pts[frontend.MOUTH_SLICE]
+    center = mouth.mean(axis=0)
+    c, s = math.cos(theta), math.sin(theta)
+    rel = mouth - center
+    # rotate by -theta so the corner line becomes horizontal
+    rx = c * rel[:, 0] + s * rel[:, 1]
+    ry = -s * rel[:, 0] + c * rel[:, 1]
+    x0, x1 = rx.min(), rx.max()
+    y0, y1 = ry.min(), ry.max()
+    bw, bh = x1 - x0, y1 - y0
+    if bw <= 0.0 or bh <= 0.0:
+        raise DegenerateGeometryError("mouth landmarks span a zero-area box")
+    x0 -= margin * bw
+    x1 += margin * bw
+    y0 -= margin * bh
+    y1 += margin * bh
+    bw, bh = x1 - x0, y1 - y0
+
+    # output pixel centers in box coords, mapped back through the rotation
+    jj, ii = np.meshgrid(np.arange(out_w), np.arange(out_h))
+    bx = x0 + (jj + 0.5) * bw / out_w
+    by = y0 + (ii + 0.5) * bh / out_h
+    sx = center[0] + c * bx - s * by
+    sy = center[1] + s * bx + c * by
+    return _oracle_bilinear_sample(img, sx, sy)
+
+
+@pytest.fixture(scope="module")
+def speaker_corpus(tmp_path_factory):
+    """Landmarks and frames of every utterance of a 3-speaker corpus."""
+    spec = corpus.SynthSpec(lexicon=corpus.default_lexicon(6, seed=2), n_speakers=3,
+                            n_utterances=6, seed=5, noise_level=0.3,
+                            image_size=(80, 72))
+    recs = corpus.synthesize_corpus(spec, tmp_path_factory.mktemp("speakers"))
+    return [(corpus.read_landmarks(r.landmark_path), corpus.read_frames(r.frames_path))
+            for r in recs]
+
+
+@pytest.mark.parametrize("pixels", ["uint8", "float64", "float32"])
+def test_roi_sequence_matches_per_frame_oracle(speaker_corpus, pixels):
+    n_frames = 0
+    for lms, frames in speaker_corpus:
+        if pixels != "uint8":
+            frames = (frames / 255.0).astype(pixels)
+        for out_size, margin in (((32, 16), 0.15), ((7, 5), 0.4)):
+            rois = frontend.roi_sequence(lms, frames, out_size=out_size, margin=margin)
+            oracle = np.stack([_oracle_extract_aligned_roi(p, f, out_size, margin)
+                               for p, f in zip(lms, frames)])
+            assert rois.shape == oracle.shape == (len(lms), out_size[1], out_size[0])
+            assert np.array_equal(rois, oracle)
+        n_frames += len(lms)
+    assert n_frames > 100
+
+
+def _face_sequence(n):
+    image, pts = _rendered_face()
+    return np.repeat(pts[None], n, axis=0), np.repeat(image[None], n, axis=0)
+
+
+def test_degenerate_frame_in_sequence_is_named():
+    lms, frames = _face_sequence(5)
+    lms[2, 54] = lms[2, 48]
+    with pytest.raises(DegenerateGeometryError, match=r"^frame 2: mouth corners coincide"):
+        frontend.roi_sequence(lms, frames)
+    lms, frames = _face_sequence(5)
+    lms[3, 48:68, 1] = 40.0
+    with pytest.raises(DegenerateGeometryError, match=r"^frame 3: .*zero-area box"):
+        frontend.roi_sequence(lms, frames)
+
+
+def test_earliest_degenerate_frame_is_named():
+    # a later frame failing an earlier check does not hide an earlier frame
+    lms, frames = _face_sequence(6)
+    lms[1, 48:68, 1] = 40.0
+    lms[4, 54] = lms[4, 48]
+    with pytest.raises(DegenerateGeometryError, match=r"^frame 1: .*zero-area box"):
+        frontend.roi_sequence(lms, frames)
+    # a frame failing both checks reports the first one a frame is checked by
+    lms[1, 54] = lms[1, 48]
+    with pytest.raises(DegenerateGeometryError, match=r"^frame 1: mouth corners coincide"):
+        frontend.roi_sequence(lms, frames)
+
+
+def test_zero_frames():
+    rois = frontend.roi_sequence(np.zeros((0, 68, 2)), np.zeros((0, 40, 50), dtype=np.uint8))
+    assert rois.shape == (0, 16, 32)
+    rois = frontend.roi_sequence(np.zeros((0, 68, 2)), np.zeros((0, 40, 50)),
+                                 out_size=(8, 4))
+    assert rois.shape == (0, 4, 8)
