@@ -10,8 +10,9 @@ side, and resampling that box from the source image on a fixed output grid
 with bilinear interpolation (edge pixels replicated outside the image).
 
 The work is batched over the frames of an utterance: the boxes are (T,)
-arrays and the sampling grid is one (T, H, W) array, so beyond the frames
-themselves the memory peak is about a dozen (T, 16, 32) float64 temporaries.
+arrays and the sampling grid is one (T, H, W) array. Beyond the frames
+themselves, the memory peak is about twenty (T, 16, 32) temporaries of
+8-byte values, 6 MB for an 82-frame utterance.
 """
 
 import math
