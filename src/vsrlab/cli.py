@@ -350,7 +350,7 @@ def build_parser():
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="word error rate with bootstrap interval")
-    p.add_argument("--bootstrap", type=int, default=10000)
+    p.add_argument("--bootstrap", type=int, default=DEFAULTS["bootstrap"])
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--confidence", type=float,
                    default=DEFAULTS["confidence"])

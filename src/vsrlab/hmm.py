@@ -595,6 +595,9 @@ def load_model(path):
         if n_phones == 0:
             raise FormatError(f"{path}: the model has no phones")
         phones = [binio.read_str8(fh, path) for _ in range(n_phones)]
+        for i, name in enumerate(phones):
+            if name in phones[:i]:
+                raise FormatError(f"{path}: phone {name!r} is listed twice")
         use_sil = binio.read_u8(fh, path) == 1
         var_floor = binio.read_array(fh, "<f8", (dim,), path)
         sizes, trans, initial, blocks = [], [], [], []

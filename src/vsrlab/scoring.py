@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedWerError
+from .errors import FormatError, UndefinedWerError
 
 log = logging.getLogger(__name__)
 
@@ -183,8 +183,10 @@ def load_transcripts(path):
             if not line.strip():
                 continue
             if "\t" not in line:
-                raise UndefinedWerError(f"{path}:{lineno}: expected 'utt<TAB>words'")
+                raise FormatError(f"{path}:{lineno}: expected 'utt<TAB>words'")
             utt, text = line.split("\t", 1)
+            if utt in out:
+                raise FormatError(f"{path}:{lineno}: utterance {utt!r} listed twice")
             out[utt] = text.split()
     return out
 

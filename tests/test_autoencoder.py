@@ -30,14 +30,40 @@ def max_gradient_rel_err(net, batch, eps=1e-6):
     return worst
 
 
-def test_gradients_match_finite_differences():
+def _check_gradients(channels, bottleneck):
     # small net so every single parameter can be checked exhaustively;
     # seed chosen to avoid dead-ReLU cascades that put kinks at zero
-    net = ConvAutoencoder(channels=(2, 3), bottleneck=4, input_hw=(8, 8), seed=0)
+    net = ConvAutoencoder(channels=channels, bottleneck=bottleneck, input_hw=(8, 8), seed=0)
     batch = np.random.default_rng(2).uniform(0.2, 0.8, (2, 8, 8))
     recon, code = net.forward(batch)
     assert np.abs(code).max() > 1e-3  # live network, not a degenerate check
     assert max_gradient_rel_err(net, batch) < 1e-3
+
+
+def test_gradients_match_finite_differences():
+    _check_gradients(channels=(2, 3), bottleneck=4)
+
+
+def test_gradients_match_finite_differences_one_stage():
+    # the only decoder conv feeds the sigmoid with no ReLU between them
+    _check_gradients(channels=(3,), bottleneck=4)
+
+
+def test_training_does_not_call_public_encode(monkeypatch):
+    # a benchmark tracer counts ``encode`` calls and frames by wrapping the
+    # method, so the training path must not go through it
+    net = ConvAutoencoder(channels=(2, 3), bottleneck=4, input_hw=(8, 8), seed=0)
+    batch = np.random.default_rng(2).uniform(0.2, 0.8, (2, 8, 8))
+    expected = net.encode(batch)
+
+    def fail(self, frames):
+        raise AssertionError("encode called")
+
+    monkeypatch.setattr(ConvAutoencoder, "encode", fail)
+    recon, code = net.forward(batch)
+    assert np.array_equal(code, expected)
+    assert np.isfinite(net.loss_and_grad(batch))
+    assert net.train(batch, epochs=1, lr=0.01, batch_size=2, seed=0)
 
 
 def test_forward_shapes_and_range():
@@ -65,8 +91,8 @@ def test_constructor_validation():
 def test_learns_constant_image():
     net = ConvAutoencoder(channels=(4, 8), bottleneck=6, input_hw=(16, 16), seed=0)
     frames = np.full((16, 16, 16), 0.37)
-    log = net.train(frames, epochs=50, lr=0.5, batch_size=8, seed=3)
-    assert log.epoch_losses[-1] < log.epoch_losses[0]
+    losses = net.train(frames, epochs=50, lr=0.5, batch_size=8, seed=3)
+    assert losses[-1] < losses[0]
     mae = float(np.abs(net.forward(frames)[0] - frames).mean())
     assert mae < 0.02, mae
 
@@ -78,8 +104,8 @@ def test_learns_structured_patterns():
     phase = rng.uniform(0, 2 * np.pi, (64, 1, 1))
     frames = 0.5 + 0.4 * np.sin(2 * np.pi * (xs + 0.5 * ys) + phase)
     net = ConvAutoencoder(seed=0)
-    log = net.train(frames, epochs=10, lr=0.01, batch_size=16, seed=1)
-    assert log.epoch_losses[-1] < 0.75 * log.epoch_losses[0]
+    losses = net.train(frames, epochs=10, lr=0.01, batch_size=16, seed=1)
+    assert losses[-1] < 0.75 * losses[0]
 
 
 def test_training_deterministic():
@@ -87,8 +113,8 @@ def test_training_deterministic():
     runs = []
     for _ in range(2):
         net = ConvAutoencoder(channels=(4, 8), bottleneck=5, input_hw=(16, 16), seed=9)
-        log = net.train(frames, epochs=3, lr=0.05, batch_size=8, seed=4)
-        runs.append((log.epoch_losses, net.encode(frames)))
+        losses = net.train(frames, epochs=3, lr=0.05, batch_size=8, seed=4)
+        runs.append((losses, net.encode(frames)))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -102,7 +128,7 @@ def test_divergence_reported_with_epoch():
     assert info.value.epoch == 1
 
     net = ConvAutoencoder(channels=(4, 8), bottleneck=5, input_hw=(16, 16), seed=0)
-    net.enc_convs[0].w[0, 0, 0, 0] = np.inf
+    net.parameter_layers[0].w[0, 0, 0, 0] = np.inf
     with pytest.raises(TrainingDivergedError):
         net.train(np.full((8, 16, 16), 0.5), epochs=2, lr=0.01, batch_size=4, seed=0)
 
@@ -150,7 +176,7 @@ def test_corrupt_header_is_a_format_error(tmp_path, stages, channels, bottleneck
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_weights_are_a_format_error(tmp_path, value):
     net = ConvAutoencoder(channels=(2,), bottleneck=3, seed=13)
-    net.enc_dense.w[0, 0] = value
+    net.parameter_layers[1].w[0, 0] = value  # the encoder dense
     path = tmp_path / "model.cae"
     autoencoder.save_autoencoder(path, net)
     with pytest.raises(FormatError, match=f"{path}: non-finite weights"):

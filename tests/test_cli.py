@@ -222,6 +222,20 @@ class TestRunGrid:
         assert "| stream |" in out
         assert (out_dir / "results.tsv").exists()
 
+    def test_score_defaults_reproduce_a_grid_cell(self, tiny_corpus, tmp_path):
+        # ``score`` takes every default from the same table as the grid
+        corpus_dir, _ = tiny_corpus
+        cfg = experiment.ExperimentConfig.from_mapping({
+            "corpus_dir": str(corpus_dir), "out_dir": str(tmp_path / "grid"),
+            "test_speakers": "spk01", "streams": "geo", "contexts": "0",
+            "norms": "utterance", "schedule": "1:2", "beam": "none"})
+        experiment.run_grid(cfg)
+        cell = cfg.out_dir / "cells" / experiment.cell_name("geo", 0, "utterance")
+        report = tmp_path / "score.json"
+        assert _run(["score", "--json-out", str(report), str(cfg.out_dir / "ref.tsv"),
+                     str(cell / "hyp.tsv")]) == 0
+        assert report.read_bytes() == (cell / "score.json").read_bytes()
+
     def test_missing_out_dir_rejected(self, tiny_corpus, tmp_path, capsys):
         corpus_dir, _ = tiny_corpus
         cfg_path = tmp_path / "grid.cfg"

@@ -845,13 +845,17 @@ class TestContainer:
 
     @pytest.mark.parametrize("case", ["no_phones", "nan_weight", "inf_mean", "nan_variance",
                                       "inf_floor", "negative_weight", "weights_off_one",
-                                      "zero_variance", "negative_variance"])
+                                      "zero_variance", "negative_variance", "duplicate_phone"])
     def test_bad_values_are_a_format_error(self, tmp_path, case):
         model = _make_model("skip2", {"a": _dummy_params(2, 1),
                                       "b": _dummy_params(2, 1)}, dim=1)
         if case == "no_phones":
             model.phones, model.phone_n_states = [], np.zeros(0, dtype=int)
             message = "the model has no phones"
+        elif case == "duplicate_phone":
+            # at load, phone_index would map 'a' to 1 and leave phone 0 unreachable
+            model.phones = ["a", "a"]
+            message = "phone 'a' is listed twice"
         else:
             table, value, message = {
                 "nan_weight": ("weights", np.nan, "non-finite"),

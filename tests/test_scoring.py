@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsrlab import scoring
-from vsrlab.errors import UndefinedWerError
+from vsrlab.errors import FormatError, UndefinedWerError
 
 
 def test_hand_alignment():
@@ -142,5 +142,8 @@ def test_transcript_file_round_trip(tmp_path):
     assert scoring.load_transcripts(path) == data
     bad = tmp_path / "bad.tsv"
     bad.write_text("no_tab_here\n")
-    with pytest.raises(UndefinedWerError):
+    with pytest.raises(FormatError, match=f"{bad}:1: expected"):
+        scoring.load_transcripts(bad)
+    bad.write_text("u1\ta b\n\nu2\tc\nu1\td\n")
+    with pytest.raises(FormatError, match=f"{bad}:4: utterance 'u1' listed twice"):
         scoring.load_transcripts(bad)
