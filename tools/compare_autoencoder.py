@@ -36,6 +36,7 @@ def run_side(src, out):
         net = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
                               input_hw=hw, seed=0)
         losses = net.train(frames, epochs=epochs, lr=lr, batch_size=batch, seed=0)
+        # checkouts before the layer list return a TrainingLog
         arrays[f"{name}.losses"] = np.array(getattr(losses, "epoch_losses", losses))
         arrays[f"{name}.loss"] = np.array(net.loss_and_grad(frames[:batch]))
         for i, (layer, attr) in enumerate(net.parameter_arrays()):
