@@ -146,22 +146,12 @@ def cmd_post(args):
 def cmd_train_hmm(args):
     cfg, runner = _config(args)
     records, feat_paths = _records_and_features(cfg, args)
-    lexicon_path = cfg.corpus_dir / "lexicon.txt"
-
-    def build():
-        seqs = [features.load_features(p) for p in feat_paths]
-        model, history = experiment.train_cell_model(
-            cfg, seqs, records, lingware.load_lexicon(lexicon_path))
-        hmm.save_model(args.out, model)
-        for target_m, ll in history:
-            print(f"M={target_m} loglik={ll:.4f}")
-
-    runner.stage("train",
-                 feat_paths + [cfg.corpus_dir / "manifest.tsv", lexicon_path],
-                 {"topology": cfg.topology,
-                  "schedule": [list(s) for s in cfg.schedule]},
-                 [args.out], build)
-    print(f"hmm: {len(records)} utterances -> {args.out}")
+    log_path = Path(f"{args.out}.loglik.tsv")
+    experiment.stage_train(
+        runner, cfg, "train", {}, feat_paths,
+        lambda: [features.load_features(p) for p in feat_paths], records,
+        args.out, log_path)
+    print(f"hmm: {len(records)} utterances -> {args.out} (EM log {log_path})")
     return 0
 
 
@@ -193,18 +183,10 @@ def cmd_align(args):
 def cmd_decode(args):
     cfg, runner = _config(args)
     feat_paths = list(_feature_files(args.feat_dir).values())
-
-    def build():
-        hyps = experiment.decode_cell(
-            cfg, hmm.load_model(args.model), lingware.load_lm(args.lm),
-            lingware.load_lexicon(args.lexicon),
-            [features.load_features(p) for p in feat_paths])
-        scoring.save_transcripts(args.out, hyps)
-
-    runner.stage("decode", [args.model, args.lm, args.lexicon] + feat_paths,
-                 {"lm_scale": cfg.lm_scale,
-                  "word_insertion_penalty": cfg.word_insertion_penalty,
-                  "beam": cfg.beam}, [args.out], build)
+    experiment.stage_decode(
+        runner, cfg, "decode", {}, args.model, args.lm, args.lexicon,
+        feat_paths, lambda: [features.load_features(p) for p in feat_paths],
+        args.out)
     print(f"decode: {len(feat_paths)} utterances -> {args.out}")
     return 0
 

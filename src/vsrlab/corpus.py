@@ -195,8 +195,12 @@ def load_manifest(path):
             duration = float(dur_s)
         except ValueError as exc:
             raise ManifestError(f"{path}:{lineno}: bad numeric field: {exc}") from None
-        if frame_rate <= 0:
-            raise ManifestError(f"{path}:{lineno}: frame_rate must be positive")
+        if not (math.isfinite(frame_rate) and frame_rate > 0):
+            raise ManifestError(f"{path}:{lineno}: frame_rate must be positive and finite, "
+                                f"got {rate_s!r}")
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ManifestError(f"{path}:{lineno}: duration must be non-negative and finite, "
+                                f"got {dur_s!r}")
         words = transcript.split()
         if not words:
             raise ManifestError(f"{path}:{lineno}: empty transcript for {utt_id!r}")

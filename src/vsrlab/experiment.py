@@ -465,7 +465,6 @@ def stage_lm(runner, cfg, test_records, lexicon):
     """Closed bigram estimated from the test-set transcripts."""
     out = cfg.out_dir / "lm.alm"
     arpa = cfg.out_dir / "lm.arpa"
-    manifest = cfg.corpus_dir / "manifest.tsv"
 
     def build():
         lm = lingware.fit_bigram([r.transcript for r in test_records],
@@ -473,9 +472,77 @@ def stage_lm(runner, cfg, test_records, lexicon):
         lingware.save_lm(out, lm)
         lingware.write_arpa(arpa, lm)
 
-    runner.stage("lm", [manifest],
+    runner.stage("lm", [cfg.corpus_dir / "manifest.tsv",
+                        cfg.corpus_dir / "lexicon.txt"],
                  {"speakers": sorted(cfg.test_speakers)}, [out, arpa], build)
     return out
+
+
+# ---------------------------------------------------------------------------
+# model stages (one implementation each, for the grid's cells and the CLI)
+
+def train_cell_model(cfg, train_seqs, train_records, lexicon):
+    data = []
+    for seq, record in zip(train_seqs, train_records):
+        chain = hmm.phone_chain(lexicon, record.transcript, use_sil=True)
+        data.append((seq.frames, chain))
+    phones = sorted(lexicon.phone_set())
+    model = hmm.flat_start([frames for frames, _ in data], phones,
+                           topology_kind=cfg.topology, use_sil=True)
+    history = hmm.train_em(model, data, schedule=cfg.schedule)
+    return model, history
+
+
+def decode_cell(cfg, model, lm, lexicon, test_seqs):
+    graph = decoder.DecodeGraph(model, lm, lexicon)
+    try:
+        results = decoder.decode_batch(graph, [seq.frames for seq in test_seqs],
+                                       cfg.decode_config())
+    except EmptyBeamError as err:
+        raise EmptyBeamError(f"{test_seqs[err.utterance].utterance_id}: {err}",
+                             err.utterance) from err
+    return {seq.utterance_id: result.words
+            for seq, result in zip(test_seqs, results)}
+
+
+def stage_train(runner, cfg, name, params, feat_paths, load_seqs, records,
+                model_path, log_path):
+    """GMM-HMM trained on ``load_seqs()``, one sequence per entry of
+    ``records``, keyed on ``feat_paths`` (the files it reads), the manifest,
+    the lexicon, the topology, the schedule and ``params``. ``log_path``
+    gets an ``M<tab>loglik`` line, the log likelihood per frame, per EM
+    iteration."""
+    lexicon_path = cfg.corpus_dir / "lexicon.txt"
+
+    def build():
+        model, history = train_cell_model(cfg, load_seqs(), records,
+                                          lingware.load_lexicon(lexicon_path))
+        hmm.save_model(model_path, model)
+        Path(log_path).write_text(
+            "".join(f"{m}\t{ll:.6f}\n" for m, ll in history), encoding="utf-8")
+
+    runner.stage(name,
+                 [*feat_paths, cfg.corpus_dir / "manifest.tsv", lexicon_path],
+                 {**params, "topology": cfg.topology,
+                  "schedule": [list(s) for s in cfg.schedule]},
+                 [model_path, log_path], build)
+
+
+def stage_decode(runner, cfg, name, params, model_path, lm_path, lexicon_path,
+                 feat_paths, load_seqs, hyp_path):
+    """Transcripts of ``load_seqs()``, keyed on the model, LM and lexicon,
+    ``feat_paths`` (the files it reads), the LM scale, word insertion
+    penalty and beam, and ``params``."""
+    def build():
+        hyps = decode_cell(cfg, hmm.load_model(model_path),
+                           lingware.load_lm(lm_path),
+                           lingware.load_lexicon(lexicon_path), load_seqs())
+        scoring.save_transcripts(hyp_path, hyps)
+
+    runner.stage(name, [model_path, lm_path, lexicon_path, *feat_paths],
+                 {**params, "lm_scale": cfg.lm_scale,
+                  "word_insertion_penalty": cfg.word_insertion_penalty,
+                  "beam": cfg.beam}, [hyp_path], build)
 
 
 # ---------------------------------------------------------------------------
@@ -513,37 +580,13 @@ def cell_name(stream, context, norm):
     return f"{stream}_{CONTEXT_LABELS[context]}_{norm}"
 
 
-def train_cell_model(cfg, train_seqs, train_records, lexicon):
-    data = []
-    for seq, record in zip(train_seqs, train_records):
-        chain = hmm.phone_chain(lexicon, record.transcript, use_sil=True)
-        data.append((seq.frames, chain))
-    phones = sorted(lexicon.phone_set())
-    model = hmm.flat_start([frames for frames, _ in data], phones,
-                           topology_kind=cfg.topology, use_sil=True)
-    history = hmm.train_em(model, data, schedule=cfg.schedule)
-    return model, history
-
-
-def decode_cell(cfg, model, lm, lexicon, test_seqs):
-    graph = decoder.DecodeGraph(model, lm, lexicon)
-    try:
-        results = decoder.decode_batch(graph, [seq.frames for seq in test_seqs],
-                                       cfg.decode_config())
-    except EmptyBeamError as err:
-        raise EmptyBeamError(f"{test_seqs[err.utterance].utterance_id}: {err}",
-                             err.utterance) from err
-    return {seq.utterance_id: result.words
-            for seq, result in zip(test_seqs, results)}
-
-
 def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
-             lexicon, runner=None):
+             runner=None):
     """Train, decode, and score one grid cell; returns its report dict."""
     stream, context, norm = cell
-    if runner is None:
-        runner = Runner(cfg.semantic_hash())
-    cell_dir = cfg.out_dir / "cells" / cell_name(stream, context, norm)
+    runner = runner or Runner(cfg.semantic_hash())
+    name = cell_name(stream, context, norm)
+    cell_dir = cfg.out_dir / "cells" / name
     cell_dir.mkdir(parents=True, exist_ok=True)
     model_path = cell_dir / "model.opt"
     hyp_path = cell_dir / "hyp.tsv"
@@ -552,50 +595,23 @@ def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
     parts = stream.split("+")
     part_paths = {p: base_paths[p] for p in parts}
     all_records = train_records + test_records
-    feat_inputs = [part_paths[p][r.utterance_id]
-                   for p in parts for r in all_records]
-    manifest = cfg.corpus_dir / "manifest.tsv"
-    lexicon_path = cfg.corpus_dir / "lexicon.txt"
+    n_train = len(train_records)
 
-    cache = {}
+    @functools.cache
+    def seqs():
+        base = load_base_features(part_paths, all_records)
+        return assemble_features(base, stream, context, norm)
 
-    def get_features():
-        if "seqs" not in cache:
-            base = load_base_features(part_paths, all_records)
-            cache["seqs"] = assemble_features(base, stream, context, norm)
-        n_train = len(train_records)
-        return cache["seqs"][:n_train], cache["seqs"][n_train:]
+    def feat_paths(records):
+        return [part_paths[p][r.utterance_id] for p in parts for r in records]
 
-    def build_model():
-        train_seqs, _ = get_features()
-        model, history = train_cell_model(cfg, train_seqs, train_records, lexicon)
-        hmm.save_model(model_path, model)
-        (cell_dir / "loglik.tsv").write_text(
-            "".join(f"{m}\t{ll:.6f}\n" for m, ll in history), encoding="utf-8")
-
-    runner.stage(f"train:{cell_name(stream, context, norm)}",
-                 feat_inputs + [manifest, lexicon_path],
-                 {"stream": stream, "context": context, "norm": norm,
-                  "topology": cfg.topology,
-                  "schedule": [list(s) for s in cfg.schedule]},
-                 [model_path], build_model)
-
-    def build_hyp():
-        _, test_seqs = get_features()
-        model = hmm.load_model(model_path)
-        lm = lingware.load_lm(lm_path)
-        hyps = decode_cell(cfg, model, lm, lexicon, test_seqs)
-        scoring.save_transcripts(hyp_path, hyps)
-
-    runner.stage(f"decode:{cell_name(stream, context, norm)}",
-                 [model_path, lm_path, lexicon_path]
-                 + [part_paths[p][r.utterance_id] for p in parts
-                    for r in test_records],
-                 {"stream": stream, "context": context, "norm": norm,
-                  "lm_scale": cfg.lm_scale,
-                  "word_insertion_penalty": cfg.word_insertion_penalty,
-                  "beam": cfg.beam},
-                 [hyp_path], build_hyp)
+    params = {"stream": stream, "context": context, "norm": norm}
+    stage_train(runner, cfg, f"train:{name}", params, feat_paths(all_records),
+                lambda: seqs()[:n_train], train_records, model_path,
+                cell_dir / "loglik.tsv")
+    stage_decode(runner, cfg, f"decode:{name}", params, model_path, lm_path,
+                 cfg.corpus_dir / "lexicon.txt", feat_paths(test_records),
+                 lambda: seqs()[n_train:], hyp_path)
 
     def build_score():
         refs = {r.utterance_id: r.transcript for r in test_records}
@@ -604,8 +620,7 @@ def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
                                   seed=cfg.seed, confidence=cfg.confidence)
         score_path.write_text(report.to_json() + "\n", encoding="utf-8")
 
-    runner.stage(f"score:{cell_name(stream, context, norm)}",
-                 [hyp_path, manifest],
+    runner.stage(f"score:{name}", [hyp_path, cfg.corpus_dir / "manifest.tsv"],
                  {"bootstrap": cfg.bootstrap, "seed": cfg.seed,
                   "confidence": cfg.confidence},
                  [score_path], build_score)
@@ -614,9 +629,9 @@ def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
 
 
 def _cell_worker(args):
-    cfg, cell, base_paths, lm_path, train_records, test_records, lexicon = args
+    cfg, cell, base_paths, lm_path, train_records, test_records = args
     report = run_cell(cfg, cell, base_paths, lm_path, train_records,
-                      test_records, lexicon)
+                      test_records)
     return cell, report
 
 
@@ -688,15 +703,14 @@ def run_grid(cfg, jobs=1):
              for ctx in cfg.contexts for norm in cfg.norms]
     reports = {}
     if jobs > 1:
-        args = [(cfg, cell, base_paths, lm_path, train_records, test_records,
-                 lexicon) for cell in cells]
+        args = [(cfg, cell, base_paths, lm_path, train_records, test_records)
+                for cell in cells]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for cell, report in pool.map(_cell_worker, args):
                 reports[cell] = report
     else:
         for cell in cells:
             reports[cell] = run_cell(cfg, cell, base_paths, lm_path,
-                                     train_records, test_records, lexicon,
-                                     runner=runner)
+                                     train_records, test_records, runner=runner)
     write_results(cfg, reports)
     return reports

@@ -27,3 +27,16 @@ def tiny_corpus(tmp_path_factory):
                             words_per_utterance=(1, 2), seed=0)
     records = corpus.synthesize_corpus(spec, out)
     return out, records
+
+
+@pytest.fixture(scope="session")
+def pin_corpus(tmp_path_factory):
+    """(landmarks, frames) of every utterance of a fixed 3-utterance 64x64
+    corpus, on which the float64 front-end kernels' digests are pinned."""
+    out = tmp_path_factory.mktemp("pin_corpus")
+    spec = corpus.SynthSpec(lexicon=corpus.default_lexicon(n_words=6, seed=0),
+                            n_speakers=3, n_utterances=3, image_size=(64, 64),
+                            seed=3)
+    return [(corpus.read_landmarks(r.landmark_path),
+             corpus.read_frames(r.frames_path))
+            for r in corpus.synthesize_corpus(spec, out)]

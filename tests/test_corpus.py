@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_manifest_field_count_error(tmp_path):
     man = tmp_path / "manifest.tsv"
     man.write_text("u1\tspkA\t30\t1.0\tonly_five_fields\n")
     with pytest.raises(ManifestError):
+        corpus.load_manifest(man)
+
+
+@pytest.mark.parametrize("rate, duration, field", [
+    ("nan", "1.0", "frame_rate"), ("inf", "1.0", "frame_rate"),
+    ("0", "1.0", "frame_rate"), ("-30", "1.0", "frame_rate"),
+    ("30", "nan", "duration"), ("30", "inf", "duration"),
+    ("30", "-0.5", "duration"), ("nan", "inf", "frame_rate")])
+def test_manifest_bad_number_error(tmp_path, rate, duration, field):
+    lmk, frm = _write_pair(tmp_path, 30)
+    man = tmp_path / "manifest.tsv"
+    man.write_text(f"u1\tspkA\t30\t1.0\t{lmk}\t{frm}\thola\n"
+                   f"u2\tspkA\t{rate}\t{duration}\t{lmk}\t{frm}\thola\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(man))}:2: {field} must be"):
         corpus.load_manifest(man)
 
 

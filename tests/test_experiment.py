@@ -1,10 +1,11 @@
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
 
-from vsrlab import corpus, experiment, features
+from vsrlab import corpus, experiment, features, lingware
 from vsrlab.errors import DegenerateGeometryError, FormatError
 
 
@@ -351,6 +352,33 @@ class TestGrid:
         assert not any(m.startswith("stage train:") for m in built)
         for cell in first:
             assert second[cell] == first[cell]
+
+    def test_deleted_train_log_is_rebuilt(self, grid_out):
+        cfg, _ = grid_out
+        log_path = cfg.out_dir / "cells" / "geo_raw_utterance" / "loglik.tsv"
+        before = log_path.read_bytes()
+        assert experiment.read_stamp(log_path)["stage"] == "train:geo_raw_utterance"
+        log_path.unlink()
+        experiment.run_grid(cfg)
+        assert log_path.read_bytes() == before
+
+    def test_lexicon_change_refits_the_lm(self, tiny_corpus, tmp_path, caplog):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus[0], corpus_dir)
+        cfg = experiment.ExperimentConfig.from_mapping({
+            "corpus_dir": str(corpus_dir), "out_dir": str(tmp_path / "grid"),
+            "test_speakers": "spk01", "streams": "geo", "contexts": "0",
+            "norms": "utterance", "schedule": "1:2", "bootstrap": "200",
+            "beam": "none"})
+        experiment.run_grid(cfg)
+        n_words = len(lingware.load_lm(cfg.out_dir / "lm.alm").vocab)
+        with open(corpus_dir / "lexicon.txt", "a", encoding="utf-8") as fh:
+            fh.write("zzword b a\n")
+        with caplog.at_level(logging.INFO, logger="vsrlab.experiment"):
+            experiment.run_grid(cfg)
+        assert "stage lm: built" in caplog.messages
+        lm = lingware.load_lm(cfg.out_dir / "lm.alm")
+        assert len(lm.vocab) == n_words + 1 and "zzword" in lm.vocab
 
     def test_unknown_test_speaker_rejected(self, tiny_corpus, tmp_path):
         corpus_dir, _ = tiny_corpus

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -311,3 +312,16 @@ def test_sequence_shape_checked(shape):
 
 def test_zero_frames():
     assert geometric.geometric_sequence(np.zeros((0, 68, 2))).shape == (0, 18)
+
+
+def test_float64_output_pinned(pin_corpus):
+    # VFA1 stores float32, so the artifact tree cannot see float64 drift in
+    # this kernel; the digest of its float64 output on a fixed corpus can.
+    # (Platform: x86-64, numpy 2.4; another libm may move the last bit.)
+    digest = hashlib.sha256()
+    for landmarks, _ in pin_corpus:
+        feats = geometric.geometric_sequence(landmarks)
+        assert feats.dtype == np.float64
+        digest.update(feats.tobytes())
+    assert digest.hexdigest() == \
+        "c4e3da6b49460720a8ff9243629e49aa227dffd6a38ae327e1ee92324ce388e2"

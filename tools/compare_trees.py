@@ -1,0 +1,96 @@
+"""List the files that differ between two checkouts' benchmark grid trees.
+
+    python3 tools/compare_trees.py OLD_CHECKOUT NEW_CHECKOUT
+
+For every workload in ``perfbench/workloads.py``, each checkout builds the
+workload's tree with its own ``src/``, ``tests/`` and ``perfbench/``, in a
+child process of its own with BLAS pinned to one thread. The tree is built
+as a benchmark run builds it: ``perfbench/worker.py``'s set-up (the corpus
+at seed 7 and, for a warm workload, the priming grid), then one operation
+(the timed grid run). Every file of the tree, corpus included, is hashed
+with SHA-256. The script prints each file whose digest differs or that
+exists on one side only, and exits 1 if there is any, or if a run failed
+its output checks. It changes nothing under ``perfbench/``.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+SEED = 7
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def _hash_tree(root):
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_side(checkout, out):
+    """Build every workload tree from ``checkout``; write the digests and
+    any failed output checks to ``out`` as JSON."""
+    checkout = Path(checkout).resolve()
+    for sub in ("perfbench", "tests", "src"):
+        sys.path.insert(0, str(checkout / sub))
+    import worker
+    from workloads import WORKLOADS
+
+    trees, problems = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            root = Path(tmp) / name
+            job = {"workload": asdict(workload), "seed": SEED, "trace": False,
+                   "corpus_dir": str(root / "corpus"),
+                   "out_dir": str(root / "out")}
+            primed = worker.setup(job)
+            job.update(grid=primed["grid"], hyp_digests=primed.get("hyp_digests"))
+            result = worker.op(job)
+            problems[name] = result["problems"] + ([result["error"]]
+                                                   if result["error"] else [])
+            trees[name] = _hash_tree(root)
+    Path(out).write_text(json.dumps({"trees": trees, "problems": problems}))
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--side":
+        run_side(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    env = dict(os.environ, **PINNED_ENV)
+    env.pop("PYTHONPATH", None)
+    sides = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, checkout in enumerate(argv):
+            out = Path(tmp) / f"side{i}.json"
+            subprocess.run([sys.executable, __file__, "--side", checkout, str(out)],
+                           env=env, check=True)
+            sides.append(json.loads(out.read_text()))
+    old, new = sides
+    failed = False
+    for name in sorted(old["trees"].keys() | new["trees"].keys()):
+        a, b = old["trees"].get(name, {}), new["trees"].get(name, {})
+        lines = ([f"  only in old: {p}" for p in sorted(a.keys() - b.keys())]
+                 + [f"  only in new: {p}" for p in sorted(b.keys() - a.keys())]
+                 + [f"  differs:     {p}" for p in sorted(a.keys() & b.keys())
+                    if a[p] != b[p]])
+        lines += [f"  {side} run failed its checks: {problem}"
+                  for side, result in (("old", old), ("new", new))
+                  for problem in result["problems"].get(name, [])]
+        print(f"{name}: {len(a)} files in old, {len(b)} in new, "
+              f"{len(lines)} finding(s)")
+        if lines:
+            print("\n".join(lines))
+            failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
