@@ -184,7 +184,7 @@ def _forward(layers, x):
     return x
 
 
-def _stages_fit(stages, input_hw):
+def stages_fit(stages, input_hw):
     """Whether ``stages`` stride-2 convolutions halve both sides of
     ``input_hw`` exactly. The range is checked before any power is taken, so
     a corrupt stage count read from a file costs nothing."""
@@ -221,7 +221,7 @@ class ConvAutoencoder:
         stages = len(channels)
         if stages < 1:
             raise ValueError("need at least one conv stage")
-        if not _stages_fit(stages, input_hw):
+        if not stages_fit(stages, input_hw):
             raise ValueError(f"input {h}x{w} not divisible by 2^{stages}")
         self.channels = tuple(int(c) for c in channels)
         self.bottleneck = int(bottleneck)
@@ -338,7 +338,7 @@ def load_autoencoder(path):
     with open(path, "rb") as fh:
         binio.check_magic(fh, MODEL_MAGIC, path)
         stages = binio.read_u32(fh, path)
-        if not _stages_fit(stages, DEFAULT_INPUT_HW):
+        if not stages_fit(stages, DEFAULT_INPUT_HW):
             raise FormatError(f"{path}: implausible stage count {stages}")
         channels = tuple(binio.read_u32(fh, path) for _ in range(stages))
         bottleneck = binio.read_u32(fh, path)

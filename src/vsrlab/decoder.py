@@ -9,12 +9,13 @@ termination when silence is off), which keeps recombination exact. With no
 beam the search is exact; with a beam, tokens worse than the frame best by
 more than the beam width are dropped.
 
-``decode_batch`` decodes many utterances at once. They are laid out with
-``hmm.pad_batch`` in order of length, in batches of bounded size as in the
-E-step, and every frame is a fixed set of array operations over
-(utterances, states). A token's history is an integer link into a store of
-(word, parent link, start frame) records, written only when a token enters
-a word (Young, Russell & Thornton 1989, token passing with word links).
+``decode_batch`` decodes many utterances at once. They are scored and laid
+out by ``hmm.padded_batches``, the acoustic scoring that EM and forced
+alignment use, in order of length and in batches of bounded size, and every
+frame is a fixed set of array operations over (utterances, states). A
+token's history is an integer link into a store of (word, parent link,
+start frame) records, written only when a token enters a word (Young,
+Russell & Thornton 1989, token passing with word links).
 A token's language model context never changes while it stays in a chain:
 it is the chain's word, or ``<s>`` in the leading silence. So the graph
 keeps a padded table of the exit states of each context, and the best exit
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBeamError, OovError
-from .hmm import LOG_ZERO, SILENCE_PHONE, _batches, _stack_components, \
-    _state_logsumexp, component_log_likelihoods, compose_chain, pad_batch
+from .hmm import LOG_ZERO, SILENCE_PHONE, compose_chain, padded_batches
 from .lingware import SENTENCE_END, SENTENCE_START
 
 log = logging.getLogger(__name__)
@@ -78,8 +78,6 @@ class DecodeGraph:
                 raise OovError(f"word {word!r} has no language model entry")
         v = len(self.vocab)
         self.start_context = v
-        self.stacked = _stack_components(model)
-        self.arc_table = model.arc_table()
 
         arcs, unique_cols, contexts = [], [], []
         base = 0
@@ -113,7 +111,7 @@ class DecodeGraph:
             self.tail_entry = None
             tail_base = base
         self.arcs = np.concatenate(arcs, axis=1)
-        self.exit_logp = self.arc_table[self.arcs[3]]
+        self.exit_logp = model.arc_table()[self.arcs[3]]
         self.unique_cols = np.concatenate(unique_cols)
         self.n_states = base
         self.state_context = np.concatenate(contexts)
@@ -185,13 +183,9 @@ def decode_batch(graph, frame_list, config=None):
     frames = [np.asarray(x, dtype=float) for x in frame_list]
     if not frames:
         return []
-    sizes = graph.stacked[4]
     results = [None] * len(frames)
-    for batch in _batches(frames, [graph] * len(frames), int(sizes.sum())):
-        emissions = [_state_logsumexp(component_log_likelihoods(graph.stacked,
-                                                                frames[b]), sizes)
-                     for b in batch]
-        for b, result in zip(batch, _search(graph, emissions, config, batch)):
+    for ids, _, _, batch in padded_batches(graph.model, frames, [graph] * len(frames)):
+        for b, result in zip(ids, _search(graph, batch, config, ids)):
             results[b] = result
     return results
 
@@ -201,13 +195,12 @@ def decode_frames(graph, frames, config=None):
     return decode_batch(graph, [frames], config)[0]
 
 
-def _search(graph, emissions, config, ids):
-    """Token passing over utterances given by their (T, unique states) log
-    densities; ``ids`` names them in errors. Returns their results."""
-    for i, e in zip(ids, emissions):
-        if e.shape[0] == 0:
+def _search(graph, batch, config, ids):
+    """Token passing over the utterances of a ``BandBatch`` laid out on
+    ``graph``; ``ids`` names them in errors. Returns their results."""
+    for i, n in zip(ids, batch.n_frames):
+        if n == 0:
             raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
-    batch = pad_batch(graph.arc_table, [graph] * len(emissions), emissions)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
     a0, a1, a2 = batch.band[0, :, 2:], batch.band[1, :, 1:-1], batch.band[2, :, :-2]

@@ -209,7 +209,7 @@ class ExperimentConfig:
         if self.pca_max_frames <= self.pca_components:
             raise ValueError("pca_max_frames must exceed pca_components")
         h, w = autoencoder.DEFAULT_INPUT_HW
-        if (not autoencoder._stages_fit(len(self.ae_channels), (h, w))
+        if (not autoencoder.stages_fit(len(self.ae_channels), (h, w))
                 or min(self.ae_channels) < 1):
             raise ValueError(f"ae_channels must list positive widths of stride-2 stages "
                              f"that halve the {h}x{w} input exactly")
@@ -580,11 +580,9 @@ def cell_name(stream, context, norm):
     return f"{stream}_{CONTEXT_LABELS[context]}_{norm}"
 
 
-def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
-             runner=None):
+def run_cell(cfg, runner, base_paths, lm_path, train_records, test_records, cell):
     """Train, decode, and score one grid cell; returns its report dict."""
     stream, context, norm = cell
-    runner = runner or Runner(cfg.semantic_hash())
     name = cell_name(stream, context, norm)
     cell_dir = cfg.out_dir / "cells" / name
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -606,7 +604,7 @@ def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
         return [part_paths[p][r.utterance_id] for p in parts for r in records]
 
     params = {"stream": stream, "context": context, "norm": norm}
-    stage_train(runner, cfg, f"train:{name}", params, feat_paths(all_records),
+    stage_train(runner, cfg, f"train:{name}", params, feat_paths(train_records),
                 lambda: seqs()[:n_train], train_records, model_path,
                 cell_dir / "loglik.tsv")
     stage_decode(runner, cfg, f"decode:{name}", params, model_path, lm_path,
@@ -626,13 +624,6 @@ def run_cell(cfg, cell, base_paths, lm_path, train_records, test_records,
                  [score_path], build_score)
 
     return json.loads(score_path.read_text(encoding="utf-8"))
-
-
-def _cell_worker(args):
-    cfg, cell, base_paths, lm_path, train_records, test_records = args
-    report = run_cell(cfg, cell, base_paths, lm_path, train_records,
-                      test_records)
-    return cell, report
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +692,13 @@ def run_grid(cfg, jobs=1):
 
     cells = [(stream, ctx, norm) for stream in cfg.streams
              for ctx in cfg.contexts for norm in cfg.norms]
-    reports = {}
+    # pool workers get a copy of the runner, and with it the digest table
+    run = functools.partial(run_cell, cfg, runner, base_paths, lm_path,
+                            train_records, test_records)
     if jobs > 1:
-        args = [(cfg, cell, base_paths, lm_path, train_records, test_records)
-                for cell in cells]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell, report in pool.map(_cell_worker, args):
-                reports[cell] = report
+            reports = dict(zip(cells, pool.map(run, cells)))
     else:
-        for cell in cells:
-            reports[cell] = run_cell(cfg, cell, base_paths, lm_path,
-                                     train_records, test_records, runner=runner)
+        reports = dict(zip(cells, map(run, cells)))
     write_results(cfg, reports)
     return reports

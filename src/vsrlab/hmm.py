@@ -20,11 +20,14 @@ index into the model's arc table, the log of the transition table followed
 by one log-zero entry that index -1 reads for a missing arc. The band's
 values are the table read at those indices, and EM counts arcs through the
 same indices. The forward, backward, and Viterbi passes all run on this
-band, in the log domain, vectorized over states. Forward and backward also
-run batched over the utterances of an EM iteration, taken in order of length
-in batches of bounded size: each utterance is padded with log-zero to the
-longest chain and the longest utterance of its batch, which leaves its own
-values exactly as a pass over it alone would give them.
+band, in the log domain, vectorized over states.
+
+One routine, ``padded_batches``, does the acoustic scoring for EM, forced
+alignment and the decoder alike: it scores each utterance's frames against
+the mixture table and lays the utterances out on the band, taken in order of
+length in batches of bounded size. Each utterance is padded with log-zero to
+the longest chain and the longest utterance of its batch, which leaves its
+own values exactly as a pass over it alone would give them.
 
 The model keeps its parameters in two flat tables. Every phone enters at its
 first state, so only the transition rows vary between phones: the transition
@@ -54,7 +57,7 @@ log = logging.getLogger(__name__)
 OPTICAL_MAGIC = b"OPT1"
 SILENCE_PHONE = "sil"
 _OCC_EPS = 1e-8
-# float64 values per array that one batched E-step pass may hold (8 MiB)
+# float64 values per array that one batch of padded_batches may hold (8 MiB)
 _BATCH_VALUES = 1 << 20
 LOG_ZERO = -np.inf
 
@@ -117,18 +120,6 @@ class OpticalModel:
             return np.log(np.append(self.trans, 0.0))
 
 
-def _logsumexp(a, axis=None):
-    a = np.asarray(a, dtype=float)
-    if axis is None:
-        a = a.ravel()
-        axis = 0
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    return np.squeeze(out, axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # transcripts and flat start
 
@@ -179,18 +170,18 @@ def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True,
 
 def _stack_components(model):
     """The mixture table as density blocks: quadratic and linear coefficients
-    (C, D), constants and log weights (C,), and each state's component count."""
+    (C, D), then constants and log weights (C,)."""
     var = model.variances
     c0 = np.sum(-0.5 * model.means ** 2 / var - 0.5 * np.log(2.0 * np.pi * var), axis=1)
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
-    return -0.5 / var, model.means / var, c0, logw, model.n_mix
+    return -0.5 / var, model.means / var, c0, logw
 
 
 def component_log_likelihoods(stacked, frames):
     """Per-component weighted log densities (T, total components) under the
     blocks ``stacked`` from ``_stack_components``."""
-    c1, c2, c0, logw, _ = stacked
+    c1, c2, c0, logw = stacked
     x = np.asarray(frames, dtype=float)
     return (x ** 2) @ c1.T + x @ c2.T + c0 + logw
 
@@ -267,6 +258,44 @@ def pad_batch(table, graphs, uniques):
     return BandBatch(band=table[arcs], emis=padded, n_frames=n_frames, n_states=n_states)
 
 
+def _batches(frames, graphs, n_components):
+    """Utterance indices in order of length, cut into batches whose padded
+    frames times (chain states + mixture components) stay within
+    ``_BATCH_VALUES``, so that none of a batch's alpha, beta, emission and
+    component-density arrays holds more float64 values. An utterance over
+    the budget on its own makes a batch of one."""
+    batch, t_max, s_max = [], 0, 0
+    for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
+        t = max(t_max, frames[b].shape[0])
+        s = max(s_max, graphs[b].n_states)
+        if batch and (len(batch) + 1) * t * (s + 2 + n_components) > _BATCH_VALUES:
+            yield batch
+            batch, t, s = [], frames[b].shape[0], graphs[b].n_states
+        batch.append(b)
+        t_max, s_max = t, s
+    yield batch
+
+
+def padded_batches(model, frames, graphs):
+    """Score utterances against the model and lay them out for the band
+    passes: the one acoustic-scoring routine of EM, forced alignment and the
+    decoder.
+
+    ``frames`` holds each utterance's (T_b, D) frames and ``graphs`` its
+    chain (anything with ``n_states``, ``arcs`` and ``unique_cols``). The
+    mixture table is stacked once. Yields, for each batch of ``_batches``,
+    the utterance indices, each utterance's component log densities (T_b,
+    total components) and unique-state log densities (T_b, unique states),
+    and their ``BandBatch``.
+    """
+    stacked = _stack_components(model)
+    table = model.arc_table()
+    for batch in _batches(frames, graphs, model.weights.shape[0]):
+        comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
+        uniques = [_state_logsumexp(comp, model.n_mix) for comp in comps]
+        yield batch, comps, uniques, pad_batch(table, [graphs[b] for b in batch], uniques)
+
+
 def forward_log(batch):
     """Forward pass over a ``BandBatch`` of utterances at once.
 
@@ -290,9 +319,11 @@ def forward_log(batch):
         np.logaddexp(stay, adv, out=stay)
         np.add(stay, e[t], out=alpha[t, :, 2:])
     alpha = alpha[:, :, 2:]
-    loglik = np.array([_logsumexp(alpha[n - 1, b, :s] + band[3, b, 2:2 + s])
-                       for b, (n, s) in enumerate(zip(batch.n_frames, batch.n_states))])
-    return alpha, loglik
+    # each utterance's exit scores at its own last frame: only the last two
+    # states of a chain can exit within the band, so the sum has at most two
+    # non-zero terms and no summation order can change it
+    ends = alpha[batch.n_frames - 1, np.arange(e.shape[1])] + band[3, :, 2:]
+    return alpha, _state_logsumexp(ends, np.array([ends.shape[1]]))[:, 0]
 
 
 def backward_log(batch):
@@ -347,24 +378,6 @@ def _utterance_statistics(graph, band, comp, unique, emis, alpha, beta, loglik, 
     return resp, counts
 
 
-def _batches(frames, graphs, n_components):
-    """Utterance indices in order of length, cut into batches whose padded
-    frames times (chain states + mixture components) stay within
-    ``_BATCH_VALUES``, so that none of a batch's alpha, beta, emission and
-    component-density arrays holds more float64 values. An utterance over
-    the budget on its own makes a batch of one."""
-    batch, t_max, s_max = [], 0, 0
-    for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
-        t = max(t_max, frames[b].shape[0])
-        s = max(s_max, graphs[b].n_states)
-        if batch and (len(batch) + 1) * t * (s + 2 + n_components) > _BATCH_VALUES:
-            yield batch
-            batch, t, s = [], frames[b].shape[0], graphs[b].n_states
-        batch.append(b)
-        t_max, s_max = t, s
-    yield batch
-
-
 def em_iteration(model, data):
     """One full E+M pass; returns the corpus log likelihood under the
     parameters in force when the pass started.
@@ -375,22 +388,16 @@ def em_iteration(model, data):
     """
     if not data:
         raise InsufficientDataError("no training utterances")
-    stacked = _stack_components(model)
-    sizes = stacked[4]
-    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+    seg = np.repeat(np.arange(model.n_mix.shape[0]), model.n_mix)
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
-    table = model.arc_table()
 
     occ = np.zeros(seg.shape[0])
     mean = np.zeros((seg.shape[0], model.dim))
     sqr = np.zeros_like(mean)
     arcs = []
     total = 0.0
-    for batch in _batches(frames, graphs, seg.shape[0]):
-        comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
-        uniques = [_state_logsumexp(comp, sizes) for comp in comps]
-        padded = pad_batch(table, [graphs[b] for b in batch], uniques)
+    for batch, comps, uniques, padded in padded_batches(model, frames, graphs):
         alpha, loglik = forward_log(padded)
         beta = backward_log(padded)
         for i in np.flatnonzero(np.isfinite(loglik)):
@@ -413,7 +420,7 @@ def em_iteration(model, data):
         raise InsufficientDataError("every utterance is too short for the topology")
     index, count = (np.concatenate(a) for a in zip(*arcs))
     live = index >= 0
-    arc_counts = np.bincount(index[live], weights=count[live], minlength=table.shape[0])
+    arc_counts = np.bincount(index[live], weights=count[live], minlength=model.trans.shape[0])
     _apply_mstep(model, occ, mean, sqr, arc_counts)
     return total
 
@@ -513,9 +520,7 @@ def forced_align(model, frames, chain):
     infeasible = f"no legal path: {n_frames} frames cannot cover a {s_count}-state chain"
     if n_frames == 0:
         raise AlignmentInfeasibleError(infeasible)
-    stacked = _stack_components(model)
-    unique = _state_logsumexp(component_log_likelihoods(stacked, frames), stacked[4])
-    batch = pad_batch(model.arc_table(), [graph], [unique])
+    batch = next(padded_batches(model, [frames], [graph]))[3]
     band, emis = batch.band[:, 0], batch.emis[:, 0]
 
     # delta rows sit behind two log-zero columns, so the predecessors j-2,

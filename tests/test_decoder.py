@@ -300,19 +300,20 @@ def _terminate(graph, score, hist, lam, n_frames, config):
 def _state_log_likelihoods(model, frames):
     """GMM log densities of every unique state (T, unique states)."""
     stacked = hmm._stack_components(model)
-    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), stacked[4])
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), model.n_mix)
 
 
 def _decode_emissions(graph, emissions, config):
     """Decode one utterance given by its (T, unique states) log densities."""
-    return decoder._search(graph, [emissions], config, [0])[0]
+    batch = hmm.pad_batch(graph.model.arc_table(), [graph], [emissions])
+    return decoder._search(graph, batch, config, [0])[0]
 
 
 def _reference_decode(graph, frames, config, emissions=None):
     if emissions is None:
         emissions = _state_log_likelihoods(graph.model, frames)
     emis = emissions[:, graph.unique_cols]
-    a0, a1, a2 = graph.arc_table[graph.arcs[:3]]
+    a0, a1, a2 = graph.model.arc_table()[graph.arcs[:3]]
     n_frames = emis.shape[0]
     lam = config.lm_scale
     wip = config.word_insertion_penalty

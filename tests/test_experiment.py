@@ -362,7 +362,8 @@ class TestGrid:
         experiment.run_grid(cfg)
         assert log_path.read_bytes() == before
 
-    def test_lexicon_change_refits_the_lm(self, tiny_corpus, tmp_path, caplog):
+    def _copied_geo_grid(self, tiny_corpus, tmp_path):
+        """A one-cell geo grid built on a copy of the tiny corpus."""
         corpus_dir = tmp_path / "corpus"
         shutil.copytree(tiny_corpus[0], corpus_dir)
         cfg = experiment.ExperimentConfig.from_mapping({
@@ -371,6 +372,11 @@ class TestGrid:
             "norms": "utterance", "schedule": "1:2", "bootstrap": "200",
             "beam": "none"})
         experiment.run_grid(cfg)
+        return cfg
+
+    def test_lexicon_change_refits_the_lm(self, tiny_corpus, tmp_path, caplog):
+        cfg = self._copied_geo_grid(tiny_corpus, tmp_path)
+        corpus_dir = cfg.corpus_dir
         n_words = len(lingware.load_lm(cfg.out_dir / "lm.alm").vocab)
         with open(corpus_dir / "lexicon.txt", "a", encoding="utf-8") as fh:
             fh.write("zzword b a\n")
@@ -379,6 +385,22 @@ class TestGrid:
         assert "stage lm: built" in caplog.messages
         lm = lingware.load_lm(cfg.out_dir / "lm.alm")
         assert len(lm.vocab) == n_words + 1 and "zzword" in lm.vocab
+
+    def test_test_speaker_change_keeps_training_cached(self, tiny_corpus, tmp_path,
+                                                      caplog):
+        cfg = self._copied_geo_grid(tiny_corpus, tmp_path)
+        record = next(r for r in corpus.load_manifest(cfg.corpus_dir / "manifest.tsv")
+                      if r.speaker_id == "spk01")
+        points = corpus.read_landmarks(record.landmark_path)
+        points[:, 51, 1] -= 1.0   # raise the midpoint of the upper lip
+        corpus.write_landmarks(record.landmark_path, points)
+        geo_path = cfg.out_dir / "geo" / f"{record.utterance_id}.vfa"
+        before = geo_path.read_bytes()
+        with caplog.at_level(logging.INFO, logger="vsrlab.experiment"):
+            experiment.run_grid(cfg)
+        assert geo_path.read_bytes() != before
+        assert "stage train:geo_raw_utterance: cached" in caplog.messages
+        assert "stage decode:geo_raw_utterance: built" in caplog.messages
 
     def test_unknown_test_speaker_rejected(self, tiny_corpus, tmp_path):
         corpus_dir, _ = tiny_corpus

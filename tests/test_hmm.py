@@ -17,7 +17,7 @@ def _state_log_likelihoods(model, frames):
     """GMM log densities of every unique state (T, unique states), from the
     routines that EM, the decoder and forced alignment share."""
     stacked = hmm._stack_components(model)
-    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), stacked[4])
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), model.n_mix)
 
 
 def _chain_log_likelihood(model, frames, chain):
@@ -201,6 +201,26 @@ def _enum_em_update(model, params, chain, frames_list):
 
 def _dummy_params(n_states, dim):
     return [(np.ones(1), np.zeros((1, dim)), np.ones((1, dim))) for _ in range(n_states)]
+
+
+def _logsumexp(a, axis=None):
+    a = np.asarray(a, dtype=float)
+    if axis is None:
+        a = a.ravel()
+        axis = 0
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    return np.squeeze(out, axis=axis)
+
+
+def _loop_log_likelihoods(batch, alpha):
+    """Each utterance's total log likelihood from its own exit scores, one
+    utterance at a time: the oracle for ``forward_log``'s batched sum."""
+    band = batch.band
+    return np.array([_logsumexp(alpha[n - 1, b, :s] + band[3, b, 2:2 + s])
+                     for b, (n, s) in enumerate(zip(batch.n_frames, batch.n_states))])
 
 
 class TestTopology:
@@ -440,6 +460,35 @@ class TestBatch:
             assert np.all(alpha[:, b, s_count:] == -np.inf)
             assert np.all(beta[t_count:, b] == -np.inf)
             assert np.all(beta[:, b, s_count:] == -np.inf)
+
+    def test_log_likelihoods_equal_the_per_utterance_loop(self):
+        # random transition rows with log-zero arcs, mixed topologies, ragged
+        # chains and lengths (some too short for their chain), and emissions
+        # spread over thousands of nats
+        rng = np.random.default_rng(15)
+        utterances = 0
+        for _ in range(200):
+            kinds = rng.choice(sorted(hmm._TOPOLOGY_ROWS), size=4)
+            rows = []
+            for kind in kinds:
+                allowed = hmm._TOPOLOGY_ROWS[kind] > 0.0
+                keep = allowed & (rng.random(allowed.shape) < 0.7)
+                keep[np.arange(keep.shape[0]), allowed.argmax(axis=1)] = True
+                r = np.where(keep, rng.random(allowed.shape) + 0.01, 0.0)
+                rows.append(r / r.sum(axis=1, keepdims=True))
+            model = _build(list("abcd"), rows,
+                           [_dummy_params(1, 1)[0]] * sum(len(r) for r in rows), [1e-3])
+            n_utts = int(rng.integers(1, 8))
+            graphs = [hmm.compose_chain(model, list(rng.choice(list("abcd"),
+                                                               size=rng.integers(1, 5))))
+                      for _ in range(n_utts)]
+            uniques = [rng.normal(0.0, 1000.0, size=(rng.integers(1, 12), model.n_mix.shape[0]))
+                       for _ in range(n_utts)]
+            batch = hmm.pad_batch(model.arc_table(), graphs, uniques)
+            alpha, loglik = hmm.forward_log(batch)
+            assert np.array_equal(loglik, _loop_log_likelihoods(batch, alpha))
+            utterances += n_utts
+        assert utterances > 500
 
 
 class TestAlignment:

@@ -1,5 +1,6 @@
-"""Every public module-level function and class of ``vsrlab`` has a caller
-inside the package, so no code exists only for tests.
+"""The package's surface: every public module-level function and class of
+``vsrlab`` has a caller inside the package, so no code exists only for tests,
+and no module reaches into another module's private names.
 
 A definition counts as used when its name appears as a ``Name``, as an
 ``Attribute`` or in a ``from ... import`` anywhere in ``src/vsrlab`` outside
@@ -50,3 +51,27 @@ def test_every_public_definition_has_a_caller_in_the_package():
             if referenced[node.name] == _referenced_names(node)[node.name]:
                 unused.append(f"{module}.{node.name}")
     assert not unused, f"public definitions with no caller in src/vsrlab: {unused}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_uses_another_modules_private_names():
+    package = Path(vsrlab.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").split(".")[0] == "vsrlab")]
+        # "from . import hmm" binds a module; "from .hmm import f" takes a name
+        aliases = {alias.asname or alias.name for node in imports for alias in node.names
+                   if node.module in (None, "vsrlab") and alias.name in modules}
+        found += [f"{path.stem}: from {node.module} import {alias.name}"
+                  for node in imports if node.module not in (None, "vsrlab")
+                  for alias in node.names if _is_private(alias.name)]
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and _is_private(node.attr)]
+    assert not found, f"private names used across vsrlab modules: {found}"
