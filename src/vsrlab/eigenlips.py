@@ -133,7 +133,7 @@ def fit_pca(frames, n_components):
     """
     data = np.asarray(frames, dtype=float)
     if data.ndim == 3:
-        data = data.reshape(data.shape[0], -1)
+        data = data.reshape(data.shape[0], data.shape[1] * data.shape[2])
     if data.ndim != 2:
         raise ValueError("frames must be (N, H, W) or (N, D)")
     n, dim = data.shape
@@ -207,7 +207,7 @@ def project(model, frames):
     """Eigenlip coefficients: (N, K) for (N, H, W) or (N, D) frames."""
     data = np.asarray(frames, dtype=float)
     if data.ndim == 3:
-        data = data.reshape(data.shape[0], -1)
+        data = data.reshape(data.shape[0], data.shape[1] * data.shape[2])
     if data.shape[1] != model.mean.shape[0]:
         raise ValueError(f"frame dimension {data.shape[1]} != model dimension {model.mean.shape[0]}")
     return (data - model.mean) @ model.components.T

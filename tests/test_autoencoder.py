@@ -1,10 +1,38 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from vsrlab import autoencoder
 from vsrlab import binio
-from vsrlab.autoencoder import ConvAutoencoder
+from vsrlab.autoencoder import Conv2d, ConvAutoencoder, UpsampleConv2d
 from vsrlab.errors import FormatError, TrainingDivergedError
+
+
+class Upsample2x:
+    """Oracle: nearest-neighbor doubling of both spatial axes, which
+    ``UpsampleConv2d`` folds into its kernel."""
+
+    def forward(self, x):
+        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+    def backward(self, dout):
+        return (dout[:, :, ::2, ::2] + dout[:, :, 1::2, ::2]
+                + dout[:, :, ::2, 1::2] + dout[:, :, 1::2, 1::2])
+
+
+def _oracle_layers(layer):
+    """``Upsample2x`` then a stride-1 ``Conv2d`` with ``layer``'s parameters
+    in place of an ``UpsampleConv2d``; any other layer as it is."""
+    if not isinstance(layer, UpsampleConv2d):
+        return [layer]
+    conv = Conv2d(*layer.w.shape[1::-1], stride=1, rng=np.random.default_rng(0))
+    conv.w, conv.b = layer.w, layer.b
+    return [Upsample2x(), conv]
+
+
+def _rel_err(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
 def max_gradient_rel_err(net, batch, eps=1e-6):
@@ -64,6 +92,111 @@ def test_training_does_not_call_public_encode(monkeypatch):
     assert np.array_equal(code, expected)
     assert np.isfinite(net.loss_and_grad(batch))
     assert net.train(batch, epochs=1, lr=0.01, batch_size=2, seed=0)
+
+
+@pytest.mark.parametrize("n, in_ch, out_ch, h, w", [
+    (3, 1, 4, 2, 3),    # one input channel, non-square
+    (2, 5, 1, 4, 4),    # one output channel
+    (4, 3, 2, 1, 5),    # a single low-resolution row
+    (2, 1, 1, 3, 2),
+    (2, 8, 1, 8, 16),   # the default net's last decoder conv
+])
+def test_upsample_conv_matches_upsample_then_conv(n, in_ch, out_ch, h, w):
+    rng = np.random.default_rng(n * 100 + in_ch * 10 + out_ch)
+    layer = UpsampleConv2d(in_ch, out_ch, rng=rng)
+    layer.b = rng.normal(size=out_ch)
+    upsample, conv = _oracle_layers(layer)
+    x = rng.normal(size=(n, in_ch, h, w))
+    dout = rng.normal(size=(n, out_ch, 2 * h, 2 * w))
+    out = layer.forward(x)
+    expected = conv.forward(upsample.forward(x))
+    assert out.shape == expected.shape
+    assert _rel_err(out, expected) < 1e-12
+    assert _rel_err(layer.backward(dout), upsample.backward(conv.backward(dout))) < 1e-12
+    assert _rel_err(layer.dw, conv.dw) < 1e-12
+    assert _rel_err(layer.db, conv.db) < 1e-12
+
+
+@pytest.mark.parametrize("channels, bottleneck, input_hw", [
+    ((3,), 4, (8, 8)),           # one stage: its decoder conv feeds the sigmoid
+    ((2, 3), 4, (8, 16)),
+    ((8, 16, 32), 32, (16, 32)),
+])
+def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_hw):
+    net = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
+                          input_hw=input_hw, seed=0)
+    frames = np.random.default_rng(4).uniform(0.0, 1.0, (5, *input_hw))
+    loss = net.loss_and_grad(frames)
+    grads = [(layer.dw.copy(), layer.db.copy()) for layer in net.parameter_layers]
+    recon, code = net.forward(frames)
+
+    oracle = [o for layer in net.layers for o in _oracle_layers(layer)]
+    x = frames[:, None]
+    for layer in oracle:
+        x = layer.forward(x)
+    assert _rel_err(recon, x[:, 0]) < 1e-12
+    diff = x - frames[:, None]
+    assert abs(loss - float(np.mean(diff ** 2))) <= 1e-12 * loss
+    d = (2.0 / diff.size) * diff
+    for layer in reversed(oracle):
+        d = layer.backward(d)
+    oracle_params = [layer for layer in oracle if hasattr(layer, "dw")]
+    assert len(oracle_params) == len(grads)
+    for layer, (dw, db) in zip(oracle_params, grads):
+        assert _rel_err(dw, layer.dw) < 1e-12
+        assert _rel_err(db, layer.db) < 1e-12
+
+
+def test_untrained_container_bytes_are_pinned(tmp_path):
+    # the CAE1 layout and the order of the initial weight draws, as saved by
+    # the network built from one Conv2d per decoder stage with an upsample
+    path = tmp_path / "model.cae"
+    autoencoder.save_autoencoder(path, ConvAutoencoder(seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "eee41f197c4a0d03834c55a2ec8d4a7994e8e9161570c0c0446f00bf8d4d6056"
+
+
+def test_first_conv_input_gradient_is_not_computed(monkeypatch):
+    net = ConvAutoencoder(channels=(2, 3), bottleneck=4, input_hw=(8, 8), seed=0)
+    batch = np.random.default_rng(2).uniform(0.2, 0.8, (2, 8, 8))
+    net.loss_and_grad(batch)
+    dw, db = net.layers[0].dw.copy(), net.layers[0].db.copy()
+
+    def fail(self, dout):
+        raise AssertionError("input gradient of the first conv computed")
+
+    monkeypatch.setattr(net.layers[0], "backward", fail.__get__(net.layers[0]))
+    net.loss_and_grad(batch)
+    assert np.array_equal(net.layers[0].dw, dw)
+    assert np.array_equal(net.layers[0].db, db)
+
+
+def test_zero_frames_give_empty_outputs():
+    net = ConvAutoencoder(seed=0)
+    empty = np.zeros((0, 16, 32))
+    assert net.encode(empty).shape == (0, 32)
+    recon, code = net.forward(empty)
+    assert recon.shape == (0, 16, 32)
+    assert code.shape == (0, 32)
+
+
+def test_chunked_passes_equal_one_pass(monkeypatch):
+    net = ConvAutoencoder(seed=0)
+    full = 2 * autoencoder.CHUNK_FRAMES
+    frames = np.random.default_rng(6).uniform(0.0, 1.0, (full + 37, 16, 32))
+    recon, code = net.forward(frames)
+    codes = net.encode(frames)
+    assert np.array_equal(codes, code)
+    monkeypatch.setattr(autoencoder, "CHUNK_FRAMES", len(frames))
+    one_recon, one_code = net.forward(frames)
+    assert np.array_equal(net.encode(frames), one_code)
+    # whole chunks are bit-identical to the single pass; the dense layers'
+    # matmul of the 37-frame tail may take another BLAS kernel (OpenBLAS
+    # 0.3.31 does below 64 rows), which moved these codes by 1.6e-15
+    assert np.array_equal(code[:full], one_code[:full])
+    assert np.array_equal(recon[:full], one_recon[:full])
+    np.testing.assert_allclose(code, one_code, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(recon, one_recon, rtol=0, atol=1e-13)
 
 
 def test_forward_shapes_and_range():

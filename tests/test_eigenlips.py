@@ -102,6 +102,13 @@ def test_degenerate_directions_completed():
     assert np.allclose(eigenlips.project(model, frames), 0.0, atol=1e-12)
 
 
+def test_zero_frames_project_to_zero_rows():
+    model = eigenlips.PcaModel(mean=np.zeros(16 * 32), components=np.eye(16 * 32)[:5],
+                               eigenvalues=np.ones(5))
+    assert eigenlips.project(model, np.zeros((0, 16, 32))).shape == (0, 5)
+    assert eigenlips.project(model, np.zeros((0, 16 * 32))).shape == (0, 5)
+
+
 def test_insufficient_frames_rejected():
     with pytest.raises(InsufficientDataError):
         eigenlips.fit_pca(np.zeros((5, 512)), 5)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from vsrlab import corpus, experiment, features, lingware
+from vsrlab import autoencoder, corpus, eigenlips, experiment, features, lingware
 from vsrlab.errors import DegenerateGeometryError, FormatError
 
 
@@ -253,6 +253,25 @@ class TestStageErrors:
         # the good utterance before it was built; the bad one left nothing
         assert (out_dir / f"{records[0].utterance_id}.vfa").exists()
         assert not (out_dir / f"{bad.utterance_id}.vfa").exists()
+
+
+class TestZeroFrames:
+    def test_zero_frame_roi_gives_empty_dnn_and_eig_features(self, tmp_path):
+        roi = tmp_path / "u0.vfa"
+        features.save_features(roi, features.FeatureSequence(
+            frames=np.zeros((0, 16 * 32)), utterance_id="u0", speaker_id="s0",
+            stream_tag="roi"))
+        ae_path = tmp_path / "autoenc.cae"
+        autoencoder.save_autoencoder(ae_path, autoencoder.ConvAutoencoder(seed=0))
+        pca_path = tmp_path / "eigenlips.pca"
+        eigenlips.save_pca(pca_path, eigenlips.PcaModel(
+            mean=np.zeros(16 * 32), components=np.eye(16 * 32)[:5],
+            eigenvalues=np.ones(5)))
+        runner = experiment.Runner("h")
+        dnn = experiment.stage_dnn(runner, {"u0": roi}, ae_path, tmp_path / "dnn")
+        eig = experiment.stage_eig(runner, {"u0": roi}, pca_path, tmp_path / "eig")
+        assert features.load_features(dnn["u0"]).frames.shape == (0, 32)
+        assert features.load_features(eig["u0"]).frames.shape == (0, 5)
 
 
 class TestAssemble:

@@ -8,7 +8,9 @@ result: weights and biases, the gradients of one more batch, the epoch
 losses, the codes and the reconstructions. The two sides are compared with
 ``np.array_equal``. The artifact tree is not enough for this, because the
 CAE1 and VFA1 containers store float32 and hide float64 differences.
-Exits 1 if any array differs.
+For every array that differs it prints the largest absolute difference and
+that difference relative to the array's largest magnitude, and it exits 1
+if any array differs.
 """
 
 import subprocess
@@ -68,9 +70,23 @@ def main(argv):
                     if k not in old or k not in new
                     or old[k].dtype != new[k].dtype
                     or not np.array_equal(old[k], new[k]))
-    print(f"{len(old.keys() | new.keys())} float64 arrays compared, "
-          f"{len(differ)} differ{': ' + ', '.join(differ) if differ else ''}")
+    print(f"{len(old.keys() | new.keys())} float64 arrays compared, {len(differ)} differ")
+    for key in differ:
+        print(f"  {key}: {_difference(old.get(key), new.get(key))}")
     return 1 if differ else 0
+
+
+def _difference(a, b):
+    """The largest absolute difference of two arrays and that difference
+    relative to the largest magnitude in either, or why they cannot be
+    compared element by element."""
+    if a is None or b is None:
+        return "on one side only"
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    diff = float(np.abs(a.astype(float) - b.astype(float)).max())
+    scale = float(max(np.abs(a).max(), np.abs(b).max()))
+    return f"max abs {diff:.3g}, max rel {diff / scale if scale else 0.0:.3g}"
 
 
 if __name__ == "__main__":
