@@ -107,8 +107,9 @@ class Conv2d:
         return out.reshape(x.shape[0], out_ch, oh, ow)
 
     def param_backward(self, dout):
-        """Sets ``dw`` and ``db``; returns ``dout`` as the (N, rows of the
-        forward matrix, columns of the im2col) matrix that ``backward`` needs."""
+        """Sets ``dw`` and ``db`` from the output gradient ``dout`` and
+        returns it laid out as the product of ``_wmat`` and the im2col, which
+        ``backward`` multiplies by ``_wmat.T``."""
         n, out_ch = dout.shape[:2]
         dmat = dout.reshape(n, out_ch, -1)
         self.db = dmat.sum(axis=(0, 2))

@@ -26,7 +26,8 @@ def _oracle_layers(layer):
     in place of an ``UpsampleConv2d``; any other layer as it is."""
     if not isinstance(layer, UpsampleConv2d):
         return [layer]
-    conv = Conv2d(*layer.w.shape[1::-1], stride=1, rng=np.random.default_rng(0))
+    out_ch, in_ch = layer.w.shape[:2]
+    conv = Conv2d(in_ch, out_ch, stride=1, rng=np.random.default_rng(0))
     conv.w, conv.b = layer.w, layer.b
     return [Upsample2x(), conv]
 

@@ -112,6 +112,8 @@ def test_zero_frames_project_to_zero_rows():
 def test_insufficient_frames_rejected():
     with pytest.raises(InsufficientDataError):
         eigenlips.fit_pca(np.zeros((5, 512)), 5)
+    with pytest.raises(InsufficientDataError):
+        eigenlips.fit_pca(np.zeros((0, 16, 32)), 5)
 
 
 def test_container_round_trip(tmp_path):
