@@ -28,8 +28,8 @@ gradients: nothing reads the gradient of the input images. All computation
 is float64; the on-disk container stores float32.
 
 Every layer exposes forward/backward; gradient correctness is established by
-central finite differences in the test suite, and ``UpsampleConv2d`` is
-checked against an upsample followed by a stride-1 ``Conv2d``, so the
+central finite differences in the test suite (which also checks
+``UpsampleConv2d`` against an upsample and a stride-1 ``Conv2d``), so the
 backward passes here are the reference implementation, not a wrapper over a
 framework.
 """
@@ -122,9 +122,7 @@ class Conv2d:
         return _col2im(dcols, self._x_shape, self.stride)
 
 
-# Nearest-neighbor 2x upsampling followed by a 3x3 kernel row (k0, k1, k2)
-# gives even output rows k0 at low-resolution offset -1 and k1 + k2 at 0, and
-# odd rows k0 + k1 at 0 and k2 at +1. Indexed [phase, offset + 1, kernel row].
+# The row fold of the module docstring: [phase, offset + 1, kernel row].
 _ROW_FOLD = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
                       [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=float)
 # The same fold along both axes, as a (36, 9) matrix: row (row phase * 2 +
@@ -134,17 +132,10 @@ _PHASE_FOLD = np.einsum("ard,bse->abrsde", _ROW_FOLD, _ROW_FOLD).reshape(36, 9)
 
 
 class UpsampleConv2d(Conv2d):
-    """Nearest-neighbor 2x upsample, then a 3x3 convolution (stride 1, pad 1),
-    computed on the low-resolution map as four sub-pixel convolutions.
-
-    The parameters are the 3x3 kernel ``w`` and bias ``b`` of the convolution.
-    Each output phase (row parity a, column parity b) is a 3x3 convolution of
-    the input with ``w`` folded by ``_PHASE_FOLD``; one matmul of the stacked
-    (4 * out, in * 9) phase matrix with the input's im2col computes all four,
-    which are then interleaved into (out, 2H, 2W). Backward takes the phase
-    kernels' gradient and folds it back into ``dw`` through the transposed
-    fold.
-    """
+    """Nearest-neighbor 2x upsample, then a 3x3 convolution (stride 1, pad 1)
+    with parameters ``w`` and ``b``, computed on the low-resolution map as
+    four sub-pixel convolutions (module docstring). Backward folds the phase
+    kernels' gradient back into ``dw`` through the transposed fold."""
 
     def __init__(self, in_ch, out_ch, rng):
         super().__init__(in_ch, out_ch, stride=1, rng=rng)
@@ -326,13 +317,9 @@ class ConvAutoencoder:
 
     def forward(self, frames):
         """Returns (reconstruction (N, H, W), codes (N, bottleneck)), computed
-        ``CHUNK_FRAMES`` images at a time.
-
-        With the default network one chunk of 256 images peaks at about
-        49 MB (tracemalloc), 46 MB of which the layers keep for a backward
-        pass until the next call; the peak does not grow with N beyond the
-        returned arrays and about half a chunk more while the next chunk
-        overwrites the last one's caches."""
+        ``CHUNK_FRAMES`` images at a time. With the default network one chunk
+        of 256 images peaks at about 49 MB (tracemalloc); any N adds only the
+        returned arrays and about half a chunk."""
         encoder, decoder = self.layers[:self.n_encoder], self.layers[self.n_encoder:]
         recons, codes = [], []
         for chunk in _chunks(self._as_batch(frames)):
@@ -359,10 +346,9 @@ class ConvAutoencoder:
 
     def encode(self, frames):
         """Bottleneck codes (N, bottleneck) from the encoder half alone,
-        computed ``CHUNK_FRAMES`` images at a time: with the default network
-        one chunk of 256 images peaks at about 13 MB (tracemalloc), and the
-        peak does not grow with N beyond the returned codes and about half a
-        chunk more."""
+        computed ``CHUNK_FRAMES`` images at a time. With the default network
+        one chunk of 256 images peaks at about 13 MB (tracemalloc); any N
+        adds only the returned codes and about half a chunk."""
         encoder = self.layers[:self.n_encoder]
         return np.concatenate([_forward(encoder, chunk)
                                for chunk in _chunks(self._as_batch(frames))])
