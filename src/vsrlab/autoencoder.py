@@ -27,11 +27,14 @@ against the input. Backward stops at the first conv's weight and bias
 gradients: nothing reads the gradient of the input images. All computation
 is float64; the on-disk container stores float32.
 
-Every layer exposes forward/backward; gradient correctness is established by
-central finite differences in the test suite (which also checks
-``UpsampleConv2d`` against an upsample and a stride-1 ``Conv2d``), so the
-backward passes here are the reference implementation, not a wrapper over a
-framework.
+Layers hold parameters only. ``forward(x)`` returns ``(out, cache)`` and
+``backward(dout, cache)`` takes the cache back (a parameter layer's also
+sets ``dw`` and ``db``). Inference drops each cache as soon as its layer has
+run; ``loss_and_grad`` keeps one batch's caches in a list and pops them in
+reverse. Gradient correctness is established by central finite differences
+in the test suite (which also checks ``UpsampleConv2d`` against an upsample
+and a stride-1 ``Conv2d``), so the backward passes here are the reference
+implementation, not a wrapper over a framework.
 """
 
 import math
@@ -93,33 +96,32 @@ class Conv2d:
         self.stride = stride
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cols = None
-        self._x_shape = None
-        self._wmat = None
 
     def forward(self, x):
-        self._x_shape = x.shape
+        """The output and the cache ``(cols, wmat, x_shape)``: the im2col of
+        ``x``, the weight matrix that multiplies it, and the input shape."""
         cols, (oh, ow) = _im2col(x, self.stride)
-        self._cols = cols
         out_ch = self.w.shape[0]
-        self._wmat = self.w.reshape(out_ch, -1)
-        out = np.matmul(self._wmat, cols) + self.b[:, None]
-        return out.reshape(x.shape[0], out_ch, oh, ow)
+        wmat = self.w.reshape(out_ch, -1)
+        out = np.matmul(wmat, cols) + self.b[:, None]
+        return out.reshape(x.shape[0], out_ch, oh, ow), (cols, wmat, x.shape)
 
-    def param_backward(self, dout):
+    def param_backward(self, dout, cache):
         """Sets ``dw`` and ``db`` from the output gradient ``dout`` and
-        returns it laid out as the product of ``_wmat`` and the im2col, which
-        ``backward`` multiplies by ``_wmat.T``."""
+        returns it laid out as the product of the cached ``wmat`` and im2col,
+        which ``backward`` multiplies by ``wmat.T``."""
+        cols = cache[0]
         n, out_ch = dout.shape[:2]
         dmat = dout.reshape(n, out_ch, -1)
         self.db = dmat.sum(axis=(0, 2))
-        self.dw = np.matmul(dmat, self._cols.transpose(0, 2, 1)).sum(axis=0) \
+        self.dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0) \
             .reshape(self.w.shape)
         return dmat
 
-    def backward(self, dout):
-        dcols = np.matmul(self._wmat.T, self.param_backward(dout))
-        return _col2im(dcols, self._x_shape, self.stride)
+    def backward(self, dout, cache):
+        _, wmat, x_shape = cache
+        dcols = np.matmul(wmat.T, self.param_backward(dout, cache))
+        return _col2im(dcols, x_shape, self.stride)
 
 
 # The row fold of the module docstring: [phase, offset + 1, kernel row].
@@ -134,32 +136,33 @@ _PHASE_FOLD = np.einsum("ard,bse->abrsde", _ROW_FOLD, _ROW_FOLD).reshape(36, 9)
 class UpsampleConv2d(Conv2d):
     """Nearest-neighbor 2x upsample, then a 3x3 convolution (stride 1, pad 1)
     with parameters ``w`` and ``b``, computed on the low-resolution map as
-    four sub-pixel convolutions (module docstring). Backward folds the phase
-    kernels' gradient back into ``dw`` through the transposed fold."""
+    four sub-pixel convolutions (module docstring). The cached ``wmat`` stacks
+    the phase kernels, so backward does not fold them again; it folds their
+    gradient back into ``dw`` through the transposed fold."""
 
     def __init__(self, in_ch, out_ch, rng):
         super().__init__(in_ch, out_ch, stride=1, rng=rng)
 
     def forward(self, x):
         n, _, h, w = x.shape
-        self._x_shape = x.shape
-        self._cols, _ = _im2col(x, 1)
+        cols, _ = _im2col(x, 1)
         out_ch, in_ch = self.w.shape[:2]
-        self._wmat = (self.w.reshape(-1, 9) @ _PHASE_FOLD.T) \
+        wmat = (self.w.reshape(-1, 9) @ _PHASE_FOLD.T) \
             .reshape(out_ch, in_ch, 4, 9).transpose(2, 0, 1, 3) \
             .reshape(4 * out_ch, in_ch * 9)
-        phases = np.matmul(self._wmat, self._cols).reshape(n, 2, 2, out_ch, h, w)
+        phases = np.matmul(wmat, cols).reshape(n, 2, 2, out_ch, h, w)
         out = phases.transpose(0, 3, 4, 1, 5, 2).reshape(n, out_ch, 2 * h, 2 * w)
         out += self.b[:, None, None]
-        return out
+        return out, (cols, wmat, x.shape)
 
-    def param_backward(self, dout):
+    def param_backward(self, dout, cache):
+        cols = cache[0]
         n, out_ch, h2, w2 = dout.shape
         in_ch = self.w.shape[1]
         self.db = dout.reshape(n, out_ch, -1).sum(axis=(0, 2))
         dphases = dout.reshape(n, out_ch, h2 // 2, 2, w2 // 2, 2) \
             .transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * out_ch, -1)
-        dwmat = np.matmul(dphases, self._cols.transpose(0, 2, 1)).sum(axis=0)
+        dwmat = np.matmul(dphases, cols.transpose(0, 2, 1)).sum(axis=0)
         self.dw = (dwmat.reshape(4, out_ch, in_ch, 9).transpose(1, 2, 0, 3)
                    .reshape(out_ch * in_ch, 36) @ _PHASE_FOLD).reshape(self.w.shape)
         return dphases
@@ -177,45 +180,36 @@ class Dense:
         self.b = np.zeros(b_shape)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def forward(self, x):
-        self._x = x
-        return x @ self.w.T + self.b
+        return x @ self.w.T + self.b, x
 
-    def backward(self, dout):
-        self.dw = dout.T @ self._x
+    def backward(self, dout, x):
+        self.dw = dout.T @ x
         self.db = dout.sum(axis=0)
         return dout @ self.w
 
 
 class Relu:
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        return np.where(mask, x, 0.0), mask
 
-    def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+    def backward(self, dout, mask):
+        return np.where(mask, dout, 0.0)
 
 
 class Sigmoid:
-    def __init__(self):
-        self._out = None
-
     def forward(self, x):
         out = np.empty_like(x)
         pos = x >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        return out, out
 
-    def backward(self, dout):
-        return dout * self._out * (1.0 - self._out)
+    def backward(self, dout, out):
+        return dout * out * (1.0 - out)
 
 
 class Reshape:
@@ -223,19 +217,18 @@ class Reshape:
 
     def __init__(self, shape):
         self.shape = shape
-        self._in_shape = None
 
     def forward(self, x):
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], *self.shape)
+        return x.reshape(x.shape[0], *self.shape), x.shape
 
-    def backward(self, dout):
-        return dout.reshape(self._in_shape)
+    def backward(self, dout, in_shape):
+        return dout.reshape(in_shape)
 
 
 def _forward(layers, x):
+    """Inference: runs ``layers`` on ``x``, dropping each cache at once."""
     for layer in layers:
-        x = layer.forward(x)
+        x = layer.forward(x)[0]
     return x
 
 
@@ -318,7 +311,7 @@ class ConvAutoencoder:
     def forward(self, frames):
         """Returns (reconstruction (N, H, W), codes (N, bottleneck)), computed
         ``CHUNK_FRAMES`` images at a time. With the default network one chunk
-        of 256 images peaks at about 49 MB (tracemalloc); any N adds only the
+        of 256 images peaks at about 24 MB (tracemalloc); any N adds only the
         returned arrays and about half a chunk."""
         encoder, decoder = self.layers[:self.n_encoder], self.layers[self.n_encoder:]
         recons, codes = [], []
@@ -331,13 +324,17 @@ class ConvAutoencoder:
     def loss_and_grad(self, frames):
         """Mean squared reconstruction error; leaves gradients in the layers."""
         x = self._as_batch(frames)
-        diff = _forward(self.layers, x) - x
+        out, caches = x, []
+        for layer in self.layers:
+            out, cache = layer.forward(out)
+            caches.append(cache)
+        diff = out - x
         loss = float(np.mean(diff ** 2))
         d = (2.0 / diff.size) * diff
         for layer in reversed(self.layers[1:]):
-            d = layer.backward(d)
+            d = layer.backward(d, caches.pop())
         # nothing reads the gradient of the input images
-        self.layers[0].param_backward(d)
+        self.layers[0].param_backward(d, caches.pop())
         return loss
 
     def parameter_arrays(self):
@@ -347,7 +344,7 @@ class ConvAutoencoder:
     def encode(self, frames):
         """Bottleneck codes (N, bottleneck) from the encoder half alone,
         computed ``CHUNK_FRAMES`` images at a time. With the default network
-        one chunk of 256 images peaks at about 13 MB (tracemalloc); any N
+        one chunk of 256 images peaks at about 10 MB (tracemalloc); any N
         adds only the returned codes and about half a chunk."""
         encoder = self.layers[:self.n_encoder]
         return np.concatenate([_forward(encoder, chunk)

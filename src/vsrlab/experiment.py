@@ -30,32 +30,6 @@ GRID_STREAMS = ("geo", "eig", "dnn", "geo+eig", "geo+dnn", "eig+dnn",
 BASE_STREAMS = ("geo", "eig", "dnn")
 CONTEXT_LABELS = {0: "raw", 1: "dd1", 2: "dd2", 3: "dd3"}
 
-CONFIG_DEFAULTS = {
-    "seed": "0",
-    "corpus_dir": "",
-    "out_dir": "",
-    "test_speakers": "",
-    "streams": ",".join(GRID_STREAMS),
-    "contexts": "0,1,2,3",
-    "norms": "speaker,utterance",
-    "roi_margin": "0.15",
-    "pca_components": "32",
-    "pca_max_frames": "320",
-    "ae_channels": "8,16,32",
-    "ae_bottleneck": "32",
-    "ae_epochs": "30",
-    "ae_lr": "1e-3",
-    "ae_batch": "32",
-    "ae_max_frames": "4000",
-    "topology": "skip2",
-    "schedule": "1:4,2:4,4:4,8:4",
-    "lm_scale": "10.0",
-    "word_insertion_penalty": "0.0",
-    "beam": "200.0",
-    "bootstrap": "1000",
-    "confidence": "0.95",
-}
-
 # paths do not affect results, so they stay out of the semantic hash
 _PATH_KEYS = ("corpus_dir", "out_dir")
 
@@ -123,17 +97,34 @@ def _beam(value):
     return None if value.lower() in ("", "none", "inf") else float(value)
 
 
-# how ``ExperimentConfig.from_mapping`` reads each config value
-_PARSERS = {
-    "seed": int, "corpus_dir": Path, "out_dir": Path, "test_speakers": _csv,
-    "streams": _csv, "contexts": _ints, "norms": _csv, "roi_margin": float,
-    "pca_components": int, "pca_max_frames": int,
-    "ae_channels": lambda value: tuple(_ints(value)), "ae_bottleneck": int,
-    "ae_epochs": int, "ae_lr": float, "ae_batch": int, "ae_max_frames": int,
-    "topology": str, "schedule": parse_schedule, "lm_scale": float,
-    "word_insertion_penalty": float, "beam": _beam, "bootstrap": int,
-    "confidence": float,
+# every config key: (default string, how ``ExperimentConfig.from_mapping``
+# reads the value)
+_CONFIG_KEYS = {
+    "seed": ("0", int),
+    "corpus_dir": ("", Path),
+    "out_dir": ("", Path),
+    "test_speakers": ("", _csv),
+    "streams": (",".join(GRID_STREAMS), _csv),
+    "contexts": ("0,1,2,3", _ints),
+    "norms": ("speaker,utterance", _csv),
+    "roi_margin": ("0.15", float),
+    "pca_components": ("32", int),
+    "pca_max_frames": ("320", int),
+    "ae_channels": ("8,16,32", lambda value: tuple(_ints(value))),
+    "ae_bottleneck": ("32", int),
+    "ae_epochs": ("30", int),
+    "ae_lr": ("1e-3", float),
+    "ae_batch": ("32", int),
+    "ae_max_frames": ("4000", int),
+    "topology": ("skip2", str),
+    "schedule": ("1:4,2:4,4:4,8:4", parse_schedule),
+    "lm_scale": ("10.0", float),
+    "word_insertion_penalty": ("0.0", float),
+    "beam": ("200.0", _beam),
+    "bootstrap": ("1000", int),
+    "confidence": ("0.95", float),
 }
+CONFIG_DEFAULTS = {key: default for key, (default, _) in _CONFIG_KEYS.items()}
 
 
 @dataclass
@@ -175,7 +166,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = value
         fields = {}
-        for key, parse in _PARSERS.items():
+        for key, (_, parse) in _CONFIG_KEYS.items():
             try:
                 fields[key] = parse(merged[key])
             except ValueError as exc:

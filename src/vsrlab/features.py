@@ -39,6 +39,9 @@ class FeatureSequence:
             raise ValueError(f"frames must be 2-D, got shape {self.frames.shape}")
         if self.normalization_tag not in NORMALIZATION_TAGS:
             raise ValueError(f"unknown normalization tag {self.normalization_tag!r}")
+        if not 0 <= self.delta_context <= MAX_DELTA_CONTEXT:
+            raise ValueError(f"delta context must be in [0, {MAX_DELTA_CONTEXT}], "
+                             f"got {self.delta_context}")
 
 
 def regression_deltas(frames, context):
@@ -170,6 +173,9 @@ def load_features(path):
         normalization_tag = binio.read_str8(fh, path)
         delta_context = binio.read_u8(fh, path)
         frames = binio.read_array(fh, "<f4", (n_frames, dim), path).astype(float)
+    bad = ~np.isfinite(frames).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: non-finite value in frame {int(bad.argmax())}")
     try:
         return FeatureSequence(frames, utterance_id, speaker_id, stream_tag,
                                normalization_tag, delta_context)

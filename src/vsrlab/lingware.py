@@ -286,6 +286,11 @@ def load_lm(path):
         binio.check_magic(fh, LM_MAGIC, path)
         n_words = binio.read_u32(fh, path)
         words = [binio.read_str8(fh, path) for _ in range(n_words)]
+        seen = set()
+        for word in words:
+            if word in seen:
+                raise FormatError(f"{path}: word {word!r} is listed twice")
+            seen.add(word)
         uni = binio.read_array(fh, "<f8", (n_words + 1,), path)
         lams = binio.read_array(fh, "<f8", (n_words + 1,), path)
         n_bigrams = binio.read_u32(fh, path)

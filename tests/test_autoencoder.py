@@ -14,9 +14,9 @@ class Upsample2x:
     ``UpsampleConv2d`` folds into its kernel."""
 
     def forward(self, x):
-        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), None
 
-    def backward(self, dout):
+    def backward(self, dout, cache):
         return (dout[:, :, ::2, ::2] + dout[:, :, 1::2, ::2]
                 + dout[:, :, ::2, 1::2] + dout[:, :, 1::2, 1::2])
 
@@ -109,11 +109,13 @@ def test_upsample_conv_matches_upsample_then_conv(n, in_ch, out_ch, h, w):
     upsample, conv = _oracle_layers(layer)
     x = rng.normal(size=(n, in_ch, h, w))
     dout = rng.normal(size=(n, out_ch, 2 * h, 2 * w))
-    out = layer.forward(x)
-    expected = conv.forward(upsample.forward(x))
+    out, cache = layer.forward(x)
+    up, up_cache = upsample.forward(x)
+    expected, conv_cache = conv.forward(up)
     assert out.shape == expected.shape
     assert _rel_err(out, expected) < 1e-12
-    assert _rel_err(layer.backward(dout), upsample.backward(conv.backward(dout))) < 1e-12
+    assert _rel_err(layer.backward(dout, cache),
+                    upsample.backward(conv.backward(dout, conv_cache), up_cache)) < 1e-12
     assert _rel_err(layer.dw, conv.dw) < 1e-12
     assert _rel_err(layer.db, conv.db) < 1e-12
 
@@ -132,15 +134,16 @@ def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_h
     recon, code = net.forward(frames)
 
     oracle = [o for layer in net.layers for o in _oracle_layers(layer)]
-    x = frames[:, None]
+    x, caches = frames[:, None], []
     for layer in oracle:
-        x = layer.forward(x)
+        x, cache = layer.forward(x)
+        caches.append(cache)
     assert _rel_err(recon, x[:, 0]) < 1e-12
     diff = x - frames[:, None]
     assert abs(loss - float(np.mean(diff ** 2))) <= 1e-12 * loss
     d = (2.0 / diff.size) * diff
-    for layer in reversed(oracle):
-        d = layer.backward(d)
+    for layer, cache in zip(reversed(oracle), reversed(caches)):
+        d = layer.backward(d, cache)
     oracle_params = [layer for layer in oracle if hasattr(layer, "dw")]
     assert len(oracle_params) == len(grads)
     for layer, (dw, db) in zip(oracle_params, grads):
@@ -163,13 +166,27 @@ def test_first_conv_input_gradient_is_not_computed(monkeypatch):
     net.loss_and_grad(batch)
     dw, db = net.layers[0].dw.copy(), net.layers[0].db.copy()
 
-    def fail(dout):
+    def fail(dout, cache):
         raise AssertionError("input gradient of the first conv computed")
 
     monkeypatch.setattr(net.layers[0], "backward", fail)
     net.loss_and_grad(batch)
     assert np.array_equal(net.layers[0].dw, dw)
     assert np.array_equal(net.layers[0].db, db)
+
+
+def test_layers_hold_only_parameters_between_calls():
+    # backward caches travel through loss_and_grad, so no pass leaves an
+    # activation, mask or im2col behind on a layer
+    net = ConvAutoencoder(seed=0)
+    frames = np.random.default_rng(3).uniform(0.0, 1.0, (4, 16, 32))
+    net.forward(frames)
+    net.encode(frames)
+    net.loss_and_grad(frames)
+    for layer in net.layers:
+        held = {name for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray)}
+        assert held <= {"w", "b", "dw", "db"}, (type(layer).__name__, held)
 
 
 def test_zero_frames_give_empty_outputs():

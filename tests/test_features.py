@@ -167,6 +167,31 @@ def test_non_utf8_utterance_id_is_a_format_error(tmp_path):
         features.load_features(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_frame_is_a_format_error(tmp_path, value):
+    frames = np.zeros((4, 3))
+    frames[2, 1] = value
+    path = tmp_path / "u.vfa"
+    features.save_features(path, _seq(frames))
+    with pytest.raises(FormatError, match=f"{path}: non-finite value in frame 2"):
+        features.load_features(path)
+
+
+def test_delta_context_above_the_maximum_is_a_format_error(tmp_path):
+    path = tmp_path / "u.vfa"
+    features.save_features(path, _seq(np.zeros((3, 2)), ctx=features.MAX_DELTA_CONTEXT))
+    raw = bytearray(path.read_bytes())
+    # the delta context byte sits just before the 3x2 float32 frames
+    ctx_at = len(raw) - 3 * 2 * 4 - 1
+    assert raw[ctx_at] == features.MAX_DELTA_CONTEXT
+    features.load_features(path)
+    raw[ctx_at] = 200
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"{path}: delta context must be in "
+                                          rf"\[0, {features.MAX_DELTA_CONTEXT}\], got 200"):
+        features.load_features(path)
+
+
 def test_unknown_normalization_tag_is_a_format_error(tmp_path):
     path = tmp_path / "u.vfa"
     features.save_features(path, _seq(np.zeros((3, 2))))

@@ -108,6 +108,18 @@ def test_bad_values_are_a_format_error(tmp_path, table, key, value):
         lingware.load_lm(path)
 
 
+def test_repeated_word_is_a_format_error(tmp_path):
+    path = tmp_path / "model.alm"
+    lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))
+    raw = bytearray(path.read_bytes())
+    # the two vocabulary words follow the magic and the word count
+    assert raw[8:12] == b"\x01a\x01b"
+    raw[11] = ord("a")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"{path}: word 'a' is listed twice"):
+        lingware.load_lm(path)
+
+
 def test_non_utf8_word_is_a_format_error(tmp_path):
     path = tmp_path / "model.alm"
     lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))

@@ -5,7 +5,9 @@
 Each checkout's ``src/`` is imported in a child process of its own, which
 trains fixed configurations on fixed random frames and keeps every float64
 result: weights and biases, the gradients of one more batch, the epoch
-losses, the codes and the reconstructions. The two sides are compared with
+losses, the codes and the reconstructions, the last two also of a batch of
+``2 * CHUNK_FRAMES + 37`` frames, which ``forward`` and ``encode`` split
+into two whole chunks and a partial one. The two sides are compared with
 ``np.array_equal``. The artifact tree is not enough for this, because the
 CAE1 and VFA1 containers store float32 and hide float64 differences.
 For every array that differs it prints the largest absolute difference and
@@ -30,7 +32,7 @@ CONFIGS = {
 
 def run_side(src, out):
     sys.path.insert(0, str(Path(src) / "src"))
-    from vsrlab.autoencoder import ConvAutoencoder
+    from vsrlab.autoencoder import CHUNK_FRAMES, ConvAutoencoder
 
     arrays = {}
     for name, (channels, bottleneck, hw, n, epochs, lr, batch) in CONFIGS.items():
@@ -48,6 +50,11 @@ def run_side(src, out):
         arrays[f"{name}.recon"] = recon
         arrays[f"{name}.code"] = code
         arrays[f"{name}.encode"] = net.encode(frames)
+        many = np.random.default_rng(1).uniform(0.0, 1.0, (2 * CHUNK_FRAMES + 37, *hw))
+        recon, code = net.forward(many)
+        arrays[f"{name}.chunked.recon"] = recon
+        arrays[f"{name}.chunked.code"] = code
+        arrays[f"{name}.chunked.encode"] = net.encode(many)
     np.savez(out, **arrays)
 
 
