@@ -173,9 +173,9 @@ def load_features(path):
         normalization_tag = binio.read_str8(fh, path)
         delta_context = binio.read_u8(fh, path)
         frames = binio.read_array(fh, "<f4", (n_frames, dim), path).astype(float)
-    bad = ~np.isfinite(frames).all(axis=1)
-    if bad.any():
-        raise FormatError(f"{path}: non-finite value in frame {int(bad.argmax())}")
+    if not np.isfinite(frames).all():
+        t = int(np.isfinite(frames).all(axis=1).argmin())
+        raise FormatError(f"{path}: non-finite value in frame {t}")
     try:
         return FeatureSequence(frames, utterance_id, speaker_id, stream_tag,
                                normalization_tag, delta_context)
