@@ -17,6 +17,18 @@ to a distinct mouth shape (width, opening height, corner curl, teeth band) per
 speaker, trajectories interpolate linearly between consecutive targets over a
 two-frame transition, and landmark/pixel noise is added on top. It exists so
 the full recognition loop can be exercised without any external video data.
+
+An utterance's frames are built in chunks of up to ``_CHUNK_FRAMES`` frames,
+each in one batched pass: the landmarks of the chunk's frames, then their
+images. An image starts as the speaker's background, and only a box around
+the mouth, whose bound ``_render_frames`` derives, is tested for the lips,
+the opening and the teeth. The chunk then draws its noise as one
+(frames, 2 * 68 + H * W) array: a row per frame in frame order, the frame's
+landmark noise and then its pixel noise. The generator yields these values
+in the same order as one draw per frame for the landmarks and one for the
+pixels would, so the files do not depend on the chunk size. An utterance
+draws, in order: its word count, its words, its phone durations, its shape
+jitter, then its frames' noise.
 """
 
 import logging
@@ -281,6 +293,9 @@ def default_lexicon(n_words=20, seed=0, inventory=None):
 # source pixels, except curl and teeth which are dimensionless.
 _TRANSITION_FRAMES = 2
 _SHAPE_NOISE_GAIN = 25.0  # articulation jitter, in px per unit noise_level
+# frames rendered, noised and quantized at a time: bounds the float64 images
+# and noise held for a long utterance to a few arrays of 128 * H * W values
+_CHUNK_FRAMES = 128
 
 
 def _speaker_profile(rng, spec):
@@ -374,21 +389,22 @@ _OUTER_ANGLES = np.array([180, 150, 120, 90, 60, 30, 0, -30, -60, -90, -120, -15
 _INNER_ANGLES = np.array([180, 135, 90, 45, 0, -45, -90, -135]) * math.pi / 180.0
 
 
-def _mouth_geometry(shape, profile):
-    """Mouth landmark positions (20, 2) in mouth-local coordinates (y down)."""
-    half_w, inner_h, curl, _ = shape
+def _mouth_geometry(shapes, profile):
+    """Mouth landmark positions (T, 20, 2) in mouth-local coordinates (y down)
+    of mouth ``shapes`` (T, 4)."""
+    half_w, inner_h, curl = (shapes[:, i, None] for i in range(3))
     outer_w = half_w + 1.5 * profile["scale"]
     inner_w = 0.82 * half_w
     up = inner_h + profile["upper_lip"]
     low = inner_h + profile["lower_lip"]
-    pts = np.zeros((20, 2))
+    pts = np.zeros((len(shapes), 20, 2))
     cos_o, sin_o = np.cos(_OUTER_ANGLES), np.sin(_OUTER_ANGLES)
-    pts[0:12, 0] = outer_w * cos_o
-    pts[0:12, 1] = -np.where(sin_o >= 0, up, low) * sin_o
+    pts[:, 0:12, 0] = outer_w * cos_o
+    pts[:, 0:12, 1] = -np.where(sin_o >= 0, up, low) * sin_o
     cos_i, sin_i = np.cos(_INNER_ANGLES), np.sin(_INNER_ANGLES)
-    pts[12:20, 0] = inner_w * cos_i
-    pts[12:20, 1] = -inner_h * sin_i
-    pts[:, 1] += curl * pts[:, 0] ** 2 / max(outer_w, 1e-6)
+    pts[:, 12:20, 0] = inner_w * cos_i
+    pts[:, 12:20, 1] = -inner_h * sin_i
+    pts[:, :, 1] += curl * pts[:, :, 0] ** 2 / np.maximum(outer_w, 1e-6)
     return pts
 
 
@@ -396,49 +412,75 @@ def _mouth_center(profile):
     return profile["center"] + np.array([0.0, 18.0 * profile["scale"]])
 
 
-def _frame_landmarks(shape, profile):
-    pts = np.zeros((N_LANDMARKS, 2))
-    pts[0:48] = _static_landmarks(profile)
-    local = _mouth_geometry(shape, profile)
+def _frame_landmarks(shapes, profile):
+    """The (T, 68, 2) landmarks of frames with mouth ``shapes`` (T, 4)."""
+    pts = np.empty((len(shapes), N_LANDMARKS, 2))
+    pts[:, 0:48] = _static_landmarks(profile)
     tilt = profile["tilt"]
     rot = np.array([[math.cos(tilt), -math.sin(tilt)], [math.sin(tilt), math.cos(tilt)]])
-    pts[48:68] = local @ rot.T + _mouth_center(profile)
+    pts[:, 48:68] = _mouth_geometry(shapes, profile) @ rot.T + _mouth_center(profile)
     return pts
 
 
-def _render_frame(shape, profile, spec):
-    """Rasterize one grayscale face frame consistent with the landmarks."""
+def _render_frames(shapes, profile, spec):
+    """Rasterize grayscale face frames (T, H, W) consistent with the landmarks
+    of mouth ``shapes`` (T, 4).
+
+    Every frame starts as the speaker's background, and only pixels within
+    ``reach`` of the mouth center, in x and in y, are tested for the lips,
+    the mouth opening and the teeth. The bound: a pixel at offset (u, v)
+    has rotated offset (ur, vr0) of the same length, and the curl bends vr0
+    into vr = vr0 - curl * ur**2 / outer_w. Inside the outer ellipse
+    |ur| <= outer_w and |vr| <= max(up, low), so |vr0| <= max(up, low) +
+    |curl| * outer_w, and |u|, |v| <= |ur| + |vr0|. The mouth opening
+    (half-width 0.82 * half_w, half-height inner_h) and the teeth band inside
+    it obey tighter bounds. So ``reach`` is the largest
+    outer_w + max(up, low) + |curl| * outer_w over the frames, plus a 2 px
+    margin for rounding, and the box is clipped to the image.
+    """
     width, height = spec.image_size
-    half_w, inner_h, curl, teeth = shape
+    half_w, inner_h, curl, teeth = (shapes[:, i, None, None] for i in range(4))
     outer_w = half_w + 1.5 * profile["scale"]
     inner_w = 0.82 * half_w
     up = inner_h + profile["upper_lip"]
     low = inner_h + profile["lower_lip"]
     mx, my = _mouth_center(profile)
     ys, xs = np.mgrid[0:height, 0:width]
-    u = xs - mx
-    v = ys - my
+
+    background = np.full((height, width), profile["skin"] * profile["gain"])
+    background += 0.04 * (ys / height - 0.5)  # mild vertical lighting gradient
+    img = np.repeat(background[None], len(shapes), axis=0)
+
+    reach = np.max(outer_w + np.maximum(up, low) + np.abs(curl) * outer_w) + 2.0
+    x0, x1 = np.clip([math.floor(mx - reach), math.ceil(mx + reach) + 1], 0, width)
+    y0, y1 = np.clip([math.floor(my - reach), math.ceil(my + reach) + 1], 0, height)
+    box = img[:, y0:y1, x0:x1]
+    u = xs[y0:y1, x0:x1] - mx
+    v = ys[y0:y1, x0:x1] - my
     tilt = profile["tilt"]
     ur = math.cos(tilt) * u + math.sin(tilt) * v
     vr = -math.sin(tilt) * u + math.cos(tilt) * v
-    vr = vr - curl * ur ** 2 / max(outer_w, 1e-6)
-
-    img = np.full((height, width), profile["skin"] * profile["gain"])
-    img += 0.04 * (ys / height - 0.5)  # mild vertical lighting gradient
+    vr = vr - curl * ur ** 2 / np.maximum(outer_w, 1e-6)
 
     h_out = np.where(vr < 0, up, low)
     in_outer = (ur / outer_w) ** 2 + (vr / h_out) ** 2 <= 1.0
-    img[in_outer] = profile["lip"] * profile["gain"]
-    if inner_h > 1e-6:
-        in_inner = (ur / max(inner_w, 1e-6)) ** 2 + (vr / inner_h) ** 2 <= 1.0
-        img[in_inner] = 0.08
-        band = in_inner & (vr <= -inner_h + teeth * 1.6 * inner_h)
-        img[band] = 0.88 * profile["gain"]
+    box[in_outer] = profile["lip"] * profile["gain"]
+    # frames with no opening skip the test (and its division by zero)
+    has_inner = inner_h > 1e-6
+    in_inner = has_inner & ((ur / np.maximum(inner_w, 1e-6)) ** 2
+                            + (vr / np.where(has_inner, inner_h, 1.0)) ** 2 <= 1.0)
+    box[in_inner] = 0.08
+    band = in_inner & (vr <= -inner_h + teeth * 1.6 * inner_h)
+    box[band] = 0.88 * profile["gain"]
     return img
 
 
 def _quantize(img):
-    return np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+    """8-bit gray levels of ``img``, computed in place in ``img`` so that a
+    chunk allocates no further float arrays of its size."""
+    img *= 255.0
+    np.clip(np.round(img, out=img), 0, 255, out=img)
+    return img.astype(np.uint8)
 
 
 def synthesize_corpus(spec, out_dir):
@@ -503,14 +545,18 @@ def synthesize_corpus(spec, out_dir):
             n_frames = len(shapes)
             landmarks = np.empty((n_frames, N_LANDMARKS, 2), dtype=np.float32)
             frames = np.empty((n_frames, spec.image_size[1], spec.image_size[0]), dtype=np.uint8)
-            for t in range(n_frames):
-                pts = _frame_landmarks(shapes[t], profile)
-                img = _render_frame(shapes[t], profile, spec)
+            for start in range(0, n_frames, _CHUNK_FRAMES):
+                chunk = slice(start, start + _CHUNK_FRAMES)
+                pts = _frame_landmarks(shapes[chunk], profile)
+                img = _render_frames(shapes[chunk], profile, spec)
                 if spec.noise_level > 0:
-                    pts = pts + rng.normal(0.0, spec.noise_level, pts.shape)
-                    img = img + rng.normal(0.0, spec.noise_level, img.shape)
-                landmarks[t] = pts
-                frames[t] = _quantize(img)
+                    # each row: the frame's landmark noise, then its pixel noise
+                    noise = rng.normal(0.0, spec.noise_level,
+                                       (len(pts), pts[0].size + img[0].size))
+                    pts += noise[:, :pts[0].size].reshape(pts.shape)
+                    img += noise[:, pts[0].size:].reshape(img.shape)
+                landmarks[chunk] = pts
+                frames[chunk] = _quantize(img)
 
             lmk_path = out_dir / "landmarks" / f"{utt_id}.lmk"
             frm_path = out_dir / "frames" / f"{utt_id}.frm"

@@ -38,6 +38,7 @@ in model order, plus each state's component count. The E-step sums, the arc
 counts, the density blocks and the OPT1 file all keep these orders.
 """
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -77,6 +78,11 @@ def _block_starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
+def _arc_offsets(phone_n_states):
+    """Where each phone's (n, n + 1) transition rows start in the table."""
+    return _block_starts(phone_n_states * (phone_n_states + 1))
+
+
 def _block_slices(sizes):
     """The slice of each of consecutive blocks of ``sizes`` rows."""
     return (slice(start, start + n) for start, n in zip(_block_starts(sizes), sizes))
@@ -106,12 +112,7 @@ class OpticalModel:
 
     def __post_init__(self):
         self.phone_index = {p: i for i, p in enumerate(self.phones)}
-        self._state_offsets = _block_starts(self.phone_n_states)
-        # where each phone's (n, n + 1) transition rows start in the table
-        self.arc_offsets = _block_starts(self.phone_n_states * (self.phone_n_states + 1))
-
-    def state_offset(self, phone_idx):
-        return self._state_offsets[phone_idx]
+        self.arc_offsets = _arc_offsets(self.phone_n_states)
 
     def arc_table(self):
         """Log transition probabilities: the transition table, then one
@@ -201,7 +202,7 @@ def _state_logsumexp(comp, sizes):
 
 @dataclass
 class ChainGraph:
-    phones: list            # phone names along the chain
+    phones: tuple           # phone names along the chain
     chain_pos: np.ndarray   # (S,) position in the chain per chain state
     unique_cols: np.ndarray  # (S,) column into the unique-state densities
     arcs: np.ndarray        # (4, S) arc-table index: stay, advance 1, 2, end (-1: none)
@@ -213,25 +214,43 @@ class ChainGraph:
 
 def compose_chain(model, chain):
     """Banded utterance graph for a phone-name chain: each chain state's
-    arcs index its transition row in the arc table by the arc-column rule."""
+    arcs index its transition row in the arc table by the arc-column rule.
+
+    The graph depends only on the model's phone names and state counts and
+    on the chain, never on parameter values, so every model of equal
+    structure gets the same graph object, built once and read-only: EM
+    iterations, grid cells, forced alignment and the decoder share it."""
+    return _chain_graph(tuple(model.phones), tuple(model.phone_n_states.tolist()),
+                        tuple(chain))
+
+
+# a grid's training transcripts plus its decode lexicon's pronunciations,
+# with room to spare: a few KiB per graph
+@functools.lru_cache(maxsize=1024)
+def _chain_graph(phones, phone_n_states, chain):
+    index = {name: i for i, name in enumerate(phones)}
     for name in chain:
-        if name not in model.phone_index:
+        if name not in index:
             raise OovError(f"phone {name!r} is not in the model")
-    pids = np.array([model.phone_index[name] for name in chain], dtype=int)
-    sizes = model.phone_n_states[pids]
+    pids = np.array([index[name] for name in chain], dtype=int)
+    all_sizes = np.array(phone_n_states, dtype=int)
+    sizes = all_sizes[pids]
     phone_ids = np.repeat(pids, sizes)
     chain_pos = np.repeat(np.arange(len(pids)), sizes)
     local_state = np.arange(phone_ids.shape[0]) - np.repeat(_block_starts(sizes), sizes)
     n = sizes[chain_pos]
-    row = model.arc_offsets[phone_ids] + local_state * (n + 1)
+    row = _arc_offsets(all_sizes)[phone_ids] + local_state * (n + 1)
     # columns fed by staying, advancing one and advancing two, then by ending
     col = np.vstack([local_state + np.arange(3)[:, None], n])
     last = chain_pos == len(pids) - 1
     # an exit feeds the next phone's entry, or from the last phone ends the utterance
     live = np.vstack([(col[:3] < n) | ((col[:3] == n) & ~last), last])
-    return ChainGraph(phones=list(chain), chain_pos=chain_pos,
-                      unique_cols=model.state_offset(phone_ids) + local_state,
-                      arcs=np.where(live, row + col, -1))
+    graph = ChainGraph(phones=chain, chain_pos=chain_pos,
+                       unique_cols=_block_starts(all_sizes)[phone_ids] + local_state,
+                       arcs=np.where(live, row + col, -1))
+    for array in (graph.chain_pos, graph.unique_cols, graph.arcs):
+        array.flags.writeable = False
+    return graph
 
 
 @dataclass
@@ -603,7 +622,9 @@ def load_model(path):
         for i, name in enumerate(phones):
             if name in phones[:i]:
                 raise FormatError(f"{path}: phone {name!r} is listed twice")
-        use_sil = binio.read_u8(fh, path) == 1
+        use_sil = binio.read_u8(fh, path)
+        if use_sil not in (0, 1):
+            raise FormatError(f"{path}: use_sil flag must be 0 or 1, got {use_sil}")
         var_floor = binio.read_array(fh, "<f8", (dim,), path)
         sizes, trans, initial, blocks = [], [], [], []
         for name in phones:
@@ -621,6 +642,8 @@ def load_model(path):
                     raise FormatError(f"{path}: phone {name!r} state {s} has no components")
                 blocks.append([binio.read_array(fh, "<f8", shape, path)
                                for shape in ((m,), (m, dim), (m, dim))])
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last phone")
     sizes, trans, initial = np.array(sizes), np.concatenate(trans), np.concatenate(initial)
     # each state's transition row, its local state s, and the advance k of
     # each of its arcs: column s + k
@@ -650,4 +673,4 @@ def load_model(path):
         raise FormatError(f"{path}: non-positive variance")
     return OpticalModel(phones=phones, dim=dim, phone_n_states=sizes, trans=trans,
                         n_mix=n_mix, weights=weights, means=means, variances=variances,
-                        var_floor=var_floor, use_sil=use_sil)
+                        var_floor=var_floor, use_sil=use_sil == 1)

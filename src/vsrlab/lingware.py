@@ -290,6 +290,8 @@ def load_lm(path):
         for word in words:
             if word in seen:
                 raise FormatError(f"{path}: word {word!r} is listed twice")
+            if word in (SENTENCE_START, SENTENCE_END):
+                raise FormatError(f"{path}: the sentence marker {word!r} is listed as a word")
             seen.add(word)
         uni = binio.read_array(fh, "<f8", (n_words + 1,), path)
         lams = binio.read_array(fh, "<f8", (n_words + 1,), path)

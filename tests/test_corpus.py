@@ -1,5 +1,8 @@
+import hashlib
+import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +242,79 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         corpus.SynthSpec(lexicon={"a": ["a"]}, n_speakers=2, n_utterances=5,
                          utterances_per_speaker=[1, 2]).validate()
+
+
+def _render_frame(shape, profile, spec):
+    """Rasterize one grayscale face frame: the per-frame renderer that
+    ``corpus._render_frames`` replaced, kept as its oracle."""
+    width, height = spec.image_size
+    half_w, inner_h, curl, teeth = shape
+    outer_w = half_w + 1.5 * profile["scale"]
+    inner_w = 0.82 * half_w
+    up = inner_h + profile["upper_lip"]
+    low = inner_h + profile["lower_lip"]
+    mx, my = corpus._mouth_center(profile)
+    ys, xs = np.mgrid[0:height, 0:width]
+    u = xs - mx
+    v = ys - my
+    tilt = profile["tilt"]
+    ur = math.cos(tilt) * u + math.sin(tilt) * v
+    vr = -math.sin(tilt) * u + math.cos(tilt) * v
+    vr = vr - curl * ur ** 2 / max(outer_w, 1e-6)
+
+    img = np.full((height, width), profile["skin"] * profile["gain"])
+    img += 0.04 * (ys / height - 0.5)  # mild vertical lighting gradient
+
+    h_out = np.where(vr < 0, up, low)
+    in_outer = (ur / outer_w) ** 2 + (vr / h_out) ** 2 <= 1.0
+    img[in_outer] = profile["lip"] * profile["gain"]
+    if inner_h > 1e-6:
+        in_inner = (ur / max(inner_w, 1e-6)) ** 2 + (vr / inner_h) ** 2 <= 1.0
+        img[in_inner] = 0.08
+        band = in_inner & (vr <= -inner_h + teeth * 1.6 * inner_h)
+        img[band] = 0.88 * profile["gain"]
+    return img
+
+
+# (24, 20) is smaller than the box around the mouth, which also sits partly
+# below the image
+@pytest.mark.parametrize("image_size", [(96, 96), (64, 48), (24, 20)])
+@pytest.mark.parametrize("tilt", [0.0, -0.14, 0.11])
+def test_render_frames_equal_per_frame_oracle(image_size, tilt):
+    rng = np.random.default_rng(image_size[0])
+    spec = corpus.SynthSpec(lexicon=_tiny_lexicon(), image_size=image_size)
+    profile = dict(corpus._speaker_profile(rng, spec), tilt=tilt)
+    n = 40
+    shapes = np.column_stack([rng.uniform(1.0, 15.0, n), rng.uniform(0.0, 5.0, n),
+                              rng.uniform(-0.25, 0.25, n), rng.uniform(0.0, 1.0, n)])
+    # no opening, and tiny openings either side of the renderer's threshold
+    shapes[:4, 1] = [0.0, 1e-7, 1e-6, 2e-6]
+    shapes[4:8, 3] = [0.0, 1.0, 0.0, 1.0]
+    shapes[8:12, 2] = [-0.25, 0.25, -0.25, 0.25]
+    got = corpus._render_frames(shapes, profile, spec)
+    want = np.stack([_render_frame(shape, profile, spec) for shape in shapes])
+    assert got.shape == (n, image_size[1], image_size[0])
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_level, pinned", [
+    (0.4, "89cee581afae499beb55c6ffd0388f780d838f7cf6c50d98fabb8785eabf085c"),
+    (0.0, "d049544c07460e8664a27f181cd976286e88e8cb7d277af85c42ed381cb916e7"),
+])
+def test_synthesized_corpus_pinned(tmp_path, noise_level, pinned):
+    # every file of a small corpus, whose utterances span several rendering
+    # chunks and whose mouth box is clipped by the image's lower edge.
+    # (Platform: x86-64, numpy 2.4; another libm may move the last bit.)
+    spec = corpus.SynthSpec(lexicon=corpus.default_lexicon(n_words=6, seed=0),
+                            n_speakers=2, n_utterances=2, image_size=(48, 40),
+                            frames_per_phoneme=(30.0, 2.0), words_per_utterance=(2, 2),
+                            noise_level=noise_level, seed=4)
+    records = corpus.synthesize_corpus(spec, tmp_path)
+    assert all(corpus.read_frames_header(r.frames_path)[0] > 3 * corpus._CHUNK_FRAMES
+               for r in records)
+    digest = hashlib.sha256()
+    for path in sorted(Path(tmp_path).rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(tmp_path)).encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == pinned

@@ -70,7 +70,7 @@ class _FlatLm:
 # Viterbi written with plain loops and scipy densities
 
 def _state_logpdf(model, pid, s, x):
-    k = model.state_offset(pid) + s
+    k = int(model.phone_n_states[:pid].sum()) + s
     start = int(model.n_mix[:k].sum())
     comps = [math.log(model.weights[m])
              + norm.logpdf(x, model.means[m, 0], math.sqrt(model.variances[m, 0]))
@@ -441,7 +441,7 @@ class TestExactness:
         candidates = {}
         for word in lex.words:
             pid = model.phone_index[lex.canonical(word)[0]]
-            emis = _state_log_likelihoods(model, frames)[0, model.state_offset(pid)]
+            emis = _state_log_likelihoods(model, frames)[0, int(model.phone_n_states[:pid].sum())]
             # single frame: enter state 0, exit directly (skip arc, p=1/3)
             candidates[word] = emis + math.log(1.0 / 3.0) \
                 + 3.0 * (lm.logp(word, "<s>") + lm.logp("</s>", word)) - 0.2

@@ -66,7 +66,7 @@ def _phone_rows(model, pid):
 def _state_params(model, pid, s):
     """(weights, means, variances) of one state's block of the mixture table,
     found by counting the components of the states before it."""
-    k = model.state_offset(pid) + s
+    k = int(model.phone_n_states[:pid].sum()) + s
     start = int(model.n_mix[:k].sum())
     block = slice(start, start + int(model.n_mix[k]))
     return model.weights[block], model.means[block], model.variances[block]
@@ -315,6 +315,26 @@ class TestCompose:
                          for s in range(model.phone_n_states[model.phone_index[name]])]
             assert list(graph.unique_cols) == want_cols
 
+    def test_equal_structure_shares_one_read_only_graph(self):
+        frames = np.random.default_rng(17).normal(size=(8, 2))
+        model = hmm.flat_start([frames], ["a", "b"], topology_kind="skip2", use_sil=False)
+        graph = hmm.compose_chain(model, ["a", "b", "a"])
+        # other parameter values, same phones and state counts
+        other_values = hmm.flat_start([frames * 3.0], ["b", "a"], topology_kind="skip2",
+                                      use_sil=False)
+        other_values.trans[:] = 0.5
+        assert hmm.compose_chain(other_values, ("a", "b", "a")) is graph
+        for array in (graph.chain_pos, graph.unique_cols, graph.arcs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the same phone names with other state counts
+        classic = hmm.flat_start([frames], ["a", "b"], topology_kind="classic3",
+                                 use_sil=False)
+        assert classic.phones == model.phones
+        other = hmm.compose_chain(classic, ["a", "b", "a"])
+        assert other is not graph
+        assert (graph.n_states, other.n_states) == (6, 9)
+
     def test_unknown_phone(self):
         model = _make_model("skip2", {"a": _dummy_params(2, 1)}, dim=1)
         with pytest.raises(OovError):
@@ -340,7 +360,7 @@ class TestEmissions:
         assert got.shape == (6, 4)
         for pid, name in enumerate(model.phones):
             for s, (w, mu, var) in enumerate(params[name]):
-                col = model.state_offset(pid) + s
+                col = int(model.phone_n_states[:pid].sum()) + s
                 for t in range(6):
                     comp = [math.log(w[m]) + norm.logpdf(frames[t], mu[m],
                                                          np.sqrt(var[m])).sum()
@@ -938,6 +958,28 @@ class TestContainer:
         assert blob.count(b"\x02qz") == 1
         path.write_bytes(blob.replace(b"\x02qz", b"\x02\xff\xfe"))
         with pytest.raises(FormatError, match=f"{path}: string .* is not UTF-8"):
+            hmm.load_model(path)
+
+    @pytest.mark.parametrize("flag", [2, 0xFF])
+    def test_use_sil_flag_other_than_0_or_1_is_a_format_error(self, tmp_path, flag):
+        model = _make_model("skip2", {"a": _dummy_params(2, 1)}, dim=1, use_sil=True)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        raw = bytearray(path.read_bytes())
+        at = _opt1_phones_start(model) - 8 * model.dim - 1   # just before the floor
+        assert raw[at] == 1
+        raw[at] = flag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"{path}: use_sil flag must be 0 or 1, got {flag}"):
+            hmm.load_model(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x01\x02\x03\x04"])
+    def test_trailing_bytes_are_a_format_error(self, tmp_path, extra):
+        model = _make_model("skip2", {"a": _dummy_params(2, 2)}, dim=2)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError, match=f"{path}: trailing bytes after the last phone"):
             hmm.load_model(path)
 
     def test_truncated(self, tmp_path):

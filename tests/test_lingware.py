@@ -120,6 +120,19 @@ def test_repeated_word_is_a_format_error(tmp_path):
         lingware.load_lm(path)
 
 
+@pytest.mark.parametrize("marker", [SENTENCE_START, SENTENCE_END])
+def test_sentence_marker_as_word_is_a_format_error(tmp_path, marker):
+    path = tmp_path / "model.alm"
+    lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))
+    raw = path.read_bytes()
+    # the two vocabulary words follow the magic and the word count
+    assert raw[8:12] == b"\x01a\x01b"
+    path.write_bytes(raw[:10] + bytes([len(marker)]) + marker.encode() + raw[12:])
+    with pytest.raises(FormatError,
+                       match=f"{path}: the sentence marker '{marker}' is listed as a word"):
+        lingware.load_lm(path)
+
+
 def test_non_utf8_word_is_a_format_error(tmp_path):
     path = tmp_path / "model.alm"
     lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))
