@@ -2,7 +2,6 @@ import hashlib
 import math
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,7 +313,7 @@ def test_synthesized_corpus_pinned(tmp_path, noise_level, pinned):
     assert all(corpus.read_frames_header(r.frames_path)[0] > 3 * corpus._CHUNK_FRAMES
                for r in records)
     digest = hashlib.sha256()
-    for path in sorted(Path(tmp_path).rglob("*")):
+    for path in sorted(tmp_path.rglob("*")):
         if path.is_file():
             digest.update(str(path.relative_to(tmp_path)).encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == pinned
