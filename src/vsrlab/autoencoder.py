@@ -409,12 +409,12 @@ def save_autoencoder(path, model):
 
 def load_autoencoder(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, MODEL_MAGIC, path)
-        stages = binio.read_u32(fh, path)
+        r = binio.Reader(fh, path, MODEL_MAGIC)
+        stages = r.u32()
         if not stages_fit(stages, DEFAULT_INPUT_HW):
             raise FormatError(f"{path}: implausible stage count {stages}")
-        channels = tuple(binio.read_u32(fh, path) for _ in range(stages))
-        bottleneck = binio.read_u32(fh, path)
+        channels = tuple(r.u32() for _ in range(stages))
+        bottleneck = r.u32()
         if min(channels) < 1 or bottleneck < 1:
             raise FormatError(f"{path}: zero width in channels {channels} "
                               f"or bottleneck {bottleneck}")
@@ -422,15 +422,14 @@ def load_autoencoder(path):
         n_params = sum(math.prod(shape) for cls, n_in, n_out, _
                        in _layer_plan(channels, bottleneck, DEFAULT_INPUT_HW)
                        for shape in cls.shapes(n_in, n_out))
-        left = binio.bytes_left(fh)
-        if 4 * n_params > left:
+        if 4 * n_params > r.left:
             raise FormatError(f"{path}: header implies {4 * n_params} bytes of "
-                              f"weights, file holds {left}")
+                              f"weights, file holds {r.left}")
         model = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
                                 input_hw=DEFAULT_INPUT_HW, seed=0)
         for layer, attr in model.parameter_arrays():
-            shape = getattr(layer, attr).shape
-            setattr(layer, attr, binio.read_array(fh, "<f4", shape, path).astype(float))
+            setattr(layer, attr, r.array("<f4", getattr(layer, attr).shape).astype(float))
+        r.end()
     if not all(np.isfinite(getattr(layer, attr)).all()
                for layer, attr in model.parameter_arrays()):
         raise FormatError(f"{path}: non-finite weights")

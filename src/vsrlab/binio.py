@@ -1,8 +1,16 @@
 """Low-level helpers for the little-endian binary container formats.
 
 Every on-disk container starts with a 4-byte magic, followed by fixed-width
-integers (u8/u32) and packed numpy arrays. All multi-byte values are
-little-endian regardless of host byte order.
+integers (u8/u32), u8-length-prefixed UTF-8 strings and packed numpy arrays.
+All multi-byte values are little-endian regardless of host byte order.
+
+Savers write fields with the ``write_*`` functions. Loaders read them back
+through one ``Reader``, which checks the magic and takes the file size once.
+Each field is checked against the bytes left before it is read, so a corrupt
+length allocates nothing and a short file is a ``FormatError``. A loader
+ends with ``Reader.end``: a container ends at its last field, and a file
+with bytes after it is a ``FormatError`` too. Only a header reader, which
+stops after the header, skips that check.
 """
 
 import math
@@ -14,52 +22,59 @@ import numpy as np
 from .errors import FormatError
 
 
-def bytes_left(fh):
-    """Bytes between the position of ``fh`` and the end of its file."""
-    return os.fstat(fh.fileno()).st_size - fh.tell()
+class Reader:
+    """Reads one container's fields, in order, from ``fh`` (opened ``"rb"``).
 
+    ``left`` is the number of bytes between the read position and the end of
+    the file. Every error names ``path``.
+    """
 
-# reads up to this size cannot over-allocate, so they skip the file-size check
-_UNCHECKED_READ = 1 << 16
+    def __init__(self, fh, path, magic):
+        self._fh = fh
+        self._path = path
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+        got = fh.read(min(len(magic), self.left))
+        self.left -= len(got)
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
 
+    def _read(self, n):
+        buf = self._fh.read(min(n, self.left))
+        self.left -= len(buf)
+        if len(buf) != n:
+            raise FormatError(f"{self._path}: truncated file (wanted {n} bytes, got {len(buf)})")
+        return buf
 
-def read_exact(fh, n, path):
-    # read no more than the file holds: a corrupt header can claim more bytes
-    # than memory does, and fh.read(n) would allocate all of them up front
-    buf = fh.read(n if n <= _UNCHECKED_READ else min(n, bytes_left(fh)))
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated file (wanted {n} bytes, got {len(buf)})")
-    return buf
+    def u8(self):
+        return self._read(1)[0]
 
+    def u32(self):
+        return struct.unpack("<I", self._read(4))[0]
 
-def check_magic(fh, magic, path):
-    got = fh.read(len(magic))
-    if got != magic:
-        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    def str8(self):
+        data = self._read(self.u8())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self._path}: string {data!r} is not UTF-8") from exc
+
+    def array(self, dtype, shape):
+        dt = np.dtype(dtype)
+        buf = self._read(dt.itemsize * math.prod(shape))
+        return np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+
+    def end(self):
+        """Check that the file ends at the field just read."""
+        if self.left:
+            raise FormatError(f"{self._path}: trailing bytes after the last field")
 
 
 def write_u8(fh, value):
     fh.write(struct.pack("<B", value))
 
 
-def read_u8(fh, path):
-    return struct.unpack("<B", read_exact(fh, 1, path))[0]
-
-
 def write_u32(fh, value):
     fh.write(struct.pack("<I", value))
-
-
-def read_u32(fh, path):
-    return struct.unpack("<I", read_exact(fh, 4, path))[0]
-
-
-def write_f64(fh, value):
-    fh.write(struct.pack("<d", value))
-
-
-def read_f64(fh, path):
-    return struct.unpack("<d", read_exact(fh, 8, path))[0]
 
 
 def write_str8(fh, text):
@@ -70,19 +85,5 @@ def write_str8(fh, text):
     fh.write(data)
 
 
-def read_str8(fh, path):
-    data = read_exact(fh, read_u8(fh, path), path)
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: string {data!r} is not UTF-8") from exc
-
-
 def write_array(fh, arr, dtype):
     fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def read_array(fh, dtype, shape, path):
-    dt = np.dtype(dtype)
-    buf = read_exact(fh, dt.itemsize * math.prod(shape), path)
-    return np.frombuffer(buf, dtype=dt).reshape(shape).copy()

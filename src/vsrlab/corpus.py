@@ -128,12 +128,12 @@ def write_landmarks(path, points):
 
 def read_landmarks(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, LANDMARK_MAGIC, path)
-        n_frames = binio.read_u32(fh, path)
-        n_points = binio.read_u32(fh, path)
+        r = binio.Reader(fh, path, LANDMARK_MAGIC)
+        n_frames, n_points = r.u32(), r.u32()
         if n_points != N_LANDMARKS:
             raise FormatError(f"{path}: expected {N_LANDMARKS} points per frame, got {n_points}")
-        points = binio.read_array(fh, "<f4", (n_frames, n_points, 2), path)
+        points = r.array("<f4", (n_frames, n_points, 2))
+        r.end()
     finite = np.isfinite(points).all(axis=(1, 2))
     if not finite.all():
         raise FormatError(f"{path}: non-finite coordinates in frame {int(finite.argmin())}")
@@ -142,15 +142,14 @@ def read_landmarks(path):
 
 def read_landmark_count(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, LANDMARK_MAGIC, path)
-        return binio.read_u32(fh, path)
+        return binio.Reader(fh, path, LANDMARK_MAGIC).u32()
 
 
 def write_frames(path, frames):
     """Write a (T, H, W) uint8 array as an FRM1 file."""
     frames = np.asarray(frames)
-    if frames.dtype != np.uint8 or frames.ndim != 3:
-        raise ValueError("frames must be a (T, H, W) uint8 array")
+    if frames.dtype != np.uint8 or frames.ndim != 3 or 0 in frames.shape[1:]:
+        raise ValueError("frames must be a (T, H, W) uint8 array with H, W > 0")
     n_frames, height, width = frames.shape
     with open(path, "wb") as fh:
         fh.write(FRAMES_MAGIC)
@@ -162,18 +161,20 @@ def write_frames(path, frames):
 
 def read_frames(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, FRAMES_MAGIC, path)
-        n_frames = binio.read_u32(fh, path)
-        width = binio.read_u32(fh, path)
-        height = binio.read_u32(fh, path)
-        return binio.read_array(fh, np.uint8, (n_frames, height, width), path)
+        r = binio.Reader(fh, path, FRAMES_MAGIC)
+        n_frames, width, height = r.u32(), r.u32(), r.u32()
+        if width == 0 or height == 0:
+            raise FormatError(f"{path}: frames of {width}x{height} pixels")
+        frames = r.array(np.uint8, (n_frames, height, width))
+        r.end()
+    return frames
 
 
 def read_frames_header(path):
     """Return (frame_count, width, height) without loading pixel data."""
     with open(path, "rb") as fh:
-        binio.check_magic(fh, FRAMES_MAGIC, path)
-        return (binio.read_u32(fh, path), binio.read_u32(fh, path), binio.read_u32(fh, path))
+        r = binio.Reader(fh, path, FRAMES_MAGIC)
+        return r.u32(), r.u32(), r.u32()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from .errors import FormatError, InsufficientDataError
 
 EIGEN_MAGIC = b"EIG1"
 ROI_DIM = 512  # 32 x 16 pixels
+_JACOBI_TOL = 1e-11  # Jacobi stops at an off-diagonal norm of this share of the norm
+_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass
@@ -48,7 +50,7 @@ def _round_robin_pairs(n):
     return rounds
 
 
-def jacobi_eigh(matrix, tol=1e-11, max_sweeps=60):
+def jacobi_eigh(matrix):
     """Eigendecomposition of a real symmetric matrix.
 
     Returns (eigenvalues, vectors) with ``matrix == vectors @ diag(w) @ vectors.T``;
@@ -70,9 +72,9 @@ def jacobi_eigh(matrix, tol=1e-11, max_sweeps=60):
         return np.zeros(n), v
     rounds = _round_robin_pairs(n)
     idx = np.arange(n)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= tol * norm:
+        if off <= _JACOBI_TOL * norm:
             break
         for pairs in rounds:
             p = pairs[:, 0]
@@ -108,7 +110,7 @@ def jacobi_eigh(matrix, tol=1e-11, max_sweeps=60):
             v *= cfull
             v += ssign * tmp
     else:
-        raise ArithmeticError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
+        raise ArithmeticError(f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
     return a.diagonal().copy(), v
 
 
@@ -227,13 +229,14 @@ def save_pca(path, model):
 
 def load_pca(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, EIGEN_MAGIC, path)
-        k = binio.read_u32(fh, path)
+        r = binio.Reader(fh, path, EIGEN_MAGIC)
+        k = r.u32()
         if k < 1 or k > ROI_DIM:
             raise FormatError(f"{path}: component count {k} out of range")
-        mean = binio.read_array(fh, "<f8", (ROI_DIM,), path)
-        evals = binio.read_array(fh, "<f8", (k,), path)
-        comps = binio.read_array(fh, "<f8", (k, ROI_DIM), path)
+        mean = r.array("<f8", (ROI_DIM,))
+        evals = r.array("<f8", (k,))
+        comps = r.array("<f8", (k, ROI_DIM))
+        r.end()
     if not (np.isfinite(mean).all() and np.isfinite(comps).all()):
         raise FormatError(f"{path}: non-finite mean or components")
     if not np.all((evals >= 0.0) & (evals < np.inf)):

@@ -164,15 +164,12 @@ def save_features(path, seq):
 
 def load_features(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, FEATURE_MAGIC, path)
-        n_frames = binio.read_u32(fh, path)
-        dim = binio.read_u32(fh, path)
-        utterance_id = binio.read_str8(fh, path)
-        speaker_id = binio.read_str8(fh, path)
-        stream_tag = binio.read_str8(fh, path)
-        normalization_tag = binio.read_str8(fh, path)
-        delta_context = binio.read_u8(fh, path)
-        frames = binio.read_array(fh, "<f4", (n_frames, dim), path).astype(float)
+        r = binio.Reader(fh, path, FEATURE_MAGIC)
+        n_frames, dim = r.u32(), r.u32()
+        utterance_id, speaker_id, stream_tag, normalization_tag = (r.str8() for _ in range(4))
+        delta_context = r.u8()
+        frames = r.array("<f4", (n_frames, dim)).astype(float)
+        r.end()
     if not np.isfinite(frames).all():
         t = int(np.isfinite(frames).all(axis=1).argmin())
         raise FormatError(f"{path}: non-finite value in frame {t}")

@@ -58,6 +58,8 @@ log = logging.getLogger(__name__)
 OPTICAL_MAGIC = b"OPT1"
 SILENCE_PHONE = "sil"
 _OCC_EPS = 1e-8
+# flat start floors every variance at this share of the global variance
+_VAR_FLOOR_SCALE = 1e-3
 # float64 values per array that one batch of padded_batches may hold (8 MiB)
 _BATCH_VALUES = 1 << 20
 LOG_ZERO = -np.inf
@@ -137,8 +139,7 @@ def phone_chain(lexicon, words, use_sil=True):
     return chain
 
 
-def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True,
-               var_floor_scale=1e-3):
+def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True):
     """Single-Gaussian model with every state at the global mean/variance."""
     if not frame_list:
         raise InsufficientDataError("no training frames for flat start")
@@ -149,7 +150,7 @@ def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True,
     g_mean = stacked.mean(axis=0)
     g_var = stacked.var(axis=0)
     g_var = np.maximum(g_var, 1e-12)
-    floor = var_floor_scale * g_var
+    floor = _VAR_FLOOR_SCALE * g_var
     phones = list(phones)
     if use_sil and SILENCE_PHONE not in phones:
         phones = phones + [SILENCE_PHONE]
@@ -613,37 +614,33 @@ def save_model(path, model):
 
 def load_model(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, OPTICAL_MAGIC, path)
-        dim = binio.read_u32(fh, path)
-        n_phones = binio.read_u32(fh, path)
+        r = binio.Reader(fh, path, OPTICAL_MAGIC)
+        dim, n_phones = r.u32(), r.u32()
         if n_phones == 0:
             raise FormatError(f"{path}: the model has no phones")
-        phones = [binio.read_str8(fh, path) for _ in range(n_phones)]
+        phones = [r.str8() for _ in range(n_phones)]
         for i, name in enumerate(phones):
             if name in phones[:i]:
                 raise FormatError(f"{path}: phone {name!r} is listed twice")
-        use_sil = binio.read_u8(fh, path)
+        use_sil = r.u8()
         if use_sil not in (0, 1):
             raise FormatError(f"{path}: use_sil flag must be 0 or 1, got {use_sil}")
-        var_floor = binio.read_array(fh, "<f8", (dim,), path)
+        var_floor = r.array("<f8", (dim,))
         sizes, trans, initial, blocks = [], [], [], []
         for name in phones:
-            code = binio.read_u8(fh, path)
-            n = binio.read_u32(fh, path)
+            code, n = r.u8(), r.u32()
             if _KIND_CODES.get(n) != code:
                 raise FormatError(f"{path}: phone {name!r}: topology code {code} does not "
                                   f"match its {n} states")
             sizes.append(n)
-            trans.append(binio.read_array(fh, "<f8", (n * (n + 1),), path))
-            initial.append(binio.read_array(fh, "<f8", (n,), path))
+            trans.append(r.array("<f8", (n * (n + 1),)))
+            initial.append(r.array("<f8", (n,)))
             for s in range(n):
-                m = binio.read_u32(fh, path)
+                m = r.u32()
                 if m == 0:
                     raise FormatError(f"{path}: phone {name!r} state {s} has no components")
-                blocks.append([binio.read_array(fh, "<f8", shape, path)
-                               for shape in ((m,), (m, dim), (m, dim))])
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after the last phone")
+                blocks.append([r.array("<f8", shape) for shape in ((m,), (m, dim), (m, dim))])
+        r.end()
     sizes, trans, initial = np.array(sizes), np.concatenate(trans), np.concatenate(initial)
     # each state's transition row, its local state s, and the advance k of
     # each of its arcs: column s + k

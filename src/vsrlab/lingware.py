@@ -23,6 +23,8 @@ from .errors import FormatError, LexiconError, OovError
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
 LM_MAGIC = b"ALM1"
+# one ALM1 bigram record: context index, predicted-word index, probability
+_LM_RECORD = np.dtype([("v", "<u4"), ("w", "<u4"), ("p", "<f8")])
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +275,16 @@ def save_lm(path, lm):
         lams = np.array([lm.lam.get(SENTENCE_START, 0.0)]
                         + [lm.lam.get(w, 0.0) for w in words])
         binio.write_array(fh, lams, "<f8")
-        entries = sorted(lm.bigram.items())
-        binio.write_u32(fh, len(entries))
-        for (v, w), p in entries:
-            binio.write_u32(fh, ctx[v])
-            binio.write_u32(fh, pred[w])
-            binio.write_f64(fh, p)
+        records = [(ctx[v], pred[w], p) for (v, w), p in sorted(lm.bigram.items())]
+        binio.write_u32(fh, len(records))
+        binio.write_array(fh, np.array(records, dtype=_LM_RECORD), _LM_RECORD)
 
 
 def load_lm(path):
     with open(path, "rb") as fh:
-        binio.check_magic(fh, LM_MAGIC, path)
-        n_words = binio.read_u32(fh, path)
-        words = [binio.read_str8(fh, path) for _ in range(n_words)]
+        r = binio.Reader(fh, path, LM_MAGIC)
+        n_words = r.u32()
+        words = [r.str8() for _ in range(n_words)]
         seen = set()
         for word in words:
             if word in seen:
@@ -293,25 +292,27 @@ def load_lm(path):
             if word in (SENTENCE_START, SENTENCE_END):
                 raise FormatError(f"{path}: the sentence marker {word!r} is listed as a word")
             seen.add(word)
-        uni = binio.read_array(fh, "<f8", (n_words + 1,), path)
-        lams = binio.read_array(fh, "<f8", (n_words + 1,), path)
-        n_bigrams = binio.read_u32(fh, path)
-        pred_names = words + [SENTENCE_END]
-        ctx_names = [SENTENCE_START] + words
-        bigram = {}
-        for _ in range(n_bigrams):
-            v = binio.read_u32(fh, path)
-            w = binio.read_u32(fh, path)
-            p = binio.read_f64(fh, path)
-            if v >= len(ctx_names) or w >= len(pred_names):
-                raise FormatError(f"{path}: bigram record index out of range")
-            bigram[(ctx_names[v], pred_names[w])] = p
+        uni = r.array("<f8", (n_words + 1,))
+        lams = r.array("<f8", (n_words + 1,))
+        records = r.array(_LM_RECORD, (r.u32(),))
+        r.end()
+    pred_names = words + [SENTENCE_END]
+    ctx_names = [SENTENCE_START] + words
+    if np.any(records["v"] >= len(ctx_names)) or np.any(records["w"] >= len(pred_names)):
+        raise FormatError(f"{path}: bigram record index out of range")
+    keys = [(ctx_names[v], pred_names[w]) for v, w in zip(records["v"].tolist(), records["w"].tolist())]
+    # save_lm writes each pair once, sorted by context name, then word name
+    for prev, key in zip(keys, keys[1:]):
+        if prev >= key:
+            raise FormatError(f"{path}: bigram {key} is "
+                              + ("listed twice" if prev == key else "out of order"))
     # written this way round, each range check also fails on NaN
-    probs = np.concatenate([uni, list(bigram.values())])
+    probs = np.concatenate([uni, records["p"]])
     if not np.all((probs > 0.0) & (probs <= 1.0)):
         raise FormatError(f"{path}: unigram and bigram probabilities must lie in (0, 1]")
     if not np.all((lams >= 0.0) & (lams < 1.0)):
         raise FormatError(f"{path}: Witten-Bell weights must lie in [0, 1)")
     unigram = {w: uni[i] for i, w in enumerate(pred_names)}
+    bigram = dict(zip(keys, records["p"].tolist()))
     lam = {name: lams[i] for i, name in enumerate(ctx_names) if lams[i] != 0.0}
     return BigramLm(vocab=list(words), unigram=unigram, bigram=bigram, lam=lam)

@@ -41,6 +41,16 @@ def test_frames_container_layout(tmp_path):
     assert corpus.read_frames_header(path) == (2, 4, 3)
 
 
+@pytest.mark.parametrize("width, height", [(0, 3), (4, 0)])
+def test_frames_with_no_pixels_are_rejected(tmp_path, width, height):
+    with pytest.raises(ValueError, match="H, W > 0"):
+        corpus.write_frames(tmp_path / "x.frm", np.zeros((2, height, width), dtype=np.uint8))
+    path = tmp_path / "a.frm"
+    path.write_bytes(b"FRM1" + struct.pack("<III", 2, width, height))
+    with pytest.raises(FormatError, match=f"{path}: frames of {width}x{height} pixels"):
+        corpus.read_frames(path)
+
+
 def test_truncated_container_rejected(tmp_path):
     pts = np.zeros((3, 68, 2), dtype=np.float32)
     path = tmp_path / "a.lmk"

@@ -973,15 +973,6 @@ class TestContainer:
         with pytest.raises(FormatError, match=f"{path}: use_sil flag must be 0 or 1, got {flag}"):
             hmm.load_model(path)
 
-    @pytest.mark.parametrize("extra", [b"\x00", b"\x01\x02\x03\x04"])
-    def test_trailing_bytes_are_a_format_error(self, tmp_path, extra):
-        model = _make_model("skip2", {"a": _dummy_params(2, 2)}, dim=2)
-        path = tmp_path / "model.opt"
-        hmm.save_model(path, model)
-        path.write_bytes(path.read_bytes() + extra)
-        with pytest.raises(FormatError, match=f"{path}: trailing bytes after the last phone"):
-            hmm.load_model(path)
-
     def test_truncated(self, tmp_path):
         model = _make_model("skip2", {"a": _dummy_params(2, 2)}, dim=2)
         path = tmp_path / "model.opt"

@@ -133,6 +133,25 @@ def test_sentence_marker_as_word_is_a_format_error(tmp_path, marker):
         lingware.load_lm(path)
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda records: [records[0], records[0]] + records[2:], "listed twice"),
+    (lambda records: [records[1], records[0]] + records[2:], "out of order"),
+], ids=["record_0_over_record_1", "records_0_and_1_swapped"])
+def test_bigram_records_out_of_save_order_are_a_format_error(tmp_path, edit, problem):
+    path = tmp_path / "model.alm"
+    lm = lingware.fit_bigram([["a", "b"], ["b"]])
+    lingware.save_lm(path, lm)
+    raw = path.read_bytes()
+    # the 16-byte bigram records end the file, after their u32 count
+    n = len(lm.bigram)
+    head, body = raw[:-16 * n], raw[-16 * n:]
+    assert n == 4 and head[-4:] == n.to_bytes(4, "little")
+    records = [body[16 * i:16 * (i + 1)] for i in range(n)]
+    path.write_bytes(head + b"".join(edit(records)))
+    with pytest.raises(FormatError, match=f"{path}: bigram .* is {problem}"):
+        lingware.load_lm(path)
+
+
 def test_non_utf8_word_is_a_format_error(tmp_path):
     path = tmp_path / "model.alm"
     lingware.save_lm(path, lingware.fit_bigram([["a", "b"]]))

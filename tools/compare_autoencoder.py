@@ -2,7 +2,8 @@
 
     python3 tools/compare_autoencoder.py OLD_CHECKOUT NEW_CHECKOUT
 
-Each checkout's ``src/`` is imported in a child process of its own, which
+Each checkout's ``src/`` is imported in a child process of its own, with
+BLAS pinned to one thread (trained floats depend on the thread count), which
 trains fixed configurations on fixed random frames and keeps every float64
 result: weights and biases, the gradients of one more batch, the epoch
 losses, the codes and the reconstructions, the last two also of a batch of
@@ -21,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from compare_trees import side_env
 
 # (channels, bottleneck, input_hw, frames, epochs, lr, batch_size)
 CONFIGS = {
@@ -70,7 +73,7 @@ def main(argv):
         for i, checkout in enumerate(argv):
             out = Path(tmp) / f"side{i}.npz"
             subprocess.run([sys.executable, __file__, "--side", checkout, str(out)],
-                           check=True)
+                           env=side_env(), check=True)
             results.append(dict(np.load(out)))
     old, new = results
     differ = sorted(k for k in old.keys() | new.keys()

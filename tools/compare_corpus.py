@@ -15,17 +15,15 @@ file whose digest differs or that exists on one side only, and exits 1 if
 there is any.
 """
 
-import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "MKL_NUM_THREADS": "1"}
+from compare_trees import diff_lines, hash_tree, side_env
+
 WORKLOAD_SEED = 7
 _SMALL = {"n_speakers": 2, "n_utterances": 4, "seed": 5}
 
@@ -54,11 +52,6 @@ def specs(checkout):
     return listed
 
 
-def _hash_tree(root):
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 def run_side(checkout, spec_file, out):
     """Synthesize every spec in ``spec_file`` with ``checkout``'s ``src/``;
     write each spec's digests and synthesis seconds to ``out`` as JSON."""
@@ -75,7 +68,7 @@ def run_side(checkout, spec_file, out):
             start = time.perf_counter()
             corpus.synthesize_corpus(spec, root)
             results[name] = {"seconds": time.perf_counter() - start,
-                             "files": _hash_tree(root)}
+                             "files": hash_tree(root)}
     Path(out).write_text(json.dumps(results))
 
 
@@ -86,8 +79,7 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    env = dict(os.environ, **PINNED_ENV)
-    env.pop("PYTHONPATH", None)
+    env = side_env()
     sides = []
     with tempfile.TemporaryDirectory() as tmp:
         spec_file = Path(tmp) / "specs.json"
@@ -101,10 +93,7 @@ def main(argv):
     failed = False
     for name in new:
         a, b = old[name]["files"], new[name]["files"]
-        lines = ([f"  only in old: {p}" for p in sorted(a.keys() - b.keys())]
-                 + [f"  only in new: {p}" for p in sorted(b.keys() - a.keys())]
-                 + [f"  differs:     {p}" for p in sorted(a.keys() & b.keys())
-                    if a[p] != b[p]])
+        lines = diff_lines(a, b)
         print(f"{name}: {len(a)} files in old, {len(b)} in new; synthesis "
               f"{old[name]['seconds']:.2f} s old, {new[name]['seconds']:.2f} s new; "
               f"{len(lines)} finding(s)")

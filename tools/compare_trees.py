@@ -27,9 +27,26 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
 
-def _hash_tree(root):
+def hash_tree(root):
+    """SHA-256 of every file under ``root``, by path relative to it."""
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def side_env():
+    """The environment of a side's child process: BLAS pinned to one thread,
+    and no ``PYTHONPATH``, so that each side imports its own checkout."""
+    env = dict(os.environ, **PINNED_ENV)
+    env.pop("PYTHONPATH", None)
+    return env
+
+
+def diff_lines(a, b):
+    """One line per path whose digest differs between ``a`` and ``b`` or
+    that only one of them holds."""
+    return ([f"  only in old: {p}" for p in sorted(a.keys() - b.keys())]
+            + [f"  only in new: {p}" for p in sorted(b.keys() - a.keys())]
+            + [f"  differs:     {p}" for p in sorted(a.keys() & b.keys()) if a[p] != b[p]])
 
 
 def run_side(checkout, out):
@@ -53,7 +70,7 @@ def run_side(checkout, out):
             result = worker.op(job)
             problems[name] = result["problems"] + ([result["error"]]
                                                    if result["error"] else [])
-            trees[name] = _hash_tree(root)
+            trees[name] = hash_tree(root)
     Path(out).write_text(json.dumps({"trees": trees, "problems": problems}))
 
 
@@ -64,8 +81,7 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    env = dict(os.environ, **PINNED_ENV)
-    env.pop("PYTHONPATH", None)
+    env = side_env()
     sides = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, checkout in enumerate(argv):
@@ -77,10 +93,7 @@ def main(argv):
     failed = False
     for name in sorted(old["trees"].keys() | new["trees"].keys()):
         a, b = old["trees"].get(name, {}), new["trees"].get(name, {})
-        lines = ([f"  only in old: {p}" for p in sorted(a.keys() - b.keys())]
-                 + [f"  only in new: {p}" for p in sorted(b.keys() - a.keys())]
-                 + [f"  differs:     {p}" for p in sorted(a.keys() & b.keys())
-                    if a[p] != b[p]])
+        lines = diff_lines(a, b)
         lines += [f"  {side} run failed its checks: {problem}"
                   for side, result in (("old", old), ("new", new))
                   for problem in result["problems"].get(name, [])]
