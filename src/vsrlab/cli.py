@@ -290,7 +290,7 @@ def build_parser():
     p.set_defaults(func=cmd_feat_dnn)
 
     p = sub.add_parser("post", help="normalize, add deltas, combine streams")
-    p.add_argument("--norm", dest="norms", choices=("speaker", "utterance"),
+    p.add_argument("--norm", dest="norms", choices=features.NORM_MODES,
                    default="speaker")
     p.add_argument("--context", dest="contexts", type=int, default=0,
                    help="delta context; 0 keeps statics only")
@@ -299,7 +299,7 @@ def build_parser():
     p.set_defaults(func=cmd_post)
 
     p = sub.add_parser("train-hmm", help="embedded GMM-HMM training")
-    p.add_argument("--topology", choices=("classic3", "skip2"),
+    p.add_argument("--topology", choices=hmm.TOPOLOGY_KINDS,
                    default=DEFAULTS["topology"])
     p.add_argument("--schedule", default=DEFAULTS["schedule"])
     p.add_argument("--utterances", default="",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBeamError, OovError
-from .hmm import LOG_ZERO, SILENCE_PHONE, compose_chain, padded_batches
+from .hmm import LOG_ZERO, SILENCE_PHONE, compose_chain, into_states, padded_batches
 from .lingware import SENTENCE_END, SENTENCE_START
 
 log = logging.getLogger(__name__)
@@ -203,7 +203,6 @@ def _search(graph, batch, config, ids):
             raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
-    a0, a1, a2 = batch.band[0, :, 2:], batch.band[1, :, 1:-1], batch.band[2, :, :-2]
     lam, wip = config.lm_scale, config.word_insertion_penalty
     lam_lm = lam * graph.lm_matrix
     lam_end = lam * graph.end_logp
@@ -211,9 +210,9 @@ def _search(graph, batch, config, ids):
     history = _History(len(words) * (1 + n_utts * emis.shape[0]))
     results = [None] * n_utts
 
-    # scores and links behind two log-zero columns, so that the predecessors
-    # j-1 and j-2 of state j are slices (as in hmm.forward_log); the exit
-    # table's -1 pads land on one of them
+    # scores and links behind two log-zero columns, the band's layout that
+    # hmm.into_states reads predecessors from; the exit table's -1 pads land
+    # on one of them
     score = np.full((n_utts, graph.n_states + 2), LOG_ZERO)
     link = np.full(score.shape, -1, dtype=np.int64)
     feed_cols = graph.feed_exits + 2
@@ -227,7 +226,7 @@ def _search(graph, batch, config, ids):
     for t in range(emis.shape[0]):
         if t > 0:
             new, new_link = _step(graph, history, score, link, feed_cols,
-                                  (a0, a1, a2), lam_lm, lam_end, wip, t)
+                                  batch.band, lam_lm, lam_end, wip, t)
             dead = (n_frames > t) & ~(new > LOG_ZERO).any(axis=1)
             if dead.any():
                 i = ids[int(np.argmax(dead))]
@@ -249,7 +248,6 @@ def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t)
     """One frame of token passing before emissions: the banded arcs, then
     word entries from the best exit of each context. Returns the new scores
     and links of the states."""
-    a0, a1, a2 = band
     n_utts = score.shape[0]
 
     # best exit per context; ties go to the smaller words, then the lower state
@@ -263,13 +261,14 @@ def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t)
         exit_link[b, c] = history.best(link[b, feed_cols[c, ks]])
 
     # banded arcs: stay, advance one, advance two
-    cands = (score[:, 2:] + a0, score[:, 1:-1] + a1, score[:, :-2] + a2)
+    cands = [pred + arc for pred, arc in into_states(score, band)]
+    links = [pred for pred, _ in into_states(link, band)]
     new = np.maximum(np.maximum(cands[0], cands[1]), cands[2])
     eq0, eq1, eq2 = (c == new for c in cands)
-    new_link = np.where(eq0, link[:, 2:], np.where(eq1, link[:, 1:-1], link[:, :-2]))
+    new_link = np.where(eq0, links[0], np.where(eq1, links[1], links[2]))
     tied = ((eq0 & (eq1 | eq2)) | (eq1 & eq2)) & (new > LOG_ZERO)
     for b, j in zip(*np.nonzero(tied)):
-        new_link[b, j] = history.best([link[b, j + 2 - off] for off, c in enumerate(cands)
+        new_link[b, j] = history.best([lk[b, j] for lk, c in zip(links, cands)
                                        if c[b, j] == new[b, j]])
 
     # word entries: best context per word, then against the token held

@@ -188,10 +188,9 @@ class ExperimentConfig:
                                  f"{BASE_STREAMS}")
         if not self.contexts or any(c not in CONTEXT_LABELS for c in self.contexts):
             raise ValueError(f"contexts must come from {sorted(CONTEXT_LABELS)}")
-        if not self.norms or any(n not in ("speaker", "utterance")
-                                 for n in self.norms):
-            raise ValueError("norms must come from speaker, utterance")
-        if self.topology not in ("classic3", "skip2"):
+        if not self.norms or any(n not in features.NORM_MODES for n in self.norms):
+            raise ValueError(f"norms must come from {', '.join(features.NORM_MODES)}")
+        if self.topology not in hmm.TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not 0.0 <= self.roi_margin <= 1.0:
             raise ValueError("roi_margin must be in [0, 1]")

@@ -19,7 +19,8 @@ from .errors import (
 )
 
 FEATURE_MAGIC = b"VFA1"
-NORMALIZATION_TAGS = ("none", "speaker", "utterance")
+NORM_MODES = ("speaker", "utterance")
+NORMALIZATION_TAGS = ("none",) + NORM_MODES
 MAX_DELTA_CONTEXT = 3
 _STD_FLOOR = 1e-8
 
@@ -86,7 +87,7 @@ def zscore_normalize(seqs, mode):
     mapped to zero rather than dividing by zero. Returns new sequences in the
     input order.
     """
-    if mode not in ("speaker", "utterance"):
+    if mode not in NORM_MODES:
         raise ValueError(f"mode must be 'speaker' or 'utterance', got {mode!r}")
     for seq in seqs:
         if seq.delta_context != 0:

@@ -19,8 +19,10 @@ out of the utterance. A chain graph holds structure only: each arc is an
 index into the model's arc table, the log of the transition table followed
 by one log-zero entry that index -1 reads for a missing arc. The band's
 values are the table read at those indices, and EM counts arcs through the
-same indices. The forward, backward, and Viterbi passes all run on this
-band, in the log domain, vectorized over states.
+same indices. The forward, backward, and Viterbi passes and the decoder all
+run on this band, in the log domain, vectorized over states, and see each
+state's neighbours only through ``into_states`` and ``out_of_states``, the
+one home of the band's neighbour layout.
 
 One routine, ``padded_batches``, does the acoustic scoring for EM, forced
 alignment and the decoder alike: it scores each utterance's frames against
@@ -73,6 +75,7 @@ _TOPOLOGY_ROWS = {
     "skip2": np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
                        [0.0, 0.5, 0.5]]),
 }
+TOPOLOGY_KINDS = tuple(_TOPOLOGY_ROWS)
 
 
 def _block_starts(sizes):
@@ -316,6 +319,23 @@ def padded_batches(model, frames, graphs):
         yield batch, comps, uniques, pad_batch(table, [graphs[b] for b in batch], uniques)
 
 
+def into_states(row, band):
+    """For the stay, advance-one and advance-two arcs in turn, the windows of
+    ``row`` (..., S + 2) and ``band`` (4, ..., S + 2), both behind two log-zero
+    columns, that show each state j its predecessor j, j-1 or j-2 and the arc
+    from it into j."""
+    width = row.shape[-1]
+    return [(row[..., 2 - k:width - k], band[k, ..., 2 - k:width - k]) for k in range(3)]
+
+
+def out_of_states(arcs, row):
+    """The mirror of ``into_states``: the windows of ``arcs`` (4, ..., S) and
+    ``row`` (..., S + 2), ahead of two log-zero columns, that show each state
+    j its arc out to j, j+1 or j+2 and that successor."""
+    width = arcs.shape[-1]
+    return [(arcs[k], row[..., k:k + width]) for k in range(3)]
+
+
 def forward_log(batch):
     """Forward pass over a ``BandBatch`` of utterances at once.
 
@@ -324,20 +344,11 @@ def forward_log(batch):
     terms, so every value is the one a batch of that utterance alone gives.
     """
     band, e = batch.band, batch.emis
-    # the predecessors j, j-1 and j-2 of state j are slices of a padded row
-    a0, a1, a2 = band[0, :, 2:], band[1, :, 1:-1], band[2, :, :-2]
     alpha = np.full((e.shape[0],) + band.shape[1:], LOG_ZERO)
     alpha[0, :, 2] = e[0, :, 0]
-    stay = np.empty(e.shape[1:])
-    adv = np.empty(e.shape[1:])
     for t in range(1, e.shape[0]):
-        prev = alpha[t - 1]
-        np.add(prev[:, 2:], a0, out=stay)
-        np.add(prev[:, 1:-1], a1, out=adv)
-        np.logaddexp(stay, adv, out=stay)
-        np.add(prev[:, :-2], a2, out=adv)
-        np.logaddexp(stay, adv, out=stay)
-        np.add(stay, e[t], out=alpha[t, :, 2:])
+        stay, one, two = (pred + arc for pred, arc in into_states(alpha[t - 1], band))
+        np.add(np.logaddexp(np.logaddexp(stay, one), two), e[t], out=alpha[t, :, 2:])
     alpha = alpha[:, :, 2:]
     # each utterance's exit scores at its own last frame: only the last two
     # states of a chain can exit within the band, so the sum has at most two
@@ -351,22 +362,16 @@ def backward_log(batch):
     (T, B, S), laid out as ``forward_log``'s alpha. Each utterance's exit
     arcs seed its beta at its own last frame."""
     e, n_frames = batch.emis, batch.n_frames
-    a0, a1, a2, exit_logp = batch.band[:, :, 2:]
+    arcs = batch.band[:, :, 2:]
     beta = np.full(e.shape, LOG_ZERO)
-    # two trailing log-zero columns make the successors j+1 and j+2 slices
     nxt = np.full((e.shape[1], e.shape[2] + 2), LOG_ZERO)
-    stay = np.empty(e.shape[1:])
-    adv = np.empty(e.shape[1:])
     for t in range(e.shape[0] - 1, -1, -1):
         if t + 1 < e.shape[0]:
             np.add(beta[t + 1], e[t + 1], out=nxt[:, :-2])
-            np.add(a0, nxt[:, :-2], out=stay)
-            np.add(a1, nxt[:, 1:-1], out=adv)
-            np.logaddexp(stay, adv, out=stay)
-            np.add(a2, nxt[:, 2:], out=adv)
-            np.logaddexp(stay, adv, out=beta[t])
+            stay, one, two = (arc + succ for arc, succ in out_of_states(arcs, nxt))
+            np.logaddexp(np.logaddexp(stay, one), two, out=beta[t])
         last = n_frames == t + 1
-        beta[t, last] = exit_logp[last]
+        beta[t, last] = arcs[3, last]
     return beta
 
 
@@ -386,14 +391,13 @@ def _utterance_statistics(graph, band, comp, unique, emis, alpha, beta, loglik, 
         resp = tied[:, seg] * np.exp(comp - unique[:, seg])
     resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
 
-    s_count = graph.n_states
-    counts = np.zeros((4, s_count))
-    nxt = beta[1:] + emis[1:]
+    counts = np.empty(band.shape)
+    nxt = np.full((alpha.shape[0] - 1, band.shape[1] + 2), LOG_ZERO)
+    np.add(beta[1:], emis[1:], out=nxt[:, :-2])
     with np.errstate(over="ignore"):
-        for off in range(3):
-            xi = np.exp(alpha[:-1, :s_count - off] + band[off, :s_count - off]
-                        + nxt[:, off:] - loglik)
-            counts[off, :s_count - off] = xi.sum(axis=0)
+        # a successor beyond the chain is log-zero, so its column sums to 0
+        for k, (arc, succ) in enumerate(out_of_states(band, nxt)):
+            counts[k] = np.exp(alpha[:-1] + arc + succ - loglik).sum(axis=0)
         counts[3] = np.exp(alpha[-1] + band[3] - loglik)
     return resp, counts
 
@@ -543,18 +547,15 @@ def forced_align(model, frames, chain):
     batch = next(padded_batches(model, [frames], [graph]))[3]
     band, emis = batch.band[:, 0], batch.emis[:, 0]
 
-    # delta rows sit behind two log-zero columns, so the predecessors j-2,
-    # j-1 and j of every state are the three windows of the previous row;
-    # in that order, argmax resolves ties toward the lowest predecessor
     delta = np.full((n_frames, s_count + 2), LOG_ZERO)
-    back = np.zeros((n_frames, s_count), dtype=int)
-    arcs = np.stack([band[2, :-2], band[1, 1:-1], band[0, 2:]])
+    back = np.zeros((n_frames, s_count), dtype=int)   # the advance into each state
     delta[0, 2] = emis[0, 0]
     for t in range(1, n_frames):
-        cand = np.lib.stride_tricks.sliding_window_view(delta[t - 1], s_count) + arcs
-        choice = np.argmax(cand, axis=0)
-        delta[t, 2:] = cand[choice, np.arange(s_count)] + emis[t]
-        back[t] = np.arange(s_count) - (2 - choice)
+        cand = np.stack([pred + arc for pred, arc in into_states(delta[t - 1], band)])
+        # argmax takes the first maximum, so over the advances 2, 1, 0 it
+        # resolves ties toward the lowest predecessor
+        back[t] = 2 - np.argmax(cand[::-1], axis=0)
+        delta[t, 2:] = cand[back[t], np.arange(s_count)] + emis[t]
     final = delta[-1, 2:] + band[3, 2:]
     best_end = int(np.argmax(final))
     score = float(final[best_end])
@@ -563,7 +564,7 @@ def forced_align(model, frames, chain):
     states = np.empty(n_frames, dtype=int)
     states[-1] = best_end
     for t in range(n_frames - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
+        states[t - 1] = states[t] - back[t, states[t]]
     pos_seq = graph.chain_pos[states]
     phone_seq = [graph.phones[p] for p in pos_seq]
     return Alignment(chain=list(chain), state_seq=states, chain_pos_seq=pos_seq,

@@ -28,19 +28,17 @@ class WerReport:
     deletions: int
     reference_words: int
     n_utterances: int
-    ci_low: float | None = None
-    ci_high: float | None = None
-    confidence: float | None = None
-    n_resamples: int | None = None
+    ci_low: float
+    ci_high: float
+    confidence: float
+    n_resamples: int
 
     def format_line(self):
-        if self.ci_low is None:
-            return f"WER {self.wer:.1f}"
         half = (self.ci_high - self.ci_low) / 2.0
         return f"WER {self.wer:.1f} ± {half:.1f}"
 
     def to_json(self):
-        return json.dumps({k: v for k, v in self.__dict__.items()}, sort_keys=True)
+        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def align_wer(ref, hyp):

@@ -1,8 +1,12 @@
 """Every binary container rejects each strict prefix of a valid file, and a
 valid file with bytes appended, with a ``FormatError`` that names the file.
+A file with any one byte changed either is rejected in the same way or
+loads into an object that saves back to those very bytes.
 
 Each writer below saves a small container to ``path`` and returns its loader
 and its saver."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -81,3 +85,50 @@ def test_bytes_after_the_last_field_are_a_format_error(tmp_path, write, extra):
     path.write_bytes(blob + extra)
     with pytest.raises(FormatError, match=f"{path}: trailing bytes after the last field"):
         load(path)
+
+
+# each single-byte mutation: the new value of byte b
+MUTATIONS = {"set 0x00": lambda b: 0x00, "set 0xFF": lambda b: 0xFF,
+             "flip bit 0": lambda b: b ^ 0x01, "flip bit 7": lambda b: b ^ 0x80}
+
+
+def _opt1_entry_zero_sign_bytes(path):
+    """Positions of the sign byte of each 0.0 in an OPT1 file's entry vectors.
+    ``save_model`` writes every entry vector from the phone's state count, so
+    a -0.0 there loads and saves back as 0.0: the one documented
+    canonicalisation of the mutation sweep."""
+    model = hmm.load_model(path)
+    at = 13 + sum(1 + len(name.encode()) for name in model.phones) + 8 * model.dim
+    found = []
+    mix = iter(model.n_mix)
+    for n in model.phone_n_states:
+        at += 5 + 8 * n * (n + 1)          # topology code, state count, rows
+        found += [at + 8 * s + 7 for s in range(1, n)]
+        at += 8 * n + sum(4 + 8 * m * (1 + 2 * model.dim) for m in itertools.islice(mix, n))
+    assert at == path.stat().st_size
+    return found
+
+
+@WRITERS
+def test_every_single_byte_mutation_is_rejected_or_saves_back(tmp_path, write):
+    path = tmp_path / "container.bin"
+    load, save = write(path)
+    blob = path.read_bytes()
+    canonical = _opt1_entry_zero_sign_bytes(path) if write is _opt1 else []
+    resaved = tmp_path / "resaved.bin"
+    differ = []
+    for i in range(len(blob)):
+        for name, mutate in MUTATIONS.items():
+            if mutate(blob[i]) == blob[i]:
+                continue
+            mutated = blob[:i] + bytes([mutate(blob[i])]) + blob[i + 1:]
+            path.write_bytes(mutated)
+            try:
+                loaded = load(path)
+            except FormatError as exc:
+                assert str(path) in str(exc)
+                continue
+            save(resaved, loaded)
+            if resaved.read_bytes() != mutated:
+                differ.append((i, name, resaved.read_bytes() == blob))
+    assert differ == [(i, "flip bit 7", True) for i in canonical]

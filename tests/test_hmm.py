@@ -223,6 +223,46 @@ def _loop_log_likelihoods(batch, alpha):
                      for b, (n, s) in enumerate(zip(batch.n_frames, batch.n_states))])
 
 
+def _oracle_forced_align(model, frames, chain):
+    """Viterbi alignment as ``hmm.forced_align`` computed it with a sliding
+    window over each padded delta row, kept as the reference for its tie
+    rule."""
+    graph = hmm.compose_chain(model, chain)
+    frames = np.asarray(frames, dtype=float)
+    n_frames, s_count = frames.shape[0], graph.n_states
+    infeasible = f"no legal path: {n_frames} frames cannot cover a {s_count}-state chain"
+    if n_frames == 0:
+        raise AlignmentInfeasibleError(infeasible)
+    batch = next(hmm.padded_batches(model, [frames], [graph]))[3]
+    band, emis = batch.band[:, 0], batch.emis[:, 0]
+
+    # delta rows sit behind two log-zero columns, so the predecessors j-2,
+    # j-1 and j of every state are the three windows of the previous row;
+    # in that order, argmax resolves ties toward the lowest predecessor
+    delta = np.full((n_frames, s_count + 2), hmm.LOG_ZERO)
+    back = np.zeros((n_frames, s_count), dtype=int)
+    arcs = np.stack([band[2, :-2], band[1, 1:-1], band[0, 2:]])
+    delta[0, 2] = emis[0, 0]
+    for t in range(1, n_frames):
+        cand = np.lib.stride_tricks.sliding_window_view(delta[t - 1], s_count) + arcs
+        choice = np.argmax(cand, axis=0)
+        delta[t, 2:] = cand[choice, np.arange(s_count)] + emis[t]
+        back[t] = np.arange(s_count) - (2 - choice)
+    final = delta[-1, 2:] + band[3, 2:]
+    best_end = int(np.argmax(final))
+    score = float(final[best_end])
+    if not np.isfinite(score):
+        raise AlignmentInfeasibleError(infeasible)
+    states = np.empty(n_frames, dtype=int)
+    states[-1] = best_end
+    for t in range(n_frames - 1, 0, -1):
+        states[t - 1] = back[t, states[t]]
+    pos_seq = graph.chain_pos[states]
+    phone_seq = [graph.phones[p] for p in pos_seq]
+    return hmm.Alignment(chain=list(chain), state_seq=states, chain_pos_seq=pos_seq,
+                         phone_seq=phone_seq, score=score)
+
+
 class TestTopology:
     def _flat(self, kind):
         frames = np.random.default_rng(17).normal(size=(5, 1))
@@ -540,6 +580,36 @@ class TestAlignment:
         align = hmm.forced_align(model, np.zeros((5, 1)), ["a"])
         assert list(align.state_seq) == [0, 0, 0, 1, 2]
         assert align.phone_seq == ["a"] * 5
+
+    @pytest.mark.parametrize("kind", ["skip2", "classic3", "mixed"])
+    def test_ties_match_the_sliding_window_oracle(self, kind):
+        # uniform transition rows and emissions on two levels make many
+        # paths score exactly alike, so the tie rule decides most frames
+        rng = np.random.default_rng({"skip2": 31, "classic3": 32, "mixed": 33}[kind])
+        phones = list("abcd")
+        kinds = ({p: k for p, k in zip(phones, ["skip2", "classic3"] * 2)}
+                 if kind == "mixed" else dict.fromkeys(phones, kind))
+        model = _make_model(kinds, {
+            p: [(np.ones(1), rng.choice([0.0, 2.0], size=(1, 1)), np.ones((1, 1)))
+                for _ in range(hmm._TOPOLOGY_ROWS[kinds[p]].shape[0])]
+            for p in phones}, dim=1)
+        aligned = 0
+        for _ in range(60):
+            chain = list(rng.choice(phones, size=rng.integers(1, 5)))
+            frames = rng.choice([0.0, 2.0], size=(int(rng.integers(1, 25)), 1))
+            try:
+                want = _oracle_forced_align(model, frames, chain)
+            except AlignmentInfeasibleError:
+                with pytest.raises(AlignmentInfeasibleError):
+                    hmm.forced_align(model, frames, chain)
+                continue
+            got = hmm.forced_align(model, frames, chain)
+            assert np.array_equal(got.state_seq, want.state_seq)
+            assert np.array_equal(got.chain_pos_seq, want.chain_pos_seq)
+            assert got.phone_seq == want.phone_seq
+            assert got.score == want.score
+            aligned += 1
+        assert aligned >= 30
 
     def test_boundary_recovery(self):
         model = _make_model("classic3", {
