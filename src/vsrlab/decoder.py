@@ -210,11 +210,12 @@ def _search(graph, batch, config, ids):
     history = _History(len(words) * (1 + n_utts * emis.shape[0]))
     results = [None] * n_utts
 
-    # scores and links behind two log-zero columns, the band's layout that
-    # hmm.into_states reads predecessors from; the exit table's -1 pads land
-    # on one of them
+    # scores and links behind two log-zero columns, whose into_states windows
+    # follow each in-place update; the exit table's -1 pads land on one of them
     score = np.full((n_utts, graph.n_states + 2), LOG_ZERO)
     link = np.full(score.shape, -1, dtype=np.int64)
+    into = into_states(score, batch.band)
+    links = [pred for pred, _ in into_states(link, batch.band)]
     feed_cols = graph.feed_exits + 2
     if graph.model.use_sil:
         score[:, 2 + graph.lead_entry] = emis[0, :, graph.lead_entry]
@@ -225,8 +226,8 @@ def _search(graph, batch, config, ids):
 
     for t in range(emis.shape[0]):
         if t > 0:
-            new, new_link = _step(graph, history, score, link, feed_cols,
-                                  batch.band, lam_lm, lam_end, wip, t)
+            new, new_link = _step(graph, history, score, link, feed_cols, into, links,
+                                  lam_lm, lam_end, wip, t)
             dead = (n_frames > t) & ~(new > LOG_ZERO).any(axis=1)
             if dead.any():
                 i = ids[int(np.argmax(dead))]
@@ -244,10 +245,10 @@ def _search(graph, batch, config, ids):
     return results
 
 
-def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t):
-    """One frame of token passing before emissions: the banded arcs, then
-    word entries from the best exit of each context. Returns the new scores
-    and links of the states."""
+def _step(graph, history, score, link, feed_cols, into, links, lam_lm, lam_end, wip, t):
+    """One frame of token passing before emissions, through ``into`` and ``links``,
+    the ``into_states`` windows of ``score`` and ``link``: the banded arcs, then
+    word entries from the best exit of each context. Returns new scores and links."""
     n_utts = score.shape[0]
 
     # best exit per context; ties go to the smaller words, then the lower state
@@ -261,8 +262,7 @@ def _step(graph, history, score, link, feed_cols, band, lam_lm, lam_end, wip, t)
         exit_link[b, c] = history.best(link[b, feed_cols[c, ks]])
 
     # banded arcs: stay, advance one, advance two
-    cands = [pred + arc for pred, arc in into_states(score, band)]
-    links = [pred for pred, _ in into_states(link, band)]
+    cands = [pred + arc for pred, arc in into]
     new = np.maximum(np.maximum(cands[0], cands[1]), cands[2])
     eq0, eq1, eq2 = (c == new for c in cands)
     new_link = np.where(eq0, links[0], np.where(eq1, links[1], links[2]))

@@ -20,9 +20,8 @@ index into the model's arc table, the log of the transition table followed
 by one log-zero entry that index -1 reads for a missing arc. The band's
 values are the table read at those indices, and EM counts arcs through the
 same indices. The forward, backward, and Viterbi passes and the decoder all
-run on this band, in the log domain, vectorized over states, and see each
-state's neighbours only through ``into_states`` and ``out_of_states``, the
-one home of the band's neighbour layout.
+run on this band, in the log domain, vectorized over states; ``into_states``
+and ``out_of_states`` are the one home of its neighbour layout.
 
 One routine, ``padded_batches``, does the acoustic scoring for EM, forced
 alignment and the decoder alike: it scores each utterance's frames against
@@ -322,8 +321,7 @@ def padded_batches(model, frames, graphs):
 def into_states(row, band):
     """For the stay, advance-one and advance-two arcs in turn, the windows of
     ``row`` (..., S + 2) and ``band`` (4, ..., S + 2), both behind two log-zero
-    columns, that show each state j its predecessor j, j-1 or j-2 and the arc
-    from it into j."""
+    columns, that show each state j its predecessor j, j-1 or j-2 and the arc from it."""
     width = row.shape[-1]
     return [(row[..., 2 - k:width - k], band[k, ..., 2 - k:width - k]) for k in range(3)]
 
@@ -346,8 +344,9 @@ def forward_log(batch):
     band, e = batch.band, batch.emis
     alpha = np.full((e.shape[0],) + band.shape[1:], LOG_ZERO)
     alpha[0, :, 2] = e[0, :, 0]
+    windows = into_states(alpha, band)     # views that follow alpha as it fills
     for t in range(1, e.shape[0]):
-        stay, one, two = (pred + arc for pred, arc in into_states(alpha[t - 1], band))
+        stay, one, two = [pred[t - 1] + arc for pred, arc in windows]
         np.add(np.logaddexp(np.logaddexp(stay, one), two), e[t], out=alpha[t, :, 2:])
     alpha = alpha[:, :, 2:]
     # each utterance's exit scores at its own last frame: only the last two
@@ -365,13 +364,13 @@ def backward_log(batch):
     arcs = batch.band[:, :, 2:]
     beta = np.full(e.shape, LOG_ZERO)
     nxt = np.full((e.shape[1], e.shape[2] + 2), LOG_ZERO)
+    windows = out_of_states(arcs, nxt)     # views that follow each update of nxt
     for t in range(e.shape[0] - 1, -1, -1):
         if t + 1 < e.shape[0]:
             np.add(beta[t + 1], e[t + 1], out=nxt[:, :-2])
-            stay, one, two = (arc + succ for arc, succ in out_of_states(arcs, nxt))
+            stay, one, two = [arc + succ for arc, succ in windows]
             np.logaddexp(np.logaddexp(stay, one), two, out=beta[t])
-        last = n_frames == t + 1
-        beta[t, last] = arcs[3, last]
+        beta[t, n_frames == t + 1] = arcs[3, n_frames == t + 1]
     return beta
 
 
