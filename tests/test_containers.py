@@ -1,7 +1,8 @@
 """Every binary container rejects each strict prefix of a valid file, and a
 valid file with bytes appended, with a ``FormatError`` that names the file.
 A file with any one byte changed either is rejected in the same way or
-loads into an object that saves back to those very bytes.
+loads into an object that saves back to those very bytes, but for the one
+canonicalisation that ``_opt1_entry_zero_sign_bytes`` names.
 
 Each writer below saves a small container to ``path`` and returns its loader
 and its saver."""
