@@ -41,13 +41,13 @@ import math
 
 import numpy as np
 
-from . import binio
+from . import binio, frontend
 from .errors import FormatError, TrainingDivergedError
 
 MODEL_MAGIC = b"CAE1"
 DEFAULT_CHANNELS = (8, 16, 32)
 DEFAULT_BOTTLENECK = 32
-DEFAULT_INPUT_HW = (16, 32)
+DEFAULT_INPUT_HW = (frontend.ROI_HEIGHT, frontend.ROI_WIDTH)
 MOMENTUM = 0.9
 # images per pass of ``forward`` and ``encode``, which bounds their memory
 CHUNK_FRAMES = 256
@@ -428,9 +428,13 @@ def load_autoencoder(path):
         model = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
                                 input_hw=DEFAULT_INPUT_HW, seed=0)
         for layer, attr in model.parameter_arrays():
-            setattr(layer, attr, r.array("<f4", getattr(layer, attr).shape).astype(float))
+            setattr(layer, attr, _widened(r.array("<f4", getattr(layer, attr).shape), path))
         r.end()
-    if not all(np.isfinite(getattr(layer, attr)).all()
-               for layer, attr in model.parameter_arrays()):
-        raise FormatError(f"{path}: non-finite weights")
     return model
+
+
+def _widened(stored, path):
+    """``stored`` as float64, checked first: widening warns on a signalling NaN."""
+    if not np.isfinite(stored).all():
+        raise FormatError(f"{path}: non-finite weights")
+    return stored.astype(float)

@@ -4,11 +4,12 @@ Subcommands cover every pipeline stage plus the full results grid. A stage
 subcommand parses its arguments and nothing else: flags whose ``dest`` is a
 config key build an ``ExperimentConfig``, validated as ``run-grid`` validates
 its config file, and the work goes through the grid's own ``experiment``
-stage functions and cached ``Runner``. Outputs are stamped with a key built
-from their input content, so a rerun skips outputs that are already current
-and rebuilds stale ones. Usage errors exit with status 2 (argparse's
-default); pipeline failures print a diagnostic naming the failing stage and
-exit with status 1.
+stage functions and cached ``Runner``. A key whose flag is not given takes
+its config default, hashed by the same text as in ``run-grid``. Outputs are
+stamped with a key built from their input content, so a rerun skips outputs
+that are already current and rebuilds stale ones. Usage errors exit with
+status 2 (argparse's default); pipeline failures print a diagnostic naming
+the failing stage and exit with status 1.
 """
 
 import argparse
@@ -20,13 +21,12 @@ from . import __version__, corpus, experiment, features, hmm, lingware, \
     scoring
 from .errors import VsrError
 
-DEFAULTS = experiment.CONFIG_DEFAULTS
-
 
 def _config(args):
-    """Config from the flags named after config keys, and a stage runner."""
+    """Config from the given flags named after config keys, and a stage runner."""
     cfg = experiment.ExperimentConfig.from_mapping(
-        {k: str(v) for k, v in vars(args).items() if k in DEFAULTS})
+        {k: str(v) for k, v in vars(args).items()
+         if k in experiment.CONFIG_DEFAULTS and v is not None})
     return cfg, experiment.Runner(cfg.semantic_hash())
 
 
@@ -240,8 +240,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("extract-roi", help="aligned mouth ROIs per utterance")
-    p.add_argument("--margin", dest="roi_margin", type=float,
-                   default=DEFAULTS["roi_margin"])
+    p.add_argument("--margin", dest="roi_margin", type=float)
     p.add_argument("corpus_dir")
     p.add_argument("out_dir")
     p.set_defaults(func=cmd_extract_roi)
@@ -252,10 +251,8 @@ def build_parser():
     p.set_defaults(func=cmd_feat_geo)
 
     p = sub.add_parser("train-pca", help="fit the eigenlip basis")
-    p.add_argument("--components", dest="pca_components", type=int,
-                   default=DEFAULTS["pca_components"])
-    p.add_argument("--max-frames", dest="pca_max_frames", type=int,
-                   default=DEFAULTS["pca_max_frames"])
+    p.add_argument("--components", dest="pca_components", type=int)
+    p.add_argument("--max-frames", dest="pca_max_frames", type=int)
     p.add_argument("roi_dir")
     p.add_argument("out")
     p.set_defaults(func=cmd_train_pca)
@@ -267,18 +264,13 @@ def build_parser():
     p.set_defaults(func=cmd_feat_eig)
 
     p = sub.add_parser("train-ae", help="train the convolutional autoencoder")
-    p.add_argument("--epochs", dest="ae_epochs", type=int,
-                   default=DEFAULTS["ae_epochs"])
-    p.add_argument("--lr", dest="ae_lr", type=float, default=DEFAULTS["ae_lr"])
-    p.add_argument("--batch", dest="ae_batch", type=int,
-                   default=DEFAULTS["ae_batch"])
-    p.add_argument("--bottleneck", dest="ae_bottleneck", type=int,
-                   default=DEFAULTS["ae_bottleneck"])
-    p.add_argument("--channels", dest="ae_channels",
-                   default=DEFAULTS["ae_channels"])
-    p.add_argument("--max-frames", dest="ae_max_frames", type=int,
-                   default=DEFAULTS["ae_max_frames"])
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--epochs", dest="ae_epochs", type=int)
+    p.add_argument("--lr", dest="ae_lr", type=float)
+    p.add_argument("--batch", dest="ae_batch", type=int)
+    p.add_argument("--bottleneck", dest="ae_bottleneck", type=int)
+    p.add_argument("--channels", dest="ae_channels")
+    p.add_argument("--max-frames", dest="ae_max_frames", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("roi_dir")
     p.add_argument("out")
     p.set_defaults(func=cmd_train_ae)
@@ -299,9 +291,8 @@ def build_parser():
     p.set_defaults(func=cmd_post)
 
     p = sub.add_parser("train-hmm", help="embedded GMM-HMM training")
-    p.add_argument("--topology", choices=hmm.TOPOLOGY_KINDS,
-                   default=DEFAULTS["topology"])
-    p.add_argument("--schedule", default=DEFAULTS["schedule"])
+    p.add_argument("--topology", choices=hmm.TOPOLOGY_KINDS)
+    p.add_argument("--schedule")
     p.add_argument("--utterances", default="",
                    help="file listing utterance ids to train on")
     p.add_argument("corpus_dir")
@@ -318,12 +309,10 @@ def build_parser():
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("decode", help="bigram Viterbi decoding")
-    p.add_argument("--lm-scale", type=float, default=DEFAULTS["lm_scale"])
+    p.add_argument("--lm-scale", type=float)
     p.add_argument("--wip", dest="word_insertion_penalty", type=float,
-                   default=DEFAULTS["word_insertion_penalty"],
                    help="word insertion penalty")
-    p.add_argument("--beam", default=DEFAULTS["beam"],
-                   help="log-domain beam width, or 'none' for exact search")
+    p.add_argument("--beam", help="log-domain beam width, or 'none' for exact search")
     p.add_argument("model")
     p.add_argument("lm")
     p.add_argument("lexicon")
@@ -332,10 +321,9 @@ def build_parser():
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="word error rate with bootstrap interval")
-    p.add_argument("--bootstrap", type=int, default=DEFAULTS["bootstrap"])
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--confidence", type=float,
-                   default=DEFAULTS["confidence"])
+    p.add_argument("--bootstrap", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--confidence", type=float)
     p.add_argument("--json-out", default="")
     p.add_argument("ref")
     p.add_argument("hyp")

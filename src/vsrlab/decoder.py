@@ -69,7 +69,6 @@ class DecodeGraph:
 
     def __init__(self, model, lm, lexicon):
         self.model = model
-        self.lm = lm
         self.vocab = list(lexicon.words)   # sorted, so id tuples order like words
         if not self.vocab:
             raise OovError("the lexicon is empty")

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
+from . import binio, frontend
 from .errors import FormatError, InsufficientDataError
 
 EIGEN_MAGIC = b"EIG1"
-ROI_DIM = 512  # 32 x 16 pixels
+ROI_DIM = frontend.ROI_WIDTH * frontend.ROI_HEIGHT
 _JACOBI_TOL = 1e-11  # Jacobi stops at an off-diagonal norm of this share of the norm
 _JACOBI_MAX_SWEEPS = 60
 

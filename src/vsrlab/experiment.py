@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,66 +97,42 @@ def _beam(value):
     return None if value.lower() in ("", "none", "inf") else float(value)
 
 
-# every config key: (default string, how ``ExperimentConfig.from_mapping``
-# reads the value)
-_CONFIG_KEYS = {
-    "seed": ("0", int),
-    "corpus_dir": ("", Path),
-    "out_dir": ("", Path),
-    "test_speakers": ("", _csv),
-    "streams": (",".join(GRID_STREAMS), _csv),
-    "contexts": ("0,1,2,3", _ints),
-    "norms": ("speaker,utterance", _csv),
-    "roi_margin": ("0.15", float),
-    "pca_components": ("32", int),
-    "pca_max_frames": ("320", int),
-    "ae_channels": ("8,16,32", lambda value: tuple(_ints(value))),
-    "ae_bottleneck": ("32", int),
-    "ae_epochs": ("30", int),
-    "ae_lr": ("1e-3", float),
-    "ae_batch": ("32", int),
-    "ae_max_frames": ("4000", int),
-    "topology": ("skip2", str),
-    "schedule": ("1:4,2:4,4:4,8:4", parse_schedule),
-    "lm_scale": ("10.0", float),
-    "word_insertion_penalty": ("0.0", float),
-    "beam": ("200.0", _beam),
-    "bootstrap": ("1000", int),
-    "confidence": ("0.95", float),
-}
-CONFIG_DEFAULTS = {key: default for key, (default, _) in _CONFIG_KEYS.items()}
+def _key(default, parse):
+    """A config key's field: its default text and its parser."""
+    return field(metadata={"default": default, "parse": parse})
 
 
 @dataclass
 class ExperimentConfig:
     """Typed view of a config mapping; build it with ``from_mapping``, which
     fills every field from the mapping merged over ``CONFIG_DEFAULTS``, and
-    names the key of any value that it cannot parse."""
+    names the key of any value that it cannot parse. Every field after
+    ``raw`` is a config key, declared with its default text and parser."""
 
     raw: dict
-    seed: int
-    corpus_dir: Path
-    out_dir: Path
-    test_speakers: list
-    streams: list
-    contexts: list
-    norms: list
-    roi_margin: float
-    pca_components: int
-    pca_max_frames: int
-    ae_channels: tuple
-    ae_bottleneck: int
-    ae_epochs: int
-    ae_lr: float
-    ae_batch: int
-    ae_max_frames: int
-    topology: str
-    schedule: list
-    lm_scale: float
-    word_insertion_penalty: float
-    beam: float | None
-    bootstrap: int
-    confidence: float
+    seed: int = _key("0", int)
+    corpus_dir: Path = _key("", Path)
+    out_dir: Path = _key("", Path)
+    test_speakers: list = _key("", _csv)
+    streams: list = _key(",".join(GRID_STREAMS), _csv)
+    contexts: list = _key("0,1,2,3", _ints)
+    norms: list = _key("speaker,utterance", _csv)
+    roi_margin: float = _key("0.15", float)
+    pca_components: int = _key("32", int)
+    pca_max_frames: int = _key("320", int)
+    ae_channels: tuple = _key("8,16,32", lambda value: tuple(_ints(value)))
+    ae_bottleneck: int = _key("32", int)
+    ae_epochs: int = _key("30", int)
+    ae_lr: float = _key("1e-3", float)
+    ae_batch: int = _key("32", int)
+    ae_max_frames: int = _key("4000", int)
+    topology: str = _key("skip2", str)
+    schedule: list = _key("1:4,2:4,4:4,8:4", parse_schedule)
+    lm_scale: float = _key("10.0", float)
+    word_insertion_penalty: float = _key("0.0", float)
+    beam: float | None = _key("200.0", _beam)
+    bootstrap: int = _key("1000", int)
+    confidence: float = _key("0.95", float)
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -165,13 +141,13 @@ class ExperimentConfig:
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = value
-        fields = {}
-        for key, (_, parse) in _CONFIG_KEYS.items():
+        values = {}
+        for key, spec in _KEY_FIELDS.items():
             try:
-                fields[key] = parse(merged[key])
+                values[key] = spec.metadata["parse"](merged[key])
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        cfg = cls(raw=merged, **fields)
+        cfg = cls(raw=merged, **values)
         cfg.validate()
         return cfg
 
@@ -190,6 +166,11 @@ class ExperimentConfig:
             raise ValueError(f"contexts must come from {sorted(CONTEXT_LABELS)}")
         if not self.norms or any(n not in features.NORM_MODES for n in self.norms):
             raise ValueError(f"norms must come from {', '.join(features.NORM_MODES)}")
+        for key in ("test_speakers", "streams", "contexts", "norms"):
+            entries = getattr(self, key)
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ValueError(f"{key}: {entry!r} is listed twice")
         if self.topology not in hmm.TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not 0.0 <= self.roi_margin <= 1.0:
@@ -232,6 +213,10 @@ class ExperimentConfig:
                 if part not in needed:
                     needed.append(part)
         return needed
+
+
+_KEY_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+CONFIG_DEFAULTS = {key: f.metadata["default"] for key, f in _KEY_FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +412,10 @@ def stage_ae(runner, cfg, roi_paths, out):
     """Convolutional autoencoder trained on a row sample of ``roi_paths``."""
     def build():
         sample = _roi_sample(roi_paths, cfg.ae_max_frames)
-        h, w = autoencoder.DEFAULT_INPUT_HW
         net = autoencoder.ConvAutoencoder(channels=cfg.ae_channels,
                                           bottleneck=cfg.ae_bottleneck,
                                           seed=cfg.seed)
-        net.train(sample.reshape(-1, h, w), epochs=cfg.ae_epochs,
+        net.train(sample.reshape(-1, *net.input_hw), epochs=cfg.ae_epochs,
                   lr=cfg.ae_lr, batch_size=cfg.ae_batch, seed=cfg.seed)
         autoencoder.save_autoencoder(out, net)
 

@@ -169,11 +169,13 @@ def load_features(path):
         n_frames, dim = r.u32(), r.u32()
         utterance_id, speaker_id, stream_tag, normalization_tag = (r.str8() for _ in range(4))
         delta_context = r.u8()
-        frames = r.array("<f4", (n_frames, dim)).astype(float)
+        frames = r.array("<f4", (n_frames, dim))
         r.end()
+    # checked before widening, which warns on a signalling NaN
     if not np.isfinite(frames).all():
         t = int(np.isfinite(frames).all(axis=1).argmin())
         raise FormatError(f"{path}: non-finite value in frame {t}")
+    frames = frames.astype(float)
     try:
         return FeatureSequence(frames, utterance_id, speaker_id, stream_tag,
                                normalization_tag, delta_context)

@@ -42,7 +42,7 @@ counts, the density blocks and the OPT1 file all keep these orders.
 import functools
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,10 +112,8 @@ class OpticalModel:
     variances: np.ndarray   # (C, D), diagonal
     var_floor: np.ndarray   # (D,)
     use_sil: bool = True
-    phone_index: dict = field(init=False)
 
     def __post_init__(self):
-        self.phone_index = {p: i for i, p in enumerate(self.phones)}
         self.arc_offsets = _arc_offsets(self.phone_n_states)
 
     def arc_table(self):
@@ -655,7 +653,8 @@ def load_model(path):
              "transition rows must be non-negative and sum to one"),
             (np.logical_or.reduceat((trans > 0.0) & ((advance < 0) | (advance > 2)), rows),
              "only forward arcs within a band of 2 are supported"),
-            (initial != (local == 0), "a phone must enter at its first state")]:
+            ((initial != (local == 0)) | np.signbit(initial),
+             "a phone must enter at its first state")]:
         if bad.any():
             raise FormatError(f"{path}: phone {phones[state_phone[np.argmax(bad)]]!r}: "
                               f"{message}")

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from vsrlab import cli, experiment, features, hmm, lingware, scoring
+from vsrlab import cli, eigenlips, experiment, features, hmm, lingware, scoring
 
 
 def _run(argv):
@@ -46,6 +47,19 @@ class TestParser:
         assert rc == 1
         assert "vsrlab train-ae: ae_bottleneck must be at least 1" in capsys.readouterr().err
 
+
+def test_unset_flags_hash_like_the_config_file(tmp_path):
+    # train-ae without --lr hashes ae_lr by its default text, as run-grid does
+    roi = tmp_path / "roi"
+    roi.mkdir()
+    rng = np.random.default_rng(0)
+    for utt in ("u1", "u2"):
+        features.save_features(roi / f"{utt}.vfa", features.FeatureSequence(
+            rng.uniform(size=(2, eigenlips.ROI_DIM)), utt, "s1", "roi"))
+    out = tmp_path / "autoenc.cae"
+    assert _run(["train-ae", str(roi), str(out)]) == 0
+    assert (experiment.read_stamp(out)["config_hash"]
+            == experiment.ExperimentConfig.from_mapping({}).semantic_hash())
 
 @pytest.fixture(scope="module")
 def work(tiny_corpus, tmp_path_factory):

@@ -84,7 +84,7 @@ def _sentence_acoustic(model, lex, sentence, frames):
         phones.extend(lex.canonical(word))
     if model.use_sil:
         phones = ["sil"] + phones + ["sil"]
-    pids = [model.phone_index[p] for p in phones]
+    pids = [model.phones.index(p) for p in phones]
     sizes = [int(model.phone_n_states[pid]) for pid in pids]
     bases = [0]
     for n in sizes[:-1]:
@@ -440,7 +440,7 @@ class TestExactness:
         result = _decode(model, lm, lex, frames, cfg)
         candidates = {}
         for word in lex.words:
-            pid = model.phone_index[lex.canonical(word)[0]]
+            pid = model.phones.index(lex.canonical(word)[0])
             emis = _state_log_likelihoods(model, frames)[0, int(model.phone_n_states[:pid].sum())]
             # single frame: enter state 0, exit directly (skip arc, p=1/3)
             candidates[word] = emis + math.log(1.0 / 3.0) \

@@ -134,6 +134,22 @@ class TestConfig:
         assert a.semantic_hash() == b.semantic_hash()
         assert a.semantic_hash() != c.semantic_hash()
 
+    def test_repeated_list_entries_rejected(self):
+        # a repeated stream or context would give results.tsv a repeated row
+        # or column for one report
+        for key, value, entry in [("streams", "geo,eig,geo", "'geo'"),
+                                  ("contexts", "0,2,0", "0"),
+                                  ("norms", "speaker,speaker", "'speaker'"),
+                                  ("test_speakers", "spk01,spk02,spk01", "'spk01'")]:
+            with pytest.raises(ValueError, match=f"^{key}: {entry} is listed twice$"):
+                experiment.ExperimentConfig.from_mapping({key: value})
+
+    def test_default_semantic_hash_is_pinned(self):
+        # every stamp carries this hash: a changed default text or key name
+        # would re-stamp every existing tree
+        assert (experiment.ExperimentConfig.from_mapping({}).semantic_hash()
+                == "c3c273fa263d2a49ca7622a3613866d9835fca099abf0bd411e557d4ca1e7371")
+
     def test_base_streams_needed(self):
         cfg = experiment.ExperimentConfig.from_mapping({"streams": "geo,geo+eig"})
         assert cfg.base_streams_needed() == ["geo", "eig"]

@@ -74,7 +74,7 @@ def _state_params(model, pid, s):
 
 def _dense_compose(model, chain):
     """Reference composition: full S x S matrix built with plain loops."""
-    pids = [model.phone_index[p] for p in chain]
+    pids = [model.phones.index(p) for p in chain]
     sizes = [int(model.phone_n_states[p]) for p in pids]
     bases = [0]
     for n in sizes[:-1]:
@@ -146,11 +146,11 @@ def _enum_em_update(model, params, chain, frames_list):
     trans, exit_p = _dense_compose(model, chain)
     owner = []   # (phone name, local state, chain position) per chain state
     for pos, name in enumerate(chain):
-        n = int(model.phone_n_states[model.phone_index[name]])
+        n = int(model.phone_n_states[model.phones.index(name)])
         owner.extend((name, s, pos) for s in range(n))
     s_count = len(owner)
     stats = {}
-    counts = {name: np.zeros_like(_phone_rows(model, model.phone_index[name]))
+    counts = {name: np.zeros_like(_phone_rows(model, model.phones.index(name)))
               for name in chain}
     total_ll = 0.0
     for x in frames_list:
@@ -178,7 +178,7 @@ def _enum_em_update(model, params, chain, frames_list):
                 gamma[t, j] += p / z
             for t in range(1, n_frames + 1):
                 name, s, pos = owner[path[t - 1]]
-                n = int(model.phone_n_states[model.phone_index[name]])
+                n = int(model.phone_n_states[model.phones.index(name)])
                 if t == n_frames:
                     col = n                          # leaves the utterance
                 elif owner[path[t]][2] == pos:
@@ -351,8 +351,8 @@ class TestCompose:
             # arcs beyond the band are absent
             assert np.all(np.triu(trans, 3) == 0.0) and np.all(np.tril(trans, -1) == 0.0)
             offsets = [0, 2]
-            want_cols = [offsets[model.phone_index[name]] + s for name in chain
-                         for s in range(model.phone_n_states[model.phone_index[name]])]
+            want_cols = [offsets[model.phones.index(name)] + s for name in chain
+                         for s in range(model.phone_n_states[model.phones.index(name)])]
             assert list(graph.unique_cols) == want_cols
 
     def test_equal_structure_shares_one_read_only_graph(self):
@@ -670,10 +670,10 @@ class TestEm:
             got_ll = hmm.em_iteration(model, [(x, chain) for x in frames_list])
             assert got_ll == pytest.approx(want_ll, abs=1e-10)
             for (name, s), want in want_states.items():
-                for got, w in zip(_state_params(model, model.phone_index[name], s), want):
+                for got, w in zip(_state_params(model, model.phones.index(name), s), want):
                     np.testing.assert_allclose(got, w, rtol=0, atol=1e-10)
             for name, trans in want_trans.items():
-                np.testing.assert_allclose(_phone_rows(model, model.phone_index[name]),
+                np.testing.assert_allclose(_phone_rows(model, model.phones.index(name)),
                                            trans, rtol=0, atol=1e-10)
 
     def test_em_monotonic(self):
@@ -777,7 +777,7 @@ class TestEm:
         frames = rng.normal(size=(20, 2))
         model = hmm.flat_start([frames], ["a", "b"], topology_kind="skip2",
                                use_sil=False)
-        pid = model.phone_index["b"]
+        pid = model.phones.index("b")
         before = [_state_params(model, pid, s)[1].copy() for s in range(2)]
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm.train_em(model, [(frames, ["a"])], schedule=[(1, 2)])
@@ -992,7 +992,7 @@ class TestContainer:
             model.phones, model.phone_n_states = [], np.zeros(0, dtype=int)
             message = "the model has no phones"
         elif case == "duplicate_phone":
-            # at load, phone_index would map 'a' to 1 and leave phone 0 unreachable
+            # at load, a name-to-index map would take 'a' to 1 and leave phone 0 unreachable
             model.phones = ["a", "a"]
             message = "phone 'a' is listed twice"
         else:
