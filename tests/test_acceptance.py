@@ -8,9 +8,12 @@ for PCA, and central finite differences for the autoencoder gradients.
 """
 
 import dataclasses
+import itertools
+import json
 import math
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +315,39 @@ def test_criterion_5_trend_gates(acceptance_report, acceptance_grid):
           f"({undecodable}/{len(test_seqs)} utterances undecodable under the "
           f"3-frame minimum): {topo}; combined-beats-isolated: {comb_line} "
           f"[row means: {iso_txt} | {comb_txt}]")
+
+
+# ---------------------------------------------------------------------------
+# every cell of the grid, pinned
+
+PINS_PATH = Path(__file__).with_name("acceptance_pins.tsv")
+
+
+def test_every_cell_matches_its_pins(acceptance_grid):
+    """Each grid cell's error counts (``score.json``) equal their pins
+    exactly, and its last EM log likelihood (``loglik.tsv``) equals its pin
+    to 1e-9 relative: a reordered sum passes, while a changed model or a
+    changed hypothesis fails. A change of outputs on purpose updates the
+    pins in ``acceptance_pins.tsv``."""
+    cfg, _, _ = acceptance_grid
+    header, *rows = [line.split("\t") for line in
+                     PINS_PATH.read_text(encoding="utf-8").splitlines()]
+    keys = header[1:5]
+    assert sorted(name for name, *_ in rows) == sorted(
+        experiment.cell_name(*cell)
+        for cell in itertools.product(cfg.streams, cfg.contexts, cfg.norms))
+    moved = []
+    for name, *counts, pinned in rows:
+        cell_dir = cfg.out_dir / "cells" / name
+        score = json.loads((cell_dir / "score.json").read_text(encoding="utf-8"))
+        got = [score[key] for key in keys]
+        if got != [int(c) for c in counts]:
+            moved.append(f"{name}: {dict(zip(keys, got))}, pinned {counts}")
+        lines = (cell_dir / "loglik.tsv").read_text(encoding="utf-8").splitlines()
+        last = float(lines[-1].split("\t")[1])
+        if abs(last - float(pinned)) > 1e-9 * abs(float(pinned)):
+            moved.append(f"{name}: final log likelihood {last}, pinned {pinned}")
+    assert not moved, "\n".join(moved)
 
 
 # ---------------------------------------------------------------------------
