@@ -484,8 +484,9 @@ def stage_train(runner, cfg, name, params, feat_paths, load_seqs, records,
     """GMM-HMM trained on ``load_seqs()``, one sequence per entry of
     ``records``, keyed on ``feat_paths`` (the files it reads), the manifest,
     the lexicon, the topology, the schedule and ``params``. ``log_path``
-    gets an ``M<tab>loglik`` line, the log likelihood per frame, per EM
-    iteration."""
+    gets an ``M<tab>loglik`` line per EM iteration: the training
+    utterances' total log likelihood under the model the iteration started
+    from."""
     lexicon_path = cfg.corpus_dir / "lexicon.txt"
 
     def build():

@@ -19,16 +19,24 @@ out of the utterance. A chain graph holds structure only: each arc is an
 index into the model's arc table, the log of the transition table followed
 by one log-zero entry that index -1 reads for a missing arc. The band's
 values are the table read at those indices, and EM counts arcs through the
-same indices. The forward, backward, and Viterbi passes and the decoder all
-run on this band, in the log domain, vectorized over states; ``into_states``
-and ``out_of_states`` are the one home of its neighbour layout.
+same indices. Every band pass is vectorized over states and utterances;
+``into_states`` and ``out_of_states`` are the one home of the band's
+neighbour layout. EM runs its forward and backward passes in the linear
+domain (``forward_scaled``, ``backward_scaled``): each frame's row is divided
+by its maximum and the log of the divisor kept, and its posteriors and arc
+counts are products of those rows. An utterance on which underflow could
+have changed the result (a zero or subnormal scale, or flushed values that
+could carry more than about 1e-16 of posterior mass) is recomputed by
+``forward_log`` and ``backward_log``, which run in the log domain and are
+exact. Viterbi alignment and the decoder are max-plus and stay in the log
+domain.
 
 One routine, ``padded_batches``, does the acoustic scoring for EM, forced
-alignment and the decoder alike: it scores each utterance's frames against
-the mixture table and lays the utterances out on the band, taken in order of
-length in batches of bounded size. Each utterance is padded with log-zero to
-the longest chain and the longest utterance of its batch, which leaves its
-own values exactly as a pass over it alone would give them.
+alignment and the decoder alike: it scores a batch's frames against the
+mixture table at once and lays the utterances out on the band, taken in
+order of length in batches of bounded size. Each utterance is padded with
+log-zero to the longest chain and the longest utterance of its batch, which
+leaves its own values exactly as a pass over it alone would give them.
 
 The model keeps its parameters in two flat tables. Every phone enters at its
 first state, so only the transition rows vary between phones: the transition
@@ -64,6 +72,14 @@ _VAR_FLOOR_SCALE = 1e-3
 # float64 values per array that one batch of padded_batches may hold (8 MiB)
 _BATCH_VALUES = 1 << 20
 LOG_ZERO = -np.inf
+# a scale at or below the smallest normal float64 has lost precision
+_TINY = np.finfo(float).tiny
+# log of the most that underflow can move an entry in one step of a scaled
+# pass, in units of that step's scale: four roundings of at most 2^-1075
+_LOG_FLUSH = -1073 * np.log(2.0)
+# log of the posterior mass that underflow may move at a frame before the
+# utterance is recomputed in the log domain
+_LOG_POSTERIOR_SLACK = np.log(1e-16)
 
 
 # each built-in topology's transition rows, uniform over the outgoing arcs
@@ -139,7 +155,7 @@ def phone_chain(lexicon, words, use_sil=True):
     return chain
 
 
-def flat_start(frame_list, phones, topology_kind="skip2", use_sil=True):
+def flat_start(frame_list, phones, topology_kind, use_sil=True):
     """Single-Gaussian model with every state at the global mean/variance."""
     if not frame_list:
         raise InsufficientDataError("no training frames for flat start")
@@ -185,17 +201,53 @@ def component_log_likelihoods(stacked, frames):
     blocks ``stacked`` from ``_stack_components``."""
     c1, c2, c0, logw = stacked
     x = np.asarray(frames, dtype=float)
-    return (x ** 2) @ c1.T + x @ c2.T + c0 + logw
+    out = (x ** 2) @ c1.T
+    out += x @ c2.T
+    out += c0
+    out += logw
+    return out
 
 
-def _state_logsumexp(comp, sizes):
-    """Log-sum-exp of each state's block of ``sizes`` component columns."""
-    starts = _block_starts(sizes)
+def _slot_columns(sizes):
+    """Where each component of a mixture table with ``sizes`` components per
+    state sits in the slot layout (states, most components), flattened."""
     seg = np.repeat(np.arange(sizes.shape[0]), sizes)
-    m = np.maximum.reduceat(comp, starts, axis=1)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
+    return seg * sizes.max() + np.arange(seg.shape[0]) - np.repeat(_block_starts(sizes), sizes)
+
+
+def _state_logsumexp(comp, sizes, shares=False):
+    """Log-sum-exp (T, states) of each state's block of ``sizes`` component
+    columns of ``comp`` (T, total components).
+
+    The blocks are laid out by slot, (T, states, most components), with
+    log-zero filling the short ones, and the max and the sum run over the
+    slots: the j-th component of every state at once. The sum adds the first
+    slot to the running sum of the others, the order in which numpy's
+    ``add.reduceat`` sums a block of up to eight components (a longer block
+    it sums pairwise), so up to eight components per state the result is the
+    same to the bit. With ``shares``, also returns each component's share of its state's sum
+    in the slot layout: zero in the fill and where the state's density is
+    zero."""
+    n = int(sizes.max())
+    blocks = np.full((comp.shape[0], sizes.shape[0] * n), LOG_ZERO)
+    blocks[:, _slot_columns(sizes)] = comp
+    blocks = blocks.reshape(comp.shape[0], sizes.shape[0], n)
+    m = blocks[:, :, 0].copy()
+    for j in range(1, n):
+        np.maximum(m, blocks[:, :, j], out=m)
+    m[~np.isfinite(m)] = 0.0
+    blocks -= m[:, :, None]
+    p = np.exp(blocks, out=blocks)
+    rest = np.zeros_like(m)
+    for j in range(1, n):
+        rest += p[:, :, j]
+    total = p[:, :, 0] + rest
     with np.errstate(divide="ignore"):
-        return np.log(np.add.reduceat(np.exp(comp - safe_m[:, seg]), starts, axis=1)) + safe_m
+        unique = np.log(total) + m
+    if not shares:
+        return unique
+    p /= np.where(total > 0.0, total, 1.0)[:, :, None]
+    return unique, p
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +313,8 @@ class BandBatch:
     emis: np.ndarray      # (T, B, S) chain-state emissions
     n_frames: np.ndarray  # (B,) frames of each utterance
     n_states: np.ndarray  # (B,) chain states of each utterance
+    arcs: np.ndarray      # (4, B, S + 2): the band's arc-table indices (-1: none)
+    cols: np.ndarray      # (B, S): each chain state's unique state (0 beyond the chain)
 
 
 def pad_batch(table, graphs, uniques):
@@ -271,19 +325,32 @@ def pad_batch(table, graphs, uniques):
     n_frames = np.array([u.shape[0] for u in uniques])
     n_states = np.array([graph.n_states for graph in graphs])
     arcs = np.full((4, len(graphs), n_states.max() + 2), -1)
+    cols = np.zeros((len(graphs), n_states.max()), dtype=int)
     padded = np.full((n_frames.max(), len(graphs), n_states.max()), LOG_ZERO)
     for b, (graph, u) in enumerate(zip(graphs, uniques)):
         arcs[:, b, 2:2 + graph.n_states] = graph.arcs
+        cols[b, :graph.n_states] = graph.unique_cols
         padded[:u.shape[0], b, :graph.n_states] = u[:, graph.unique_cols]
-    return BandBatch(band=table[arcs], emis=padded, n_frames=n_frames, n_states=n_states)
+    return BandBatch(band=table[arcs], emis=padded, n_frames=n_frames, n_states=n_states,
+                     arcs=arcs, cols=cols)
 
 
 def _batches(frames, graphs, n_components):
     """Utterance indices in order of length, cut into batches whose padded
-    frames times (chain states + mixture components) stay within
-    ``_BATCH_VALUES``, so that none of a batch's alpha, beta, emission and
-    component-density arrays holds more float64 values. An utterance over
-    the budget on its own makes a batch of one."""
+    frames times (chain states + 2 + ``n_components``) stay within
+    ``_BATCH_VALUES``. An utterance over the budget on its own makes a batch
+    of one.
+
+    ``n_components`` counts the mixture table's slot layout (states times
+    most components). So no per-frame array of a batch holds more than
+    ``_BATCH_VALUES`` float64 values (8 MiB): not the padded emissions, the
+    forward and backward values of either domain, the posteriors, nor the
+    stacked frames' component densities and shares. Together they peak at
+    about three times the batch's values in an EM iteration, four when
+    every utterance falls back to the log domain (tracemalloc, one batch of
+    60 utterances), so a batch stays within about 32 MiB, besides its
+    stacked frames and their squares, which grow with the feature dimension
+    instead."""
     batch, t_max, s_max = [], 0, 0
     for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
         t = max(t_max, frames[b].shape[0])
@@ -296,24 +363,30 @@ def _batches(frames, graphs, n_components):
     yield batch
 
 
-def padded_batches(model, frames, graphs):
+def padded_batches(model, frames, graphs, shares=False):
     """Score utterances against the model and lay them out for the band
     passes: the one acoustic-scoring routine of EM, forced alignment and the
     decoder.
 
-    ``frames`` holds each utterance's (T_b, D) frames and ``graphs`` its
-    chain (anything with ``n_states``, ``arcs`` and ``unique_cols``). The
-    mixture table is stacked once. Yields, for each batch of ``_batches``,
-    the utterance indices, each utterance's component log densities (T_b,
-    total components) and unique-state log densities (T_b, unique states),
-    and their ``BandBatch``.
+    ``frames`` holds each utterance's (T_b, D) float frames and ``graphs``
+    its chain (anything with ``n_states``, ``arcs`` and ``unique_cols``).
+    The mixture table is stacked once, and each batch's frames are scored
+    together. Yields, for each batch of ``_batches``, the utterance indices,
+    their frames stacked in that order (frames, D), with ``shares`` each
+    component's share of its state's density at every stacked frame in
+    ``_state_logsumexp``'s slot layout (else None), and their ``BandBatch``.
     """
     stacked = _stack_components(model)
     table = model.arc_table()
-    for batch in _batches(frames, graphs, model.weights.shape[0]):
-        comps = [component_log_likelihoods(stacked, frames[b]) for b in batch]
-        uniques = [_state_logsumexp(comp, model.n_mix) for comp in comps]
-        yield batch, comps, uniques, pad_batch(table, [graphs[b] for b in batch], uniques)
+    n_slots = model.n_mix.shape[0] * int(model.n_mix.max())
+    for batch in _batches(frames, graphs, n_slots):
+        x = np.concatenate([frames[b] for b in batch])
+        scored = _state_logsumexp(component_log_likelihoods(stacked, x), model.n_mix, shares)
+        unique, share = scored if shares else (scored, None)
+        ends = np.cumsum([frames[b].shape[0] for b in batch])[:-1]
+        padded = pad_batch(table, [graphs[b] for b in batch], np.split(unique, ends))
+        del scored, unique
+        yield batch, x, share, padded
 
 
 def into_states(row, band):
@@ -372,31 +445,196 @@ def backward_log(batch):
     return beta
 
 
+def forward_scaled(batch, probs, shifted):
+    """Forward pass over a ``BandBatch`` in the linear domain (Rabiner 1989,
+    "A tutorial on hidden Markov models", section V-A), from the arc
+    probabilities ``probs`` (4, B, S + 2) and the shifted emissions
+    ``shifted`` (T, B, S + 2) of ``_linear``.
+
+    Each step is one multiply-add over the band and one division of each
+    utterance's row by its maximum. Returns alpha (T, B, S + 2) so scaled,
+    behind two zero columns, and the log of each divisor (T, B). A row with
+    nothing left in it (a padded frame, or one lost to underflow) is divided
+    by the smallest normal float instead, which ``_scaled_posteriors``
+    reads as untrustworthy on an utterance's own frames."""
+    alpha = np.zeros(shifted.shape)
+    scale = np.empty(shifted.shape[:2])
+    step = np.empty(alpha.shape[1:2] + (alpha.shape[2] - 2,))
+    alpha[0, :, 2] = shifted[0, :, 0]
+    (stay, a0), (one, a1), (two, a2) = into_states(alpha, probs)
+    for t in range(shifted.shape[0]):
+        row = alpha[t, :, 2:]
+        if t:
+            np.multiply(stay[t - 1], a0, out=row)
+            row += np.multiply(one[t - 1], a1, out=step)
+            row += np.multiply(two[t - 1], a2, out=step)
+            row *= shifted[t, :, :-2]
+        np.maximum(row.max(axis=1), _TINY, out=scale[t])
+        row /= scale[t][:, None]
+    return alpha, np.log(scale)
+
+
+def backward_scaled(batch, probs, shifted):
+    """Backward pass in the linear domain, the mirror of ``forward_scaled``:
+    beta (T, B, S), each row divided by its maximum, and the log of each
+    divisor (T, B). Each utterance's exit arcs seed its beta at its own last
+    frame. Row t of ``shifted`` (t >= 1) becomes the next-frame term of row
+    t - 1: the shifted emissions times beta at t."""
+    arcs = probs[:, :, 2:]
+    beta = np.zeros((shifted.shape[0],) + arcs.shape[1:])
+    scale = np.empty(shifted.shape[:2])
+    step = np.empty(arcs.shape[1:])
+    (a0, stay), (a1, one), (a2, two) = out_of_states(arcs, shifted)
+    for t in range(shifted.shape[0] - 1, -1, -1):
+        row = beta[t]
+        if t + 1 < shifted.shape[0]:
+            shifted[t + 1, :, :-2] *= beta[t + 1]
+            np.multiply(a0, stay[t + 1], out=row)
+            row += np.multiply(a1, one[t + 1], out=step)
+            row += np.multiply(a2, two[t + 1], out=step)
+        ends = batch.n_frames == t + 1
+        row[ends] = arcs[3, ends]
+        np.maximum(row.max(axis=1), _TINY, out=scale[t])
+        row /= scale[t][:, None]
+    return beta, np.log(scale)
+
+
+def _linear(batch):
+    """A ``BandBatch`` in the linear domain: the arc probabilities (4, B,
+    S + 2), each (frame, utterance) row's emission shift, its maximum over
+    the utterance's states (T, B), and the shifted emissions exp(emis -
+    shift) (T, B, S + 2), ahead of two zero columns."""
+    shift = batch.emis.max(axis=2)
+    shift[~np.isfinite(shift)] = 0.0    # a padded frame, or one no state can emit
+    shifted = np.zeros(batch.emis.shape[:2] + (batch.emis.shape[2] + 2,))
+    own = shifted[:, :, :-2]
+    np.subtract(batch.emis, shift[:, :, None], out=own)
+    np.exp(own, out=own)
+    return np.exp(batch.band), shift, shifted
+
+
 # ---------------------------------------------------------------------------
 # EM training
 
-def _utterance_statistics(graph, band, comp, unique, emis, alpha, beta, loglik, seg):
-    """One utterance's E-step posteriors from its own (unpadded) band, alpha
-    and beta: the responsibility of every mixture component per frame (T,
-    total components), tied over repeated phones, and the expected count of
-    each arc of ``graph.arcs``, (4, S)."""
-    with np.errstate(over="ignore"):
-        gamma = np.exp(alpha + beta - loglik)  # (T, S) chain-state posteriors
-    tied = np.zeros(unique.shape)
-    np.add.at(tied, (slice(None), graph.unique_cols), gamma)
-    with np.errstate(invalid="ignore"):
-        resp = tied[:, seg] * np.exp(comp - unique[:, seg])
-    resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
+def _scaled_posteriors(batch):
+    """Chain-state posteriors (T, B, S), expected arc counts (4, B, S) in
+    the band's arc order, and log likelihoods (B,) of a ``BandBatch`` from
+    the scaled passes, with the utterances these cannot be trusted on (B,).
 
-    counts = np.empty(band.shape)
-    nxt = np.full((alpha.shape[0] - 1, band.shape[1] + 2), LOG_ZERO)
-    np.add(beta[1:], emis[1:], out=nxt[:, :-2])
+    gamma is the product of scaled alpha and beta, divided by its sum over
+    each frame's states; the count of each arc is scaled alpha times the
+    backward pass's next-frame term, in the same units over beta's scale,
+    summed over frames. An utterance is untrusted when its log likelihood is
+    not finite, or, on one of its own frames, when a scale is zero or
+    subnormal, when the product of alpha and beta vanishes, or when
+    underflow could have moved more than about 1e-16 of posterior mass: an
+    entry that a step flushes to zero or leaves subnormal is off by at most
+    2^-1073 over that step's scale, and its posterior by at most that much
+    times alpha's and beta's row maxima over the likelihood. Its posteriors
+    and counts are left at zero."""
+    probs, shift, shifted = _linear(batch)
+    alpha, log_fwd = forward_scaled(batch, probs, shifted)
+    beta, log_bwd = backward_scaled(batch, probs, shifted)
+    n_frames, n_utts = shift.shape
+    own = np.arange(n_frames)[:, None] < batch.n_frames
+    last, utts = batch.n_frames - 1, np.arange(n_utts)
+    # logs of alpha's and beta's row maxima, and the log likelihood
+    fwd = np.cumsum(np.where(own, log_fwd + shift, 0.0), axis=0)
+    later = np.where(own, shift, 0.0)
+    later = np.cumsum(later[::-1], axis=0)[::-1] - later
+    bwd = np.cumsum(np.where(own, log_bwd, 0.0)[::-1], axis=0)[::-1] + later
+    with np.errstate(divide="ignore"):
+        loglik = np.log((alpha[last, utts, 2:] * probs[3, :, 2:]).sum(axis=1)) + fwd[last, utts]
+    gamma = beta
+    gamma *= alpha[:, :, 2:]
+    mass = np.cumsum(gamma, axis=2)[:, :, -1]    # in order, whatever the padding
+    worst = np.minimum(log_fwd, log_bwd)
+    bound = fwd + bwd - loglik - worst + _LOG_FLUSH
+    untrusted = ~np.isfinite(loglik) | (own & (
+        (worst <= np.log(_TINY)) | (mass == 0.0) | (bound > _LOG_POSTERIOR_SLACK))).any(axis=0)
+    keep = own & ~untrusted
+    norm = np.where(keep, 1.0 / np.where(keep, mass, 1.0), 0.0)
+    gamma *= norm[:, :, None]
+    alpha *= (norm / np.exp(log_bwd))[:, :, None]
+    counts = np.empty((4,) + gamma.shape[1:])
+    for k, (arc, succ) in enumerate(out_of_states(probs[:, :, 2:], shifted)):
+        np.multiply(arc, np.einsum("tbs,tbs->bs", alpha[:-1, :, 2:], succ[1:]), out=counts[k])
+    counts[3] = gamma[last, utts]
+    return gamma, counts, loglik, untrusted
+
+
+def _log_posteriors(batch):
+    """Chain-state posteriors, arc counts and log likelihoods of a
+    ``BandBatch``, laid out as ``_scaled_posteriors`` lays them out, from
+    ``forward_log`` and ``backward_log``: the exact path, with no
+    underflow short of the posteriors themselves. An utterance with no
+    path gets zero posteriors and counts."""
+    alpha, loglik = forward_log(batch)
+    beta = backward_log(batch)
+    norm = np.where(np.isfinite(loglik), loglik, np.inf)
+    with np.errstate(over="ignore"):
+        gamma = np.exp(alpha + beta - norm[:, None])
+    nxt = np.full(beta.shape[:2] + (beta.shape[2] + 2,), LOG_ZERO)
+    np.add(beta, batch.emis, out=nxt[:, :, :-2])
+    counts = np.empty((4,) + beta.shape[1:])
     with np.errstate(over="ignore"):
         # a successor beyond the chain is log-zero, so its column sums to 0
-        for k, (arc, succ) in enumerate(out_of_states(band, nxt)):
-            counts[k] = np.exp(alpha[:-1] + arc + succ - loglik).sum(axis=0)
-        counts[3] = np.exp(alpha[-1] + band[3] - loglik)
-    return resp, counts
+        for k, (arc, succ) in enumerate(out_of_states(batch.band[:, :, 2:], nxt)):
+            counts[k] = np.exp(alpha[:-1] + arc + succ[1:] - norm[:, None]).sum(axis=0)
+    counts[3] = gamma[batch.n_frames - 1, np.arange(beta.shape[1])]
+    return gamma, counts, loglik
+
+
+def _posteriors(batch):
+    """``_scaled_posteriors`` of a ``BandBatch``, with every untrusted
+    utterance recomputed by ``_log_posteriors`` in a batch of its own.
+    Returns gamma, the arc counts and the log likelihoods."""
+    gamma, counts, loglik, untrusted = _scaled_posteriors(batch)
+    redo = np.flatnonzero(untrusted)
+    if redo.size:
+        log.debug("%d of %d utterance(s) recomputed in the log domain",
+                  redo.size, untrusted.shape[0])
+        n_frames, n_states = batch.n_frames[redo], batch.n_states[redo]
+        t, s = n_frames.max(), n_states.max()
+        sub = BandBatch(band=batch.band[:, redo, :s + 2], emis=batch.emis[:t, redo, :s],
+                        n_frames=n_frames, n_states=n_states, arcs=batch.arcs[:, redo, :s + 2],
+                        cols=batch.cols[redo, :s])
+        gamma[:t, redo, :s], counts[:, redo, :s], loglik[redo] = _log_posteriors(sub)
+    return gamma, counts, loglik
+
+
+def _e_step(model, frames, graphs):
+    """E-step sums over utterances given by their (T_b, D) float frames and
+    chain graphs, each batch of ``padded_batches`` at once: occupancy (C,)
+    and first and second moments (C, D) in mixture-table order, arc counts
+    in transition-table order, the total log likelihood, and the number of
+    utterances with a path through their chain (the others add nothing)."""
+    occ = np.zeros(model.n_mix.shape[0] * int(model.n_mix.max()))
+    mean = np.zeros(occ.shape + (model.dim,))
+    sqr = np.zeros_like(mean)
+    arc_counts = np.zeros(model.trans.shape[0])
+    total, used = 0.0, 0
+    for _, x, shares, batch in padded_batches(model, frames, graphs, shares=True):
+        gamma, counts, loglik = _posteriors(batch)
+        live = np.isfinite(loglik)
+        total += float(loglik[live].sum())
+        used += int(live.sum())
+        # posteriors tied over repeated phones: (B, T, unique states), then
+        # the utterances' own frames in stacked order
+        onehot = np.zeros(batch.cols.shape + (model.n_mix.shape[0],))
+        np.put_along_axis(onehot, batch.cols[:, :, None], 1.0, axis=2)
+        tied = np.matmul(gamma.transpose(1, 0, 2), onehot)
+        own = np.arange(gamma.shape[0]) < batch.n_frames[:, None]
+        shares *= tied[own][:, :, None]
+        resp = shares.reshape(x.shape[0], -1)
+        occ += resp.sum(axis=0)
+        mean += resp.T @ x
+        sqr += resp.T @ (x * x)
+        arcs = batch.arcs[:, :, 2:]
+        arc_counts += np.bincount(arcs[arcs >= 0], weights=counts[arcs >= 0],
+                                  minlength=arc_counts.shape[0])
+    slots = _slot_columns(model.n_mix)
+    return occ[slots], mean[slots], sqr[slots], arc_counts, total, used
 
 
 def em_iteration(model, data):
@@ -409,39 +647,15 @@ def em_iteration(model, data):
     """
     if not data:
         raise InsufficientDataError("no training utterances")
-    seg = np.repeat(np.arange(model.n_mix.shape[0]), model.n_mix)
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
-
-    occ = np.zeros(seg.shape[0])
-    mean = np.zeros((seg.shape[0], model.dim))
-    sqr = np.zeros_like(mean)
-    arcs = []
-    total = 0.0
-    for batch, comps, uniques, padded in padded_batches(model, frames, graphs):
-        alpha, loglik = forward_log(padded)
-        beta = backward_log(padded)
-        for i in np.flatnonzero(np.isfinite(loglik)):
-            graph, x = graphs[batch[i]], frames[batch[i]]
-            own = (slice(0, x.shape[0]), i, slice(0, graph.n_states))
-            resp, counts = _utterance_statistics(
-                graph, padded.band[:, i, 2:2 + graph.n_states], comps[i], uniques[i],
-                padded.emis[own], alpha[own], beta[own], loglik[i], seg)
-            occ += resp.sum(axis=0)
-            mean += resp.T @ x
-            sqr += resp.T @ x ** 2
-            arcs.append((graph.arcs.ravel(), counts.ravel()))
-            total += float(loglik[i])
-
-    skipped = len(data) - len(arcs)
+    occ, mean, sqr, arc_counts, total, used = _e_step(model, frames, graphs)
+    skipped = len(data) - used
     if skipped:
         log.warning("skipped %d of %d utterance(s) too short for the topology",
                     skipped, len(data))
-    if not arcs:
+    if not used:
         raise InsufficientDataError("every utterance is too short for the topology")
-    index, count = (np.concatenate(a) for a in zip(*arcs))
-    live = index >= 0
-    arc_counts = np.bincount(index[live], weights=count[live], minlength=model.trans.shape[0])
     _apply_mstep(model, occ, mean, sqr, arc_counts)
     return total
 
@@ -452,33 +666,42 @@ def _apply_mstep(model, occ, mean, sqr, arc_counts):
     the arc counts in transition-table order. A state with no component above
     the occupancy floor keeps its parameters, and so does a transition row
     with no count above it; starved components of other states go."""
-    blocks = []
-    slices = _block_slices(model.n_mix)
-    for name, n, start in zip(model.phones, model.phone_n_states, model.arc_offsets):
-        for s in range(n):
-            block = next(slices)
-            keep = occ[block] > _OCC_EPS
-            if not keep.any():
-                log.warning("phone %r state %d has no occupancy; keeping parameters",
-                            name, s)
-                blocks.append((model.weights[block], model.means[block],
-                               model.variances[block]))
-                continue
-            if not keep.all():
-                log.warning("phone %r state %d: dropping %d starved component(s)",
-                            name, s, int((~keep).sum()))
-            occ_k = occ[block][keep]
-            means = mean[block][keep] / occ_k[:, None]
-            varia = np.maximum(sqr[block][keep] / occ_k[:, None] - means ** 2,
-                               model.var_floor)
-            blocks.append((occ_k / occ_k.sum(), means, varia))
-        rows = model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
-        new = np.where(rows > 0.0, arc_counts[start:start + rows.size].reshape(rows.shape),
-                       0.0)
-        sums = new.sum(axis=1, keepdims=True)
-        live = sums[:, 0] > _OCC_EPS
-        rows[...] = np.where(live[:, None], np.divide(new, np.maximum(sums, 1e-300)), rows)
-    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
+    sizes = model.n_mix
+    starts = _block_starts(sizes)
+    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+    keep = occ > _OCC_EPS
+    kept = np.add.reduceat(keep.astype(int), starts)
+    empty = kept == 0
+    state_phone = np.repeat(np.arange(len(model.phones)), model.phone_n_states)
+    local = np.arange(sizes.shape[0]) - np.repeat(_block_starts(model.phone_n_states),
+                                                   model.phone_n_states)
+    for u in np.flatnonzero(kept < sizes):
+        name = model.phones[state_phone[u]]
+        if empty[u]:
+            log.warning("phone %r state %d has no occupancy; keeping parameters",
+                        name, local[u])
+        else:
+            log.warning("phone %r state %d: dropping %d starved component(s)",
+                        name, local[u], sizes[u] - kept[u])
+    occ_k = np.where(keep, occ, 0.0)
+    state_occ = np.add.reduceat(occ_k, starts)
+    occ_k[~keep] = 1.0
+    means = mean / occ_k[:, None]
+    varia = np.maximum(sqr / occ_k[:, None] - means ** 2, model.var_floor)
+    old = empty[seg]
+    survive = keep | old
+    model.weights = np.where(old, model.weights,
+                             occ_k / np.where(empty, 1.0, state_occ)[seg])[survive]
+    model.means = np.where(old[:, None], model.means, means)[survive]
+    model.variances = np.where(old[:, None], model.variances, varia)[survive]
+    model.n_mix = np.where(empty, sizes, kept)
+
+    widths = model.phone_n_states[state_phone] + 1      # each transition row's length
+    new = np.where(model.trans > 0.0, arc_counts, 0.0)
+    sums = np.add.reduceat(new, _block_starts(widths))
+    live = np.repeat(sums > _OCC_EPS, widths)
+    model.trans[...] = np.where(live, new / np.repeat(np.maximum(sums, 1e-300), widths),
+                                model.trans)
 
 
 def grow_mixtures(model, target_m):
@@ -497,7 +720,7 @@ def grow_mixtures(model, target_m):
     model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
 
 
-def train_em(model, data, schedule=((1, 4), (2, 4), (4, 4), (8, 4))):
+def train_em(model, data, schedule):
     """Mixture-growing embedded training.
 
     ``data`` is a list of (frames, phone_chain) pairs. The schedule lists

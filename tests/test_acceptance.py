@@ -134,8 +134,8 @@ def test_criterion_2_numerical_optimization(acceptance_report, tiny_corpus):
         landmarks = corpus.read_landmarks(record.landmark_path)
         chain = hmm.phone_chain(lexicon, record.transcript)
         data.append((geometric.geometric_sequence(landmarks), chain))
-    model = hmm.flat_start([frames for frames, _ in data],
-                           sorted(lexicon.phone_set()))
+    model = hmm.flat_start([frames for frames, _ in data], sorted(lexicon.phone_set()),
+                           experiment.ExperimentConfig.from_mapping({}).topology)
     history = hmm.train_em(model, data, schedule=((1, 21),))
     lls = [ll for _, ll in history]
     drops = sum(1 for a, b in zip(lls, lls[1:]) if b < a - 1e-6 * abs(a))

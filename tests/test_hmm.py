@@ -9,8 +9,11 @@ from scipy.special import logsumexp as sp_logsumexp
 from scipy.stats import norm
 
 from vsrlab.errors import AlignmentInfeasibleError, FormatError, InsufficientDataError, OovError
-from vsrlab import hmm
+from vsrlab import experiment, hmm
 from vsrlab.lingware import Lexicon
+
+# the configuration's defaults, for calls that mean them
+DEFAULTS = experiment.ExperimentConfig.from_mapping({})
 
 
 def _state_log_likelihoods(model, frames):
@@ -221,6 +224,115 @@ def _loop_log_likelihoods(batch, alpha):
     band = batch.band
     return np.array([_logsumexp(alpha[n - 1, b, :s] + band[3, b, 2:2 + s])
                      for b, (n, s) in enumerate(zip(batch.n_frames, batch.n_states))])
+
+
+def _reduceat_state_logsumexp(comp, sizes):
+    """Log-sum-exp of each state's block of ``sizes`` component columns, as
+    ``hmm._state_logsumexp`` computed it with ``reduceat``: the oracle for
+    its slot-wise form."""
+    starts = hmm._block_starts(sizes)
+    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+    m = np.maximum.reduceat(comp, starts, axis=1)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.add.reduceat(np.exp(comp - safe_m[:, seg]), starts, axis=1)) + safe_m
+
+
+def _utterance_statistics(graph, band, comp, unique, emis, alpha, beta, loglik, seg):
+    """One utterance's E-step posteriors from its own (unpadded) band, alpha
+    and beta, as ``hmm.em_iteration`` computed them one utterance at a time
+    in the log domain: the responsibility of every mixture component per
+    frame (T, total components), tied over repeated phones, and the expected
+    count of each arc of ``graph.arcs``, (4, S)."""
+    with np.errstate(over="ignore"):
+        gamma = np.exp(alpha + beta - loglik)  # (T, S) chain-state posteriors
+    tied = np.zeros(unique.shape)
+    np.add.at(tied, (slice(None), graph.unique_cols), gamma)
+    with np.errstate(invalid="ignore"):
+        resp = tied[:, seg] * np.exp(comp - unique[:, seg])
+    resp = np.nan_to_num(resp, nan=0.0, posinf=0.0, neginf=0.0)
+
+    counts = np.empty(band.shape)
+    nxt = np.full((alpha.shape[0] - 1, band.shape[1] + 2), hmm.LOG_ZERO)
+    np.add(beta[1:], emis[1:], out=nxt[:, :-2])
+    with np.errstate(over="ignore"):
+        # a successor beyond the chain is log-zero, so its column sums to 0
+        for k, (arc, succ) in enumerate(hmm.out_of_states(band, nxt)):
+            counts[k] = np.exp(alpha[:-1] + arc + succ - loglik).sum(axis=0)
+        counts[3] = np.exp(alpha[-1] + band[3] - loglik)
+    return resp, counts
+
+
+def _one_utterance_posteriors(table, graph, unique):
+    """(log likelihood, tied chain-state posteriors (T, unique states), arc
+    counts (4, S)) of one utterance, from ``forward_log`` and
+    ``backward_log`` on a batch of that utterance alone."""
+    one = hmm.pad_batch(table, [graph], [unique])
+    alpha, loglik = hmm.forward_log(one)
+    if not np.isfinite(loglik[0]):
+        return loglik[0], None, None
+    tied, counts = _utterance_statistics(
+        graph, one.band[:, 0, 2:], unique, unique, one.emis[:, 0], alpha[:, 0],
+        hmm.backward_log(one)[:, 0], loglik[0], np.arange(unique.shape[1]))
+    return loglik[0], tied, counts
+
+
+def _oracle_e_step(model, frames, graphs):
+    """``hmm._e_step``'s sums, one utterance at a time in the log domain."""
+    seg = np.repeat(np.arange(model.n_mix.shape[0]), model.n_mix)
+    stacked = hmm._stack_components(model)
+    table = model.arc_table()
+    occ = np.zeros(seg.shape[0])
+    mean = np.zeros((seg.shape[0], model.dim))
+    sqr = np.zeros_like(mean)
+    arc_counts = np.zeros(model.trans.shape[0])
+    total, used = 0.0, 0
+    for x, graph in zip(frames, graphs):
+        comp = hmm.component_log_likelihoods(stacked, x)
+        unique = _reduceat_state_logsumexp(comp, model.n_mix)
+        one = hmm.pad_batch(table, [graph], [unique])
+        alpha, loglik = hmm.forward_log(one)
+        if not np.isfinite(loglik[0]):
+            continue
+        resp, counts = _utterance_statistics(
+            graph, one.band[:, 0, 2:], comp, unique, one.emis[:, 0], alpha[:, 0],
+            hmm.backward_log(one)[:, 0], loglik[0], seg)
+        occ += resp.sum(axis=0)
+        mean += resp.T @ x
+        sqr += resp.T @ x ** 2
+        live = graph.arcs >= 0
+        arc_counts += np.bincount(graph.arcs[live], weights=counts[live],
+                                  minlength=arc_counts.shape[0])
+        total += float(loglik[0])
+        used += 1
+    return occ, mean, sqr, arc_counts, total, used
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Equal to ``rel`` of the largest magnitude in ``want``, so that sums
+    that cancel to near zero are held to the scale of their terms."""
+    scale = float(np.max(np.abs(want), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale)
+
+
+def _posterior_resolution(loglik):
+    """1e-12, or the finest relative agreement two computations of a
+    posterior can reach when it is the exp of a difference of log values as
+    large as ``loglik``, a few units in their last place, if coarser."""
+    return max(1e-12, 8 * np.finfo(float).eps * abs(loglik))
+
+
+def _count_log_domain_batches(monkeypatch):
+    """A list that gets one entry per ``forward_log`` call from here on."""
+    calls = []
+    forward_log = hmm.forward_log
+
+    def counted(batch):
+        calls.append(batch.n_frames.shape[0])
+        return forward_log(batch)
+
+    monkeypatch.setattr(hmm, "forward_log", counted)
+    return calls
 
 
 def _oracle_forced_align(model, frames, chain):
@@ -551,6 +663,159 @@ class TestBatch:
         assert utterances > 500
 
 
+class TestSlotLogsumexp:
+    def test_equals_the_reduceat_oracle_bit_for_bit(self):
+        # unequal component counts up to the default schedule's eight,
+        # log-zero weights, whole states at log-zero, and spreads from a few
+        # nats to thousands
+        rng = np.random.default_rng(16)
+        for trial in range(300):
+            sizes = (np.full(int(rng.integers(1, 30)), int(rng.integers(1, 9))) if trial % 3 == 0
+                     else rng.integers(1, 9, size=int(rng.integers(1, 30))))
+            comp = rng.normal(0.0, rng.choice([1.0, 30.0, 1000.0]),
+                              size=(int(rng.integers(1, 40)), sizes.sum()))
+            comp[:, rng.random(comp.shape[1]) < 0.1] = -np.inf
+            comp[rng.random(comp.shape) < 0.05] = -np.inf
+            want = _reduceat_state_logsumexp(comp, sizes)
+            assert np.array_equal(hmm._state_logsumexp(comp, sizes), want)
+            unique, shares = hmm._state_logsumexp(comp, sizes, shares=True)
+            assert np.array_equal(unique, want)
+            # each share is the component's density over its state's, zero
+            # in the fill and where the state's density is zero
+            flat = shares.reshape(comp.shape[0], -1)
+            seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+            with np.errstate(invalid="ignore"):
+                direct = np.nan_to_num(np.exp(comp - want[:, seg]), nan=0.0)
+            np.testing.assert_allclose(flat[:, hmm._slot_columns(sizes)], direct,
+                                       rtol=0, atol=1e-12)
+            fill = np.ones(flat.shape[1], dtype=bool)
+            fill[hmm._slot_columns(sizes)] = False
+            assert np.all(flat[:, fill] == 0.0)
+            sums = shares.sum(axis=2)
+            np.testing.assert_allclose(sums[np.isfinite(want)], 1.0, rtol=1e-14)
+            assert np.all(sums[~np.isfinite(want)] == 0.0)
+
+
+class TestScaledPasses:
+    @pytest.mark.parametrize("kind", ["skip2", "classic3"])
+    def test_scaled_values_do_not_depend_on_the_batch(self, kind):
+        # an utterance's scaled alpha, beta, scales, log likelihood and
+        # posteriors are the same to the bit alone and in any batch
+        rng = np.random.default_rng(17)
+        n = hmm._TOPOLOGY_ROWS[kind].shape[0]
+        model = _make_model(kind, {p: _dummy_params(n, 1) for p in "abcd"}, dim=1)
+        table = model.arc_table()
+        for _ in range(20):
+            chains = [list(rng.choice(list("abcd"), size=rng.integers(1, 6)))
+                      for _ in range(int(rng.integers(2, 7)))]
+            graphs = [hmm.compose_chain(model, chain) for chain in chains]
+            uniques = [rng.uniform(-40.0, 0.0, size=(int(rng.integers(15, 40)), 4 * n))
+                       for _ in chains]
+
+            def scaled(batch):
+                probs, shift, shifted = hmm._linear(batch)
+                alpha, log_fwd = hmm.forward_scaled(batch, probs, shifted)
+                beta, log_bwd = hmm.backward_scaled(batch, probs, shifted)
+                return (shift, alpha[:, :, 2:], log_fwd, beta, log_bwd,
+                        *hmm._scaled_posteriors(batch))
+
+            every = scaled(hmm.pad_batch(table, graphs, uniques))
+            assert not every[-1].any()
+            for b, (graph, u) in enumerate(zip(graphs, uniques)):
+                alone = scaled(hmm.pad_batch(table, [graph], [u]))
+                t_count, s_count = u.shape[0], graph.n_states
+                for got, want in zip(every, alone):
+                    if want.ndim == 3:
+                        got, want = got[..., b, :s_count], want[..., 0, :]
+                        if got.shape[0] != 4:
+                            got = got[:t_count]
+                    elif want.ndim == 2:
+                        got, want = got[:t_count, b], want[:, 0]
+                    else:
+                        got, want = got[b], want[0]
+                    assert np.array_equal(got, want)
+
+    def test_underflow_falls_back_to_the_log_domain(self, monkeypatch):
+        # random transition rows, ragged batches, and emissions spread over
+        # a few nats or over thousands: the second underflow in the linear
+        # domain, and every utterance must still equal the log-domain oracle
+        rng = np.random.default_rng(15)
+        calls = _count_log_domain_batches(monkeypatch)
+        recomputed = kept = 0
+        for trial in range(120):
+            kinds = rng.choice(sorted(hmm._TOPOLOGY_ROWS), size=4)
+            rows = []
+            for kind in kinds:
+                allowed = hmm._TOPOLOGY_ROWS[kind] > 0.0
+                keep = allowed & (rng.random(allowed.shape) < 0.7)
+                keep[np.arange(keep.shape[0]), allowed.argmax(axis=1)] = True
+                r = np.where(keep, rng.random(allowed.shape) + 0.01, 0.0)
+                rows.append(r / r.sum(axis=1, keepdims=True))
+            model = _build(list("abcd"), rows,
+                           [_dummy_params(1, 1)[0]] * sum(len(r) for r in rows), [1e-3])
+            table = model.arc_table()
+            graphs = [hmm.compose_chain(model, list(rng.choice(list("abcd"),
+                                                               size=rng.integers(1, 5))))
+                      for _ in range(int(rng.integers(1, 8)))]
+            spread = 1000.0 if trial % 2 else 3.0
+            uniques = [rng.normal(0.0, spread, size=(rng.integers(1, 16), model.n_mix.shape[0]))
+                       for _ in graphs]
+            batch = hmm.pad_batch(table, graphs, uniques)
+            untrusted = hmm._scaled_posteriors(batch)[3]
+            del calls[:]
+            gamma, counts, loglik = hmm._posteriors(batch)
+            assert calls == ([int(untrusted.sum())] if untrusted.any() else [])
+            for b, (graph, u) in enumerate(zip(graphs, uniques)):
+                want_ll, want_tied, want_counts = _one_utterance_posteriors(table, graph, u)
+                s_count = graph.n_states
+                if want_tied is None:
+                    assert loglik[b] == -np.inf and untrusted[b]
+                    assert not gamma[:, b].any() and not counts[:, b].any()
+                    continue
+                recomputed += int(untrusted[b])
+                kept += int(not untrusted[b])
+                assert loglik[b] == pytest.approx(want_ll, rel=1e-12)
+                tied = np.zeros(u.shape)
+                np.add.at(tied, (slice(None), graph.unique_cols), gamma[:u.shape[0], b, :s_count])
+                rel = _posterior_resolution(want_ll)
+                _assert_close(tied, want_tied, rel)
+                _assert_close(counts[:, b, :s_count], want_counts, rel)
+        assert recomputed > 50 and kept > 100
+
+    def test_flushed_state_that_dominates_later_falls_back(self):
+        # four skip2 phones, 6 frames. The best path skips 0 -> 2 -> 4 -> 6
+        # and pays 800 nats once, at frame 1, where state 2 sits so far
+        # below the frame's best that its shifted emission flushes to zero.
+        # Every other path pays 600 then 300 twice, so the scaled passes keep
+        # only paths e^400 less likely, while every scale stays normal: only
+        # the posterior bound can tell
+        model = _make_model("skip2", {p: _dummy_params(2, 1) for p in "abcd"}, dim=1)
+        table = model.arc_table()
+        graph = hmm.compose_chain(model, list("abcd"))
+        trap = np.zeros((6, 8))
+        trap[1, :2], trap[1, 2] = -600.0, -800.0
+        trap[2, :4] = -300.0
+        trap[3, :6] = -300.0
+        trap[4:, :6] = -300.0
+        plain = np.random.default_rng(18).uniform(-5.0, 0.0, size=(7, 8))
+        batch = hmm.pad_batch(table, [graph, graph], [trap, plain])
+        probs, _, shifted = hmm._linear(batch)
+        assert shifted[1, 0, 2] == 0.0
+        log_fwd = hmm.forward_scaled(batch, probs, shifted)[1]
+        log_bwd = hmm.backward_scaled(batch, probs, shifted)[1]
+        own = np.arange(7)[:, None] < batch.n_frames
+        assert np.all(np.minimum(log_fwd, log_bwd)[own] > np.log(np.finfo(float).tiny))
+        assert list(hmm._scaled_posteriors(batch)[3]) == [True, False]
+        gamma, counts, loglik = hmm._posteriors(batch)
+        for b, u in enumerate([trap, plain]):
+            want_ll, want_tied, want_counts = _one_utterance_posteriors(table, graph, u)
+            assert loglik[b] == pytest.approx(want_ll, rel=1e-12)
+            _assert_close(gamma[:u.shape[0], b], want_tied, _posterior_resolution(want_ll))
+            _assert_close(counts[:, b], want_counts, _posterior_resolution(want_ll))
+        # the best path holds nearly all the mass at frame 1
+        assert gamma[1, 0, 2] > 0.99
+
+
 class TestAlignment:
     def test_score_matches_enumeration(self):
         rng = np.random.default_rng(21)
@@ -728,7 +993,7 @@ class TestEm:
     def test_flat_start_floor_formula(self):
         rng = np.random.default_rng(38)
         frames = rng.normal(size=(50, 3)) * np.array([1.0, 0.1, 10.0])
-        model = hmm.flat_start([frames], ["q"], use_sil=False)
+        model = hmm.flat_start([frames], ["q"], DEFAULTS.topology, use_sil=False)
         want = 1e-3 * np.maximum(frames.var(axis=0), 1e-12)
         assert np.array_equal(model.var_floor, want)
 
@@ -833,8 +1098,8 @@ class TestEm:
                 history = hmm.train_em(model, data, schedule=[(1, 2), (2, 2)])
             return model, [ll for _, ll in history]
 
-        graphs = [hmm.compose_chain(hmm.flat_start([data[0][0]], ["a", "b"], use_sil=False),
-                                    chain) for _, chain in data]
+        graphs = [hmm.compose_chain(hmm.flat_start([data[0][0]], ["a", "b"], DEFAULTS.topology,
+                                                   use_sil=False), chain) for _, chain in data]
         frames = [f for f, _ in data]
         assert len(list(hmm._batches(frames, graphs, 8))) == 1
         one_model, one_lls = train()
@@ -861,9 +1126,41 @@ class TestEm:
 
     def test_flat_start_validation(self):
         with pytest.raises(InsufficientDataError):
-            hmm.flat_start([], ["a"], use_sil=False)
+            hmm.flat_start([], ["a"], DEFAULTS.topology, use_sil=False)
         with pytest.raises(InsufficientDataError):
-            hmm.train_em(_make_model("skip2", {"a": _dummy_params(2, 1)}, 1), [])
+            hmm.train_em(_make_model("skip2", {"a": _dummy_params(2, 1)}, 1), [],
+                         DEFAULTS.schedule)
+
+
+class TestEStep:
+    @pytest.mark.parametrize("kinds, n_mix", [
+        ({"a": "skip2", "b": "skip2", "c": "skip2"}, {}),
+        ({"a": "classic3", "b": "classic3", "c": "classic3"}, {}),
+        ({"a": "skip2", "b": "classic3", "c": "skip2"},
+         {"a": [1, 3], "b": [2, 1, 2], "c": [3, 3]})])
+    def test_sums_equal_the_per_utterance_oracle(self, kinds, n_mix, monkeypatch):
+        # a ragged batch with repeated phones, mixed topologies and unequal
+        # component counts; the last utterance has no path, under either
+        # topology, and is the only one the log domain sees
+        rng = np.random.default_rng(43)
+        dim = 3
+        params = {name: [(rng.dirichlet(np.ones(m) * 4.0), rng.normal(size=(m, dim)),
+                          rng.uniform(0.5, 1.5, size=(m, dim)))
+                         for m in n_mix.get(name, [2] * len(hmm._TOPOLOGY_ROWS[kind]))]
+                  for name, kind in kinds.items()}
+        model = _make_model(kinds, params, dim)
+        chains = [["a", "b", "a"], ["c"], ["b", "c", "a", "b"], ["a", "a"], ["c", "b"],
+                  ["a", "b", "c"]]
+        frames = [rng.normal(size=(t, dim)) for t in (14, 5, 22, 9, 11, 1)]
+        graphs = [hmm.compose_chain(model, chain) for chain in chains]
+        calls = _count_log_domain_batches(monkeypatch)
+        got = hmm._e_step(model, frames, graphs)
+        assert calls == [1]
+        want = _oracle_e_step(model, frames, graphs)
+        for g, w in zip(got[:4], want[:4]):
+            _assert_close(g, w)
+        assert got[4] == pytest.approx(want[4], rel=1e-12)
+        assert got[5] == want[5] == 5
 
 
 class TestGrow:
