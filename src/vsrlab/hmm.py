@@ -238,12 +238,13 @@ def _state_logsumexp(comp, sizes, shares=False):
     m[~np.isfinite(m)] = 0.0
     blocks -= m[:, :, None]
     p = np.exp(blocks, out=blocks)
-    rest = np.zeros_like(m)
+    total = np.zeros_like(m)
     for j in range(1, n):
-        rest += p[:, :, j]
-    total = p[:, :, 0] + rest
+        total += p[:, :, j]
+    total += p[:, :, 0]
     with np.errstate(divide="ignore"):
-        unique = np.log(total) + m
+        unique = np.log(total)
+    unique += m
     if not shares:
         return unique
     p /= np.where(total > 0.0, total, 1.0)[:, :, None]
@@ -445,7 +446,7 @@ def backward_log(batch):
     return beta
 
 
-def forward_scaled(batch, probs, shifted):
+def forward_scaled(probs, shifted):
     """Forward pass over a ``BandBatch`` in the linear domain (Rabiner 1989,
     "A tutorial on hidden Markov models", section V-A), from the arc
     probabilities ``probs`` (4, B, S + 2) and the shifted emissions
@@ -474,11 +475,11 @@ def forward_scaled(batch, probs, shifted):
     return alpha, np.log(scale)
 
 
-def backward_scaled(batch, probs, shifted):
+def backward_scaled(probs, shifted, n_frames):
     """Backward pass in the linear domain, the mirror of ``forward_scaled``:
     beta (T, B, S), each row divided by its maximum, and the log of each
     divisor (T, B). Each utterance's exit arcs seed its beta at its own last
-    frame. Row t of ``shifted`` (t >= 1) becomes the next-frame term of row
+    frame, from ``n_frames`` (B,). Row t of ``shifted`` (t >= 1) becomes the next-frame term of row
     t - 1: the shifted emissions times beta at t."""
     arcs = probs[:, :, 2:]
     beta = np.zeros((shifted.shape[0],) + arcs.shape[1:])
@@ -492,7 +493,7 @@ def backward_scaled(batch, probs, shifted):
             np.multiply(a0, stay[t + 1], out=row)
             row += np.multiply(a1, one[t + 1], out=step)
             row += np.multiply(a2, two[t + 1], out=step)
-        ends = batch.n_frames == t + 1
+        ends = n_frames == t + 1
         row[ends] = arcs[3, ends]
         np.maximum(row.max(axis=1), _TINY, out=scale[t])
         row /= scale[t][:, None]
@@ -533,11 +534,10 @@ def _scaled_posteriors(batch):
     times alpha's and beta's row maxima over the likelihood. Its posteriors
     and counts are left at zero."""
     probs, shift, shifted = _linear(batch)
-    alpha, log_fwd = forward_scaled(batch, probs, shifted)
-    beta, log_bwd = backward_scaled(batch, probs, shifted)
-    n_frames, n_utts = shift.shape
-    own = np.arange(n_frames)[:, None] < batch.n_frames
-    last, utts = batch.n_frames - 1, np.arange(n_utts)
+    alpha, log_fwd = forward_scaled(probs, shifted)
+    beta, log_bwd = backward_scaled(probs, shifted, batch.n_frames)
+    own = np.arange(shift.shape[0])[:, None] < batch.n_frames
+    last, utts = batch.n_frames - 1, np.arange(shift.shape[1])
     # logs of alpha's and beta's row maxima, and the log likelihood
     fwd = np.cumsum(np.where(own, log_fwd + shift, 0.0), axis=0)
     later = np.where(own, shift, 0.0)

@@ -714,8 +714,8 @@ class TestScaledPasses:
 
             def scaled(batch):
                 probs, shift, shifted = hmm._linear(batch)
-                alpha, log_fwd = hmm.forward_scaled(batch, probs, shifted)
-                beta, log_bwd = hmm.backward_scaled(batch, probs, shifted)
+                alpha, log_fwd = hmm.forward_scaled(probs, shifted)
+                beta, log_bwd = hmm.backward_scaled(probs, shifted, batch.n_frames)
                 return (shift, alpha[:, :, 2:], log_fwd, beta, log_bwd,
                         *hmm._scaled_posteriors(batch))
 
@@ -801,8 +801,8 @@ class TestScaledPasses:
         batch = hmm.pad_batch(table, [graph, graph], [trap, plain])
         probs, _, shifted = hmm._linear(batch)
         assert shifted[1, 0, 2] == 0.0
-        log_fwd = hmm.forward_scaled(batch, probs, shifted)[1]
-        log_bwd = hmm.backward_scaled(batch, probs, shifted)[1]
+        log_fwd = hmm.forward_scaled(probs, shifted)[1]
+        log_bwd = hmm.backward_scaled(probs, shifted, batch.n_frames)[1]
         own = np.arange(7)[:, None] < batch.n_frames
         assert np.all(np.minimum(log_fwd, log_bwd)[own] > np.log(np.finfo(float).tiny))
         assert list(hmm._scaled_posteriors(batch)[3]) == [True, False]
