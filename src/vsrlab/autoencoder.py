@@ -45,8 +45,6 @@ from . import binio, frontend
 from .errors import FormatError, TrainingDivergedError
 
 MODEL_MAGIC = b"CAE1"
-DEFAULT_CHANNELS = (8, 16, 32)
-DEFAULT_BOTTLENECK = 32
 DEFAULT_INPUT_HW = (frontend.ROI_HEIGHT, frontend.ROI_WIDTH)
 MOMENTUM = 0.9
 # images per pass of ``forward`` and ``encode``, which bounds their memory
@@ -270,8 +268,7 @@ class ConvAutoencoder:
     and make exhaustive finite-difference checks practical.
     """
 
-    def __init__(self, channels=DEFAULT_CHANNELS, bottleneck=DEFAULT_BOTTLENECK,
-                 input_hw=DEFAULT_INPUT_HW, seed=0):
+    def __init__(self, channels, bottleneck, *, seed, input_hw=DEFAULT_INPUT_HW):
         h, w = input_hw
         stages = len(channels)
         if stages < 1:
@@ -350,7 +347,7 @@ class ConvAutoencoder:
         return np.concatenate([_forward(encoder, chunk)
                                for chunk in _chunks(self._as_batch(frames))])
 
-    def train(self, frames, epochs=30, lr=1e-3, batch_size=32, seed=0):
+    def train(self, frames, *, epochs, lr, batch_size, seed):
         """Plain SGD with momentum ``MOMENTUM`` over shuffled minibatches.
 
         Returns the mean loss of each epoch as a list. Raises
@@ -425,8 +422,8 @@ def load_autoencoder(path):
         if 4 * n_params > r.left:
             raise FormatError(f"{path}: header implies {4 * n_params} bytes of "
                               f"weights, file holds {r.left}")
-        model = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
-                                input_hw=DEFAULT_INPUT_HW, seed=0)
+        # the seed is moot: every weight is read below
+        model = ConvAutoencoder(channels, bottleneck, seed=0)
         for layer, attr in model.parameter_arrays():
             setattr(layer, attr, _widened(r.array("<f4", getattr(layer, attr).shape), path))
         r.end()

@@ -44,9 +44,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class DecodeConfig:
-    lm_scale: float = 10.0
-    word_insertion_penalty: float = 0.0
-    beam: float | None = 200.0     # None (or inf) decodes exactly
+    lm_scale: float
+    word_insertion_penalty: float
+    beam: float | None     # None (or inf) decodes exactly
 
     def __post_init__(self):
         if not 0.0 < self.lm_scale < math.inf:
@@ -173,12 +173,10 @@ class _History:
         return min(links, key=self.words)
 
 
-def decode_batch(graph, frame_list, config=None):
+def decode_batch(graph, frame_list, config):
     """Decode every utterance of ``frame_list`` under one graph; returns a
     ``DecodeResult`` per utterance, in order. An ``EmptyBeamError`` names the
     failing utterance by its position (also in its ``utterance``)."""
-    if config is None:
-        config = DecodeConfig()
     frames = [np.asarray(x, dtype=float) for x in frame_list]
     if not frames:
         return []
@@ -189,7 +187,7 @@ def decode_batch(graph, frame_list, config=None):
     return results
 
 
-def decode_frames(graph, frames, config=None):
+def decode_frames(graph, frames, config):
     """Decode one utterance, as a batch of one."""
     return decode_batch(graph, [frames], config)[0]
 

@@ -26,7 +26,6 @@ LEFT_CORNER = 48
 RIGHT_CORNER = 54
 ROI_WIDTH = 32
 ROI_HEIGHT = 16
-DEFAULT_MARGIN = 0.15
 
 
 def mouth_alignment_angle(landmarks):
@@ -48,7 +47,7 @@ def mouth_alignment_angle(landmarks):
     return theta
 
 
-def roi_sequence(landmarks, frames, out_size=(ROI_WIDTH, ROI_HEIGHT), margin=DEFAULT_MARGIN):
+def roi_sequence(landmarks, frames, *, margin, out_size=(ROI_WIDTH, ROI_HEIGHT)):
     """Aligned mouth ROIs for a whole utterance as floats in [0, 1].
 
     ``landmarks`` is (T, 68, 2); ``frames`` (T, H, W) grayscale (uint8

@@ -71,6 +71,9 @@ def load_lexicon(path, inventory=None):
             if not parts:
                 continue
             word, phones = parts[0], parts[1:]
+            if word in (SENTENCE_START, SENTENCE_END):
+                raise LexiconError(f"{path}:{lineno}: the sentence marker {word!r} "
+                                   f"cannot be a word")
             if not phones:
                 raise LexiconError(f"{path}:{lineno}: word {word!r} has no phonemes")
             if inventory is not None:

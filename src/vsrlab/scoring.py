@@ -134,7 +134,7 @@ def _resample_indices(n, n_resamples, seed):
     return idx
 
 
-def bootstrap_ci(counts, n_resamples, seed=0, confidence=0.95):
+def bootstrap_ci(counts, n_resamples, *, seed, confidence):
     """Nearest-rank percentile interval of the pooled WER.
 
     Resample ``k`` draws utterances i.i.d. with a fresh generator seeded at
@@ -154,7 +154,7 @@ def bootstrap_ci(counts, n_resamples, seed=0, confidence=0.95):
     return float(wers[lo_rank - 1]), float(wers[hi_rank - 1])
 
 
-def evaluate(refs, hyps, n_resamples, seed=0, confidence=0.95):
+def evaluate(refs, hyps, n_resamples, *, seed, confidence):
     """Full report: pooled WER with a bootstrap interval."""
     counts = utterance_counts(refs, hyps)
     lo, hi = bootstrap_ci(counts, n_resamples=n_resamples, seed=seed, confidence=confidence)

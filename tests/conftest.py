@@ -1,6 +1,6 @@
 import pytest
 
-from vsrlab import corpus
+from vsrlab import corpus, experiment
 
 _acceptance_lines = []
 
@@ -16,6 +16,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def defaults():
+    """The config defaults, from their one home: ``ExperimentConfig``. Tests
+    that mean a default take it from here; library functions have none."""
+    return experiment.ExperimentConfig.from_mapping({})
 
 
 @pytest.fixture(scope="session")

@@ -291,7 +291,7 @@ def test_criterion_5_trend_gates(acceptance_report, acceptance_grid):
             undecodable += 1
     refs = {r.utterance_id: r.transcript for r in test_records}
     wer3 = scoring.evaluate(refs, hyps, n_resamples=cfg.bootstrap,
-                            seed=cfg.seed).wer
+                            seed=cfg.seed, confidence=cfg.confidence).wer
     wer2 = reports[("eig+dnn", 2, "speaker")]["wer"]
     topo = "holds" if wer2 <= wer3 else "does not hold"
 

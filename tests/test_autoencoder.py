@@ -21,6 +21,12 @@ class Upsample2x:
                 + dout[:, :, ::2, 1::2] + dout[:, :, 1::2, 1::2])
 
 
+@pytest.fixture
+def default_net(defaults):
+    """The network of the config's ``ae_channels`` and ``ae_bottleneck``."""
+    return ConvAutoencoder(defaults.ae_channels, defaults.ae_bottleneck, seed=0)
+
+
 def _oracle_layers(layer):
     """``Upsample2x`` then a stride-1 ``Conv2d`` with ``layer``'s parameters
     in place of an ``UpsampleConv2d``; any other layer as it is."""
@@ -151,11 +157,11 @@ def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_h
         assert _rel_err(db, layer.db) < 1e-12
 
 
-def test_untrained_container_bytes_are_pinned(tmp_path):
+def test_untrained_container_bytes_are_pinned(tmp_path, default_net):
     # the CAE1 layout and the order of the initial weight draws, as saved by
     # the network built from one Conv2d per decoder stage with an upsample
     path = tmp_path / "model.cae"
-    autoencoder.save_autoencoder(path, ConvAutoencoder(seed=0))
+    autoencoder.save_autoencoder(path, default_net)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "eee41f197c4a0d03834c55a2ec8d4a7994e8e9161570c0c0446f00bf8d4d6056"
 
@@ -175,10 +181,10 @@ def test_first_conv_input_gradient_is_not_computed(monkeypatch):
     assert np.array_equal(net.layers[0].db, db)
 
 
-def test_layers_hold_only_parameters_between_calls():
+def test_layers_hold_only_parameters_between_calls(default_net):
     # backward caches travel through loss_and_grad, so no pass leaves an
     # activation, mask or im2col behind on a layer
-    net = ConvAutoencoder(seed=0)
+    net = default_net
     frames = np.random.default_rng(3).uniform(0.0, 1.0, (4, 16, 32))
     net.forward(frames)
     net.encode(frames)
@@ -189,8 +195,8 @@ def test_layers_hold_only_parameters_between_calls():
         assert held <= {"w", "b", "dw", "db"}, (type(layer).__name__, held)
 
 
-def test_zero_frames_give_empty_outputs():
-    net = ConvAutoencoder(seed=0)
+def test_zero_frames_give_empty_outputs(default_net):
+    net = default_net
     empty = np.zeros((0, 16, 32))
     assert net.encode(empty).shape == (0, 32)
     recon, code = net.forward(empty)
@@ -198,8 +204,8 @@ def test_zero_frames_give_empty_outputs():
     assert code.shape == (0, 32)
 
 
-def test_chunked_passes_equal_one_pass(monkeypatch):
-    net = ConvAutoencoder(seed=0)
+def test_chunked_passes_equal_one_pass(monkeypatch, default_net):
+    net = default_net
     full = 2 * autoencoder.CHUNK_FRAMES
     frames = np.random.default_rng(6).uniform(0.0, 1.0, (full + 37, 16, 32))
     recon, code = net.forward(frames)
@@ -217,8 +223,8 @@ def test_chunked_passes_equal_one_pass(monkeypatch):
     np.testing.assert_allclose(recon, one_recon, rtol=0, atol=1e-13)
 
 
-def test_forward_shapes_and_range():
-    net = ConvAutoencoder(seed=0)
+def test_forward_shapes_and_range(default_net):
+    net = default_net
     frames = np.random.default_rng(0).uniform(0, 1, (3, 16, 32))
     recon, code = net.forward(frames)
     assert recon.shape == (3, 16, 32)
@@ -231,10 +237,11 @@ def test_forward_shapes_and_range():
     assert np.array_equal(net.encode(frames), code)
 
 
-def test_constructor_validation():
+def test_constructor_validation(defaults, default_net):
     with pytest.raises(ValueError):
-        ConvAutoencoder(channels=(8, 16), input_hw=(10, 16))  # 10 % 4 != 0
-    net = ConvAutoencoder(seed=0)
+        ConvAutoencoder((8, 16), defaults.ae_bottleneck, seed=0,
+                        input_hw=(10, 16))  # 10 % 4 != 0
+    net = default_net
     with pytest.raises(ValueError):
         net.forward(np.zeros((2, 8, 8)))
 
@@ -248,13 +255,13 @@ def test_learns_constant_image():
     assert mae < 0.02, mae
 
 
-def test_learns_structured_patterns():
+def test_learns_structured_patterns(default_net):
     rng = np.random.default_rng(5)
     xs = np.linspace(0, 1, 32)[None, None, :]
     ys = np.linspace(0, 1, 16)[None, :, None]
     phase = rng.uniform(0, 2 * np.pi, (64, 1, 1))
     frames = 0.5 + 0.4 * np.sin(2 * np.pi * (xs + 0.5 * ys) + phase)
-    net = ConvAutoencoder(seed=0)
+    net = default_net
     losses = net.train(frames, epochs=10, lr=0.01, batch_size=16, seed=1)
     assert losses[-1] < 0.75 * losses[0]
 
@@ -284,7 +291,7 @@ def test_divergence_reported_with_epoch():
         net.train(np.full((8, 16, 16), 0.5), epochs=2, lr=0.01, batch_size=4, seed=0)
 
 
-def test_container_round_trip(tmp_path):
+def test_container_round_trip(tmp_path, defaults):
     net = ConvAutoencoder(channels=(2, 3, 4), bottleneck=6, seed=13)
     frames = np.random.default_rng(1).uniform(0, 1, (4, 16, 32))
     net.train(frames, epochs=2, lr=0.01, batch_size=2, seed=0)
@@ -301,7 +308,8 @@ def test_container_round_trip(tmp_path):
         autoencoder.load_autoencoder(path)
     with pytest.raises(ValueError):
         autoencoder.save_autoencoder(tmp_path / "x.cae",
-                                     ConvAutoencoder(channels=(2,), input_hw=(8, 8)))
+                                     ConvAutoencoder((2,), defaults.ae_bottleneck, seed=0,
+                                                     input_hw=(8, 8)))
 
 
 @pytest.mark.parametrize("stages, channels, bottleneck", [

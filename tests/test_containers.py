@@ -30,7 +30,8 @@ def _opt1(path):
 
 
 def _cae1(path):
-    autoencoder.save_autoencoder(path, autoencoder.ConvAutoencoder(channels=(1,), bottleneck=1))
+    net = autoencoder.ConvAutoencoder(channels=(1,), bottleneck=1, seed=0)
+    autoencoder.save_autoencoder(path, net)
     return autoencoder.load_autoencoder, autoencoder.save_autoencoder
 
 

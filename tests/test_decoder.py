@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,7 @@ def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
                             var_floor=np.full(1, 1e-10), use_sil=use_sil)
 
 
-def _decode(model, lm, lex, frames, config=None):
+def _decode(model, lm, lex, frames, config):
     """One utterance decoded under a graph built for it alone."""
     return decode_frames(DecodeGraph(model, lm, lex), frames, config)
 
@@ -365,31 +366,30 @@ def _reference_decode(graph, frames, config, emissions=None):
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, defaults):
         with pytest.raises(ValueError):
-            DecodeConfig(lm_scale=0.0)
+            replace(defaults.decode_config(), lm_scale=0.0)
         with pytest.raises(ValueError):
-            DecodeConfig(lm_scale=-3.0)
+            replace(defaults.decode_config(), lm_scale=-3.0)
         with pytest.raises(ValueError):
-            DecodeConfig(beam=0.0)
-        DecodeConfig(beam=None)
-        assert DecodeConfig().beam == 200.0
-        assert DecodeConfig().lm_scale == 10.0
-        assert DecodeConfig().word_insertion_penalty == 0.0
+            replace(defaults.decode_config(), beam=0.0)
+        replace(defaults.decode_config(), beam=None)
 
-    def test_non_finite_values_rejected(self):
+    def test_non_finite_values_rejected(self, defaults):
         for kwargs in [{"lm_scale": math.nan}, {"lm_scale": math.inf},
                        {"beam": math.nan}, {"word_insertion_penalty": math.inf},
                        {"word_insertion_penalty": -math.inf},
                        {"word_insertion_penalty": math.nan}]:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
-                DecodeConfig(**kwargs)
+                replace(defaults.decode_config(), **kwargs)
 
     def test_infinite_beam_is_exact(self):
         rng = np.random.default_rng(78)
         model, lm, lex, frames, _ = _random_instance(rng, use_sil=True)
-        a = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=None))
-        b = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=4.0, beam=math.inf))
+        a = _decode(model, lm, lex, frames,
+                    DecodeConfig(lm_scale=4.0, word_insertion_penalty=0.0, beam=None))
+        b = _decode(model, lm, lex, frames,
+                    DecodeConfig(lm_scale=4.0, word_insertion_penalty=0.0, beam=math.inf))
         assert (a.words, a.score, a.word_spans) == (b.words, b.score, b.word_spans)
 
     def test_oov_word_rejected(self):
@@ -459,7 +459,7 @@ class TestTieBreak:
         lm = fit_bigram([["dos"], ["tos"]])
         frames = np.zeros((4, 1))
         result = _decode(model, lm, lex, frames,
-                        DecodeConfig(lm_scale=1.0, beam=None))
+                        DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=None))
         assert result.words == ["dos"]
 
 
@@ -479,7 +479,7 @@ class TestTieBreak:
         forbidden = {(c, w) for c in ["<s>"] + lex.words
                      for w in lex.words + ["</s>"]} - allowed
         graph = DecodeGraph(model, _FlatLm(lex.words, forbidden), lex)
-        cfg = DecodeConfig(lm_scale=1.0, beam=None)
+        cfg = DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=None)
         frames = np.zeros((12, 1))
         want = _reference_decode(graph, frames, cfg)
         got = decode_frames(graph, frames, cfg)
@@ -497,17 +497,18 @@ class TestBeam:
         lex.add("ba", ["p"])
         lm = fit_bigram([["ba"]])
         frames = np.array([[0.0], [0.0], [0.0]])
-        exact = _decode(model, lm, lex, frames, DecodeConfig(lm_scale=1.0, beam=None))
+        exact = _decode(model, lm, lex, frames,
+                        DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=None))
         assert exact.words == ["ba"]
         with pytest.raises(EmptyBeamError):
             _decode(model, lm, lex, frames,
-                   DecodeConfig(lm_scale=1.0, beam=1e-4))
+                   DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=1e-4))
 
     def test_wide_beam_matches_exact(self):
         rng = np.random.default_rng(74)
         model, lm, lex, frames, _ = _random_instance(rng, use_sil=True)
-        cfg_exact = DecodeConfig(lm_scale=4.0, beam=None)
-        cfg_beam = DecodeConfig(lm_scale=4.0, beam=1e6)
+        cfg_exact = DecodeConfig(lm_scale=4.0, word_insertion_penalty=0.0, beam=None)
+        cfg_beam = DecodeConfig(lm_scale=4.0, word_insertion_penalty=0.0, beam=1e6)
         a = _decode(model, lm, lex, frames, cfg_exact)
         b = _decode(model, lm, lex, frames, cfg_beam)
         assert a.words == b.words
@@ -519,20 +520,20 @@ class TestBeam:
         scores = []
         for beam in (2.0, 10.0, 50.0, None):
             try:
-                scores.append(_decode(model, lm, lex, frames,
-                                     DecodeConfig(lm_scale=4.0, beam=beam)).score)
+                config = DecodeConfig(lm_scale=4.0, word_insertion_penalty=0.0, beam=beam)
+                scores.append(_decode(model, lm, lex, frames, config).score)
             except EmptyBeamError:
                 scores.append(-np.inf)
         for narrow, wide in zip(scores, scores[1:]):
             assert narrow <= wide + 1e-12
 
-    def test_too_few_frames(self):
+    def test_too_few_frames(self, defaults):
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
                        use_sil=True)
         lex = _lexicon()
         # two frames cannot cover lead silence, one word, tail silence
         with pytest.raises(EmptyBeamError):
-            _decode(model, _lm(), lex, np.zeros((2, 1)))
+            _decode(model, _lm(), lex, np.zeros((2, 1)), defaults.decode_config())
 
 
 class TestResult:
@@ -548,7 +549,7 @@ class TestResult:
             np.full((3, 1), 10.0),   # tail silence
         ])
         result = _decode(model, lm, lex, frames,
-                        DecodeConfig(lm_scale=1.0, beam=None))
+                        DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=None))
         assert result.words == ["ba", "do"]
         # spans partition all frames; boundary silence folds into the words
         assert result.word_spans[0][1] == 0
@@ -640,7 +641,7 @@ def _tied_instance(rng, use_sil):
     frames = [np.zeros((n, 1)) for n in rng.integers(lo, lo + 10,
                                                        size=int(rng.integers(1, 6)))]
     cfg = DecodeConfig(lm_scale=float(rng.choice([1.0, 3.0])),
-                       beam=rng.choice([None, 2.0]))
+                       word_insertion_penalty=0.0, beam=rng.choice([None, 2.0]))
     contexts = ["<s>"] + lex.words
     forbidden = {(c, w) for c in contexts for w in lex.words + ["</s>"]
                  if rng.random() < 0.3}
@@ -705,7 +706,7 @@ class TestBatch:
             assert (got.words, got.score, got.word_spans) \
                 == (want.words, want.score, want.word_spans)
 
-    def test_empty_beam_names_the_utterance(self):
+    def test_empty_beam_names_the_utterance(self, defaults):
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
                        use_sil=True)
         graph = DecodeGraph(model, _lm(), _lexicon())
@@ -714,23 +715,25 @@ class TestBatch:
         # two frames cannot cover lead silence, one word, tail silence
         frames = [good, good, np.zeros((2, 1)), good]
         with pytest.raises(EmptyBeamError, match="utterance 2:") as err:
-            decode_batch(graph, frames, DecodeConfig(beam=None))
+            decode_batch(graph, frames, replace(defaults.decode_config(), beam=None))
         assert err.value.utterance == 2
 
-    def test_decode_cell_adds_the_utterance_id(self):
+    def test_decode_cell_adds_the_utterance_id(self, defaults):
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0, "sil": 10.0},
                        use_sil=True)
-        cfg = SimpleNamespace(decode_config=lambda: DecodeConfig(beam=None))
+        cfg = SimpleNamespace(
+            decode_config=lambda: replace(defaults.decode_config(), beam=None))
         seqs = [SimpleNamespace(utterance_id=f"spk01_u{i}", frames=np.full((n, 1), 10.0))
                 for i, n in enumerate((9, 2, 9))]
         with pytest.raises(EmptyBeamError, match=r"^spk01_u1: utterance 1:"):
             experiment.decode_cell(cfg, model, _lm(), _lexicon(), seqs)
 
-    def test_zero_frames_is_an_empty_beam(self):
+    def test_zero_frames_is_an_empty_beam(self, defaults):
         model = _model({"p": 0.0, "t": 4.0, "k": -4.0})
         graph = DecodeGraph(model, _lm(), _lexicon())
+        config = defaults.decode_config()
         with pytest.raises(EmptyBeamError, match="utterance 0: no frames"):
-            decode_frames(graph, np.zeros((0, 1)))
+            decode_frames(graph, np.zeros((0, 1)), config)
         with pytest.raises(EmptyBeamError, match="utterance 1: no frames") as err:
-            decode_batch(graph, [np.zeros((4, 1)), np.zeros((0, 1))])
+            decode_batch(graph, [np.zeros((4, 1)), np.zeros((0, 1))], config)
         assert err.value.utterance == 1

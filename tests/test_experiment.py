@@ -1,6 +1,7 @@
 import json
 import logging
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestConfig:
         assert (experiment.ExperimentConfig.from_mapping({}).semantic_hash()
                 == "c3c273fa263d2a49ca7622a3613866d9835fca099abf0bd411e557d4ca1e7371")
 
+    def test_readme_lists_every_default(self):
+        # the README's "Configuration" block is a copy of the defaults for
+        # readers; each key=value in it must be the config's default text
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        shown = dict(token.split("=", 1) for token in block.split() if "=" in token)
+        assert shown == {key: value for key, value in experiment.CONFIG_DEFAULTS.items()
+                         if key not in ("corpus_dir", "out_dir")}
+
     def test_base_streams_needed(self):
         cfg = experiment.ExperimentConfig.from_mapping({"streams": "geo,geo+eig"})
         assert cfg.base_streams_needed() == ["geo", "eig"]
@@ -272,13 +283,14 @@ class TestStageErrors:
 
 
 class TestZeroFrames:
-    def test_zero_frame_roi_gives_empty_dnn_and_eig_features(self, tmp_path):
+    def test_zero_frame_roi_gives_empty_dnn_and_eig_features(self, tmp_path, defaults):
         roi = tmp_path / "u0.vfa"
         features.save_features(roi, features.FeatureSequence(
             frames=np.zeros((0, 16 * 32)), utterance_id="u0", speaker_id="s0",
             stream_tag="roi"))
         ae_path = tmp_path / "autoenc.cae"
-        autoencoder.save_autoencoder(ae_path, autoencoder.ConvAutoencoder(seed=0))
+        autoencoder.save_autoencoder(ae_path, autoencoder.ConvAutoencoder(
+            defaults.ae_channels, defaults.ae_bottleneck, seed=0))
         pca_path = tmp_path / "eigenlips.pca"
         eigenlips.save_pca(pca_path, eigenlips.PcaModel(
             mean=np.zeros(16 * 32), components=np.eye(16 * 32)[:5],

@@ -44,12 +44,12 @@ def test_coincident_corners_raise():
         frontend.mouth_alignment_angle(pts)
 
 
-def test_flat_mouth_raises():
+def test_flat_mouth_raises(defaults):
     pts = _blank_landmarks()
     pts[48:68, 0] = np.linspace(10, 30, 20)
     pts[48:68, 1] = 15.0  # zero height box
     with pytest.raises(DegenerateGeometryError):
-        _roi_of_frame(pts, np.zeros((40, 40)))
+        _roi_of_frame(pts, np.zeros((40, 40)), margin=defaults.roi_margin)
 
 
 def _mouth_landmarks(xs, ys):
@@ -111,15 +111,15 @@ def test_linear_ramp_sampling_closed_form():
     assert np.allclose(roi[:, 31], (18.5 + 31.5 * 13 / 32) / 63, atol=1e-12)
 
 
-def test_integer_translation_invariance():
+def test_integer_translation_invariance(defaults):
     rng = np.random.default_rng(3)
     image = rng.uniform(0.0, 1.0, (48, 64))
     xs = np.linspace(24, 36, 20)
     ys = 20 + 4 * np.sin(np.linspace(0, 2 * math.pi, 20))
     pts = _mouth_landmarks(xs, ys)
-    roi = _roi_of_frame(pts, image)
+    roi = _roi_of_frame(pts, image, margin=defaults.roi_margin)
     shifted = np.roll(np.roll(image, 5, axis=0), -3, axis=1)
-    roi2 = _roi_of_frame(pts + np.array([-3.0, 5.0]), shifted)
+    roi2 = _roi_of_frame(pts + np.array([-3.0, 5.0]), shifted, margin=defaults.roi_margin)
     assert np.allclose(roi, roi2, atol=1e-12)
 
 
@@ -135,9 +135,9 @@ def _rendered_face():
     return image, pts
 
 
-def test_rotation_equivariance_against_scipy():
+def test_rotation_equivariance_against_scipy(defaults):
     image, pts = _rendered_face()
-    base = _roi_of_frame(pts, image)
+    base = _roi_of_frame(pts, image, margin=defaults.roi_margin)
     h, w = image.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     for angle_deg in (-25.0, 12.0, 30.0):
@@ -149,29 +149,29 @@ def test_rotation_equivariance_against_scipy():
         rel = pts - (cx, cy)
         rot_pts = np.stack([cx + c * rel[:, 0] - s * rel[:, 1],
                             cy + s * rel[:, 0] + c * rel[:, 1]], axis=1)
-        roi = _roi_of_frame(rot_pts, rot_img)
+        roi = _roi_of_frame(rot_pts, rot_img, margin=defaults.roi_margin)
         diff = np.mean(np.abs(roi - base))
         assert diff < 0.05, f"angle {angle_deg}: mean abs diff {diff:.4f}"
 
 
-def test_roi_sequence_and_quantization():
+def test_roi_sequence_and_quantization(defaults):
     image, pts = _rendered_face()
     frames = np.stack([image, image])
     lms = np.stack([pts, pts])
-    rois = frontend.roi_sequence(lms, frames)
+    rois = frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
     assert rois.shape == (2, 16, 32)
     assert rois.min() >= 0.0 and rois.max() <= 1.0
     with pytest.raises(ValueError):
-        frontend.roi_sequence(lms[:1], frames)
+        frontend.roi_sequence(lms[:1], frames, margin=defaults.roi_margin)
 
 
-def test_landmarks_outside_image_are_clamped():
+def test_landmarks_outside_image_are_clamped(defaults):
     rng = np.random.default_rng(1)
     image = rng.uniform(0.0, 1.0, (20, 20))
     xs = np.linspace(-5, 10, 20)
     ys = np.linspace(-2, 6, 20)
     pts = _mouth_landmarks(xs, ys)
-    roi = _roi_of_frame(pts, image)
+    roi = _roi_of_frame(pts, image, margin=defaults.roi_margin)
     assert np.isfinite(roi).all()
     assert roi.min() >= 0.0 and roi.max() <= 1.0
 
@@ -197,9 +197,7 @@ def _oracle_bilinear_sample(image, xs, ys):
     return top * (1 - fy) + bot * fy
 
 
-def _oracle_extract_aligned_roi(landmarks, image,
-                                out_size=(frontend.ROI_WIDTH, frontend.ROI_HEIGHT),
-                                margin=frontend.DEFAULT_MARGIN):
+def _oracle_extract_aligned_roi(landmarks, image, out_size, margin):
     """Extract one aligned mouth ROI as a float array in [0, 1].
 
     ``landmarks`` is (68, 2); ``image`` a 2-D grayscale frame (uint8 arrays
@@ -271,45 +269,46 @@ def _face_sequence(n):
     return np.repeat(pts[None], n, axis=0), np.repeat(image[None], n, axis=0)
 
 
-def test_degenerate_frame_in_sequence_is_named():
+def test_degenerate_frame_in_sequence_is_named(defaults):
     lms, frames = _face_sequence(5)
     lms[2, 54] = lms[2, 48]
     with pytest.raises(DegenerateGeometryError, match=r"^frame 2: mouth corners coincide"):
-        frontend.roi_sequence(lms, frames)
+        frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
     lms, frames = _face_sequence(5)
     lms[3, 48:68, 1] = 40.0
     with pytest.raises(DegenerateGeometryError, match=r"^frame 3: .*zero-area box"):
-        frontend.roi_sequence(lms, frames)
+        frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
 
 
-def test_earliest_degenerate_frame_is_named():
+def test_earliest_degenerate_frame_is_named(defaults):
     # a later frame failing an earlier check does not hide an earlier frame
     lms, frames = _face_sequence(6)
     lms[1, 48:68, 1] = 40.0
     lms[4, 54] = lms[4, 48]
     with pytest.raises(DegenerateGeometryError, match=r"^frame 1: .*zero-area box"):
-        frontend.roi_sequence(lms, frames)
+        frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
     # a frame failing both checks reports the first one a frame is checked by
     lms[1, 54] = lms[1, 48]
     with pytest.raises(DegenerateGeometryError, match=r"^frame 1: mouth corners coincide"):
-        frontend.roi_sequence(lms, frames)
+        frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
 
 
-def test_zero_frames():
-    rois = frontend.roi_sequence(np.zeros((0, 68, 2)), np.zeros((0, 40, 50), dtype=np.uint8))
+def test_zero_frames(defaults):
+    rois = frontend.roi_sequence(np.zeros((0, 68, 2)), np.zeros((0, 40, 50), dtype=np.uint8),
+                                 margin=defaults.roi_margin)
     assert rois.shape == (0, 16, 32)
     rois = frontend.roi_sequence(np.zeros((0, 68, 2)), np.zeros((0, 40, 50)),
-                                 out_size=(8, 4))
+                                 margin=defaults.roi_margin, out_size=(8, 4))
     assert rois.shape == (0, 4, 8)
 
 
-def test_float64_output_pinned(pin_corpus):
+def test_float64_output_pinned(pin_corpus, defaults):
     # VFA1 stores float32, so the artifact tree cannot see float64 drift in
     # this kernel; the digest of its float64 output on a fixed corpus can.
     # (Platform: x86-64, numpy 2.4; another libm may move the last bit.)
     digest = hashlib.sha256()
     for landmarks, frames in pin_corpus:
-        rois = frontend.roi_sequence(landmarks, frames)
+        rois = frontend.roi_sequence(landmarks, frames, margin=defaults.roi_margin)
         assert rois.dtype == np.float64
         digest.update(rois.tobytes())
     assert digest.hexdigest() == \

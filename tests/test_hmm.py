@@ -9,11 +9,8 @@ from scipy.special import logsumexp as sp_logsumexp
 from scipy.stats import norm
 
 from vsrlab.errors import AlignmentInfeasibleError, FormatError, InsufficientDataError, OovError
-from vsrlab import experiment, hmm
+from vsrlab import hmm
 from vsrlab.lingware import Lexicon
-
-# the configuration's defaults, for calls that mean them
-DEFAULTS = experiment.ExperimentConfig.from_mapping({})
 
 
 def _state_log_likelihoods(model, frames):
@@ -990,10 +987,10 @@ class TestEm:
         assert model.variances[0, 0] > 0.5
         assert model.variances[0, 0] == pytest.approx(frames[:, 0].var(), abs=1e-10)
 
-    def test_flat_start_floor_formula(self):
+    def test_flat_start_floor_formula(self, defaults):
         rng = np.random.default_rng(38)
         frames = rng.normal(size=(50, 3)) * np.array([1.0, 0.1, 10.0])
-        model = hmm.flat_start([frames], ["q"], DEFAULTS.topology, use_sil=False)
+        model = hmm.flat_start([frames], ["q"], defaults.topology, use_sil=False)
         want = 1e-3 * np.maximum(frames.var(axis=0), 1e-12)
         assert np.array_equal(model.var_floor, want)
 
@@ -1083,7 +1080,7 @@ class TestEm:
         assert np.array_equal(both.means, solo.means)
         assert np.array_equal(both.variances, solo.variances)
 
-    def test_batch_budget_only_reorders_sums(self, monkeypatch, caplog):
+    def test_batch_budget_only_reorders_sums(self, monkeypatch, caplog, defaults):
         # a budget too small for two utterances runs every utterance as its
         # own batch; the statistics are the same sums in another order
         rng = np.random.default_rng(40)
@@ -1098,7 +1095,7 @@ class TestEm:
                 history = hmm.train_em(model, data, schedule=[(1, 2), (2, 2)])
             return model, [ll for _, ll in history]
 
-        graphs = [hmm.compose_chain(hmm.flat_start([data[0][0]], ["a", "b"], DEFAULTS.topology,
+        graphs = [hmm.compose_chain(hmm.flat_start([data[0][0]], ["a", "b"], defaults.topology,
                                                    use_sil=False), chain) for _, chain in data]
         frames = [f for f, _ in data]
         assert len(list(hmm._batches(frames, graphs, 8))) == 1
@@ -1124,12 +1121,12 @@ class TestEm:
         with pytest.raises(InsufficientDataError):
             hmm.em_iteration(model, [(frames, ["a"])])
 
-    def test_flat_start_validation(self):
+    def test_flat_start_validation(self, defaults):
         with pytest.raises(InsufficientDataError):
-            hmm.flat_start([], ["a"], DEFAULTS.topology, use_sil=False)
+            hmm.flat_start([], ["a"], defaults.topology, use_sil=False)
         with pytest.raises(InsufficientDataError):
             hmm.train_em(_make_model("skip2", {"a": _dummy_params(2, 1)}, 1), [],
-                         DEFAULTS.schedule)
+                         defaults.schedule)
 
 
 class TestEStep:

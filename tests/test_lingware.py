@@ -191,3 +191,13 @@ def test_lexicon_errors(tmp_path):
     path.write_text("")
     with pytest.raises(LexiconError):
         lingware.load_lexicon(path)
+
+
+@pytest.mark.parametrize("marker", [SENTENCE_START, SENTENCE_END])
+def test_sentence_marker_in_lexicon_is_rejected(tmp_path, marker):
+    # as a word, "</s>" would collide with the sentence end in the bigram
+    path = tmp_path / "lex.txt"
+    path.write_text(f"casa k a s a\n{marker} t\n")
+    with pytest.raises(LexiconError,
+                       match=f"{path}:2: the sentence marker '{marker}' cannot be a word"):
+        lingware.load_lexicon(path)

@@ -61,10 +61,12 @@ def test_utterance_counts_missing_hypothesis(caplog):
     assert any("stray" in m for m in caplog.messages)
 
 
-def test_bootstrap_deterministic_and_prefix_stable():
+def test_bootstrap_deterministic_and_prefix_stable(defaults):
     counts = {f"u{i}": (i % 2, 0, 0, 4) for i in range(10)}
-    a = scoring.bootstrap_ci(counts, n_resamples=300, seed=7)
-    b = scoring.bootstrap_ci(counts, n_resamples=300, seed=7)
+    a = scoring.bootstrap_ci(counts, n_resamples=300, seed=7,
+                             confidence=defaults.confidence)
+    b = scoring.bootstrap_ci(counts, n_resamples=300, seed=7,
+                             confidence=defaults.confidence)
     assert a == b
     # per-resample seeding: a shorter run is a prefix of a longer one
     long = scoring.resample_wers(counts, 200, seed=7)
@@ -103,25 +105,28 @@ def test_resample_wers_match_per_draw_loop():
         idx[0, 0] = 1
 
 
-def test_bootstrap_single_utterance_collapses():
+def test_bootstrap_single_utterance_collapses(defaults):
     counts = {"u1": (1, 0, 0, 4)}
-    lo, hi = scoring.bootstrap_ci(counts, n_resamples=200, seed=0)
+    lo, hi = scoring.bootstrap_ci(counts, n_resamples=200, seed=0,
+                                  confidence=defaults.confidence)
     assert lo == hi == 25.0
 
 
-def test_bootstrap_two_utterance_support():
+def test_bootstrap_two_utterance_support(defaults):
     # resamples of {0% over 1 word, 100% over 1 word} can only hit 0, 50, 100
     counts = {"u1": (0, 0, 0, 1), "u2": (1, 0, 0, 1)}
-    lo, hi = scoring.bootstrap_ci(counts, n_resamples=1000, seed=3)
+    lo, hi = scoring.bootstrap_ci(counts, n_resamples=1000, seed=3,
+                                  confidence=defaults.confidence)
     assert lo in (0.0, 50.0, 100.0) and hi in (0.0, 50.0, 100.0)
     # each corner has probability 1/4 per resample; 1000 draws surely hit both
     assert lo == 0.0 and hi == 100.0
 
 
-def test_evaluate_report_and_formats():
+def test_evaluate_report_and_formats(defaults):
     refs = {"u1": ["a", "b", "c"], "u2": ["d", "e"]}
     hyps = {"u1": ["a", "x", "c"], "u2": ["d", "e"]}
-    report = scoring.evaluate(refs, hyps, n_resamples=200, seed=1)
+    report = scoring.evaluate(refs, hyps, n_resamples=200, seed=1,
+                              confidence=defaults.confidence)
     assert report.substitutions == 1
     assert report.reference_words == 5
     assert abs(report.wer - 20.0) < 1e-12

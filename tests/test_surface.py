@@ -1,6 +1,7 @@
 """The package's surface: every public module-level function and class of
 ``vsrlab`` has a caller inside the package, so no code exists only for tests,
-and no module reaches into another module's private names.
+no module reaches into another module's private names, and no library
+parameter restates a default that ``ExperimentConfig`` declares.
 
 A definition counts as used when its name appears as a ``Name``, as an
 ``Attribute`` or in a ``from ... import`` anywhere in ``src/vsrlab`` outside
@@ -9,10 +10,14 @@ function named ``decode`` would count as used through ``bytes.decode``.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
 import vsrlab
+from vsrlab import experiment
 
 # Definitions kept without a caller in the package, each with its reason.
 ALLOWED = {
@@ -75,3 +80,60 @@ def test_no_module_uses_another_modules_private_names():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and _is_private(node.attr)]
     assert not found, f"private names used across vsrlab modules: {found}"
+
+
+# Library parameters that carry a config key's value under another name.
+CONFIG_ALIASES = {
+    "margin": "roi_margin",
+    "channels": "ae_channels",
+    "bottleneck": "ae_bottleneck",
+    "epochs": "ae_epochs",
+    "lr": "ae_lr",
+    "batch_size": "ae_batch",
+    "n_resamples": "bootstrap",
+    "topology_kind": "topology",
+}
+
+# Defaults kept for a config key's name, each with its reason.
+DEFAULTS_ALLOWED = {
+    # the one home of every config default
+    ("experiment", "ExperimentConfig"),
+    # corpus synthesis seeds its own lexicon and speakers; the config's seed
+    # drives training, and a corpus is made once, before any config
+    ("corpus", "default_lexicon"),
+    ("corpus", "SynthSpec"),
+}
+
+
+def _public_callables():
+    """(module, qualified name, function) for every public function of
+    ``vsrlab`` and every public method and ``__init__`` of its public
+    classes; a dataclass's ``__init__`` takes its fields."""
+    for info in pkgutil.iter_modules(vsrlab.__path__):
+        module = importlib.import_module(f"vsrlab.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield info.name, name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if ((attr == "__init__" or not attr.startswith("_"))
+                            and inspect.isfunction(member)):
+                        yield info.name, f"{name}.{attr}", member
+
+
+def test_no_library_parameter_restates_a_config_default():
+    keys = set(experiment.CONFIG_DEFAULTS)
+    assert set(CONFIG_ALIASES.values()) <= keys
+    restated = []
+    for module, name, obj in _public_callables():
+        if (module, name.split(".")[0]) in DEFAULTS_ALLOWED:
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if (param.default is not param.empty
+                    and (param.name in keys or param.name in CONFIG_ALIASES)):
+                restated.append(f"{module}.{name}({param.name}={param.default!r})")
+    assert not restated, ("parameters that restate a config default; take the "
+                          f"value from ExperimentConfig instead: {restated}")
