@@ -132,6 +132,10 @@ def fit_bigram(transcripts, vocabulary=None):
     """Estimate a Witten-Bell interpolated bigram from word-list transcripts."""
     if not transcripts:
         raise ValueError("no transcripts to fit")
+    for words in transcripts if vocabulary is None else [*transcripts, vocabulary]:
+        for marker in (SENTENCE_START, SENTENCE_END):
+            if marker in words:
+                raise ValueError(f"the sentence marker {marker!r} cannot be a word")
     if vocabulary is not None:
         vocab = sorted(set(vocabulary))
         allowed = set(vocab)

@@ -50,6 +50,18 @@ def test_closed_vocabulary_rejects_strays():
         lm.score(["a", "zzz"])
 
 
+@pytest.mark.parametrize("transcripts, vocabulary, marker", [
+    ([["ba"], [SENTENCE_END, "ba"], [SENTENCE_START]], None, SENTENCE_END),
+    ([["ba"], ["ba", SENTENCE_START]], None, SENTENCE_START),
+    ([["ba"]], ["ba", SENTENCE_START], SENTENCE_START),
+    ([["ba", SENTENCE_END]], ["ba", SENTENCE_END], SENTENCE_END),
+])
+def test_sentence_marker_as_word_is_rejected_when_fitting(transcripts, vocabulary, marker):
+    # as a word, "</s>" collides with the sentence end and the unigram no longer sums to 1
+    with pytest.raises(ValueError, match=f"the sentence marker '{marker}' cannot be a word"):
+        lingware.fit_bigram(transcripts, vocabulary=vocabulary)
+
+
 def test_arpa_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     vocab = [f"w{i}" for i in range(8)]

@@ -10,11 +10,16 @@ at seed 7 and, for a warm workload, the priming grid), then one operation
 (the timed grid run). Every file of the tree, corpus included, is hashed
 with SHA-256. The script prints each file whose digest differs or that
 exists on one side only, and exits 1 if there is any, or if a run failed
-its output checks. For a differing ``model.opt`` it also prints how far the
-trained parameters moved, read with the new checkout's ``hmm.load_model``:
-the largest change of a mean in standard deviations (the old variance's),
-and the largest relative change of a variance, a mixture weight and a
-transition probability. It changes nothing under ``perfbench/``.
+its output checks. For some differing files it also prints how far their
+values moved, read with the new checkout's loaders:
+- ``model.opt``: the largest change of a mean in standard deviations (the
+  old variance's), and the largest relative change of a variance, a mixture
+  weight and a transition probability;
+- ``pca.eig``: the largest change of a component entry and the largest
+  relative change of an eigenvalue;
+- ``.vfa``: how many stored float32 values differ, and the largest
+  difference in units in the last place (ULPs).
+It changes nothing under ``perfbench/``.
 """
 
 import hashlib
@@ -53,6 +58,14 @@ def diff_lines(a, b):
             + [f"  differs:     {p}" for p in sorted(a.keys() & b.keys()) if a[p] != b[p]])
 
 
+def relative(a, b):
+    """The largest change from ``a`` to ``b`` relative to ``|a|`` (to 1 where
+    ``a`` is 0)."""
+    import numpy as np
+
+    return float(np.max(np.abs(b - a) / np.where(a != 0.0, np.abs(a), 1.0)))
+
+
 def parameter_moves(old_path, new_path):
     """How far the model in ``new_path`` moved from the one in ``old_path``,
     as one line, or why the two cannot be compared."""
@@ -63,14 +76,44 @@ def parameter_moves(old_path, new_path):
     if (old.phones != new.phones or not np.array_equal(old.phone_n_states, new.phone_n_states)
             or not np.array_equal(old.n_mix, new.n_mix)):
         return "the models differ in phones, states or components"
-
-    def relative(a, b):
-        return float(np.max(np.abs(b - a) / np.where(a != 0.0, np.abs(a), 1.0)))
-
     sd = float(np.max(np.abs(new.means - old.means) / np.sqrt(old.variances)))
     return (f"means {sd:.2g} sd, variances {relative(old.variances, new.variances):.2g}, "
             f"weights {relative(old.weights, new.weights):.2g}, "
             f"transitions {relative(old.trans, new.trans):.2g} (largest relative change)")
+
+
+def pca_moves(old_path, new_path):
+    """How far the eigenlips model in ``new_path`` moved from the one in
+    ``old_path``, as one line."""
+    import numpy as np
+    from vsrlab import eigenlips
+
+    old, new = eigenlips.load_pca(old_path), eigenlips.load_pca(new_path)
+    if old.components.shape != new.components.shape:
+        return "the models differ in component count"
+    entry = float(np.max(np.abs(new.components - old.components)))
+    return (f"components {entry:.2g} (largest change of an entry), eigenvalues "
+            f"{relative(old.eigenvalues, new.eigenvalues):.2g} (largest relative change)")
+
+
+def feature_moves(old_path, new_path):
+    """How many stored float32 feature values differ between ``old_path`` and
+    ``new_path``, and by how many ULPs at most, as one line."""
+    import numpy as np
+    from vsrlab import features
+
+    old, new = (features.load_features(p).frames.astype(np.float32) for p in (old_path, new_path))
+    if old.shape != new.shape:
+        return "the features differ in shape"
+    # float32 bits as integers that count ULPs through zero
+    bits = [x.view(np.int32).astype(np.int64) for x in (old, new)]
+    ordered = [np.where(b < 0, -(b & 0x7FFFFFFF), b) for b in bits]
+    ulps = np.abs(ordered[1] - ordered[0])
+    return (f"{int(np.count_nonzero(ulps))} of {ulps.size} float32 values differ, "
+            f"by at most {int(ulps.max(initial=0))} ULP(s)")
+
+
+MOVES = {"model.opt": parameter_moves, "pca.eig": pca_moves, ".vfa": feature_moves}
 
 
 def run_side(checkout, out, trees_dir):
@@ -122,9 +165,10 @@ def main(argv):
             for line in diff_lines(a, b):
                 lines.append(line)
                 path = line.split()[-1]
-                if line.startswith("  differs:") and path.endswith("model.opt"):
-                    lines.append("               " + parameter_moves(
-                        roots[0] / name / path, roots[1] / name / path))
+                moves = next((f for suffix, f in MOVES.items() if path.endswith(suffix)), None)
+                if line.startswith("  differs:") and moves:
+                    lines.append("               " + moves(roots[0] / name / path,
+                                                           roots[1] / name / path))
             lines += [f"  {side} run failed its checks: {problem}"
                       for side, result in (("old", old), ("new", new))
                       for problem in result["problems"].get(name, [])]
