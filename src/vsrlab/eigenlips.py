@@ -71,17 +71,18 @@ def _rotation_chain(sines, cosines, upper):
     s_i x_i + c_i x_{i+1}``, applied from the last pair down to the first. So
     row 0 of the product is ``W[0]`` and row ``i + 1`` is ``s_i e_i + c_i
     W[i + 1]``, where ``W[j, k] = c'_k prod_{i=j}^{k-1} (-s_i)`` (``c'`` is
-    ``c`` and a 1) is one cumulative product. ``upper`` is a large enough
-    boolean upper triangle.
+    ``c`` with a 1 appended) is one cumulative product. ``upper`` is a large
+    enough boolean upper triangle.
     """
     s = np.array(sines)
     c = np.array(cosines + [1.0])
     size = len(c)
     upper = upper[:size - 1, :size - 1]
-    carried = np.cumprod(np.where(upper, -s, 1.0), axis=1)
-    carried *= upper
     chain = np.zeros((size, size))
-    chain[:-1, 1:] = carried * c[1:]
+    carried = chain[:-1, 1:]
+    np.cumprod(np.where(upper, -s, 1.0), axis=1, out=carried)
+    carried *= upper
+    carried *= c[1:]
     chain.flat[::size + 1] = c
     chain[1:] *= c[:-1, None]
     chain.flat[size::size + 1] = s

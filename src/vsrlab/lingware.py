@@ -132,7 +132,7 @@ def fit_bigram(transcripts, vocabulary=None):
     """Estimate a Witten-Bell interpolated bigram from word-list transcripts."""
     if not transcripts:
         raise ValueError("no transcripts to fit")
-    for words in transcripts if vocabulary is None else [*transcripts, vocabulary]:
+    for words in [*transcripts, vocabulary or ()]:
         for marker in (SENTENCE_START, SENTENCE_END):
             if marker in words:
                 raise ValueError(f"the sentence marker {marker!r} cannot be a word")
