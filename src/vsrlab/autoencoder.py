@@ -4,20 +4,35 @@ plain numpy with hand-derived gradients.
 The network is one ordered list of layers, ``ConvAutoencoder.layers``:
 
 - per encoder stage: 3x3 conv (stride 2, pad 1), ReLU;
-- a reshape to one row per image, then the linear dense bottleneck;
-- dense, ReLU, and a reshape back to the last encoder stage's maps;
+- ``ToRows``, one row per image, then the linear dense bottleneck;
+- dense, ReLU, and ``ToMaps`` back to the last encoder stage's maps;
 - per decoder stage: ``UpsampleConv2d`` (a nearest-neighbor 2x upsample,
   then a 3x3 conv with stride 1 and pad 1), ReLU, except that a sigmoid ends
   the last stage instead.
+
+Conv layers see a batch as (C, H, W, N) maps, with the batch innermost; the
+dense layers see (N, features) rows. The batch is transposed in three places
+only: from the (N, H, W) images into (1, H, W, N) maps at the network input,
+between maps and rows at ``ToRows`` and ``ToMaps`` (each row is in (C, H, W)
+order, so the stored dense weights keep their meaning), and back to
+(N, H, W) for the reconstruction. With the batch innermost, ``_im2col``
+stacks every image's patches into one (9C, OH*OW*N) matrix by copying runs
+of N or W*N contiguous values, so each conv's forward pass, weight gradient
+and input gradient is one matrix product for the whole batch:
+(O, 9C) @ (9C, OH*OW*N), its output gradient times the im2col's transpose,
+and the weights' transpose times the output gradient, which ``_col2im``
+adds back onto the input. No padded copy of the input is built.
 
 ``UpsampleConv2d`` never builds the upsampled map. Each output pixel's
 parity (a, b) selects one of four phase kernels, the 3x3 kernel folded onto
 the low-resolution map: along rows, phase 0 puts k0 at offset -1 and k1 + k2
 at offset 0, and phase 1 puts k0 + k1 at offset 0 and k2 at offset +1;
 columns fold the same way. One im2col of the low-resolution input and one
-matmul with the stacked phase kernels compute the four phases, which are
-interleaved into the output. Its parameters are the unfolded kernel and the
-bias, so training, initialization and the container see a plain 3x3 conv.
+product with the stacked phase kernels compute the four phases, which are
+interleaved into the output in runs of N values; backward gathers the output
+gradient into the four phases the same way, and their weight gradient is
+again one product. Its parameters are the unfolded kernel and the bias, so
+training, initialization and the container see a plain 3x3 conv.
 
 The first ``n_encoder`` layers are the encoder; they end at the bottleneck
 codes. ``forward`` runs the list in order, ``CHUNK_FRAMES`` images at a time.
@@ -32,9 +47,10 @@ Layers hold parameters only. ``forward(x)`` returns ``(out, cache)`` and
 sets ``dw`` and ``db``). Inference drops each cache as soon as its layer has
 run; ``loss_and_grad`` keeps one batch's caches in a list and pops them in
 reverse. Gradient correctness is established by central finite differences
-in the test suite (which also checks ``UpsampleConv2d`` against an upsample
-and a stride-1 ``Conv2d``), so the backward passes here are the reference
-implementation, not a wrapper over a framework.
+in the test suite, which also checks every layer against an (N, C, H, W)
+oracle with one product per image and an explicit upsample, so the backward
+passes here are the reference implementation, not a wrapper over a
+framework.
 """
 
 import math
@@ -51,35 +67,51 @@ MOMENTUM = 0.9
 CHUNK_FRAMES = 256
 
 
+def _tap(k, size, out_size, stride):
+    """For kernel offset ``k`` (0, 1 or 2) along an axis of ``size`` inputs
+    with pad 1: the output range ``lo:hi`` whose taps land inside the input,
+    and the slice of the input they read. Outside it the taps read padding."""
+    lo = 1 if k == 0 else 0
+    hi = min(out_size, (size - k) // stride + 1)
+    return slice(lo, hi), slice(stride * lo + k - 1, stride * (hi - 1) + k, stride)
+
+
+def _taps(h, w, stride):
+    """``(oh, ow)`` and, per 3x3 tap in row-major order, its output and input
+    slices along the height and width axes."""
+    oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+    rows = [_tap(k, h, oh, stride) for k in range(3)]
+    cols = [_tap(k, w, ow, stride) for k in range(3)]
+    return (oh, ow), [(ro, co, ri, ci) for ro, ri in rows for co, ci in cols]
+
+
 def _im2col(x, stride):
-    """3x3 patches with pad 1: (N, C, H, W) -> (N, C*9, OH*OW) plus shape info."""
-    n, c, h, w = x.shape
-    oh = (h + 2 - 3) // stride + 1
-    ow = (w + 2 - 3) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 3, 3, oh, ow))
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
-                                    kj:kj + stride * (ow - 1) + 1:stride]
-    return cols.reshape(n, c * 9, oh * ow), (oh, ow)
+    """3x3 patches with pad 1: (C, H, W, N) -> (9C, OH*OW*N) plus (OH, OW).
+    Row ``c * 9 + tap`` matches ``w.reshape(out_ch, -1)``; each copy moves
+    runs of N or W*N contiguous values, and the padding is never built."""
+    c, h, w, n = x.shape
+    (oh, ow), taps = _taps(h, w, stride)
+    cols = np.zeros((c, 9, oh, ow, n))
+    for t, (ro, co, ri, ci) in enumerate(taps):
+        cols[:, t, ro, co] = x[:, ri, ci]
+    return cols.reshape(c * 9, -1), (oh, ow)
 
 
 def _col2im(dcols, x_shape, stride):
-    n, c, h, w = x_shape
-    oh = (h + 2 - 3) // stride + 1
-    ow = (w + 2 - 3) // stride + 1
-    dcols = dcols.reshape(n, c, 3, 3, oh, ow)
-    dxp = np.zeros((n, c, h + 2, w + 2))
-    for ki in range(3):
-        for kj in range(3):
-            dxp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
-                kj:kj + stride * (ow - 1) + 1:stride] += dcols[:, :, ki, kj]
-    return dxp[:, :, 1:-1, 1:-1]
+    """The adjoint of ``_im2col``: adds each tap's gradient back onto the
+    input pixels it read, dropping the padding's."""
+    c, h, w, n = x_shape
+    (oh, ow), taps = _taps(h, w, stride)
+    dcols = dcols.reshape(c, 9, oh, ow, n)
+    dx = np.zeros(x_shape)
+    for t, (ro, co, ri, ci) in enumerate(taps):
+        dx[:, ri, ci] += dcols[:, t, ro, co]
+    return dx
 
 
 class Conv2d:
-    """3x3 convolution, padding 1, configurable stride."""
+    """3x3 convolution, padding 1, configurable stride, on (C, H, W, N) maps.
+    Forward, weight gradient and input gradient are one matrix product each."""
 
     @staticmethod
     def shapes(in_ch, out_ch):
@@ -101,25 +133,23 @@ class Conv2d:
         cols, (oh, ow) = _im2col(x, self.stride)
         out_ch = self.w.shape[0]
         wmat = self.w.reshape(out_ch, -1)
-        out = np.matmul(wmat, cols) + self.b[:, None]
-        return out.reshape(x.shape[0], out_ch, oh, ow), (cols, wmat, x.shape)
+        out = wmat @ cols
+        out += self.b[:, None]
+        return out.reshape(out_ch, oh, ow, x.shape[3]), (cols, wmat, x.shape)
 
     def param_backward(self, dout, cache):
         """Sets ``dw`` and ``db`` from the output gradient ``dout`` and
         returns it laid out as the product of the cached ``wmat`` and im2col,
         which ``backward`` multiplies by ``wmat.T``."""
         cols = cache[0]
-        n, out_ch = dout.shape[:2]
-        dmat = dout.reshape(n, out_ch, -1)
-        self.db = dmat.sum(axis=(0, 2))
-        self.dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0) \
-            .reshape(self.w.shape)
+        dmat = dout.reshape(dout.shape[0], -1)
+        self.db = dmat.sum(axis=1)
+        self.dw = (dmat @ cols.T).reshape(self.w.shape)
         return dmat
 
     def backward(self, dout, cache):
         _, wmat, x_shape = cache
-        dcols = np.matmul(wmat.T, self.param_backward(dout, cache))
-        return _col2im(dcols, x_shape, self.stride)
+        return _col2im(wmat.T @ self.param_backward(dout, cache), x_shape, self.stride)
 
 
 # The row fold of the module docstring: [phase, offset + 1, kernel row].
@@ -142,25 +172,25 @@ class UpsampleConv2d(Conv2d):
         super().__init__(in_ch, out_ch, stride=1, rng=rng)
 
     def forward(self, x):
-        n, _, h, w = x.shape
+        _, h, w, n = x.shape
         cols, _ = _im2col(x, 1)
         out_ch, in_ch = self.w.shape[:2]
         wmat = (self.w.reshape(-1, 9) @ _PHASE_FOLD.T) \
             .reshape(out_ch, in_ch, 4, 9).transpose(2, 0, 1, 3) \
             .reshape(4 * out_ch, in_ch * 9)
-        phases = np.matmul(wmat, cols).reshape(n, 2, 2, out_ch, h, w)
-        out = phases.transpose(0, 3, 4, 1, 5, 2).reshape(n, out_ch, 2 * h, 2 * w)
-        out += self.b[:, None, None]
+        phases = (wmat @ cols).reshape(2, 2, out_ch, h, w, n)
+        out = phases.transpose(2, 3, 0, 4, 1, 5).reshape(out_ch, 2 * h, 2 * w, n)
+        out += self.b[:, None, None, None]
         return out, (cols, wmat, x.shape)
 
     def param_backward(self, dout, cache):
         cols = cache[0]
-        n, out_ch, h2, w2 = dout.shape
+        out_ch, h2, w2, n = dout.shape
         in_ch = self.w.shape[1]
-        self.db = dout.reshape(n, out_ch, -1).sum(axis=(0, 2))
-        dphases = dout.reshape(n, out_ch, h2 // 2, 2, w2 // 2, 2) \
-            .transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * out_ch, -1)
-        dwmat = np.matmul(dphases, cols.transpose(0, 2, 1)).sum(axis=0)
+        self.db = dout.reshape(out_ch, -1).sum(axis=1)
+        dphases = dout.reshape(out_ch, h2 // 2, 2, w2 // 2, 2, n) \
+            .transpose(2, 4, 0, 1, 3, 5).reshape(4 * out_ch, -1)
+        dwmat = dphases @ cols.T
         self.dw = (dwmat.reshape(4, out_ch, in_ch, 9).transpose(1, 2, 0, 3)
                    .reshape(out_ch * in_ch, 36) @ _PHASE_FOLD).reshape(self.w.shape)
         return dphases
@@ -210,17 +240,34 @@ class Sigmoid:
         return dout * out * (1.0 - out)
 
 
-class Reshape:
-    """Gives every sample of a batch the shape ``shape``."""
+class ToRows:
+    """Turns (C, H, W, N) maps into the dense layers' (N, C*H*W) rows, each
+    in the (C, H, W) order of the stored dense weights."""
+
+    def forward(self, x):
+        c, h, w, n = x.shape
+        return x.reshape(c * h * w, n).T, x.shape
+
+    def backward(self, dout, in_shape):
+        return np.ascontiguousarray(dout.T).reshape(in_shape)
+
+
+class ToMaps:
+    """Turns (N, C*H*W) rows back into (C, H, W, N) maps of ``shape`` (C, H, W)."""
 
     def __init__(self, shape):
         self.shape = shape
 
     def forward(self, x):
-        return x.reshape(x.shape[0], *self.shape), x.shape
+        return np.ascontiguousarray(x.T).reshape(*self.shape, len(x)), None
 
-    def backward(self, dout, in_shape):
-        return dout.reshape(in_shape)
+    def backward(self, dout, cache):
+        return dout.reshape(math.prod(self.shape), -1).T
+
+
+def _to_maps(x):
+    """(N, H, W) images as the conv layers' (1, H, W, N) maps."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0))[None]
 
 
 def _forward(layers, x):
@@ -286,48 +333,52 @@ class ConvAutoencoder:
         layers = []
         for conv in params[:stages]:
             layers += [conv, Relu()]
-        layers += [Reshape((params[stages].w.shape[1],)), params[stages]]
+        layers += [ToRows(), params[stages]]
         self.n_encoder = len(layers)
         layers += [params[stages + 1], Relu(),
-                   Reshape((self.channels[-1], h >> stages, w >> stages))]
+                   ToMaps((self.channels[-1], h >> stages, w >> stages))]
         for conv in params[stages + 2:]:
             layers += [conv, Relu()]
         layers[-1] = Sigmoid()
         self.layers = layers
 
     def _as_batch(self, frames):
+        """``frames`` as (N, H, W) images: one (H, W) image, (N, H, W) or
+        (N, 1, H, W)."""
         x = np.asarray(frames, dtype=float)
         if x.ndim == 2:
             x = x[None]
-        if x.ndim == 3:
-            x = x[:, None]
-        if x.shape[2:] != self.input_hw:
-            raise ValueError(f"expected {self.input_hw} images, got {x.shape[2:]}")
+        elif x.ndim == 4 and x.shape[1] == 1:
+            x = x[:, 0]
+        if x.ndim != 3 or x.shape[1:] != self.input_hw:
+            h, w = self.input_hw
+            raise ValueError(f"expected ({h}, {w}), (N, {h}, {w}) or (N, 1, {h}, {w}) "
+                             f"images, got shape {np.shape(frames)}")
         return x
 
     def forward(self, frames):
         """Returns (reconstruction (N, H, W), codes (N, bottleneck)), computed
         ``CHUNK_FRAMES`` images at a time. With the default network one chunk
-        of 256 images peaks at about 24 MB (tracemalloc); any N adds only the
+        of 256 images peaks at about 22 MB (tracemalloc); any N adds only the
         returned arrays and about half a chunk."""
         encoder, decoder = self.layers[:self.n_encoder], self.layers[self.n_encoder:]
         recons, codes = [], []
         for chunk in _chunks(self._as_batch(frames)):
             # not through ``encode``, whose calls a benchmark tracer counts
-            codes.append(_forward(encoder, chunk))
-            recons.append(_forward(decoder, codes[-1])[:, 0])
+            codes.append(_forward(encoder, _to_maps(chunk)))
+            recons.append(_forward(decoder, codes[-1])[0].transpose(2, 0, 1))
         return np.concatenate(recons), np.concatenate(codes)
 
     def loss_and_grad(self, frames):
         """Mean squared reconstruction error; leaves gradients in the layers."""
-        x = self._as_batch(frames)
+        x = _to_maps(self._as_batch(frames))
         out, caches = x, []
         for layer in self.layers:
             out, cache = layer.forward(out)
             caches.append(cache)
-        diff = out - x
-        loss = float(np.mean(diff ** 2))
-        d = (2.0 / diff.size) * diff
+        d = out - x
+        loss = float(np.mean(d ** 2))
+        d *= 2.0 / d.size
         for layer in reversed(self.layers[1:]):
             d = layer.backward(d, caches.pop())
         # nothing reads the gradient of the input images
@@ -341,10 +392,10 @@ class ConvAutoencoder:
     def encode(self, frames):
         """Bottleneck codes (N, bottleneck) from the encoder half alone,
         computed ``CHUNK_FRAMES`` images at a time. With the default network
-        one chunk of 256 images peaks at about 10 MB (tracemalloc); any N
+        one chunk of 256 images peaks at about 7.5 MB (tracemalloc); any N
         adds only the returned codes and about half a chunk."""
         encoder = self.layers[:self.n_encoder]
-        return np.concatenate([_forward(encoder, chunk)
+        return np.concatenate([_forward(encoder, _to_maps(chunk))
                                for chunk in _chunks(self._as_batch(frames))])
 
     def train(self, frames, *, epochs, lr, batch_size, seed):

@@ -1,17 +1,77 @@
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vsrlab import autoencoder
 from vsrlab import binio
-from vsrlab.autoencoder import Conv2d, ConvAutoencoder, UpsampleConv2d
+from vsrlab.autoencoder import Conv2d, ConvAutoencoder, ToMaps, ToRows, UpsampleConv2d
 from vsrlab.errors import FormatError, TrainingDivergedError
 
 
+# ---------------------------------------------------------------------------
+# oracle: the (N, C, H, W) layers the network was first written with, one
+# product per image, and an explicit upsample before a stride-1 conv
+
+def _nchw_im2col(x, stride):
+    """3x3 patches with pad 1: (N, C, H, W) -> (N, C*9, OH*OW) plus shape info."""
+    n, c, h, w = x.shape
+    oh = (h + 2 - 3) // stride + 1
+    ow = (w + 2 - 3) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c, 3, 3, oh, ow))
+    for ki in range(3):
+        for kj in range(3):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
+                                    kj:kj + stride * (ow - 1) + 1:stride]
+    return cols.reshape(n, c * 9, oh * ow), (oh, ow)
+
+
+def _nchw_col2im(dcols, x_shape, stride):
+    n, c, h, w = x_shape
+    oh = (h + 2 - 3) // stride + 1
+    ow = (w + 2 - 3) // stride + 1
+    dcols = dcols.reshape(n, c, 3, 3, oh, ow)
+    dxp = np.zeros((n, c, h + 2, w + 2))
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
+                kj:kj + stride * (ow - 1) + 1:stride] += dcols[:, :, ki, kj]
+    return dxp[:, :, 1:-1, 1:-1]
+
+
+class NchwConv2d:
+    """Oracle: 3x3 convolution, padding 1, on (N, C, H, W) batches with
+    weights ``w`` (out, in, 3, 3) and bias ``b``."""
+
+    def __init__(self, w, b, stride):
+        self.w, self.b, self.stride = w, b, stride
+
+    def forward(self, x):
+        cols, (oh, ow) = _nchw_im2col(x, self.stride)
+        out_ch = self.w.shape[0]
+        wmat = self.w.reshape(out_ch, -1)
+        out = np.matmul(wmat, cols) + self.b[:, None]
+        return out.reshape(x.shape[0], out_ch, oh, ow), (cols, wmat, x.shape)
+
+    def backward(self, dout, cache):
+        cols, wmat, x_shape = cache
+        n, out_ch = dout.shape[:2]
+        dmat = dout.reshape(n, out_ch, -1)
+        self.db = dmat.sum(axis=(0, 2))
+        self.dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0) \
+            .reshape(self.w.shape)
+        return _nchw_col2im(np.matmul(wmat.T, dmat), x_shape, self.stride)
+
+
 class Upsample2x:
-    """Oracle: nearest-neighbor doubling of both spatial axes, which
-    ``UpsampleConv2d`` folds into its kernel."""
+    """Oracle: nearest-neighbor doubling of both spatial axes of an
+    (N, C, H, W) batch, which ``UpsampleConv2d`` folds into its kernel."""
 
     def forward(self, x):
         return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), None
@@ -21,21 +81,49 @@ class Upsample2x:
                 + dout[:, :, ::2, 1::2] + dout[:, :, 1::2, 1::2])
 
 
+class NchwReshape:
+    """Oracle: gives every sample of an (N, ...) batch the shape ``shape``."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def forward(self, x):
+        return x.reshape(x.shape[0], *self.shape), x.shape
+
+    def backward(self, dout, in_shape):
+        return dout.reshape(in_shape)
+
+
+def _oracle_layers(layer):
+    """The (N, C, H, W) oracle of one network layer: ``Upsample2x`` then a
+    stride-1 ``NchwConv2d`` for an ``UpsampleConv2d``, an ``NchwConv2d`` for a
+    ``Conv2d``, an ``NchwReshape`` for a move between maps and rows (which in
+    (N, C, H, W) order is a reshape), and the layer itself otherwise (dense
+    and elementwise layers do not see the map layout)."""
+    if isinstance(layer, UpsampleConv2d):
+        return [Upsample2x(), NchwConv2d(layer.w, layer.b, stride=1)]
+    if isinstance(layer, Conv2d):
+        return [NchwConv2d(layer.w, layer.b, stride=layer.stride)]
+    if isinstance(layer, ToRows):
+        return [NchwReshape((-1,))]
+    if isinstance(layer, ToMaps):
+        return [NchwReshape(layer.shape)]
+    return [layer]
+
+
+def _to_chwn(x):
+    """An (N, C, H, W) batch as the network's (C, H, W, N) maps."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def _to_nchw(x):
+    return x.transpose(3, 0, 1, 2)
+
+
 @pytest.fixture
 def default_net(defaults):
     """The network of the config's ``ae_channels`` and ``ae_bottleneck``."""
     return ConvAutoencoder(defaults.ae_channels, defaults.ae_bottleneck, seed=0)
-
-
-def _oracle_layers(layer):
-    """``Upsample2x`` then a stride-1 ``Conv2d`` with ``layer``'s parameters
-    in place of an ``UpsampleConv2d``; any other layer as it is."""
-    if not isinstance(layer, UpsampleConv2d):
-        return [layer]
-    out_ch, in_ch = layer.w.shape[:2]
-    conv = Conv2d(in_ch, out_ch, stride=1, rng=np.random.default_rng(0))
-    conv.w, conv.b = layer.w, layer.b
-    return [Upsample2x(), conv]
 
 
 def _rel_err(a, b):
@@ -115,26 +203,21 @@ def test_upsample_conv_matches_upsample_then_conv(n, in_ch, out_ch, h, w):
     upsample, conv = _oracle_layers(layer)
     x = rng.normal(size=(n, in_ch, h, w))
     dout = rng.normal(size=(n, out_ch, 2 * h, 2 * w))
-    out, cache = layer.forward(x)
+    out, cache = layer.forward(_to_chwn(x))
     up, up_cache = upsample.forward(x)
     expected, conv_cache = conv.forward(up)
-    assert out.shape == expected.shape
-    assert _rel_err(out, expected) < 1e-12
-    assert _rel_err(layer.backward(dout, cache),
+    assert _to_nchw(out).shape == expected.shape
+    assert _rel_err(_to_nchw(out), expected) < 1e-12
+    assert _rel_err(_to_nchw(layer.backward(_to_chwn(dout), cache)),
                     upsample.backward(conv.backward(dout, conv_cache), up_cache)) < 1e-12
     assert _rel_err(layer.dw, conv.dw) < 1e-12
     assert _rel_err(layer.db, conv.db) < 1e-12
 
 
-@pytest.mark.parametrize("channels, bottleneck, input_hw", [
-    ((3,), 4, (8, 8)),           # one stage: its decoder conv feeds the sigmoid
-    ((2, 3), 4, (8, 16)),
-    ((8, 16, 32), 32, (16, 32)),
-])
-def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_hw):
+def _check_network_against_oracle(channels, bottleneck, input_hw, n_frames):
     net = ConvAutoencoder(channels=channels, bottleneck=bottleneck,
                           input_hw=input_hw, seed=0)
-    frames = np.random.default_rng(4).uniform(0.0, 1.0, (5, *input_hw))
+    frames = np.random.default_rng(4).uniform(0.0, 1.0, (n_frames, *input_hw))
     loss = net.loss_and_grad(frames)
     grads = [(layer.dw.copy(), layer.db.copy()) for layer in net.parameter_layers]
     recon, code = net.forward(frames)
@@ -155,6 +238,58 @@ def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_h
     for layer, (dw, db) in zip(oracle_params, grads):
         assert _rel_err(dw, layer.dw) < 1e-12
         assert _rel_err(db, layer.db) < 1e-12
+
+
+@pytest.mark.parametrize("channels, bottleneck, input_hw", [
+    ((3,), 4, (8, 8)),           # one stage: its decoder conv feeds the sigmoid
+    ((2, 3), 4, (8, 16)),
+    ((8, 16, 32), 32, (16, 32)),
+])
+def test_network_matches_upsample_then_conv_oracle(channels, bottleneck, input_hw):
+    _check_network_against_oracle(channels, bottleneck, input_hw, n_frames=5)
+
+
+@pytest.mark.parametrize("channels, bottleneck, n_frames", [
+    ((8, 16, 32), 32, 7),   # a partial last training batch of the default net
+    ((3, 5, 6), 7, 4),      # widths that are not powers of two
+])
+def test_network_matches_oracle_at_other_shapes(channels, bottleneck, n_frames):
+    _check_network_against_oracle(channels, bottleneck, (16, 32), n_frames)
+
+
+_THREAD_CHILD = """
+import hashlib, sys
+import numpy as np
+from vsrlab.autoencoder import ConvAutoencoder
+channels = tuple(int(c) for c in sys.argv[1].split(","))
+bottleneck, lr = int(sys.argv[2]), float(sys.argv[3])
+frames = np.random.default_rng(26).uniform(0.0, 1.0, (300, 16, 32))
+digest = hashlib.sha256()
+for batch_size in (32, 16):
+    net = ConvAutoencoder(channels, bottleneck, seed=0)
+    net.train(frames[:64], epochs=1, lr=lr, batch_size=batch_size, seed=0)
+    for layer in net.parameter_layers:
+        for value in (layer.w, layer.b, layer.dw, layer.db):
+            digest.update(np.ascontiguousarray(value).tobytes())
+    digest.update(net.encode(frames).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(defaults):
+    # the default net's weights, last gradients and codes; one child process
+    # per thread count, since BLAS reads it at start-up
+    src = str(Path(autoencoder.__file__).resolve().parents[1])
+    args = [",".join(map(str, defaults.ae_channels)), str(defaults.ae_bottleneck),
+            repr(defaults.ae_lr)]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _THREAD_CHILD, *args], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_untrained_container_bytes_are_pinned(tmp_path, default_net):
@@ -221,6 +356,22 @@ def test_chunked_passes_equal_one_pass(monkeypatch, default_net):
     assert np.array_equal(recon[:full], one_recon[:full])
     np.testing.assert_allclose(code, one_code, rtol=0, atol=1e-13)
     np.testing.assert_allclose(recon, one_recon, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 16, 32), (2, 1, 1, 16, 32), (16 * 32,), (2, 16, 16)])
+def test_batch_of_other_shape_is_rejected_by_name(default_net, shape):
+    with pytest.raises(ValueError, match=r"expected \(16, 32\), \(N, 16, 32\) or "
+                       rf"\(N, 1, 16, 32\) images, got shape {re.escape(str(shape))}"):
+        default_net.encode(np.zeros(shape))
+    with pytest.raises(ValueError, match="got shape"):
+        default_net.loss_and_grad(np.zeros(shape))
+
+
+def test_one_channel_batch_equals_image_batch(default_net):
+    frames = np.random.default_rng(8).uniform(0.0, 1.0, (3, 16, 32))
+    assert np.array_equal(default_net.encode(frames[:, None]), default_net.encode(frames))
+    assert np.array_equal(default_net.loss_and_grad(frames[:, None]),
+                          default_net.loss_and_grad(frames))
 
 
 def test_forward_shapes_and_range(default_net):
