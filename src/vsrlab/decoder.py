@@ -19,14 +19,19 @@ Russell & Thornton 1989, token passing with word links).
 A token's language model context never changes while it stays in a chain:
 it is the chain's word, or ``<s>`` in the leading silence. So the graph
 keeps a padded table of the exit states of each context, and the best exit
-per context is one max over it.
+per context is one argmax over it. The entries are one table as well, of a
+column per word and, with silence, one for the sentence end, over the
+contexts: the trailing silence is entered as one more pronunciation that
+writes no record.
 
 Exact score ties are resolved toward the lexicographically smaller word
 sequence, then toward the earlier candidate: staying before advancing one
 before advancing two states, the token already in a word's first state
 before one entering it, the lower exit state. Decoding is therefore fully
-deterministic and independent of batching. Ties are rare; they take a
-Python path that rebuilds the competing word sequences from the links.
+deterministic and independent of batching. Ties are rare, so a frame looks
+for them with one count per choice (``_tied``), and only a tie builds the
+tie mask and takes a Python path that rebuilds the competing word
+sequences from the links.
 """
 
 import logging
@@ -106,9 +111,15 @@ class DecodeGraph:
             # the trailing silence may only terminate, never feed a word
             self.tail_entry = add_chain([SILENCE_PHONE], -1)
             tail_base = self.tail_entry
+            word_entries.append(self.tail_entry)
+            variant_words.append(v)
         else:
             self.tail_entry = None
             tail_base = base
+        # each entry state with its column of the entry table: a word's, or
+        # the sentence end's (last) for the trailing silence
+        self.entry_states = np.array(word_entries)
+        self.entry_columns = np.array(variant_words)
         self.arcs = np.concatenate(arcs, axis=1)
         self.exit_logp = model.arc_table()[self.arcs[3]]
         self.unique_cols = np.concatenate(unique_cols)
@@ -138,6 +149,10 @@ class DecodeGraph:
                 self.lm_matrix[i, j] = lm.logp(word, ctx)
             if i < v:
                 self.end_logp[i] = lm.logp(SENTENCE_END, ctx)
+        # entry_lm[w, c] = ln p(vocab[w] | context c), then with silence a row
+        # of ln p(</s> | c), log-zero for <s>, which cannot end
+        self.entry_lm = (np.vstack([self.lm_matrix.T, self.end_logp]) if model.use_sil
+                         else self.lm_matrix.T)
 
 
 class _History:
@@ -200,111 +215,171 @@ def _search(graph, batch, config, ids):
             raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
-    lam, wip = config.lm_scale, config.word_insertion_penalty
-    lam_lm = lam * graph.lm_matrix
-    lam_end = lam * graph.end_logp
+    lam_end = config.lm_scale * graph.end_logp
     words, entries = graph.variant_words, graph.word_entries
     history = _History(len(words) * (1 + n_utts * emis.shape[0]))
     results = [None] * n_utts
+    finishing = [[] for _ in range(emis.shape[0])]
+    for b, n in enumerate(n_frames):
+        finishing[n - 1].append(b)
 
-    # scores and links behind two log-zero columns, whose into_states windows
-    # follow each in-place update; the exit table's -1 pads land on one of them
+    # scores and links behind two log-zero (-1) columns, on which the exit
+    # table's -1 pads land; the into_states windows follow the scores in place
     score = np.full((n_utts, graph.n_states + 2), LOG_ZERO)
     link = np.full(score.shape, -1, dtype=np.int64)
     into = into_states(score, batch.band)
-    links = [pred for pred, _ in into_states(link, batch.band)]
-    feed_cols = graph.feed_exits + 2
+    at = _Layout(graph, n_utts, config)
     if graph.model.use_sil:
         score[:, 2 + graph.lead_entry] = emis[0, :, graph.lead_entry]
     else:
-        score[:, 2 + entries] = ((lam_lm[graph.start_context, words] + wip)
-                                 + emis[0][:, entries])
+        score[:, 2 + entries] = ((config.lm_scale * graph.lm_matrix[graph.start_context, words]
+                                  + config.word_insertion_penalty) + emis[0][:, entries])
         link[:, 2 + entries] = history.add(words, -1, 0)
 
     for t in range(emis.shape[0]):
         if t > 0:
-            new, new_link = _step(graph, history, score, link, feed_cols, into, links,
-                                  lam_lm, lam_end, wip, t)
-            dead = (n_frames > t) & ~(new > LOG_ZERO).any(axis=1)
+            _step(graph, history, score, link, into, at, t)
+            dead = (n_frames > t) & (score.max(axis=1) == LOG_ZERO)
             if dead.any():
                 i = ids[int(np.argmax(dead))]
                 raise EmptyBeamError(
                     f"utterance {i}: no active hypothesis at frame {t}; "
                     f"increase the beam (current {config.beam})", i)
+            new = score[:, 2:]
             new += emis[t]
             if config.beam is not None:
                 new[new < new.max(axis=1, keepdims=True) - config.beam] = LOG_ZERO
-            score[:, 2:] = new
-            link[:, 2:] = new_link
-        for b in np.flatnonzero(n_frames == t + 1):
+        for b in finishing[t]:
             results[b] = _terminate(graph, history, score[b, 2:], link[b, 2:],
                                     lam_end, t + 1, config, ids[b])
     return results
 
 
-def _step(graph, history, score, link, feed_cols, into, links, lam_lm, lam_end, wip, t):
-    """One frame of token passing before emissions, through ``into`` and ``links``,
-    the ``into_states`` windows of ``score`` and ``link``: the banded arcs, then
-    word entries from the best exit of each context. Returns new scores and links."""
-    n_utts = score.shape[0]
+class _Layout:
+    """What one search over B utterances reads on every frame: flat indices
+    into the (B, S + 2) scores and links, the exit table (B, V + 1, K), the
+    entry table (B, columns, V + 1) and its column bests (B, columns), the
+    entry table's scaled language model, and the band's candidate buffer."""
 
-    # best exit per context; ties go to the smaller words, then the lower state
-    rows = np.arange(n_utts)[:, None]
-    exits = score[:, feed_cols] + graph.feed_exit_logp          # (B, V+1, K)
-    exit_best = exits.max(axis=2)
-    exit_link = link[rows, feed_cols[np.arange(feed_cols.shape[0]), exits.argmax(axis=2)]]
+    def __init__(self, graph, n_utts, config):
+        rows = np.arange(n_utts)[:, None]
+        width = graph.n_states + 2
+        n_ctx, n_exits = graph.feed_exits.shape
+        n_cols = graph.entry_lm.shape[0]
+        self.feed = rows[:, :, None] * width + (graph.feed_exits + 2)
+        self.exit_rows = np.arange(n_utts * n_ctx).reshape(n_utts, n_ctx) * n_exits
+        self.own = rows * width + 2 + np.arange(graph.n_states)
+        self.ctx_rows = rows * n_ctx
+        self.table_rows = np.arange(n_utts * n_cols).reshape(n_utts, n_cols) * n_ctx
+        self.column = rows * n_cols + graph.entry_columns
+        self.score_entry = rows * width + 2 + graph.entry_states
+        self.entry_lm = config.lm_scale * graph.entry_lm
+        # the penalty is added after the language model, and to words only
+        self.wip = np.where(np.arange(n_cols) < len(graph.vocab),
+                            config.word_insertion_penalty, 0.0)[:, None]
+        self.cands = np.empty((3, n_utts, graph.n_states))
+
+
+def _tied(cands, best):
+    """Whether some finite entry of ``best``, the maximum of ``cands`` over
+    one axis and broadcast against them, is reached by more than one
+    candidate: a log-zero best is reached by all n of its candidates, any
+    other by at least one."""
+    n = cands.size // best.size
+    return (np.count_nonzero(cands == best)
+            > best.size + (n - 1) * np.count_nonzero(best == LOG_ZERO))
+
+
+def _step(graph, history, score, link, into, at, t):
+    """One frame of token passing before emissions, through ``into``, the
+    ``into_states`` windows of ``score``, and the index tables ``at``: the
+    banded arcs, then word and sentence-end entries from the best exit of
+    each context. Updates ``score`` and ``link`` in place."""
+    # best exit per context; the lower state wins, then the tie rules
+    exits = score.take(at.feed)                                  # (B, V+1, K)
+    exits += graph.feed_exit_logp
+    pick = exits.argmax(axis=2)
+    pick += at.exit_rows
+    exit_best = exits.take(pick)
+    exit_link = link.take(at.feed.take(pick))
+    if _tied(exits, exit_best[:, :, None]):
+        _exit_ties(history, exits, exit_best, exit_link, link, at.feed)
+
+    # banded arcs: stay, advance one, advance two; the earliest best wins
+    cands = at.cands
+    for k, (pred, arc) in enumerate(into):
+        np.add(pred, arc, out=cands[k])
+    new = cands.max(axis=0, out=score[:, 2:])
+    worse = cands[:2] < new               # staying, then advancing one, is worse
+    worse[1] &= worse[0]
+    back = at.own - worse[0]
+    back -= worse[1]
+    new_link = link.take(back)
+    if _tied(cands, new):
+        _band_ties(history, cands, new, new_link, link, at.own)
+
+    # entries: the best context of each word and of the sentence end, then
+    # against the token held; the trailing silence takes the exit's history
+    table = exit_best[:, None, :] + at.entry_lm                  # (B, columns, V+1)
+    table += at.wip
+    ctx = table.argmax(axis=2)
+    col_best = table.take(ctx + at.table_rows)
+    if _tied(table, col_best[:, :, None]):
+        _context_ties(history, table, col_best, ctx, exit_link)
+    cand = col_best.take(at.column)                              # (B, entries)
+    parents = exit_link.take(ctx.take(at.column) + at.ctx_rows)
+    held = score.take(at.score_entry)
+    top = np.maximum(cand, held)
+    enter = cand > held
+    if np.count_nonzero(cand == held) > np.count_nonzero(top == LOG_ZERO):  # not both log-zero
+        _entry_ties(graph, history, cand, held, parents, new_link, enter)
+    score.put(at.score_entry, top)
+    words, entries = graph.variant_words, graph.word_entries
+    n = len(words)
+    if graph.tail_entry is not None:
+        np.copyto(new_link[:, graph.tail_entry], parents[:, n], where=enter[:, n])
+    bs, ks = np.nonzero(enter[:, :n])
+    new_link[bs, entries[ks]] = history.add(words[ks], parents[bs, ks], t)
+    link[:, 2:] = new_link
+
+
+# The tie rules, run only when ``_tied`` finds an exact tie: each rebuilds the
+# competing word sequences from the links and takes the smallest, then the
+# earliest candidate.
+
+def _exit_ties(history, exits, exit_best, exit_link, link, feed):
+    """Exits of one context: the smaller words, then the lower state."""
     tied = ((exits == exit_best[:, :, None]).sum(axis=2) > 1) & (exit_best > LOG_ZERO)
     for b, c in zip(*np.nonzero(tied)):
         ks = np.flatnonzero(exits[b, c] == exit_best[b, c])
-        exit_link[b, c] = history.best(link[b, feed_cols[c, ks]])
+        exit_link[b, c] = history.best(link.take(feed[b, c, ks]))
 
-    # banded arcs: stay, advance one, advance two
-    cands = [pred + arc for pred, arc in into]
-    new = np.maximum(np.maximum(cands[0], cands[1]), cands[2])
-    eq0, eq1, eq2 = (c == new for c in cands)
-    new_link = np.where(eq0, links[0], np.where(eq1, links[1], links[2]))
-    tied = ((eq0 & (eq1 | eq2)) | (eq1 & eq2)) & (new > LOG_ZERO)
+
+def _band_ties(history, cands, new, new_link, link, own):
+    """Band predecessors: the smaller words, then staying before advancing."""
+    tied = ((cands == new).sum(axis=0) > 1) & (new > LOG_ZERO)
     for b, j in zip(*np.nonzero(tied)):
-        new_link[b, j] = history.best([lk[b, j] for lk, c in zip(links, cands)
-                                       if c[b, j] == new[b, j]])
+        new_link[b, j] = history.best([link.flat[own[b, j] - k] for k in range(3)
+                                       if cands[k, b, j] == new[b, j]])
 
-    # word entries: best context per word, then against the token held
-    enter_scores = (exit_best[:, :, None] + lam_lm) + wip        # (B, V+1, V)
-    word_best = enter_scores.max(axis=1)
-    word_ctx = enter_scores.argmax(axis=1)
-    tied = (((enter_scores == word_best[:, None, :]).sum(axis=1) > 1)
-            & (word_best > LOG_ZERO))
+
+def _context_ties(history, table, col_best, ctx, exit_link):
+    """Contexts of one word or of the sentence end: the smaller words."""
+    tied = ((table == col_best[:, :, None]).sum(axis=2) > 1) & (col_best > LOG_ZERO)
     for b, w in zip(*np.nonzero(tied)):
-        word_ctx[b, w] = min(np.flatnonzero(enter_scores[b, :, w] == word_best[b, w]),
-                             key=lambda c: history.words(exit_link[b, c]))
-    words, entries = graph.variant_words, graph.word_entries
-    cand = word_best[:, words]                                   # (B, variants)
-    parents = exit_link[rows, word_ctx[:, words]]
-    held = new[:, entries]
-    enter = cand > held
-    for b, k in zip(*np.nonzero((cand == held) & (cand > LOG_ZERO))):
-        enter[b, k] = (history.words(parents[b, k]) + (int(words[k]),)
-                       < history.words(new_link[b, entries[k]]))
-    bs, ks = np.nonzero(enter)
-    new[bs, entries[ks]] = cand[bs, ks]
-    new_link[bs, entries[ks]] = history.add(words[ks], parents[bs, ks], t)
+        ctx[b, w] = min(np.flatnonzero(table[b, w] == col_best[b, w]),
+                        key=lambda c: history.words(exit_link[b, c]))
 
-    if graph.tail_entry is not None:
-        # the sentence-end probability is charged on entering the trailing
-        # silence so that recombination there stays exact; <s> cannot end
-        ends = exit_best[:, :-1] + lam_end[:-1]
-        end_best = ends.max(axis=1)
-        end_link = exit_link[rows[:, 0], ends.argmax(axis=1)]
-        tied = ((ends == end_best[:, None]).sum(axis=1) > 1) & (end_best > LOG_ZERO)
-        for b in np.flatnonzero(tied):
-            end_link[b] = history.best(exit_link[b, :-1][ends[b] == end_best[b]])
-        tail = graph.tail_entry
-        enter = end_best > new[:, tail]
-        for b in np.flatnonzero((end_best == new[:, tail]) & (end_best > LOG_ZERO)):
-            enter[b] = history.words(end_link[b]) < history.words(new_link[b, tail])
-        new[enter, tail] = end_best[enter]
-        new_link[enter, tail] = end_link[enter]
-    return new, new_link
+
+def _entry_ties(graph, history, cand, held, parents, new_link, enter):
+    """An entering token against the token held: the smaller words, then the
+    token held. A word adds itself to its parent's words; the sentence end
+    adds nothing."""
+    v = len(graph.vocab)
+    for b, k in zip(*np.nonzero((cand == held) & (cand > LOG_ZERO))):
+        column = int(graph.entry_columns[k])
+        entering = history.words(parents[b, k]) + ((column,) if column < v else ())
+        enter[b, k] = entering < history.words(new_link[b, graph.entry_states[k]])
 
 
 def _terminate(graph, history, score, link, lam_end, n_frames, config, i):

@@ -547,7 +547,7 @@ def _scaled_posteriors(batch):
         loglik = np.log((alpha[last, utts, 2:] * probs[3, :, 2:]).sum(axis=1)) + fwd[last, utts]
     gamma = beta
     gamma *= alpha[:, :, 2:]
-    mass = np.cumsum(gamma, axis=2)[:, :, -1]    # in order, whatever the padding
+    mass = _state_sum(gamma)
     worst = np.minimum(log_fwd, log_bwd)
     bound = fwd + bwd - loglik - worst + _LOG_FLUSH
     untrusted = ~np.isfinite(loglik) | (own & (
@@ -561,6 +561,15 @@ def _scaled_posteriors(batch):
         np.multiply(arc, np.einsum("tbs,tbs->bs", alpha[:-1, :, 2:], succ[1:]), out=counts[k])
     counts[3] = gamma[last, utts]
     return gamma, counts, loglik, untrusted
+
+
+def _state_sum(gamma):
+    """Each frame's sum over the states of ``gamma`` (T, B, S), adding the
+    state columns in order, so that padding does not change the bits."""
+    total = gamma[:, :, 0].copy()
+    for s in range(1, gamma.shape[2]):
+        total += gamma[:, :, s]
+    return total
 
 
 def _log_posteriors(batch):
@@ -660,6 +669,9 @@ def em_iteration(model, data):
     return total
 
 
+_NO_OCCUPANCY = "phone %r state %d has no occupancy; keeping parameters"
+
+
 def _apply_mstep(model, occ, mean, sqr, arc_counts):
     """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
     row per mixture component in mixture-table order; ``arc_counts`` holds
@@ -678,8 +690,7 @@ def _apply_mstep(model, occ, mean, sqr, arc_counts):
     for u in np.flatnonzero(kept < sizes):
         name = model.phones[state_phone[u]]
         if empty[u]:
-            log.warning("phone %r state %d has no occupancy; keeping parameters",
-                        name, local[u])
+            log.warning(_NO_OCCUPANCY, name, local[u])
         else:
             log.warning("phone %r state %d: dropping %d starved component(s)",
                         name, local[u], sizes[u] - kept[u])
@@ -728,15 +739,29 @@ def train_em(model, data, schedule):
     iteration is evaluated before that iteration's update, so within one
     schedule block the sequence is non-decreasing up to round-off.
     Returns a list of (mixture_target, log_likelihood) per iteration.
+    A state with no occupancy is reported once, not on every iteration.
     """
     if not data:
         raise InsufficientDataError("no training utterances")
+    reported = set()
+
+    def first_report(record):
+        if record.msg is not _NO_OCCUPANCY:
+            return True
+        new = record.args not in reported
+        reported.add(record.args)
+        return new
+
     history = []
-    for target_m, iters in schedule:
-        grow_mixtures(model, target_m)
-        for _ in range(iters):
-            ll = em_iteration(model, data)
-            history.append((target_m, ll))
+    log.addFilter(first_report)
+    try:
+        for target_m, iters in schedule:
+            grow_mixtures(model, target_m)
+            for _ in range(iters):
+                ll = em_iteration(model, data)
+                history.append((target_m, ll))
+    finally:
+        log.removeFilter(first_report)
     return history
 
 

@@ -737,3 +737,85 @@ class TestBatch:
         with pytest.raises(EmptyBeamError, match="utterance 1: no frames") as err:
             decode_batch(graph, [np.zeros((4, 1)), np.zeros((0, 1))], config)
         assert err.value.utterance == 1
+
+
+class TestTieGate:
+    @staticmethod
+    def _finite_tie(cands, axis):
+        best = cands.max(axis=axis, keepdims=True)
+        return bool(((np.sum(cands == best, axis=axis) > 1)
+                     & np.isfinite(best).squeeze(axis)).any())
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_gate_is_true_exactly_on_a_finite_tie(self, axis):
+        # few distinct values, so ties are common; slices along the axis
+        # that are all log-zero, that tie only among log-zero candidates
+        # under a unique finite best, or that hold one finite tie
+        rng = np.random.default_rng(91)
+        outcomes = []
+        for trial in range(600):
+            shape = [int(n) for n in rng.integers(1, 5, size=3)]
+            cands = rng.choice([LOG_ZERO, -1.5, 0.0, 2.0], size=shape,
+                               p=[0.4, 0.2, 0.2, 0.2])
+            view = np.moveaxis(cands, axis, 0)      # the candidates lead
+            n = view.shape[0]
+            plant = rng.integers(4)
+            if plant == 0:
+                view[...] = LOG_ZERO
+            elif plant == 1:
+                view[...] = LOG_ZERO
+                view[int(rng.integers(n)), 0, 0] = 1.0
+            elif plant == 2 and n > 1:
+                view[:2, 0, 0] = 3.0
+            best = cands.max(axis=axis)
+            if axis != 0:
+                best = best[..., None]
+            want = self._finite_tie(cands, axis)
+            assert decoder._tied(cands, best) == want
+            outcomes.append((want, n == 1))
+        assert {(True, False), (False, False), (False, True)} <= set(outcomes)
+
+    def test_each_tie_rule_is_reached_and_matches_the_reference(self, monkeypatch):
+        # every helper runs only on a real tie, and entering ties are
+        # counted apart for words and for the trailing silence
+        hits = dict.fromkeys(["exits", "band", "contexts", "word entry", "tail entry"], 0)
+
+        def counted(name, real_tie):
+            inner = getattr(decoder, name)
+
+            def wrapper(*args):
+                tied = real_tie(*args)
+                assert tied.any()
+                if name == "_entry_ties":
+                    v = len(args[0].vocab)
+                    columns = args[0].entry_columns[np.nonzero(tied)[1]]
+                    hits["word entry"] += int((columns < v).sum())
+                    hits["tail entry"] += int((columns == v).sum())
+                else:
+                    hits[{"_exit_ties": "exits", "_band_ties": "band",
+                          "_context_ties": "contexts"}[name]] += int(tied.sum())
+                return inner(*args)
+            monkeypatch.setattr(decoder, name, wrapper)
+
+        counted("_exit_ties", lambda h, exits, best, *_:
+                ((exits == best[:, :, None]).sum(axis=2) > 1) & (best > LOG_ZERO))
+        counted("_band_ties", lambda h, cands, new, *_:
+                ((cands == new).sum(axis=0) > 1) & (new > LOG_ZERO))
+        counted("_context_ties", lambda h, table, best, *_:
+                ((table == best[:, :, None]).sum(axis=2) > 1) & (best > LOG_ZERO))
+        counted("_entry_ties", lambda g, h, cand, held, *_:
+                (cand == held) & (cand > LOG_ZERO))
+        rng = np.random.default_rng(92)
+        compared = 0
+        for trial in range(24):
+            make = _tied_instance if trial % 2 else _variant_instance
+            graph, frames, cfg = make(rng, use_sil=trial % 4 >= 2)
+            try:
+                want = [_reference_decode(graph, x, cfg) for x in frames]
+            except EmptyBeamError:
+                continue
+            for a, b in zip(decode_batch(graph, frames, cfg), want):
+                assert (a.words, a.score, a.word_spans) == (b.words, b.score, b.word_spans)
+                compared += 1
+        assert compared > 20
+        assert all(hits.values()), hits

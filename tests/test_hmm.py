@@ -779,6 +779,21 @@ class TestScaledPasses:
                 _assert_close(counts[:, b, :s_count], want_counts, rel)
         assert recomputed > 50 and kept > 100
 
+    def test_state_sum_has_the_bits_of_an_in_order_cumsum(self):
+        # padded gammas: each utterance's states beyond its chain are zero,
+        # and zeros and subnormals are planted among the live ones
+        rng = np.random.default_rng(19)
+        for s_count in range(1, 81):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 6)), s_count)
+            gamma = rng.random(shape) * np.exp(rng.uniform(-745.0, 0.0, size=shape))
+            gamma[rng.random(shape) < 0.2] = 0.0
+            subnormal = rng.random(shape) < 0.1
+            gamma[subnormal] = 5e-324 * rng.integers(1, 2 ** 40, size=int(subnormal.sum()))
+            for b, n in enumerate(rng.integers(1, s_count + 1, size=shape[1])):
+                gamma[:, b, n:] = 0.0
+            want = np.cumsum(gamma, axis=2)[:, :, -1]
+            assert hmm._state_sum(gamma).tobytes() == want.tobytes()
+
     def test_flushed_state_that_dominates_later_falls_back(self):
         # four skip2 phones, 6 frames. The best path skips 0 -> 2 -> 4 -> 6
         # and pays 800 nats once, at frame 1, where state 2 sits so far
@@ -1046,6 +1061,25 @@ class TestEm:
         for s, old in enumerate(before):
             assert np.array_equal(old, _state_params(model, pid, s)[1])
         assert any("no occupancy" in rec.message for rec in caplog.records)
+
+    def test_unoccupied_state_warns_once_per_training(self, caplog):
+        # phone b never occurs: each of its states warns on its first
+        # iteration only, through both schedule blocks and the mixture split
+        rng = np.random.default_rng(37)
+        frames = rng.normal(size=(20, 2))
+        model = hmm.flat_start([frames], ["a", "b"], topology_kind="skip2",
+                               use_sil=False)
+        with caplog.at_level("WARNING", logger="vsrlab.hmm"):
+            hmm.train_em(model, [(frames, ["a"])], schedule=[(1, 3), (2, 2)])
+        unoccupied = [rec.message for rec in caplog.records if "no occupancy" in rec.message]
+        assert sorted(unoccupied) == [
+            f"phone 'b' state {s} has no occupancy; keeping parameters" for s in range(2)]
+        # called alone, an iteration still warns every time
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="vsrlab.hmm"):
+            for _ in range(2):
+                hmm.em_iteration(model, [(frames, ["a"])])
+        assert sum("no occupancy" in rec.message for rec in caplog.records) == 4
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(36)
