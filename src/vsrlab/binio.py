@@ -42,8 +42,11 @@ class Reader:
         buf = self._fh.read(min(n, self.left))
         self.left -= len(buf)
         if len(buf) != n:
-            raise FormatError(f"{self._path}: truncated file (wanted {n} bytes, got {len(buf)})")
+            raise self._truncated(n, len(buf))
         return buf
+
+    def _truncated(self, n, got):
+        return FormatError(f"{self._path}: truncated file (wanted {n} bytes, got {got})")
 
     def u8(self):
         return self._read(1)[0]
@@ -59,9 +62,17 @@ class Reader:
             raise FormatError(f"{self._path}: string {data!r} is not UTF-8") from exc
 
     def array(self, dtype, shape):
+        """A new array, read straight into its own memory."""
         dt = np.dtype(dtype)
-        buf = self._read(dt.itemsize * math.prod(shape))
-        return np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+        n = dt.itemsize * math.prod(shape)
+        if n > self.left:
+            raise self._truncated(n, self.left)
+        out = np.empty(shape, dtype=dt)
+        got = self._fh.readinto(out)
+        self.left -= got
+        if got != n:
+            raise self._truncated(n, got)
+        return out
 
     def end(self):
         """Check that the file ends at the field just read."""

@@ -9,10 +9,13 @@ line horizontal, taking their bounding box grown by a margin fraction per
 side, and resampling that box from the source image on a fixed output grid
 with bilinear interpolation (edge pixels replicated outside the image).
 
-The work is batched over the frames of an utterance: the boxes are (T,)
-arrays and the sampling grid is one (T, H, W) array. Beyond the frames
-themselves, the memory peak is about twenty (T, 16, 32) temporaries of
-8-byte values, 6 MB for an 82-frame utterance.
+The boxes are computed for the whole utterance as (T,) arrays, and the
+sample coordinates' per-frame column and row terms as (T, 1, W) and
+(T, H, 1) arrays. The (H, W) sampling runs ``_CHUNK_FRAMES`` frames at a
+time through one set of work arrays, none over 64 KiB at the default
+(16, 32) output, so only the returned (T, H, W) array spans the utterance.
+Beyond the frames themselves, the memory peak stays under 1.5 MB for an
+82-frame utterance (1.4 MB measured with tracemalloc).
 """
 
 import math
@@ -26,6 +29,12 @@ LEFT_CORNER = 48
 RIGHT_CORNER = 54
 ROI_WIDTH = 32
 ROI_HEIGHT = 16
+# Frames sampled per step. A (16, 16, 32) work array of 8-byte values is
+# 64 KiB, half of glibc's 128 KiB mmap threshold, so the work arrays come
+# from the heap, which keeps its pages from one utterance to the next;
+# utterance-sized temporaries were mapped, faulted in page by page and
+# unmapped again on every call. 16 frames ran about 9% faster than 8.
+_CHUNK_FRAMES = 16
 
 
 def mouth_alignment_angle(landmarks):
@@ -88,36 +97,78 @@ def roi_sequence(landmarks, frames, *, margin, out_size=(ROI_WIDTH, ROI_HEIGHT))
 
     # output pixel centers in box coords, mapped back through the rotation.
     # Per-frame values broadcast as (T, 1, 1); box x varies along columns
-    # only and box y along rows only, so only the sample coords are (T, H, W)
+    # only and box y along rows only, so the sample coords cx + c * bx - s *
+    # by and cy + s * bx + c * by are sums of a (T, 1, W) and a (T, H, 1) term
     x0, y0, bw, bh, c, s, cx, cy = (a.reshape(n, 1, 1)
                                     for a in (x0, y0, bw, bh, c, s, *center.T))
     bx = x0 + (np.arange(out_w) + 0.5) * bw / out_w
     by = y0 + (np.arange(out_h).reshape(out_h, 1) + 0.5) * bh / out_h
-    return _bilinear(imgs, cx + c * bx - s * by, cy + s * bx + c * by)
+    return _bilinear(imgs, (cx + c * bx, s * by), (cy + s * bx, c * by))
 
 
-def _bilinear(frames, xs, ys):
-    """Sample frame t of ``frames`` at ``(xs[t], ys[t])`` with bilinear
-    weights, edges clamped; uint8 pixels are divided by 255 after the gather."""
-    h, w = frames.shape[1:]
-    x = np.clip(xs, 0.0, w - 1.0)
-    y = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(int)
-    y0 = np.floor(y).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = x - x0
-    fy = y - y0
-    # gather through flat indices: one take per corner
-    flat = frames.reshape(-1)
-    first = np.arange(len(frames)).reshape(-1, 1, 1) * (h * w)
-    row0, row1 = first + y0 * w, first + y1 * w
+def _bilinear(frames, x_terms, y_terms):
+    """Sample frame t of ``frames`` with bilinear weights, edges clamped, at
+    x = x_terms[0][t] - x_terms[1][t] and y = y_terms[0][t] + y_terms[1][t],
+    each the sum of a (1, W) and an (H, 1) term; uint8 pixels are divided
+    by 255 after the gather.
 
-    def at(index):
-        pixels = flat.take(index)
-        return pixels / 255.0 if frames.dtype == np.uint8 else pixels.astype(float)
+    Runs ``_CHUNK_FRAMES`` frames at a time in one set of work arrays. Each
+    step is the elementwise operation that sampling the whole utterance at
+    once would make, in the same order, so the bits are the same."""
+    n, (h, w) = len(frames), frames.shape[1:]
+    out = np.empty((n, y_terms[1].shape[1], x_terms[0].shape[2]))
+    shape = (_CHUNK_FRAMES,) + out.shape[1:]
+    x, y, gx, a, b, c = (np.empty(shape) for _ in range(6))
+    x0, x1, row0, row1, index = (np.empty(shape, dtype=int) for _ in range(5))
+    raw = None if frames.dtype == float else np.empty(shape, dtype=frames.dtype)
+    first = np.arange(_CHUNK_FRAMES).reshape(-1, 1, 1) * (h * w)
+    for start in range(0, n, _CHUNK_FRAMES):
+        part = slice(start, start + _CHUNK_FRAMES)
+        m = len(out[part])
+        if m < _CHUNK_FRAMES:
+            x, y, gx, a, b, c, x0, x1, row0, row1, index, first = (
+                v[:m] for v in (x, y, gx, a, b, c, x0, x1, row0, row1, index, first))
+            raw = None if raw is None else raw[:m]
+        np.subtract(x_terms[0][part], x_terms[1][part], out=x)
+        np.add(y_terms[0][part], y_terms[1][part], out=y)
+        np.clip(x, 0.0, w - 1.0, out=x)
+        np.clip(y, 0.0, h - 1.0, out=y)
+        np.floor(x, out=x0, casting="unsafe")
+        np.floor(y, out=row0, casting="unsafe")     # y0, until scaled below
+        np.add(x0, 1, out=x1)
+        np.minimum(x1, w - 1, out=x1)
+        np.add(row0, 1, out=row1)
+        np.minimum(row1, h - 1, out=row1)
+        np.subtract(x, x0, out=x)                   # fx
+        np.subtract(y, row0, out=y)                 # fy
+        np.subtract(1, x, out=gx)
+        # flat indices into the chunk's frames: one take per corner
+        for row in (row0, row1):
+            row *= w
+            row += first
+        flat = frames[part].reshape(-1)
+        for row, pixels in ((row0, a), (row1, b)):
+            left = _gather(flat, np.add(row, x0, out=index), raw, pixels)
+            left *= gx
+            right = _gather(flat, np.add(row, x1, out=index), raw, c)
+            right *= x
+            left += right
+        # a and b now hold the top and bottom rows' values
+        np.subtract(1, y, out=gx)
+        a *= gx
+        b *= y
+        np.add(a, b, out=out[part])
+    return out
 
-    gx = 1 - fx
-    top = at(row0 + x0) * gx + at(row0 + x1) * fx
-    bot = at(row1 + x0) * gx + at(row1 + x1) * fx
-    return top * (1 - fy) + bot * fy
+
+def _gather(flat, index, raw, pixels):
+    """``flat.take(index)`` as float64 into ``pixels``, through ``raw`` (of
+    the frames' dtype) unless the frames are float64; uint8 pixels are
+    divided by 255."""
+    if raw is None:
+        return flat.take(index, out=pixels, mode="clip")
+    flat.take(index, out=raw, mode="clip")
+    if raw.dtype == np.uint8:
+        return np.divide(raw, 255.0, out=pixels)
+    pixels[...] = raw
+    return pixels

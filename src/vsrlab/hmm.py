@@ -651,14 +651,19 @@ def em_iteration(model, data):
     parameters in force when the pass started.
 
     Utterances too short for their chain (a structural property, constant
-    across iterations) are skipped with a warning, so the returned total
-    stays comparable between iterations.
+    across iterations), those with no frames included, are skipped with a
+    warning, so the returned total stays comparable between iterations.
     """
     if not data:
         raise InsufficientDataError("no training utterances")
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
-    occ, mean, sqr, arc_counts, total, used = _e_step(model, frames, graphs)
+    # a zero-frame utterance has no path, and the band passes need a first frame
+    keep = [b for b, x in enumerate(frames) if x.shape[0]]
+    used = 0
+    if keep:
+        occ, mean, sqr, arc_counts, total, used = _e_step(
+            model, [frames[b] for b in keep], [graphs[b] for b in keep])
     skipped = len(data) - used
     if skipped:
         log.warning("skipped %d of %d utterance(s) too short for the topology",

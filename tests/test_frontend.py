@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,8 +252,14 @@ def speaker_corpus(tmp_path_factory):
 
 @pytest.mark.parametrize("pixels", ["uint8", "float64", "float32"])
 def test_roi_sequence_matches_per_frame_oracle(speaker_corpus, pixels):
+    # every utterance, and the longest cut to lengths about the chunk edges
+    chunk = frontend._CHUNK_FRAMES
+    lms, frames = max(speaker_corpus, key=lambda utterance: len(utterance[0]))
+    lengths = (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+    assert len(lms) >= max(lengths)
+    cuts = [(lms[:k], frames[:k]) for k in lengths]
     n_frames = 0
-    for lms, frames in speaker_corpus:
+    for lms, frames in speaker_corpus + cuts:
         if pixels != "uint8":
             frames = (frames / 255.0).astype(pixels)
         for out_size, margin in (((32, 16), 0.15), ((7, 5), 0.4)):
@@ -291,6 +299,24 @@ def test_earliest_degenerate_frame_is_named(defaults):
     lms[1, 54] = lms[1, 48]
     with pytest.raises(DegenerateGeometryError, match=r"^frame 1: mouth corners coincide"):
         frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
+
+
+def test_memory_peak_within_docstring_bound(defaults):
+    # the module docstring bounds one call's memory peak, beyond the frames,
+    # for an 82-frame utterance
+    bound = re.search(r"stays under ([0-9.]+) MB for an 82-frame utterance",
+                      " ".join(frontend.__doc__.split()))
+    assert bound, "the module docstring states no memory bound"
+    lms, frames = _face_sequence(82)
+    frames = np.round(frames * 255.0).astype(np.uint8)
+    frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
+    tracemalloc.start()
+    try:
+        frontend.roi_sequence(lms, frames, margin=defaults.roi_margin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float(bound.group(1)) * 1e6
 
 
 def test_zero_frames(defaults):

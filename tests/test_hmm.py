@@ -1114,6 +1114,33 @@ class TestEm:
         assert np.array_equal(both.means, solo.means)
         assert np.array_equal(both.variances, solo.variances)
 
+    def test_zero_frame_utterance_skipped(self, caplog, tmp_path):
+        # an utterance with no frames is skipped like one too short for its
+        # chain: same warning, and the same model and total as without it
+        rng = np.random.default_rng(41)
+        data = [(rng.normal(size=(n, 2)), chain)
+                for n, chain in [(9, ["a", "b"]), (7, ["b", "a"]), (12, ["a"])]]
+        empty = (np.zeros((0, 2)), ["a", "b"])
+
+        def train(utterances):
+            model = hmm.flat_start([f for f, _ in data], ["a", "b"],
+                                   topology_kind="classic3", use_sil=False)
+            total = hmm.em_iteration(model, utterances)
+            history = hmm.train_em(model, utterances, schedule=[(1, 1), (2, 2)])
+            path = tmp_path / f"model{len(utterances)}.opt"
+            hmm.save_model(path, model)
+            return total, history, path.read_bytes()
+
+        with caplog.at_level(logging.WARNING, logger="vsrlab.hmm"):
+            with_empty = train(data[:2] + [empty] + data[2:])
+        assert with_empty == train(data)
+        skips = [r.message for r in caplog.records if "too short" in r.message]
+        assert skips == ["skipped 1 of 4 utterance(s) too short for the topology"] * 4
+        model = hmm.flat_start([f for f, _ in data], ["a", "b"],
+                               topology_kind="classic3", use_sil=False)
+        with pytest.raises(InsufficientDataError):
+            hmm.em_iteration(model, [empty])
+
     def test_batch_budget_only_reorders_sums(self, monkeypatch, caplog, defaults):
         # a budget too small for two utterances runs every utterance as its
         # own batch; the statistics are the same sums in another order
