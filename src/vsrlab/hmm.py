@@ -19,17 +19,21 @@ out of the utterance. A chain graph holds structure only: each arc is an
 index into the model's arc table, the log of the transition table followed
 by one log-zero entry that index -1 reads for a missing arc. The band's
 values are the table read at those indices, and EM counts arcs through the
-same indices. Every band pass is vectorized over states and utterances;
-``into_states`` and ``out_of_states`` are the one home of the band's
-neighbour layout. EM runs its forward and backward passes in the linear
-domain (``forward_scaled``, ``backward_scaled``): each frame's row is divided
-by its maximum and the log of the divisor kept, and its posteriors and arc
-counts are products of those rows. An utterance on which underflow could
-have changed the result (a zero or subnormal scale, or flushed values that
-could carry more than about 1e-16 of posterior mass) is recomputed by
-``forward_log`` and ``backward_log``, which run in the log domain and are
-exact. Viterbi alignment and the decoder are max-plus and stay in the log
-domain.
+same indices. Every band pass is vectorized over states and utterances
+and reads each state's neighbours through ``into_states`` or
+``out_of_states``. EM runs its forward and backward passes in the linear
+domain, both in one frame loop (``scaled_passes``): each frame's row is
+divided by its maximum and the log of the divisor kept, and its posteriors
+and arc counts are products of those rows. That loop lays a frame of the
+whole batch out as one flat row, the forward pass and then the backward
+pass reversed, each utterance behind two gap columns. It takes its windows
+from ``into_states`` on that row, against a flat arc table that holds the
+band's windows for the forward half and each state's arcs out, reversed,
+for the backward half. An utterance on which underflow could have changed
+the result (a zero or subnormal scale, or flushed values that could carry
+more than about 1e-16 of posterior mass) is recomputed by ``forward_log``
+and ``backward_log``, which run in the log domain and are exact. Viterbi
+alignment and the decoder are max-plus and stay in the log domain.
 
 One routine, ``padded_batches``, does the acoustic scoring for EM, forced
 alignment and the decoder alike: it scores a batch's frames against the
@@ -309,7 +313,11 @@ def _chain_graph(phones, phone_n_states, chain):
 
 @dataclass
 class BandBatch:
-    """Utterances laid out for the batched forward and backward passes."""
+    """Utterances laid out for the batched forward and backward passes.
+
+    Each utterance's row of the band starts with two gap columns, so a
+    frame of the whole batch flattened is still a band: ``scaled_passes``
+    runs on such rows, each utterance behind its own two gap columns."""
     band: np.ndarray      # (4, B, S + 2): the arcs' log probs behind two log-zero columns
     emis: np.ndarray      # (T, B, S) chain-state emissions
     n_frames: np.ndarray  # (B,) frames of each utterance
@@ -345,11 +353,15 @@ def _batches(frames, graphs, n_components):
     ``n_components`` counts the mixture table's slot layout (states times
     most components). So no per-frame array of a batch holds more than
     ``_BATCH_VALUES`` float64 values (8 MiB): not the padded emissions, the
-    forward and backward values of either domain, the posteriors, nor the
-    stacked frames' component densities and shares. Together they peak at
-    about three times the batch's values in an EM iteration, four when
-    every utterance falls back to the log domain (tracemalloc, one batch of
-    60 utterances), so a batch stays within about 32 MiB, besides its
+    forward and backward values of the log domain, the scaled beta, the
+    posteriors, nor the stacked frames' component densities and shares.
+    ``scaled_passes``' rows hold two values per band cell, alpha and the
+    next-frame term, so up to twice that (16 MiB) when the slots are fewer
+    than the chain states. Together they peak at about 2.7 times the
+    batch's values in an EM iteration (2.3 when the scaled passes ran in two
+    loops), 4.0 when every utterance falls back to the log domain
+    (tracemalloc, one batch of 60 utterances of 60 to 119 frames, 30 chain
+    states and 52 slots), so a batch stays within about 32 MiB, besides its
     stacked frames and their squares, which grow with the feature dimension
     instead."""
     batch, t_max, s_max = [], 0, 0
@@ -446,58 +458,82 @@ def backward_log(batch):
     return beta
 
 
-def forward_scaled(probs, shifted):
-    """Forward pass over a ``BandBatch`` in the linear domain (Rabiner 1989,
-    "A tutorial on hidden Markov models", section V-A), from the arc
-    probabilities ``probs`` (4, B, S + 2) and the shifted emissions
-    ``shifted`` (T, B, S + 2) of ``_linear``.
+def scaled_passes(probs, shifted, n_frames):
+    """Forward and backward passes over a ``BandBatch`` in the linear domain
+    (Rabiner 1989, "A tutorial on hidden Markov models", section V-A), from
+    the arc probabilities ``probs`` (4, B, S + 2) and the shifted emissions
+    ``shifted`` (T, B, S + 2) of ``_linear``, which stay unchanged, and the
+    frame counts ``n_frames`` (B,): each utterance's exit arcs seed its beta
+    at its own last frame.
 
-    Each step is one multiply-add over the band and one division of each
-    utterance's row by its maximum. Returns alpha (T, B, S + 2) so scaled,
-    behind two zero columns, and the log of each divisor (T, B). A row with
-    nothing left in it (a padded frame, or one lost to underflow) is divided
-    by the smallest normal float instead, which ``_scaled_posteriors``
-    reads as untrustworthy on an utterance's own frames."""
-    alpha = np.zeros(shifted.shape)
-    scale = np.empty(shifted.shape[:2])
-    step = np.empty(alpha.shape[1:2] + (alpha.shape[2] - 2,))
-    alpha[0, :, 2] = shifted[0, :, 0]
-    (stay, a0), (one, a1), (two, a2) = into_states(alpha, probs)
-    for t in range(shifted.shape[0]):
-        row = alpha[t, :, 2:]
-        if t:
-            np.multiply(stay[t - 1], a0, out=row)
-            row += np.multiply(one[t - 1], a1, out=step)
-            row += np.multiply(two[t - 1], a2, out=step)
-            row *= shifted[t, :, :-2]
-        np.maximum(row.max(axis=1), _TINY, out=scale[t])
-        row /= scale[t][:, None]
-    return alpha, np.log(scale)
+    Both passes run in one frame loop over one contiguous row of 2L values
+    per frame, L = B (S + 2). Row i holds alpha at frame i in the band's
+    layout, flattened, then, reversed end to end, the backward pass's
+    next-frame term at frame T - 1 - i: the shifted emissions times beta.
+    The reversal turns successors j + 1 and j + 2 into predecessors, so both
+    halves take their stay, advance-one and advance-two products from the
+    same three ``into_states`` windows of the previous row, against one arc
+    table that is zero wherever a product would reach a gap column. Every
+    product, sum and scale is the one of a pass over the band alone, so the
+    values keep their bits and the gap columns stay zero. Each utterance's
+    half-row is divided by its maximum, or by the smallest normal float if
+    nothing is left in it (a padded frame, or one lost to underflow), which
+    ``_scaled_posteriors`` reads as untrustworthy on an utterance's own
+    frames.
 
-
-def backward_scaled(probs, shifted, n_frames):
-    """Backward pass in the linear domain, the mirror of ``forward_scaled``:
-    beta (T, B, S), each row divided by its maximum, and the log of each
-    divisor (T, B). Each utterance's exit arcs seed its beta at its own last
-    frame, from ``n_frames`` (B,). Row t of ``shifted`` (t >= 1) becomes the next-frame term of row
-    t - 1: the shifted emissions times beta at t."""
-    arcs = probs[:, :, 2:]
-    beta = np.zeros((shifted.shape[0],) + arcs.shape[1:])
-    scale = np.empty(shifted.shape[:2])
-    step = np.empty(arcs.shape[1:])
-    (a0, stay), (a1, one), (a2, two) = out_of_states(arcs, shifted)
-    for t in range(shifted.shape[0] - 1, -1, -1):
-        row = beta[t]
-        if t + 1 < shifted.shape[0]:
-            shifted[t + 1, :, :-2] *= beta[t + 1]
-            np.multiply(a0, stay[t + 1], out=row)
-            row += np.multiply(a1, one[t + 1], out=step)
-            row += np.multiply(a2, two[t + 1], out=step)
-        ends = n_frames == t + 1
-        row[ends] = arcs[3, ends]
-        np.maximum(row.max(axis=1), _TINY, out=scale[t])
-        row /= scale[t][:, None]
-    return beta, np.log(scale)
+    Returns alpha (T, B, S + 2) behind two zero columns, beta (T, B, S), the
+    logs of the forward and backward divisors (T, B), and the next-frame
+    terms (T, B, S + 2) ahead of two zero columns, which row t - 1's arc
+    counts read at row t. alpha and the next-frame terms are views of the
+    rows, the latter reversed.
+    """
+    t_count, n_utts, width = shifted.shape
+    size = n_utts * width
+    # each arc at the position of the state it leaves, zero where the band
+    # has no arc: the band's own windows in the forward half, each state's
+    # arcs out, ahead of its successors and reversed, in the backward half
+    table = np.zeros((3, 2, n_utts, width))
+    bwd_arcs = table[:, 1, ::-1, ::-1]
+    for k in range(3):
+        table[k, 0, :, 2 - k:width - k] = probs[k, :, 2 - k:width - k]
+        bwd_arcs[k, :, k:k + width - 2] = probs[k, :, 2:]
+    rows = np.zeros((t_count, 2 * size))
+    rows[0, 2:size:width] = shifted[0, :, 0]
+    (stay, a0), (one, a1), (two, a2) = into_states(rows, table.reshape(3, -1))
+    halves = rows.reshape(t_count, 2 * n_utts, width)     # one per utterance and pass
+    emis = shifted.reshape(t_count, size)
+    beta = np.empty((t_count, n_utts, width - 2))
+    scale = np.empty((t_count, 2 * n_utts))
+    step = np.empty(2 * size - 2)
+    # the utterances whose exit arcs each step seeds, at their last frame
+    seeds = {i: np.flatnonzero(n_frames == t_count - i)
+             for i in set((t_count - n_frames).tolist())}
+    # step i reads row i - 1's windows, writes row i and keeps beta at frame
+    # T - 1 - i; iterating over views is cheaper than indexing in the loop
+    steps = zip(itertools.chain([None], zip(stay, one, two)), rows[:, 2:], rows[:, 2:size],
+                emis[:, :size - 2], halves, scale, scale[:, :, None],
+                halves[:, :n_utts - 1:-1, :1:-1], beta[::-1], rows[:, size:], emis[::-1, ::-1])
+    for i, (prev, row, fwd, e_fwd, half, top, tops, beta_in_row, beta_t, bwd,
+            e_bwd) in enumerate(steps):
+        if prev:
+            np.multiply(prev[0], a0, out=row)
+            row += np.multiply(prev[1], a1, out=step)
+            row += np.multiply(prev[2], a2, out=step)
+            fwd *= e_fwd
+        if i in seeds:
+            half[2 * n_utts - 1 - seeds[i], 2:] = probs[3, seeds[i], :1:-1]
+        np.maximum.reduce(half, axis=1, out=top, initial=_TINY)
+        half /= tops
+        np.copyto(beta_t, beta_in_row)
+        bwd *= e_bwd
+    # numpy's log and exp can round a strided array differently from a
+    # contiguous one, so the logs are taken, and returned, contiguous
+    logs = np.log(scale, out=scale)
+    log_fwd = np.ascontiguousarray(logs[:, :n_utts])
+    log_bwd = np.ascontiguousarray(logs[::-1, :n_utts - 1:-1])
+    alpha = rows[:, :size].reshape(shifted.shape)
+    nxt = rows[::-1, :size - 1:-1].reshape(shifted.shape)
+    return alpha, beta, log_fwd, log_bwd, nxt
 
 
 def _linear(batch):
@@ -522,6 +558,14 @@ def _scaled_posteriors(batch):
     the band's arc order, and log likelihoods (B,) of a ``BandBatch`` from
     the scaled passes, with the utterances these cannot be trusted on (B,).
 
+    The passes are ``scaled_passes``. The shifted emissions go as soon as
+    they are done, so a call peaks at about 4.2 arrays of the band's size,
+    T B (S + 2) float64 values: the flat rows count two, beta and the
+    shifted emissions one each (tracemalloc at 82 frames, 16 utterances and
+    52 chain states; 3.3 when the passes ran in two loops). The arc counts
+    read the next-frame terms through ``scaled_passes``' reversed view; its
+    einsum still adds the frames in order.
+
     gamma is the product of scaled alpha and beta, divided by its sum over
     each frame's states; the count of each arc is scaled alpha times the
     backward pass's next-frame term, in the same units over beta's scale,
@@ -534,8 +578,8 @@ def _scaled_posteriors(batch):
     times alpha's and beta's row maxima over the likelihood. Its posteriors
     and counts are left at zero."""
     probs, shift, shifted = _linear(batch)
-    alpha, log_fwd = forward_scaled(probs, shifted)
-    beta, log_bwd = backward_scaled(probs, shifted, batch.n_frames)
+    alpha, beta, log_fwd, log_bwd, nxt = scaled_passes(probs, shifted, batch.n_frames)
+    del shifted
     own = np.arange(shift.shape[0])[:, None] < batch.n_frames
     last, utts = batch.n_frames - 1, np.arange(shift.shape[1])
     # logs of alpha's and beta's row maxima, and the log likelihood
@@ -557,7 +601,7 @@ def _scaled_posteriors(batch):
     gamma *= norm[:, :, None]
     alpha *= (norm / np.exp(log_bwd))[:, :, None]
     counts = np.empty((4,) + gamma.shape[1:])
-    for k, (arc, succ) in enumerate(out_of_states(probs[:, :, 2:], shifted)):
+    for k, (arc, succ) in enumerate(out_of_states(probs[:, :, 2:], nxt)):
         np.multiply(arc, np.einsum("tbs,tbs->bs", alpha[:-1, :, 2:], succ[1:]), out=counts[k])
     counts[3] = gamma[last, utts]
     return gamma, counts, loglik, untrusted

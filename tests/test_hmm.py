@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,91 @@ def _count_log_domain_batches(monkeypatch):
 
     monkeypatch.setattr(hmm, "forward_log", counted)
     return calls
+
+
+def _forward_scaled(probs, shifted):
+    """The scaled forward pass as a frame loop of its own over the (T, B,
+    S + 2) band layout, the reference for ``hmm.scaled_passes``: alpha
+    behind two zero columns, each row divided by its maximum (at least the
+    smallest normal float), and the log of each divisor (T, B)."""
+    alpha = np.zeros(shifted.shape)
+    scale = np.empty(shifted.shape[:2])
+    step = np.empty(alpha.shape[1:2] + (alpha.shape[2] - 2,))
+    alpha[0, :, 2] = shifted[0, :, 0]
+    (stay, a0), (one, a1), (two, a2) = hmm.into_states(alpha, probs)
+    for t in range(shifted.shape[0]):
+        row = alpha[t, :, 2:]
+        if t:
+            np.multiply(stay[t - 1], a0, out=row)
+            row += np.multiply(one[t - 1], a1, out=step)
+            row += np.multiply(two[t - 1], a2, out=step)
+            row *= shifted[t, :, :-2]
+        np.maximum(row.max(axis=1), hmm._TINY, out=scale[t])
+        row /= scale[t][:, None]
+    return alpha, np.log(scale)
+
+
+def _backward_scaled(probs, shifted, n_frames):
+    """The scaled backward pass as a frame loop of its own, the mirror of
+    ``_forward_scaled``: beta (T, B, S) and the log of each divisor (T, B).
+    Each utterance's exit arcs seed its beta at its own last frame. Row t of
+    ``shifted`` (t >= 1) becomes the next-frame term of row t - 1: the
+    shifted emissions times beta at t."""
+    arcs = probs[:, :, 2:]
+    beta = np.zeros((shifted.shape[0],) + arcs.shape[1:])
+    scale = np.empty(shifted.shape[:2])
+    step = np.empty(arcs.shape[1:])
+    (a0, stay), (a1, one), (a2, two) = hmm.out_of_states(arcs, shifted)
+    for t in range(shifted.shape[0] - 1, -1, -1):
+        row = beta[t]
+        if t + 1 < shifted.shape[0]:
+            shifted[t + 1, :, :-2] *= beta[t + 1]
+            np.multiply(a0, stay[t + 1], out=row)
+            row += np.multiply(a1, one[t + 1], out=step)
+            row += np.multiply(a2, two[t + 1], out=step)
+        ends = n_frames == t + 1
+        row[ends] = arcs[3, ends]
+        np.maximum(row.max(axis=1), hmm._TINY, out=scale[t])
+        row /= scale[t][:, None]
+    return beta, np.log(scale)
+
+
+def _scaled_passes_oracle(probs, shifted, n_frames):
+    """``hmm.scaled_passes``' five results from the two reference passes,
+    with the next-frame terms defined from row 1 on."""
+    alpha, log_fwd = _forward_scaled(probs, shifted)
+    nxt = shifted.copy()
+    beta, log_bwd = _backward_scaled(probs, nxt, n_frames)
+    return alpha, beta, log_fwd, log_bwd, nxt
+
+
+def _ragged_linear_batch(rng, t_count, n_utts, s_count, gap_arcs):
+    """Random arc probabilities (4, B, S + 2) behind two gap columns, shifted
+    emissions (T, B, S + 2) ahead of two zero columns, and frame counts (B,),
+    as ``hmm._linear`` lays them out: ragged frame counts (down to one frame)
+    and chains (the longest T and S), missing arcs, all-zero emission rows
+    and subnormal emissions, and each chain's state count (B,). With
+    ``gap_arcs``, the arcs in the gap columns and beyond each chain, which
+    ``compose_chain`` leaves missing, are nonzero too."""
+    n_frames = rng.integers(1, t_count + 1, size=n_utts)
+    n_states = rng.integers(1, s_count + 1, size=n_utts)
+    n_frames[rng.integers(n_utts)] = t_count
+    n_states[rng.integers(n_utts)] = s_count
+    probs = np.zeros((4, n_utts, s_count + 2))
+    if gap_arcs:
+        probs[...] = rng.random(probs.shape)
+    shifted = np.zeros((t_count, n_utts, s_count + 2))
+    for b, (t, s) in enumerate(zip(n_frames, n_states)):
+        probs[:, b, 2:2 + s] = np.where(rng.random((4, s)) < 0.8, rng.random((4, s)), 0.0)
+        shifted[:t, b, :s] = rng.random((t, s))
+        if rng.random() < 0.3:
+            shifted[rng.integers(t), b, :s] = 0.0
+        if rng.random() < 0.3:
+            shifted[:t, b, :s] *= 1e-300 * rng.random((t, s))
+    subnormal = np.zeros(shifted.shape, dtype=bool)
+    subnormal[:, :, :-2] = rng.random((t_count, n_utts, s_count)) < 0.05
+    shifted[subnormal] = 5e-324 * rng.integers(1, 2 ** 40, size=int(subnormal.sum()))
+    return probs, shifted, n_frames, n_states
 
 
 def _oracle_forced_align(model, frames, chain):
@@ -711,8 +797,8 @@ class TestScaledPasses:
 
             def scaled(batch):
                 probs, shift, shifted = hmm._linear(batch)
-                alpha, log_fwd = hmm.forward_scaled(probs, shifted)
-                beta, log_bwd = hmm.backward_scaled(probs, shifted, batch.n_frames)
+                alpha, beta, log_fwd, log_bwd, _ = hmm.scaled_passes(probs, shifted,
+                                                                     batch.n_frames)
                 return (shift, alpha[:, :, 2:], log_fwd, beta, log_bwd,
                         *hmm._scaled_posteriors(batch))
 
@@ -779,6 +865,66 @@ class TestScaledPasses:
                 _assert_close(counts[:, b, :s_count], want_counts, rel)
         assert recomputed > 50 and kept > 100
 
+    def test_one_frame_loop_has_the_bits_of_the_two_passes(self):
+        # alpha, beta, both log scales and the next-frame terms equal the
+        # two reference passes byte for byte, and so do the arc counts'
+        # products, which read alpha and the next-frame terms as views
+        rng = np.random.default_rng(23)
+        seen = dict.fromkeys(["one utterance", "one frame", "short chain", "zero row",
+                              "subnormal"], 0)
+        for trial in range(240):
+            n_utts = 1 if trial % 5 == 0 else int(rng.integers(2, 9))
+            t_count = 1 if trial % 7 == 0 else int(rng.integers(2, 25))
+            probs, shifted, n_frames, n_states = _ragged_linear_batch(
+                rng, t_count, n_utts, int(rng.integers(1, 12)), gap_arcs=trial % 2 == 1)
+            want = _scaled_passes_oracle(probs, shifted, n_frames)
+            before = shifted.tobytes()
+            got = hmm.scaled_passes(probs, shifted, n_frames)
+            assert shifted.tobytes() == before
+            for g, w in zip(got[:4], want[:4]):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            for g in got[1:4]:
+                assert g.flags.c_contiguous
+            alpha, nxt, s_count = got[0], got[4], probs.shape[2] - 2
+            assert nxt.shape == shifted.shape and nxt[1:].tobytes() == want[4][1:].tobytes()
+            for k in range(3):
+                assert (np.einsum("tbs,tbs->bs", alpha[:-1, :, 2:], nxt[1:, :, k:k + s_count])
+                        .tobytes() == np.einsum("tbs,tbs->bs", want[0][:-1, :, 2:],
+                                                want[4][1:, :, k:k + s_count]).tobytes())
+            own = shifted[:, :, :-2][np.arange(t_count)[:, None] < n_frames]
+            seen["one utterance"] += n_utts == 1
+            seen["one frame"] += int((n_frames == 1).sum())
+            seen["short chain"] += int((n_states < s_count).sum())
+            seen["zero row"] += int((own.max(axis=1) == 0.0).sum())
+            seen["subnormal"] += int(((own > 0.0) & (own < hmm._TINY)).sum())
+        assert min(seen.values()) >= 20, seen
+
+    def test_peak_memory_is_one_band_array_above_the_two_passes(self):
+        # the flat rows hold alpha and the next-frame terms, two band
+        # arrays, where the two passes kept the next-frame terms in the
+        # shifted emissions. Units: T * B * (S + 2) float64 values. The two
+        # passes peaked at 3.343 units on this batch, train_cold's shape
+        rng = np.random.default_rng(25)
+        model = _make_model("skip2", {p: _dummy_params(2, 1) for p in "abcd"}, dim=1)
+        graphs = [hmm.compose_chain(model, list(rng.choice(list("abcd"), size=26)))
+                  for _ in range(16)]
+        batch = hmm.pad_batch(model.arc_table(), graphs,
+                              [rng.uniform(-40.0, 0.0, size=(82, 8)) for _ in graphs])
+        assert batch.emis.shape == (82, 16, 52)
+        hmm._scaled_posteriors(batch)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            hmm._scaled_posteriors(batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / (82 * 16 * 54 * 8) <= 3.343 + 1.0
+
     def test_state_sum_has_the_bits_of_an_in_order_cumsum(self):
         # padded gammas: each utterance's states beyond its chain are zero,
         # and zeros and subnormals are planted among the live ones
@@ -813,8 +959,7 @@ class TestScaledPasses:
         batch = hmm.pad_batch(table, [graph, graph], [trap, plain])
         probs, _, shifted = hmm._linear(batch)
         assert shifted[1, 0, 2] == 0.0
-        log_fwd = hmm.forward_scaled(probs, shifted)[1]
-        log_bwd = hmm.backward_scaled(probs, shifted, batch.n_frames)[1]
+        log_fwd, log_bwd = hmm.scaled_passes(probs, shifted, batch.n_frames)[2:4]
         own = np.arange(7)[:, None] < batch.n_frames
         assert np.all(np.minimum(log_fwd, log_bwd)[own] > np.log(np.finfo(float).tiny))
         assert list(hmm._scaled_posteriors(batch)[3]) == [True, False]
