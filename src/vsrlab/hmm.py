@@ -42,13 +42,14 @@ order of length in batches of bounded size. Each utterance is padded with
 log-zero to the longest chain and the longest utterance of its batch, which
 leaves its own values exactly as a pass over it alone would give them.
 
-The model keeps its parameters in two flat tables. Every phone enters at its
+The model keeps its parameters in two tables. Every phone enters at its
 first state, so only the transition rows vary between phones: the transition
 table holds each phone's (n, n + 1) rows, flat and in model order, beside the
-phones' state counts. The mixture table holds the Gaussians: component weights
-(C,), means (C, D) and diagonal variances (C, D), one block of rows per state
-in model order, plus each state's component count. The E-step sums, the arc
-counts, the density blocks and the OPT1 file all keep these orders.
+phones' state counts. The mixture table holds the Gaussians in one row of M
+slots per state, M the most components of any state: weights (S, M), means and
+diagonal variances (S, M, D), beside each state's count. A state's components
+fill its first slots in order; an empty slot (weight 0, mean 0, variance 1) has
+zero density. Scoring, EM and OPT1, which holds the filled slots, share it.
 """
 
 import functools
@@ -107,17 +108,18 @@ def _arc_offsets(phone_n_states):
     return _block_starts(phone_n_states * (phone_n_states + 1))
 
 
-def _block_slices(sizes):
-    """The slice of each of consecutive blocks of ``sizes`` rows."""
-    return (slice(start, start + n) for start, n in zip(_block_starts(sizes), sizes))
-
-
 def _mixture_table(blocks):
-    """Component counts, weights, means and variances of a mixture table
-    from per-state (weights, means, variances) blocks in model order."""
-    weights, means, variances = zip(*blocks)
-    return (np.array([w.shape[0] for w in weights]), np.concatenate(weights),
-            np.vstack(means), np.vstack(variances))
+    """Component counts (S,) and the mixture table, weights (S, M), means and
+    variances (S, M, D), from per-state (weights, means, variances) blocks in
+    model order: each block fills the first slots of its state's row, in
+    order, and every other slot gets weight 0, mean 0 and variance 1."""
+    n_mix = np.array([w.shape[0] for w, _, _ in blocks])
+    live = np.arange(n_mix.max()) < n_mix[:, None]
+    dims = live.shape + blocks[0][1].shape[1:]
+    table = (np.zeros(live.shape), np.zeros(dims), np.ones(dims))
+    for slots, flat in zip(table, zip(*blocks)):
+        slots[live] = np.concatenate(flat)
+    return (n_mix, *table)
 
 
 @dataclass
@@ -126,10 +128,12 @@ class OpticalModel:
     dim: int
     phone_n_states: np.ndarray  # (P,) emitting states per phone
     trans: np.ndarray       # (A,) the transition table: each phone's (n, n + 1) rows
-    n_mix: np.ndarray       # (unique states,) components per state, model order
-    weights: np.ndarray     # (C,) the mixture table, state blocks in model order
-    means: np.ndarray       # (C, D)
-    variances: np.ndarray   # (C, D), diagonal
+    n_mix: np.ndarray       # (S,) components per unique state, model order
+    # the mixture table, one row of M slots per state: S M rows, M the most
+    # components of any state, so only the slots of starved components pad
+    weights: np.ndarray     # (S, M), 0 in an empty slot
+    means: np.ndarray       # (S, M, D), 0 in an empty slot
+    variances: np.ndarray   # (S, M, D), diagonal, 1 in an empty slot
     var_floor: np.ndarray   # (D,)
     use_sil: bool = True
 
@@ -182,8 +186,8 @@ def flat_start(frame_list, phones, topology_kind, use_sil=True):
     return OpticalModel(phones=phones, dim=dim,
                         phone_n_states=np.full(len(phones), rows.shape[0]),
                         trans=np.tile(rows.ravel(), len(phones)),
-                        n_mix=np.ones(n, dtype=int), weights=np.ones(n),
-                        means=np.tile(g_mean, (n, 1)), variances=np.tile(g_var, (n, 1)),
+                        n_mix=np.ones(n, dtype=int), weights=np.ones((n, 1)),
+                        means=np.tile(g_mean, (n, 1, 1)), variances=np.tile(g_var, (n, 1, 1)),
                         var_floor=floor, use_sil=use_sil)
 
 
@@ -191,18 +195,20 @@ def flat_start(frame_list, phones, topology_kind, use_sil=True):
 # emission densities
 
 def _stack_components(model):
-    """The mixture table as density blocks: quadratic and linear coefficients
-    (C, D), then constants and log weights (C,)."""
-    var = model.variances
-    c0 = np.sum(-0.5 * model.means ** 2 / var - 0.5 * np.log(2.0 * np.pi * var), axis=1)
+    """The mixture table as density blocks, one row per slot: quadratic and
+    linear coefficients (S M, D), then constants and log weights (S M,),
+    log-zero in an empty slot."""
+    var = model.variances.reshape(-1, model.dim)
+    means = model.means.reshape(var.shape)
+    c0 = np.sum(-0.5 * means ** 2 / var - 0.5 * np.log(2.0 * np.pi * var), axis=1)
     with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
-    return -0.5 / var, model.means / var, c0, logw
+        logw = np.log(model.weights.ravel())
+    return -0.5 / var, means / var, c0, logw
 
 
 def component_log_likelihoods(stacked, frames):
-    """Per-component weighted log densities (T, total components) under the
-    blocks ``stacked`` from ``_stack_components``."""
+    """Per-slot weighted log densities (T, S M) under the blocks ``stacked``
+    from ``_stack_components``."""
     c1, c2, c0, logw = stacked
     x = np.asarray(frames, dtype=float)
     out = (x ** 2) @ c1.T
@@ -212,40 +218,33 @@ def component_log_likelihoods(stacked, frames):
     return out
 
 
-def _slot_columns(sizes):
-    """Where each component of a mixture table with ``sizes`` components per
-    state sits in the slot layout (states, most components), flattened."""
-    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
-    return seg * sizes.max() + np.arange(seg.shape[0]) - np.repeat(_block_starts(sizes), sizes)
+def _slot_sum(p):
+    """The sum of ``p`` (..., M) over its slots, the last axis, the first slot
+    added last: the order in which ``np.add.reduceat`` sums up to eight values,
+    which it sums pairwise beyond that; above eight slots this order holds."""
+    total = np.zeros(p.shape[:-1])
+    for j in range(1, p.shape[-1]):
+        total += p[..., j]
+    total += p[..., 0]
+    return total
 
 
-def _state_logsumexp(comp, sizes, shares=False):
-    """Log-sum-exp (T, states) of each state's block of ``sizes`` component
-    columns of ``comp`` (T, total components).
-
-    The blocks are laid out by slot, (T, states, most components), with
-    log-zero filling the short ones, and the max and the sum run over the
-    slots: the j-th component of every state at once. The sum adds the first
-    slot to the running sum of the others, the order in which numpy's
-    ``add.reduceat`` sums a block of up to eight components (a longer block
-    it sums pairwise), so up to eight components per state the result is the
-    same to the bit. With ``shares``, also returns each component's share of its state's sum
-    in the slot layout: zero in the fill and where the state's density is
-    zero."""
-    n = int(sizes.max())
-    blocks = np.full((comp.shape[0], sizes.shape[0] * n), LOG_ZERO)
-    blocks[:, _slot_columns(sizes)] = comp
-    blocks = blocks.reshape(comp.shape[0], sizes.shape[0], n)
+def _state_logsumexp(comp, n_slots, shares=False):
+    """Log-sum-exp (T, states) of each state's ``n_slots`` consecutive
+    columns of ``comp`` (T, states times ``n_slots``), which it overwrites.
+    The max and the sum (``_slot_sum``) run over the slots, the j-th of
+    every state at once (faster than a reduction over the short last axis);
+    an empty slot holds log-zero. With ``shares``, also returns each slot's
+    share of its state's sum (T, states, slots): zero in an empty slot and
+    where the state's density is zero."""
+    blocks = comp.reshape(comp.shape[0], comp.shape[1] // n_slots, n_slots)
     m = blocks[:, :, 0].copy()
-    for j in range(1, n):
+    for j in range(1, n_slots):
         np.maximum(m, blocks[:, :, j], out=m)
     m[~np.isfinite(m)] = 0.0
     blocks -= m[:, :, None]
     p = np.exp(blocks, out=blocks)
-    total = np.zeros_like(m)
-    for j in range(1, n):
-        total += p[:, :, j]
-    total += p[:, :, 0]
+    total = _slot_sum(p)
     with np.errstate(divide="ignore"):
         unique = np.log(total)
     unique += m
@@ -350,20 +349,19 @@ def _batches(frames, graphs, n_components):
     ``_BATCH_VALUES``. An utterance over the budget on its own makes a batch
     of one.
 
-    ``n_components`` counts the mixture table's slot layout (states times
-    most components). So no per-frame array of a batch holds more than
+    ``n_components`` counts the mixture table's slots, the columns of the
+    component densities. So no per-frame array of a batch holds more than
     ``_BATCH_VALUES`` float64 values (8 MiB): not the padded emissions, the
     forward and backward values of the log domain, the scaled beta, the
     posteriors, nor the stacked frames' component densities and shares.
     ``scaled_passes``' rows hold two values per band cell, alpha and the
     next-frame term, so up to twice that (16 MiB) when the slots are fewer
-    than the chain states. Together they peak at about 2.7 times the
-    batch's values in an EM iteration (2.3 when the scaled passes ran in two
-    loops), 4.0 when every utterance falls back to the log domain
-    (tracemalloc, one batch of 60 utterances of 60 to 119 frames, 30 chain
-    states and 52 slots), so a batch stays within about 32 MiB, besides its
-    stacked frames and their squares, which grow with the feature dimension
-    instead."""
+    than the chain states. Together they peak at about 2.5 times the batch's
+    values in an EM iteration, 3.8 when every utterance falls back to the log
+    domain (tracemalloc, one batch of 60 utterances of 60 to 119 frames, 30
+    chain states and 52 slots), and 1.7 at 368 slots, where the scoring sets
+    the peak. So a batch stays within about 32 MiB, besides its stacked frames
+    and their squares, which grow with the feature dimension instead."""
     batch, t_max, s_max = [], 0, 0
     for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
         t = max(t_max, frames[b].shape[0])
@@ -391,10 +389,10 @@ def padded_batches(model, frames, graphs, shares=False):
     """
     stacked = _stack_components(model)
     table = model.arc_table()
-    n_slots = model.n_mix.shape[0] * int(model.n_mix.max())
-    for batch in _batches(frames, graphs, n_slots):
+    for batch in _batches(frames, graphs, model.weights.size):
         x = np.concatenate([frames[b] for b in batch])
-        scored = _state_logsumexp(component_log_likelihoods(stacked, x), model.n_mix, shares)
+        scored = _state_logsumexp(component_log_likelihoods(stacked, x),
+                                  model.weights.shape[1], shares)
         unique, share = scored if shares else (scored, None)
         ends = np.cumsum([frames[b].shape[0] for b in batch])[:-1]
         padded = pad_batch(table, [graphs[b] for b in batch], np.split(unique, ends))
@@ -437,7 +435,7 @@ def forward_log(batch):
     # states of a chain can exit within the band, so the sum has at most two
     # non-zero terms and no summation order can change it
     ends = alpha[batch.n_frames - 1, np.arange(e.shape[1])] + band[3, :, 2:]
-    return alpha, _state_logsumexp(ends, np.array([ends.shape[1]]))[:, 0]
+    return alpha, _state_logsumexp(ends, ends.shape[1])[:, 0]
 
 
 def backward_log(batch):
@@ -658,11 +656,11 @@ def _posteriors(batch):
 
 def _e_step(model, frames, graphs):
     """E-step sums over utterances given by their (T_b, D) float frames and
-    chain graphs, each batch of ``padded_batches`` at once: occupancy (C,)
-    and first and second moments (C, D) in mixture-table order, arc counts
-    in transition-table order, the total log likelihood, and the number of
-    utterances with a path through their chain (the others add nothing)."""
-    occ = np.zeros(model.n_mix.shape[0] * int(model.n_mix.max()))
+    chain graphs, each batch of ``padded_batches`` at once: occupancy (S, M)
+    and first and second moments (S, M, D) in the mixture table's layout, arc
+    counts in transition-table order, the total log likelihood, and the number
+    of utterances with a path through their chain (the others add nothing)."""
+    occ = np.zeros(model.weights.size)
     mean = np.zeros(occ.shape + (model.dim,))
     sqr = np.zeros_like(mean)
     arc_counts = np.zeros(model.trans.shape[0])
@@ -686,8 +684,8 @@ def _e_step(model, frames, graphs):
         arcs = batch.arcs[:, :, 2:]
         arc_counts += np.bincount(arcs[arcs >= 0], weights=counts[arcs >= 0],
                                   minlength=arc_counts.shape[0])
-    slots = _slot_columns(model.n_mix)
-    return occ[slots], mean[slots], sqr[slots], arc_counts, total, used
+    return (occ.reshape(model.weights.shape), mean.reshape(model.means.shape),
+            sqr.reshape(model.means.shape), arc_counts, total, used)
 
 
 def em_iteration(model, data):
@@ -722,16 +720,15 @@ _NO_OCCUPANCY = "phone %r state %d has no occupancy; keeping parameters"
 
 
 def _apply_mstep(model, occ, mean, sqr, arc_counts):
-    """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` hold one
-    row per mixture component in mixture-table order; ``arc_counts`` holds
-    the arc counts in transition-table order. A state with no component above
-    the occupancy floor keeps its parameters, and so does a transition row
-    with no count above it; starved components of other states go."""
+    """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` in the
+    mixture table's layout, an empty slot with no occupancy; ``arc_counts``
+    in transition-table order. A state with no component above the occupancy
+    floor keeps its parameters, and so does a transition row with no count
+    above it; starved components of other states go, and the survivors move
+    to the front of their row, in order."""
     sizes = model.n_mix
-    starts = _block_starts(sizes)
-    seg = np.repeat(np.arange(sizes.shape[0]), sizes)
     keep = occ > _OCC_EPS
-    kept = np.add.reduceat(keep.astype(int), starts)
+    kept = keep.sum(axis=1)
     empty = kept == 0
     state_phone = np.repeat(np.arange(len(model.phones)), model.phone_n_states)
     local = np.arange(sizes.shape[0]) - np.repeat(_block_starts(model.phone_n_states),
@@ -744,17 +741,16 @@ def _apply_mstep(model, occ, mean, sqr, arc_counts):
             log.warning("phone %r state %d: dropping %d starved component(s)",
                         name, local[u], sizes[u] - kept[u])
     occ_k = np.where(keep, occ, 0.0)
-    state_occ = np.add.reduceat(occ_k, starts)
+    state_occ = _slot_sum(occ_k)
     occ_k[~keep] = 1.0
-    means = mean / occ_k[:, None]
-    varia = np.maximum(sqr / occ_k[:, None] - means ** 2, model.var_floor)
-    old = empty[seg]
-    survive = keep | old
-    model.weights = np.where(old, model.weights,
-                             occ_k / np.where(empty, 1.0, state_occ)[seg])[survive]
-    model.means = np.where(old[:, None], model.means, means)[survive]
-    model.variances = np.where(old[:, None], model.variances, varia)[survive]
-    model.n_mix = np.where(empty, sizes, kept)
+    means = mean / occ_k[:, :, None]
+    varia = np.maximum(sqr / occ_k[:, :, None] - means ** 2, model.var_floor)
+    survive = keep | (empty[:, None] & (np.arange(occ.shape[1]) < sizes[:, None]))
+    table = [occ_k / np.where(empty, 1.0, state_occ)[:, None], means, varia]
+    for new, current in zip(table, (model.weights, model.means, model.variances)):
+        new[empty] = current[empty]
+    model.n_mix, model.weights, model.means, model.variances = _mixture_table(
+        [(w[k], mu[k], var[k]) for w, mu, var, k in zip(*table, survive)])
 
     widths = model.phone_n_states[state_phone] + 1      # each transition row's length
     new = np.where(model.trans > 0.0, arc_counts, 0.0)
@@ -767,8 +763,8 @@ def _apply_mstep(model, occ, mean, sqr, arc_counts):
 def grow_mixtures(model, target_m):
     """Split the heaviest component of every state until it has target_m."""
     blocks = []
-    for block in _block_slices(model.n_mix):
-        w, mu, var = model.weights[block], model.means[block], model.variances[block]
+    for n, w, mu, var in zip(model.n_mix, model.weights, model.means, model.variances):
+        w, mu, var = w[:n], mu[:n], var[:n]
         while w.shape[0] < target_m:
             i = int(np.argmax(w))
             sigma = np.sqrt(var[i])
@@ -895,16 +891,16 @@ def save_model(path, model):
             binio.write_str8(fh, name)
         binio.write_u8(fh, 1 if model.use_sil else 0)
         binio.write_array(fh, model.var_floor, "<f8")
-        slices = _block_slices(model.n_mix)
+        rows = zip(model.n_mix, model.weights, model.means, model.variances)
         for n, start in zip(model.phone_n_states, model.arc_offsets):
             binio.write_u8(fh, _KIND_CODES[n])
             binio.write_u32(fh, n)
             binio.write_array(fh, model.trans[start:start + n * (n + 1)], "<f8")
             binio.write_array(fh, np.eye(1, n), "<f8")   # every phone enters at state 0
-            for block in itertools.islice(slices, n):
-                binio.write_u32(fh, block.stop - block.start)
-                for table in (model.weights, model.means, model.variances):
-                    binio.write_array(fh, table[block], "<f8")
+            for m, *table in itertools.islice(rows, n):
+                binio.write_u32(fh, m)
+                for slots in table:
+                    binio.write_array(fh, slots[:m], "<f8")
 
 
 def load_model(path):
@@ -958,8 +954,8 @@ def load_model(path):
     n_mix, weights, means, variances = _mixture_table(blocks)
     if not all(np.isfinite(a).all() for a in (var_floor, weights, means, variances)):
         raise FormatError(f"{path}: non-finite variance floor or mixture parameters")
-    sums = np.add.reduceat(weights, _block_starts(n_mix))
-    if np.any(weights < 0.0) or not np.allclose(sums, 1.0, rtol=0.0, atol=1e-9):
+    if np.any(weights < 0.0) or not np.allclose(weights.sum(axis=1), 1.0, rtol=0.0,
+                                                  atol=1e-9):
         raise FormatError(f"{path}: mixture weights must be non-negative and sum to one "
                           "in every state")
     if np.any(variances <= 0.0):

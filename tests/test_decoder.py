@@ -16,7 +16,8 @@ from vsrlab.lingware import Lexicon, fit_bigram
 
 
 def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
-    """Single-dimension model; state s of a phone sits at base + 0.5 * s."""
+    """Single-dimension model; state s of a phone sits at base + 0.5 * s.
+    Each state's row of the mixture table holds its ``n_mix`` components."""
     names = sorted(phone_means)
     if use_sil and "sil" not in names:
         raise ValueError("sil mean required")
@@ -24,11 +25,11 @@ def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
     mus = np.array([phone_means[name] + 0.5 * s for name in names
                     for s in range(rows.shape[0])])
     if n_mix == 1:
-        means = mus[:, None]
-        weights = np.ones(mus.shape[0])
+        means = mus[:, None, None]
+        weights = np.ones((mus.shape[0], 1))
     else:
-        means = np.column_stack([mus - 0.4, mus + 0.4]).reshape(-1, 1)
-        weights = np.tile([0.6, 0.4], mus.shape[0])
+        means = np.column_stack([mus - 0.4, mus + 0.4])[:, :, None]
+        weights = np.tile([0.6, 0.4], (mus.shape[0], 1))
     return hmm.OpticalModel(phones=names, dim=1,
                             phone_n_states=np.full(len(names), rows.shape[0]),
                             trans=np.tile(rows.ravel(), len(names)),
@@ -72,10 +73,9 @@ class _FlatLm:
 
 def _state_logpdf(model, pid, s, x):
     k = int(model.phone_n_states[:pid].sum()) + s
-    start = int(model.n_mix[:k].sum())
-    comps = [math.log(model.weights[m])
-             + norm.logpdf(x, model.means[m, 0], math.sqrt(model.variances[m, 0]))
-             for m in range(start, start + model.n_mix[k])]
+    comps = [math.log(model.weights[k, m])
+             + norm.logpdf(x, model.means[k, m, 0], math.sqrt(model.variances[k, m, 0]))
+             for m in range(model.n_mix[k])]
     return float(sp_logsumexp(comps))
 
 
@@ -301,7 +301,8 @@ def _terminate(graph, score, hist, lam, n_frames, config):
 def _state_log_likelihoods(model, frames):
     """GMM log densities of every unique state (T, unique states)."""
     stacked = hmm._stack_components(model)
-    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), model.n_mix)
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames),
+                                model.weights.shape[1])
 
 
 def _decode_emissions(graph, emissions, config):

@@ -18,7 +18,8 @@ def _state_log_likelihoods(model, frames):
     """GMM log densities of every unique state (T, unique states), from the
     routines that EM, the decoder and forced alignment share."""
     stacked = hmm._stack_components(model)
-    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames), model.n_mix)
+    return hmm._state_logsumexp(hmm.component_log_likelihoods(stacked, frames),
+                                model.weights.shape[1])
 
 
 def _chain_log_likelihood(model, frames, chain):
@@ -33,7 +34,7 @@ def _build(phones, rows, blocks, var_floor, use_sil=False):
     (weights, means, variances) blocks in model order."""
     blocks = [[np.array(a, dtype=float) for a in block] for block in blocks]
     n_mix, weights, means, variances = hmm._mixture_table(blocks)
-    return hmm.OpticalModel(phones=phones, dim=means.shape[1],
+    return hmm.OpticalModel(phones=phones, dim=means.shape[-1],
                             phone_n_states=np.array([len(r) for r in rows]),
                             trans=np.concatenate([np.ravel(r) for r in rows]),
                             n_mix=n_mix, weights=weights, means=means,
@@ -65,12 +66,11 @@ def _phone_rows(model, pid):
 
 
 def _state_params(model, pid, s):
-    """(weights, means, variances) of one state's block of the mixture table,
-    found by counting the components of the states before it."""
+    """(weights, means, variances) of one state's filled slots of the mixture
+    table, its row found by counting the states before it."""
     k = int(model.phone_n_states[:pid].sum()) + s
-    start = int(model.n_mix[:k].sum())
-    block = slice(start, start + int(model.n_mix[k]))
-    return model.weights[block], model.means[block], model.variances[block]
+    n = int(model.n_mix[k])
+    return model.weights[k, :n], model.means[k, :n], model.variances[k, :n]
 
 
 def _dense_compose(model, chain):
@@ -275,9 +275,17 @@ def _one_utterance_posteriors(table, graph, unique):
     return loglik[0], tied, counts
 
 
+def _filled_slots(n_mix):
+    """Which slots of a mixture table with ``n_mix`` components per state
+    hold a component, flattened (S M,)."""
+    return (np.arange(n_mix.max()) < n_mix[:, None]).ravel()
+
+
 def _oracle_e_step(model, frames, graphs):
-    """``hmm._e_step``'s sums, one utterance at a time in the log domain."""
+    """``hmm._e_step``'s sums, one utterance at a time in the log domain
+    over the filled slots only, then laid out in the mixture table's slots."""
     seg = np.repeat(np.arange(model.n_mix.shape[0]), model.n_mix)
+    filled = _filled_slots(model.n_mix)
     stacked = hmm._stack_components(model)
     table = model.arc_table()
     occ = np.zeros(seg.shape[0])
@@ -286,7 +294,7 @@ def _oracle_e_step(model, frames, graphs):
     arc_counts = np.zeros(model.trans.shape[0])
     total, used = 0.0, 0
     for x, graph in zip(frames, graphs):
-        comp = hmm.component_log_likelihoods(stacked, x)
+        comp = hmm.component_log_likelihoods(stacked, x)[:, filled]
         unique = _reduceat_state_logsumexp(comp, model.n_mix)
         one = hmm.pad_batch(table, [graph], [unique])
         alpha, loglik = hmm.forward_log(one)
@@ -303,7 +311,13 @@ def _oracle_e_step(model, frames, graphs):
                                   minlength=arc_counts.shape[0])
         total += float(loglik[0])
         used += 1
-    return occ, mean, sqr, arc_counts, total, used
+    slots = []
+    for flat, shape in [(occ, model.weights.shape), (mean, model.means.shape),
+                        (sqr, model.means.shape)]:
+        table = np.zeros((filled.shape[0],) + flat.shape[1:])
+        table[filled] = flat
+        slots.append(table.reshape(shape))
+    return (*slots, arc_counts, total, used)
 
 
 def _assert_close(got, want, rel=1e-12):
@@ -750,33 +764,51 @@ class TestSlotLogsumexp:
     def test_equals_the_reduceat_oracle_bit_for_bit(self):
         # unequal component counts up to the default schedule's eight,
         # log-zero weights, whole states at log-zero, and spreads from a few
-        # nats to thousands
+        # nats to thousands; the slots beyond each state's count are
+        # log-zero, as an empty slot's log weight makes them
         rng = np.random.default_rng(16)
         for trial in range(300):
             sizes = (np.full(int(rng.integers(1, 30)), int(rng.integers(1, 9))) if trial % 3 == 0
                      else rng.integers(1, 9, size=int(rng.integers(1, 30))))
-            comp = rng.normal(0.0, rng.choice([1.0, 30.0, 1000.0]),
-                              size=(int(rng.integers(1, 40)), sizes.sum()))
-            comp[:, rng.random(comp.shape[1]) < 0.1] = -np.inf
-            comp[rng.random(comp.shape) < 0.05] = -np.inf
-            want = _reduceat_state_logsumexp(comp, sizes)
-            assert np.array_equal(hmm._state_logsumexp(comp, sizes), want)
-            unique, shares = hmm._state_logsumexp(comp, sizes, shares=True)
+            filled_comp = rng.normal(0.0, rng.choice([1.0, 30.0, 1000.0]),
+                                   size=(int(rng.integers(1, 40)), sizes.sum()))
+            filled_comp[:, rng.random(filled_comp.shape[1]) < 0.1] = -np.inf
+            filled_comp[rng.random(filled_comp.shape) < 0.05] = -np.inf
+            filled = _filled_slots(sizes)
+            comp = np.full((filled_comp.shape[0], filled.shape[0]), -np.inf)
+            comp[:, filled] = filled_comp
+            n_slots = int(sizes.max())
+            want = _reduceat_state_logsumexp(filled_comp, sizes)
+            assert np.array_equal(hmm._state_logsumexp(comp.copy(), n_slots), want)
+            unique, shares = hmm._state_logsumexp(comp.copy(), n_slots, shares=True)
             assert np.array_equal(unique, want)
             # each share is the component's density over its state's, zero
-            # in the fill and where the state's density is zero
+            # in the empty slots and where the state's density is zero
             flat = shares.reshape(comp.shape[0], -1)
             seg = np.repeat(np.arange(sizes.shape[0]), sizes)
             with np.errstate(invalid="ignore"):
-                direct = np.nan_to_num(np.exp(comp - want[:, seg]), nan=0.0)
-            np.testing.assert_allclose(flat[:, hmm._slot_columns(sizes)], direct,
-                                       rtol=0, atol=1e-12)
-            fill = np.ones(flat.shape[1], dtype=bool)
-            fill[hmm._slot_columns(sizes)] = False
-            assert np.all(flat[:, fill] == 0.0)
+                direct = np.nan_to_num(np.exp(filled_comp - want[:, seg]), nan=0.0)
+            np.testing.assert_allclose(flat[:, filled], direct, rtol=0, atol=1e-12)
+            assert np.all(flat[:, ~filled] == 0.0)
             sums = shares.sum(axis=2)
             np.testing.assert_allclose(sums[np.isfinite(want)], 1.0, rtol=1e-14)
             assert np.all(sums[~np.isfinite(want)] == 0.0)
+
+    def test_slot_sum_equals_reduceat_up_to_eight_components(self):
+        # the M-step's state occupancies and the log-sum-exp's sums add the
+        # slots in one order; up to eight components it has the bits of
+        # reduceat over each state's filled slots, with zero in the others
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            sizes = rng.integers(1, 9, size=int(rng.integers(1, 20)))
+            values = rng.uniform(0.0, 1.0, size=sizes.sum()) * 10.0 ** rng.integers(
+                -12, 6, size=sizes.sum())
+            values[rng.random(values.shape) < 0.1] = 0.0
+            filled = _filled_slots(sizes)
+            table = np.zeros(filled.shape)
+            table[filled] = values
+            want = np.add.reduceat(values, hmm._block_starts(sizes))
+            assert np.array_equal(hmm._slot_sum(table.reshape(sizes.shape[0], -1)), want)
 
 
 class TestScaledPasses:
@@ -1060,8 +1092,8 @@ class TestEm:
         model = _build(["q"], [[[0.5, 0.5]]], [(np.ones(1), frames.mean(axis=0)[None] * 0.0,
                                                 np.ones((1, 2)))], np.full(2, 1e-10))
         hmm.em_iteration(model, [(frames, ["q"])])
-        np.testing.assert_allclose(model.means[0], frames.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(model.variances[0], frames.var(axis=0), atol=1e-10)
+        np.testing.assert_allclose(model.means[0, 0], frames.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(model.variances[0, 0], frames.var(axis=0), atol=1e-10)
         # 39 self loops and one exit, deterministically
         np.testing.assert_allclose(model.trans, [39 / 40, 1 / 40], atol=1e-12)
 
@@ -1133,7 +1165,7 @@ class TestEm:
         for prev, cur in zip(block2, block2[1:]):
             assert cur >= prev - 1e-6
         assert list(model.n_mix) == [2, 2]
-        assert model.weights.shape == (4,) and model.means.shape == (4, 2)
+        assert model.weights.shape == (2, 2) and model.means.shape == (2, 2, 2)
 
     def test_variance_floor_engages(self):
         rng = np.random.default_rng(37)
@@ -1143,9 +1175,9 @@ class TestEm:
                        [(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))], [0.5, 0.5])
         hmm.em_iteration(model, [(frames, ["q"])])
         # dim 1 has sample variance near 0.25, below the floor
-        assert model.variances[0, 1] == 0.5
-        assert model.variances[0, 0] > 0.5
-        assert model.variances[0, 0] == pytest.approx(frames[:, 0].var(), abs=1e-10)
+        assert model.variances[0, 0, 1] == 0.5
+        assert model.variances[0, 0, 0] > 0.5
+        assert model.variances[0, 0, 0] == pytest.approx(frames[:, 0].var(), abs=1e-10)
 
     def test_flat_start_floor_formula(self, defaults):
         rng = np.random.default_rng(38)
@@ -1162,8 +1194,8 @@ class TestEm:
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm.em_iteration(model, [(frames, ["q"])])
         assert list(model.n_mix) == [1]
-        assert list(model.weights) == [1.0]
-        assert model.means.shape == model.variances.shape == (1, 1)
+        assert model.weights.tolist() == [[1.0]]
+        assert model.means.shape == model.variances.shape == (1, 1, 1)
         assert any("starved" in rec.message for rec in caplog.records)
 
     def test_state_with_every_component_starved_keeps_parameters(self, caplog, tmp_path):
@@ -1174,20 +1206,21 @@ class TestEm:
                                             ([1.0], [[3.0]], [[0.5]])]}, dim=1)
         before = [a.copy() for a in (model.n_mix, model.weights, model.means,
                                      model.variances)]
-        occ = np.array([0.6e-8, 0.6e-8, 4.0])
-        mean = occ[:, None] * np.array([[-1.0], [1.0], [2.0]])
-        sqr = occ[:, None] * np.array([[2.0], [3.0], [5.0]])
+        # the sums in the table's slots: state 1's second slot is empty
+        occ = np.array([[0.6e-8, 0.6e-8], [4.0, 0.0]])
+        mean = occ[:, :, None] * np.array([[[-1.0], [1.0]], [[2.0], [0.0]]])
+        sqr = occ[:, :, None] * np.array([[[2.0], [3.0]], [[5.0], [0.0]]])
         trans = np.ones(model.arc_table().shape[0] - 1)
         with caplog.at_level("WARNING", logger="vsrlab.hmm"):
             hmm._apply_mstep(model, occ, mean, sqr, trans)
         assert "phone 'a' state 0 has no occupancy; keeping parameters" \
             in [rec.message for rec in caplog.records]
         assert list(model.n_mix) == [2, 1]
-        for got, want in zip((model.weights[:2], model.means[:2], model.variances[:2]),
+        for got, want in zip((model.weights[0], model.means[0], model.variances[0]),
                              before[1:]):
-            assert np.array_equal(got, want[:2])
-        np.testing.assert_allclose(model.means[2], [2.0], rtol=1e-12)
-        np.testing.assert_allclose(model.variances[2], [1.0], rtol=1e-12)
+            assert np.array_equal(got, want[0])
+        np.testing.assert_allclose(model.means[1, 0], [2.0], rtol=1e-12)
+        np.testing.assert_allclose(model.variances[1, 0], [1.0], rtol=1e-12)
         path = tmp_path / "model.opt"
         hmm.save_model(path, model)
         back = hmm.load_model(path)
@@ -1387,10 +1420,10 @@ class TestGrow:
                                             ([1.0], [[-5.0]], [[0.25]])]}, dim=1)
         hmm.grow_mixtures(model, 4)
         assert list(model.n_mix) == [4, 4]
-        np.testing.assert_allclose(model.weights, [0.2, 0.25, 0.25, 0.3] + [0.25] * 4)
-        np.testing.assert_allclose(model.means[:, 0], [0.0, 1.2, 0.8, 2.0,
-                                                       -4.9, -5.0, -5.0, -5.1])
-        np.testing.assert_allclose(model.variances[:, 0], [1.0, 4.0, 4.0, 9.0] + [0.25] * 4)
+        np.testing.assert_allclose(model.weights, [[0.2, 0.25, 0.25, 0.3], [0.25] * 4])
+        np.testing.assert_allclose(model.means[:, :, 0], [[0.0, 1.2, 0.8, 2.0],
+                                                          [-4.9, -5.0, -5.0, -5.1]])
+        np.testing.assert_allclose(model.variances[:, :, 0], [[1.0, 4.0, 4.0, 9.0], [0.25] * 4])
 
 
 class TestChainBuilding:
@@ -1412,6 +1445,20 @@ def _opt1_phones_start(model):
     return 13 + sum(1 + len(name.encode()) for name in model.phones) + 8 * model.dim
 
 
+def _starved_model():
+    """A two-state skip2 phone whose first state has three components and
+    loses its middle one in the first EM iteration on ``data``, beside a
+    state that keeps all three; returns the model and the data."""
+    rng = np.random.default_rng(44)
+    data = [(np.vstack([rng.normal(0.0, 1.0, size=(n, 2)), rng.normal(3.0, 1.0, size=(n, 2))]),
+             ["q"]) for n in (7, 9, 6, 8)]
+    model = _build(["q"], [[[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]],
+                   [([0.3, 0.3, 0.4], [[-0.5, 0.0], [1e6, 1e6], [0.5, 0.5]], np.ones((3, 2))),
+                    ([0.2, 0.5, 0.3], [[2.0, 2.0], [3.0, 3.5], [4.0, 3.0]], np.ones((3, 2)))],
+                   np.full(2, 1e-3))
+    return model, data
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -1420,15 +1467,44 @@ class TestContainer:
                                topology_kind="skip2", use_sil=True)
         hmm.train_em(model, [(f, ["sil"] + c + ["sil"]) for f, c in data],
                      schedule=[(1, 2), (2, 1)])
+        # and a model whose states end with unequal component counts, so
+        # that its table has an empty slot
+        unequal, starved_data = _starved_model()
+        hmm.em_iteration(unequal, starved_data)
+        assert list(unequal.n_mix) == [2, 3]
+        for model, dim, use_sil in [(model, 3, True), (unequal, 2, False)]:
+            path = tmp_path / "model.opt"
+            hmm.save_model(path, model)
+            back = hmm.load_model(path)
+            assert back.phones == model.phones
+            assert back.dim == dim
+            assert back.use_sil is use_sil
+            assert np.array_equal(back.var_floor, model.var_floor)
+            for table in ("phone_n_states", "trans", "n_mix", "weights", "means", "variances"):
+                assert np.array_equal(getattr(back, table), getattr(model, table))
+
+    def test_unequal_counts_from_training_pinned(self, tmp_path, caplog):
+        # a state drops its middle component while its neighbour keeps all
+        # three, then both grow to four and train once more; the digests,
+        # computed before the table had empty slots, pin the order of the
+        # survivors and keep every empty slot out of the file
+        model, data = _starved_model()
         path = tmp_path / "model.opt"
-        hmm.save_model(path, model)
-        back = hmm.load_model(path)
-        assert back.phones == model.phones
-        assert back.dim == 3
-        assert back.use_sil is True
-        assert np.array_equal(back.var_floor, model.var_floor)
-        for table in ("phone_n_states", "trans", "n_mix", "weights", "means", "variances"):
-            assert np.array_equal(getattr(back, table), getattr(model, table))
+        digests = []
+        with caplog.at_level("WARNING", logger="vsrlab.hmm"):
+            hmm.em_iteration(model, data)
+            assert list(model.n_mix) == [2, 3]
+            hmm.save_model(path, model)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            hmm.grow_mixtures(model, 4)
+            hmm.em_iteration(model, data)
+            assert list(model.n_mix) == [4, 4]
+            hmm.save_model(path, model)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert "phone 'q' state 0: dropping 1 starved component(s)" in caplog.messages
+        assert digests == [
+            "b2e6b0c497c03b52fbd35c2e38e2e89ca87b083200dbe2b1c8ae6eeaa8d81083",
+            "62cc2b682b68df8a3ca23f010c81a4c0f18a40181899b172fe76e5b8d6f39f4b"]
 
     def test_bytes_pinned(self, tmp_path):
         # a skip2 and a classic3 phone with unequal component counts; the
