@@ -91,12 +91,25 @@ class SynthSpec:
     add_silence: bool = True
 
     def validate(self):
-        if self.n_speakers < 2:
-            raise ValueError("need at least 2 speakers")
-        if self.frames_per_phoneme[0] < 2:
-            raise ValueError("frames_per_phoneme mean must be >= 2")
-        if not self.lexicon:
-            raise ValueError("lexicon is empty")
+        """Raise ``ValueError``, naming the field, if the spec cannot make a corpus."""
+        counts = self.utterances_per_speaker
+        (mean_f, std_f), (low, high) = self.frames_per_phoneme, self.words_per_utterance
+        for name, ok, rule in [
+                ("n_speakers", self.n_speakers >= 2, "at least 2"),
+                ("n_utterances", self.n_utterances >= 1, "at least 1"),
+                ("utterances_per_speaker", counts is None or (
+                    len(counts) == self.n_speakers and sum(counts) == self.n_utterances
+                    and min(counts, default=0) >= 0),
+                 "None or a count >= 0 per speaker, summing to n_utterances"),
+                ("lexicon", bool(self.lexicon), "non-empty"),
+                ("frames_per_phoneme mean", 2 <= mean_f < math.inf, ">= 2 and finite"),
+                ("frames_per_phoneme spread", 0 <= std_f < math.inf, "non-negative and finite"),
+                ("noise_level", 0 <= self.noise_level < math.inf, "non-negative and finite"),
+                ("frame_rate", 0 < self.frame_rate < math.inf, "positive and finite"),
+                ("image_size", min(self.image_size) >= 1, "at least 1 pixel each way"),
+                ("words_per_utterance", 1 <= low <= high, "(low, high), 1 <= low <= high")]:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name.split()[0])}")
         inventory = set(self.phoneme_inventory)
         for word, phones in self.lexicon.items():
             if not phones:
@@ -104,11 +117,6 @@ class SynthSpec:
             unknown = set(phones) - inventory
             if unknown:
                 raise ValueError(f"word {word!r} uses phonemes outside the inventory: {sorted(unknown)}")
-        if self.utterances_per_speaker is not None:
-            if len(self.utterances_per_speaker) != self.n_speakers:
-                raise ValueError("utterances_per_speaker length != n_speakers")
-            if sum(self.utterances_per_speaker) != self.n_utterances:
-                raise ValueError("utterances_per_speaker must sum to n_utterances")
 
 
 # ---------------------------------------------------------------------------

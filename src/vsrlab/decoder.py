@@ -193,8 +193,9 @@ def decode_batch(graph, frame_list, config):
     ``DecodeResult`` per utterance, in order. An ``EmptyBeamError`` names the
     failing utterance by its position (also in its ``utterance``)."""
     frames = [np.asarray(x, dtype=float) for x in frame_list]
-    if not frames:
-        return []
+    for i, x in enumerate(frames):
+        if not x.shape[0]:
+            raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
     results = [None] * len(frames)
     for ids, _, _, batch in padded_batches(graph.model, frames, [graph] * len(frames)):
         for b, result in zip(ids, _search(graph, batch, config, ids)):
@@ -210,9 +211,6 @@ def decode_frames(graph, frames, config):
 def _search(graph, batch, config, ids):
     """Token passing over the utterances of a ``BandBatch`` laid out on
     ``graph``; ``ids`` names them in errors. Returns their results."""
-    for i, n in zip(ids, batch.n_frames):
-        if n == 0:
-            raise EmptyBeamError(f"utterance {i}: no frames to decode", i)
     emis, n_frames = batch.emis, batch.n_frames
     n_utts = emis.shape[1]
     lam_end = config.lm_scale * graph.end_logp

@@ -42,14 +42,16 @@ order of length in batches of bounded size. Each utterance is padded with
 log-zero to the longest chain and the longest utterance of its batch, which
 leaves its own values exactly as a pass over it alone would give them.
 
-The model keeps its parameters in two tables. Every phone enters at its
-first state, so only the transition rows vary between phones: the transition
-table holds each phone's (n, n + 1) rows, flat and in model order, beside the
-phones' state counts. The mixture table holds the Gaussians in one row of M
-slots per state, M the most components of any state: weights (S, M), means and
-diagonal variances (S, M, D), beside each state's count. A state's components
-fill its first slots in order; an empty slot (weight 0, mean 0, variance 1) has
-zero density. Scoring, EM and OPT1, which holds the filled slots, share it.
+The model keeps its parameters in two tables of one row per state, in model
+order, laid out by one helper, ``_packed``. Every phone enters at its first
+state, so only the transition rows vary between phones: the transition table
+(S, W), W the most states of any phone plus one, holds a state's n + 1
+columns and zeros after them, and arc index u W + c reads column c of state
+u's row. The mixture table holds the Gaussians in M slots per state, M the
+most components of any state: weights (S, M), means and diagonal variances
+(S, M, D). A state's components fill its first slots in order; an empty slot
+(weight 0, mean 0, variance 1) has zero density. Scoring, EM and OPT1, which
+holds each row's filled part, share both tables.
 """
 
 import functools
@@ -103,23 +105,19 @@ def _block_starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
-def _arc_offsets(phone_n_states):
-    """Where each phone's (n, n + 1) transition rows start in the table."""
-    return _block_starts(phone_n_states * (phone_n_states + 1))
-
-
-def _mixture_table(blocks):
-    """Component counts (S,) and the mixture table, weights (S, M), means and
-    variances (S, M, D), from per-state (weights, means, variances) blocks in
-    model order: each block fills the first slots of its state's row, in
-    order, and every other slot gets weight 0, mean 0 and variance 1."""
-    n_mix = np.array([w.shape[0] for w, _, _ in blocks])
-    live = np.arange(n_mix.max()) < n_mix[:, None]
-    dims = live.shape + blocks[0][1].shape[1:]
-    table = (np.zeros(live.shape), np.zeros(dims), np.ones(dims))
-    for slots, flat in zip(table, zip(*blocks)):
-        slots[live] = np.concatenate(flat)
-    return (n_mix, *table)
+def _packed(blocks, fills=(0.0, 0.0, 1.0)):
+    """Each block's length n (rows,) and tables with one row per block and as
+    many slots as the longest block: every block is a tuple of arrays of
+    length n, and table j holds each block's j-th array in the first n slots
+    of its row, in order, and ``fills[j]`` in every other slot. The default
+    fills the mixture table's empty slot: weight 0, mean 0, variance 1."""
+    lengths = np.array([block[0].shape[0] for block in blocks])
+    live = np.arange(lengths.max()) < lengths[:, None]
+    tables = [np.full(live.shape + arrays[0].shape[1:], fill)
+              for fill, arrays in zip(fills, zip(*blocks))]
+    for table, arrays in zip(tables, zip(*blocks)):
+        table[live] = np.concatenate(arrays)
+    return (lengths, *tables)
 
 
 @dataclass
@@ -127,7 +125,7 @@ class OpticalModel:
     phones: list
     dim: int
     phone_n_states: np.ndarray  # (P,) emitting states per phone
-    trans: np.ndarray       # (A,) the transition table: each phone's (n, n + 1) rows
+    trans: np.ndarray       # (S, W), 0 beyond a state's n + 1 columns; W = most n + 1
     n_mix: np.ndarray       # (S,) components per unique state, model order
     # the mixture table, one row of M slots per state: S M rows, M the most
     # components of any state, so only the slots of starved components pad
@@ -137,12 +135,9 @@ class OpticalModel:
     var_floor: np.ndarray   # (D,)
     use_sil: bool = True
 
-    def __post_init__(self):
-        self.arc_offsets = _arc_offsets(self.phone_n_states)
-
     def arc_table(self):
-        """Log transition probabilities: the transition table, then one
-        log-zero entry that arc index -1 reads."""
+        """Log transition probabilities: the transition table flattened, then
+        one log-zero entry that arc index -1 reads."""
         with np.errstate(divide="ignore"):
             return np.log(np.append(self.trans, 0.0))
 
@@ -185,7 +180,7 @@ def flat_start(frame_list, phones, topology_kind, use_sil=True):
     n = len(phones) * rows.shape[0]
     return OpticalModel(phones=phones, dim=dim,
                         phone_n_states=np.full(len(phones), rows.shape[0]),
-                        trans=np.tile(rows.ravel(), len(phones)),
+                        trans=np.tile(rows, (len(phones), 1)),
                         n_mix=np.ones(n, dtype=int), weights=np.ones((n, 1)),
                         means=np.tile(g_mean, (n, 1, 1)), variances=np.tile(g_var, (n, 1, 1)),
                         var_floor=floor, use_sil=use_sil)
@@ -219,9 +214,10 @@ def component_log_likelihoods(stacked, frames):
 
 
 def _slot_sum(p):
-    """The sum of ``p`` (..., M) over its slots, the last axis, the first slot
-    added last: the order in which ``np.add.reduceat`` sums up to eight values,
-    which it sums pairwise beyond that; above eight slots this order holds."""
+    """The sum of ``p`` (..., M) over its slots, the last axis (a state's
+    mixture slots or transition columns), the first slot added last: the
+    order in which ``np.add.reduceat`` sums up to eight values, which it sums
+    pairwise beyond that; above eight slots this order holds."""
     total = np.zeros(p.shape[:-1])
     for j in range(1, p.shape[-1]):
         total += p[..., j]
@@ -270,21 +266,22 @@ class ChainGraph:
 
 
 def compose_chain(model, chain):
-    """Banded utterance graph for a phone-name chain: each chain state's
-    arcs index its transition row in the arc table by the arc-column rule.
+    """Banded utterance graph for a phone-name chain: the arc from a chain
+    state of model state u in column c of u's transition row (the arc-column
+    rule) has index u W + c in the arc table, W the transition table's width.
 
     The graph depends only on the model's phone names and state counts and
     on the chain, never on parameter values, so every model of equal
     structure gets the same graph object, built once and read-only: EM
     iterations, grid cells, forced alignment and the decoder share it."""
     return _chain_graph(tuple(model.phones), tuple(model.phone_n_states.tolist()),
-                        tuple(chain))
+                        tuple(chain), model.trans.shape[1])
 
 
 # a grid's training transcripts plus its decode lexicon's pronunciations,
 # with room to spare: a few KiB per graph
 @functools.lru_cache(maxsize=1024)
-def _chain_graph(phones, phone_n_states, chain):
+def _chain_graph(phones, phone_n_states, chain, width):
     index = {name: i for i, name in enumerate(phones)}
     for name in chain:
         if name not in index:
@@ -296,15 +293,14 @@ def _chain_graph(phones, phone_n_states, chain):
     chain_pos = np.repeat(np.arange(len(pids)), sizes)
     local_state = np.arange(phone_ids.shape[0]) - np.repeat(_block_starts(sizes), sizes)
     n = sizes[chain_pos]
-    row = _arc_offsets(all_sizes)[phone_ids] + local_state * (n + 1)
+    unique_cols = _block_starts(all_sizes)[phone_ids] + local_state
     # columns fed by staying, advancing one and advancing two, then by ending
     col = np.vstack([local_state + np.arange(3)[:, None], n])
     last = chain_pos == len(pids) - 1
     # an exit feeds the next phone's entry, or from the last phone ends the utterance
     live = np.vstack([(col[:3] < n) | ((col[:3] == n) & ~last), last])
-    graph = ChainGraph(phones=chain, chain_pos=chain_pos,
-                       unique_cols=_block_starts(all_sizes)[phone_ids] + local_state,
-                       arcs=np.where(live, row + col, -1))
+    graph = ChainGraph(phones=chain, chain_pos=chain_pos, unique_cols=unique_cols,
+                       arcs=np.where(live, unique_cols * width + col, -1))
     for array in (graph.chain_pos, graph.unique_cols, graph.arcs):
         array.flags.writeable = False
     return graph
@@ -344,10 +340,10 @@ def pad_batch(table, graphs, uniques):
 
 
 def _batches(frames, graphs, n_components):
-    """Utterance indices in order of length, cut into batches whose padded
-    frames times (chain states + 2 + ``n_components``) stay within
-    ``_BATCH_VALUES``. An utterance over the budget on its own makes a batch
-    of one.
+    """Indices of the utterances with frames, in order of length, cut into
+    batches whose padded frames times (chain states + 2 + ``n_components``)
+    stay within ``_BATCH_VALUES``. An utterance over the budget on its own
+    makes a batch of one.
 
     ``n_components`` counts the mixture table's slots, the columns of the
     component densities. So no per-frame array of a batch holds more than
@@ -364,6 +360,8 @@ def _batches(frames, graphs, n_components):
     and their squares, which grow with the feature dimension instead."""
     batch, t_max, s_max = [], 0, 0
     for b in np.argsort([x.shape[0] for x in frames], kind="stable"):
+        if not frames[b].shape[0]:
+            continue    # no path, and the band passes need a first frame
         t = max(t_max, frames[b].shape[0])
         s = max(s_max, graphs[b].n_states)
         if batch and (len(batch) + 1) * t * (s + 2 + n_components) > _BATCH_VALUES:
@@ -371,7 +369,8 @@ def _batches(frames, graphs, n_components):
             batch, t, s = [], frames[b].shape[0], graphs[b].n_states
         batch.append(b)
         t_max, s_max = t, s
-    yield batch
+    if batch:
+        yield batch
 
 
 def padded_batches(model, frames, graphs, shares=False):
@@ -379,14 +378,19 @@ def padded_batches(model, frames, graphs, shares=False):
     passes: the one acoustic-scoring routine of EM, forced alignment and the
     decoder.
 
-    ``frames`` holds each utterance's (T_b, D) float frames and ``graphs``
-    its chain (anything with ``n_states``, ``arcs`` and ``unique_cols``).
-    The mixture table is stacked once, and each batch's frames are scored
+    ``frames`` holds each utterance's (T_b, D) float frames, D the model's
+    dimension, and ``graphs`` its chain (anything with ``n_states``, ``arcs``
+    and ``unique_cols``). An utterance with no frames is in no batch. The
+    mixture table is stacked once, and each batch's frames are scored
     together. Yields, for each batch of ``_batches``, the utterance indices,
     their frames stacked in that order (frames, D), with ``shares`` each
     component's share of its state's density at every stacked frame in
     ``_state_logsumexp``'s slot layout (else None), and their ``BandBatch``.
     """
+    for b, x in enumerate(frames):
+        if x.ndim != 2 or x.shape[1] != model.dim:
+            raise ValueError(f"utterance {b}: frames of shape {x.shape}, but the model "
+                             f"scores (frames, {model.dim})")
     stacked = _stack_components(model)
     table = model.arc_table()
     for batch in _batches(frames, graphs, model.weights.size):
@@ -658,12 +662,12 @@ def _e_step(model, frames, graphs):
     """E-step sums over utterances given by their (T_b, D) float frames and
     chain graphs, each batch of ``padded_batches`` at once: occupancy (S, M)
     and first and second moments (S, M, D) in the mixture table's layout, arc
-    counts in transition-table order, the total log likelihood, and the number
+    counts by arc index (S W,), the total log likelihood, and the number
     of utterances with a path through their chain (the others add nothing)."""
     occ = np.zeros(model.weights.size)
     mean = np.zeros(occ.shape + (model.dim,))
     sqr = np.zeros_like(mean)
-    arc_counts = np.zeros(model.trans.shape[0])
+    arc_counts = np.zeros(model.trans.size)
     total, used = 0.0, 0
     for _, x, shares, batch in padded_batches(model, frames, graphs, shares=True):
         gamma, counts, loglik = _posteriors(batch)
@@ -700,12 +704,7 @@ def em_iteration(model, data):
         raise InsufficientDataError("no training utterances")
     graphs = [compose_chain(model, chain) for _, chain in data]
     frames = [np.asarray(x, dtype=float) for x, _ in data]
-    # a zero-frame utterance has no path, and the band passes need a first frame
-    keep = [b for b, x in enumerate(frames) if x.shape[0]]
-    used = 0
-    if keep:
-        occ, mean, sqr, arc_counts, total, used = _e_step(
-            model, [frames[b] for b in keep], [graphs[b] for b in keep])
+    occ, mean, sqr, arc_counts, total, used = _e_step(model, frames, graphs)
     skipped = len(data) - used
     if skipped:
         log.warning("skipped %d of %d utterance(s) too short for the topology",
@@ -722,17 +721,16 @@ _NO_OCCUPANCY = "phone %r state %d has no occupancy; keeping parameters"
 def _apply_mstep(model, occ, mean, sqr, arc_counts):
     """Re-estimate from E-step sums: ``occ``, ``mean`` and ``sqr`` in the
     mixture table's layout, an empty slot with no occupancy; ``arc_counts``
-    in transition-table order. A state with no component above the occupancy
-    floor keeps its parameters, and so does a transition row with no count
-    above it; starved components of other states go, and the survivors move
-    to the front of their row, in order."""
+    by arc index, the transition table flattened. A state with no component
+    above the occupancy floor keeps its parameters, and so does a transition
+    row with no count above it; starved components of other states go, and
+    the survivors move to the front of their row, in order."""
     sizes = model.n_mix
     keep = occ > _OCC_EPS
     kept = keep.sum(axis=1)
     empty = kept == 0
     state_phone = np.repeat(np.arange(len(model.phones)), model.phone_n_states)
-    local = np.arange(sizes.shape[0]) - np.repeat(_block_starts(model.phone_n_states),
-                                                   model.phone_n_states)
+    local = np.arange(sizes.shape[0]) - _block_starts(model.phone_n_states)[state_phone]
     for u in np.flatnonzero(kept < sizes):
         name = model.phones[state_phone[u]]
         if empty[u]:
@@ -749,15 +747,12 @@ def _apply_mstep(model, occ, mean, sqr, arc_counts):
     table = [occ_k / np.where(empty, 1.0, state_occ)[:, None], means, varia]
     for new, current in zip(table, (model.weights, model.means, model.variances)):
         new[empty] = current[empty]
-    model.n_mix, model.weights, model.means, model.variances = _mixture_table(
+    model.n_mix, model.weights, model.means, model.variances = _packed(
         [(w[k], mu[k], var[k]) for w, mu, var, k in zip(*table, survive)])
 
-    widths = model.phone_n_states[state_phone] + 1      # each transition row's length
-    new = np.where(model.trans > 0.0, arc_counts, 0.0)
-    sums = np.add.reduceat(new, _block_starts(widths))
-    live = np.repeat(sums > _OCC_EPS, widths)
-    model.trans[...] = np.where(live, new / np.repeat(np.maximum(sums, 1e-300), widths),
-                                model.trans)
+    new = np.where(model.trans > 0.0, arc_counts.reshape(model.trans.shape), 0.0)
+    sums = _slot_sum(new)[:, None]
+    model.trans[...] = np.where(sums > _OCC_EPS, new / np.maximum(sums, 1e-300), model.trans)
 
 
 def grow_mixtures(model, target_m):
@@ -773,7 +768,7 @@ def grow_mixtures(model, target_m):
             mu = np.vstack([mu[:i], mu[i] + 0.1 * sigma, mu[i] - 0.1 * sigma, mu[i + 1:]])
             var = np.vstack([var[:i], var[i], var[i], var[i + 1:]])
         blocks.append((w, mu, var))
-    model.n_mix, model.weights, model.means, model.variances = _mixture_table(blocks)
+    model.n_mix, model.weights, model.means, model.variances = _packed(blocks)
 
 
 def train_em(model, data, schedule):
@@ -892,10 +887,10 @@ def save_model(path, model):
         binio.write_u8(fh, 1 if model.use_sil else 0)
         binio.write_array(fh, model.var_floor, "<f8")
         rows = zip(model.n_mix, model.weights, model.means, model.variances)
-        for n, start in zip(model.phone_n_states, model.arc_offsets):
+        for n, start in zip(model.phone_n_states, _block_starts(model.phone_n_states)):
             binio.write_u8(fh, _KIND_CODES[n])
             binio.write_u32(fh, n)
-            binio.write_array(fh, model.trans[start:start + n * (n + 1)], "<f8")
+            binio.write_array(fh, model.trans[start:start + n, :n + 1], "<f8")
             binio.write_array(fh, np.eye(1, n), "<f8")   # every phone enters at state 0
             for m, *table in itertools.islice(rows, n):
                 binio.write_u32(fh, m)
@@ -924,7 +919,7 @@ def load_model(path):
                 raise FormatError(f"{path}: phone {name!r}: topology code {code} does not "
                                   f"match its {n} states")
             sizes.append(n)
-            trans.append(r.array("<f8", (n * (n + 1),)))
+            trans.extend((row,) for row in r.array("<f8", (n, n + 1)))
             initial.append(r.array("<f8", (n,)))
             for s in range(n):
                 m = r.u32()
@@ -932,26 +927,24 @@ def load_model(path):
                     raise FormatError(f"{path}: phone {name!r} state {s} has no components")
                 blocks.append([r.array("<f8", shape) for shape in ((m,), (m, dim), (m, dim))])
         r.end()
-    sizes, trans, initial = np.array(sizes), np.concatenate(trans), np.concatenate(initial)
-    # each state's transition row, its local state s, and the advance k of
-    # each of its arcs: column s + k
+    sizes, initial = np.array(sizes), np.concatenate(initial)
+    _, trans = _packed(trans, (0.0,))
+    # each state's phone, its local state s, and the advance k of the arc in
+    # each column of its transition row: column s + k
     state_phone = np.repeat(np.arange(n_phones), sizes)
     local = np.arange(state_phone.shape[0]) - np.repeat(_block_starts(sizes), sizes)
-    widths = sizes[state_phone] + 1
-    rows = _block_starts(widths)
-    advance = np.arange(trans.shape[0]) - np.repeat(rows + local, widths)
+    advance = np.arange(trans.shape[1]) - local[:, None]
     for bad, message in [
-            ((np.minimum.reduceat(trans, rows) < 0.0)
-             | ~np.isclose(np.add.reduceat(trans, rows), 1.0, atol=1e-9),
+            ((trans.min(axis=1) < 0.0) | ~np.isclose(trans.sum(axis=1), 1.0, atol=1e-9),
              "transition rows must be non-negative and sum to one"),
-            (np.logical_or.reduceat((trans > 0.0) & ((advance < 0) | (advance > 2)), rows),
+            (((trans > 0.0) & ((advance < 0) | (advance > 2))).any(axis=1),
              "only forward arcs within a band of 2 are supported"),
             ((initial != (local == 0)) | np.signbit(initial),
              "a phone must enter at its first state")]:
         if bad.any():
             raise FormatError(f"{path}: phone {phones[state_phone[np.argmax(bad)]]!r}: "
                               f"{message}")
-    n_mix, weights, means, variances = _mixture_table(blocks)
+    n_mix, weights, means, variances = _packed(blocks)
     if not all(np.isfinite(a).all() for a in (var_floor, weights, means, variances)):
         raise FormatError(f"{path}: non-finite variance floor or mixture parameters")
     if np.any(weights < 0.0) or not np.allclose(weights.sum(axis=1), 1.0, rtol=0.0,

@@ -42,6 +42,13 @@ class TestParser:
         assert rc == 1
         assert "train-pca" in capsys.readouterr().err
 
+    def test_negative_utterance_count_exits_one(self, tmp_path, capsys):
+        rc = _run(["synth-corpus", "--utterances", "-5", str(tmp_path / "corpus")])
+        assert rc == 1
+        assert "vsrlab synth-corpus: n_utterances must be at least 1, got -5" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
     def test_bad_autoencoder_value_exits_one(self, tmp_path, capsys):
         rc = _run(["train-ae", "--bottleneck", "0", str(tmp_path), str(tmp_path / "out.cae")])
         assert rc == 1
@@ -173,6 +180,18 @@ class TestPipeline:
         assert "WER" in out
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["n_utterances"] == n
+
+    def test_decode_on_another_streams_features_exits_one(self, work, tmp_path, capsys):
+        # the model scores the geo stream's 18 features; eig has 8
+        r = work["root"]
+        argv = _stage_argv(work)["decode"]
+        argv[argv.index(str(r / "geo"))] = str(r / "eig")
+        argv[-1] = str(tmp_path / "hyp.tsv")
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert "vsrlab decode: utterance 0: frames of shape (" in err
+        assert ", 8), but the model scores (frames, 18)" in err
+        assert not (tmp_path / "hyp.tsv").exists()
 
     def test_rerun_uses_cache(self, work, capsys):
         def mtimes():

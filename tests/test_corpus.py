@@ -251,6 +251,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         corpus.SynthSpec(lexicon={"a": ["a"]}, n_speakers=2, n_utterances=5,
                          utterances_per_speaker=[1, 2]).validate()
+    # each of these failed only after writing files, or wrote a corpus that
+    # does not load, or was accepted without a word
+    for name, value in [("n_utterances", -5), ("frame_rate", 0.0), ("image_size", (0, 96)),
+                        ("words_per_utterance", (0, 0)), ("words_per_utterance", (3, 2)),
+                        ("noise_level", -1.0), ("utterances_per_speaker", [-1, 3]),
+                        ("frames_per_phoneme", (5.0, -1.0))]:
+        spec = corpus.SynthSpec(**{"lexicon": {"a": ["a"]}, "n_utterances": 2, name: value})
+        with pytest.raises(ValueError, match=f"^{name} "):
+            spec.validate()
 
 
 def _render_frame(shape, profile, spec):

@@ -32,7 +32,7 @@ def _model(phone_means, kind="skip2", use_sil=False, var=0.25, n_mix=1):
         weights = np.tile([0.6, 0.4], (mus.shape[0], 1))
     return hmm.OpticalModel(phones=names, dim=1,
                             phone_n_states=np.full(len(names), rows.shape[0]),
-                            trans=np.tile(rows.ravel(), len(names)),
+                            trans=np.tile(rows, (len(names), 1)),
                             n_mix=np.full(mus.shape[0], n_mix), weights=weights,
                             means=means, variances=np.full(means.shape, var),
                             var_floor=np.full(1, 1e-10), use_sil=use_sil)
@@ -94,10 +94,10 @@ def _sentence_acoustic(model, lex, sentence, frames):
     trans = np.zeros((s_count, s_count))
     exit_p = np.zeros(s_count)
     for pos, pid in enumerate(pids):
-        # the phone's rows, found by counting the entries of the phones before it
+        # the phone's rows, found by counting the states of the phones before it
         n = sizes[pos]
-        start = sum(int(m) * (int(m) + 1) for m in model.phone_n_states[:pid])
-        rows = model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
+        start = int(model.phone_n_states[:pid].sum())
+        rows = model.trans[start:start + n, :n + 1]
         for s in range(n):
             for c in range(n):
                 trans[bases[pos] + s, bases[pos] + c] = rows[s, c]
@@ -738,6 +738,25 @@ class TestBatch:
         with pytest.raises(EmptyBeamError, match="utterance 1: no frames") as err:
             decode_batch(graph, [np.zeros((4, 1)), np.zeros((0, 1))], config)
         assert err.value.utterance == 1
+
+
+@pytest.mark.parametrize("entry", ["em_iteration", "forced_align", "decode_batch"])
+def test_frames_of_another_dimension_named_where_scoring_starts(entry):
+    # the second utterance has 3 features per frame against a 1-dimensional
+    # model; forced alignment takes it alone, as utterance 0
+    model = _model({"p": 0.0, "t": 4.0, "k": -4.0})
+    frames = [np.zeros((4, 1)), np.zeros((6, 3))]
+    run = {
+        "em_iteration": lambda: hmm.em_iteration(model, [(x, ["t"]) for x in frames]),
+        "forced_align": lambda: hmm.forced_align(model, frames[1], ["t"]),
+        "decode_batch": lambda: decode_batch(
+            DecodeGraph(model, _lm(), _lexicon()), frames,
+            DecodeConfig(lm_scale=1.0, word_insertion_penalty=0.0, beam=None)),
+    }[entry]
+    position = 0 if entry == "forced_align" else 1
+    with pytest.raises(ValueError, match=rf"^utterance {position}: frames of shape \(6, 3\), "
+                                         r"but the model scores \(frames, 1\)$"):
+        run()
 
 
 class TestTieGate:

@@ -30,13 +30,17 @@ def _chain_log_likelihood(model, frames, chain):
 
 
 def _build(phones, rows, blocks, var_floor, use_sil=False):
-    """Model from per-phone (n, n + 1) transition rows and per-state
-    (weights, means, variances) blocks in model order."""
+    """Model from per-phone (n, n + 1) transition rows, padded into the
+    transition table, and per-state (weights, means, variances) blocks in
+    model order."""
     blocks = [[np.array(a, dtype=float) for a in block] for block in blocks]
-    n_mix, weights, means, variances = hmm._mixture_table(blocks)
+    n_mix, weights, means, variances = hmm._packed(blocks)
+    width = max(len(r) for r in rows) + 1
+    trans = np.vstack([np.pad(np.array(r, dtype=float), ((0, 0), (0, width - len(r) - 1)))
+                       for r in rows])
     return hmm.OpticalModel(phones=phones, dim=means.shape[-1],
                             phone_n_states=np.array([len(r) for r in rows]),
-                            trans=np.concatenate([np.ravel(r) for r in rows]),
+                            trans=trans,
                             n_mix=n_mix, weights=weights, means=means,
                             variances=variances, var_floor=np.asarray(var_floor, dtype=float),
                             use_sil=use_sil)
@@ -59,10 +63,10 @@ def _make_model(kind, phone_params, dim, use_sil=False):
 
 def _phone_rows(model, pid):
     """Phone ``pid``'s (n, n + 1) transition rows, a view into the transition
-    table found by counting the entries of the phones before it."""
-    start = int(sum(n * (n + 1) for n in model.phone_n_states[:pid]))
+    table found by counting the states of the phones before it."""
+    start = int(model.phone_n_states[:pid].sum())
     n = int(model.phone_n_states[pid])
-    return model.trans[start:start + n * (n + 1)].reshape(n, n + 1)
+    return model.trans[start:start + n, :n + 1]
 
 
 def _state_params(model, pid, s):
@@ -291,7 +295,7 @@ def _oracle_e_step(model, frames, graphs):
     occ = np.zeros(seg.shape[0])
     mean = np.zeros((seg.shape[0], model.dim))
     sqr = np.zeros_like(mean)
-    arc_counts = np.zeros(model.trans.shape[0])
+    arc_counts = np.zeros(model.trans.size)
     total, used = 0.0, 0
     for x, graph in zip(frames, graphs):
         comp = hmm.component_log_likelihoods(stacked, x)[:, filled]
@@ -485,7 +489,7 @@ class TestTopology:
             [0.0, 0.5, 0.5, 0.0],
             [0.0, 0.0, 0.5, 0.5],
         ])
-        assert np.array_equal(model.trans, np.tile(expected.ravel(), 2))
+        assert np.array_equal(model.trans, np.tile(expected, (2, 1)))
 
     def test_skip2_structure(self):
         model = self._flat("skip2")
@@ -495,7 +499,7 @@ class TestTopology:
             [third, third, third],
             [0.0, 0.5, 0.5],
         ])
-        assert np.array_equal(model.trans, np.tile(expected.ravel(), 2))
+        assert np.array_equal(model.trans, np.tile(expected, (2, 1)))
         # five arcs per phone, including the first-state exit
         assert np.count_nonzero(model.trans) == 10
 
@@ -1095,15 +1099,14 @@ class TestEm:
         np.testing.assert_allclose(model.means[0, 0], frames.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(model.variances[0, 0], frames.var(axis=0), atol=1e-10)
         # 39 self loops and one exit, deterministically
-        np.testing.assert_allclose(model.trans, [39 / 40, 1 / 40], atol=1e-12)
+        np.testing.assert_allclose(model.trans, [[39 / 40, 1 / 40]], atol=1e-12)
 
     def test_tied_states_match_enumeration(self):
         # with skip2, phone a occurs twice in the chain, so its two chain
         # copies share one set of two-component statistics; classic3 puts
         # counts on every transition column of the arc-column rule; mixing
-        # both checks each phone's offset into the flat arc table; unequal
-        # component counts check each state's block offset into the mixture
-        # table
+        # both checks each state's row of the padded transition table; unequal
+        # component counts check each state's row of the mixture table
         for kinds, chain, lengths, n_mix in [
                 ({"a": "skip2", "b": "skip2"}, ["a", "b", "a"], (6, 4, 3), {}),
                 ({"a": "classic3", "b": "classic3"}, ["a", "b"], (7, 6, 8), {}),
@@ -1459,6 +1462,20 @@ def _starved_model():
     return model, data
 
 
+def _mixed_topology_model():
+    """A skip2 phone 'a' beside a classic3 phone 'b', so that only the skip2
+    phone's transition rows pad, with two components per state, and data
+    whose chains use both; returns the model and the data."""
+    rng = np.random.default_rng(45)
+    params = {name: [(rng.dirichlet(np.ones(2)), rng.normal(size=(2, 2)),
+                      rng.uniform(0.5, 2.0, size=(2, 2))) for _ in range(n)]
+              for name, n in [("a", 2), ("b", 3)]}
+    model = _make_model({"a": "skip2", "b": "classic3"}, params, dim=2)
+    data = [(rng.normal(size=(t, 2)), chain) for t, chain in
+            [(9, ["a", "b"]), (12, ["b", "a", "b"]), (5, ["a"]), (7, ["b", "a"])]]
+    return model, data
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -1472,7 +1489,10 @@ class TestContainer:
         unequal, starved_data = _starved_model()
         hmm.em_iteration(unequal, starved_data)
         assert list(unequal.n_mix) == [2, 3]
-        for model, dim, use_sil in [(model, 3, True), (unequal, 2, False)]:
+        # and a model of both topologies, whose skip2 rows are padded
+        mixed, mixed_data = _mixed_topology_model()
+        hmm.em_iteration(mixed, mixed_data)
+        for model, dim, use_sil in [(model, 3, True), (unequal, 2, False), (mixed, 2, False)]:
             path = tmp_path / "model.opt"
             hmm.save_model(path, model)
             back = hmm.load_model(path)
@@ -1506,6 +1526,21 @@ class TestContainer:
             "b2e6b0c497c03b52fbd35c2e38e2e89ca87b083200dbe2b1c8ae6eeaa8d81083",
             "62cc2b682b68df8a3ca23f010c81a4c0f18a40181899b172fe76e5b8d6f39f4b"]
 
+    def test_mixed_topology_from_training_pinned(self, tmp_path):
+        # one EM iteration on a model of both topologies, the only kind whose
+        # transition table pads; the digest, computed when the table was one
+        # flat run of per-phone rows, pins every arc count and row sum
+        model, data = _mixed_topology_model()
+        hmm.em_iteration(model, data)
+        path = tmp_path / "model.opt"
+        hmm.save_model(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "7590293b7db708e5ef2869c4c5159776d959f720d418ae8f2b40315bfefcac5d"
+        # phone 'a' (skip2) holds the first two rows, of 3 columns out of 4
+        assert model.trans.shape == (5, 4)
+        assert np.all(model.trans[:2, 3] == 0.0)
+        np.testing.assert_allclose(model.trans.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
     def test_bytes_pinned(self, tmp_path):
         # a skip2 and a classic3 phone with unequal component counts; the
         # digest pins the OPT1 bytes, which the layout of the model in memory
@@ -1535,7 +1570,7 @@ class TestContainer:
         if case == "rows_off_one":
             model.trans *= 0.9
         elif case == "backward_arc":
-            model.trans[:] = np.ravel([[0.5, 0.5, 0.0, 0.0],
+            model.trans[:] = np.array([[0.5, 0.5, 0.0, 0.0],
                                        [0.25, 0.25, 0.5, 0.0],
                                        [0.0, 0.0, 0.5, 0.5]])
         path = tmp_path / "model.opt"
